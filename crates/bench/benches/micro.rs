@@ -6,7 +6,7 @@
 use std::hint::black_box;
 
 use cras_bench::timer::bench;
-use cras_core::{Admission, AdmissionModel, CrasServer, ServerConfig, StreamParams};
+use cras_core::{Admission, AdmissionModel, CrasServer, OpenReq, ServerConfig, StreamParams};
 use cras_core::{BufferedChunk, TimeDrivenBuffer};
 use cras_disk::calibrate::DiskParams;
 use cras_disk::cscan::CScanQueue;
@@ -104,7 +104,7 @@ fn bench_interval_plan() {
             let table = cras_media::generate_chunks(&StreamProfile::mpeg1(), 30.0, &mut rng);
             let nblocks = table.total_bytes().div_ceil(512) as u32;
             let id = srv
-                .open(
+                .open(OpenReq::single(
                     &format!("m{i}"),
                     table,
                     vec![Extent {
@@ -112,7 +112,7 @@ fn bench_interval_plan() {
                         disk_block: i * 400_000,
                         nblocks,
                     }],
-                )
+                ))
                 .expect("10 streams fit in ample memory");
             srv.start(id, Instant::ZERO);
         }

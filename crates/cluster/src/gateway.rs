@@ -27,13 +27,13 @@
 
 use std::collections::BTreeMap;
 
+use cras_core::cachepolicy::PopularityEstimator;
 use cras_core::AdmissionError;
 use cras_media::{Movie, StreamProfile};
 use cras_sim::{Duration, Instant};
 use cras_sys::player::PlayerStats;
 use cras_sys::{ClientId, ShardLoad, SysConfig, System};
 
-use crate::popularity::PopularityEstimator;
 use crate::ring::{mix, Ring};
 
 /// How the gateway steps its shards between barriers.

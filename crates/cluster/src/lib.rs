@@ -10,22 +10,26 @@
 //!
 //! * [`ring`] — deterministic consistent-hash ring: title → replica
 //!   shards, stable under shard addition/removal.
-//! * [`popularity`] — Zipf weights and the online open-count estimator
-//!   behind popularity-weighted replication.
 //! * [`gateway`] — [`Cluster`]: placement, least-loaded replica
 //!   routing, whole-shard kill + failover, and barrier-synchronous
 //!   lockstep or parallel stepping.
+//!
+//! The Zipf popularity model and the online open-count estimator behind
+//! popularity-weighted replication are re-exported from
+//! [`cras_core::cachepolicy`]: placement here and prefix caching in the
+//! server share one notion of "hot".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gateway;
-pub mod popularity;
 pub mod ring;
 
+pub use cras_core::cachepolicy::{
+    head_share, zipf_cdf, zipf_rank, zipf_weight, PopularityEstimator,
+};
 pub use gateway::{
     Cluster, ClusterConfig, FailoverReport, OpenError, RetryStats, Session, SessionId, Shard,
     Stepping, TitleInfo,
 };
-pub use popularity::{head_share, zipf_cdf, zipf_rank, zipf_weight, PopularityEstimator};
 pub use ring::{title_point, Ring};

@@ -22,7 +22,7 @@ use cras_sim::{Duration, Instant};
 use cras_ufs::Extent;
 
 use crate::admission::AdmissionError;
-use crate::server::CrasServer;
+use crate::server::{CrasServer, OpenReq};
 use crate::stream::StreamId;
 use crate::tdbuffer::BufferedChunk;
 
@@ -48,7 +48,7 @@ pub fn crs_open(
     extents: Vec<Extent>,
 ) -> Result<CrsSession, AdmissionError> {
     server
-        .open(name, table, extents)
+        .open(OpenReq::single(name, table, extents))
         .map(|stream| CrsSession { stream })
 }
 

@@ -64,7 +64,8 @@ pub use placement::{
     on_volume, volume_shares, ParityGeometry, PlacementPolicy, VolumeExtent, PARITY_STRIPE_BYTES,
 };
 pub use server::{
-    CrasServer, IntervalReport, ReadId, ReadReq, ServerConfig, ServerStats, VolumeLoad,
+    Admit, CrasServer, IntervalReport, OpenReq, ReadId, ReadReq, ServerConfig, ServerStats,
+    VolumeLoad,
 };
 pub use stream::{CacheState, DiskRun, ParityState, Stream, StreamId, VolumeRun};
 pub use tdbuffer::{BufferStats, BufferedChunk, TimeDrivenBuffer};

@@ -5,7 +5,7 @@
 //! orchestrator (`cras-sys`) gives each its CPU time and routes events:
 //!
 //! * **request manager** — [`CrasServer::open`] / [`CrasServer::close`]
-//!   (admission test, buffer sizing);
+//!   (admission test, buffer sizing; one [`OpenReq`] per `crs_open`);
 //! * **request scheduler** — [`CrasServer::interval_tick`]: posts the
 //!   previous interval's data from the I/O-done queue into the
 //!   time-driven buffers, then issues the next interval's reads in
@@ -35,11 +35,12 @@
 //! *admitted* against the cache memory budget instead.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
 use cras_disk::calibrate::DiskParams;
 use cras_disk::geometry::BlockNo;
 use cras_disk::{SweepCursor, VolumeId};
-use cras_media::ChunkTable;
+use cras_media::{Chunk, ChunkTable};
 use cras_sim::{Duration, Instant};
 use cras_ufs::Extent;
 
@@ -48,7 +49,7 @@ use crate::cache::{EvictPolicy, IntervalCache};
 use crate::cachepolicy::CacheManager;
 use crate::clock::LogicalClock;
 use crate::placement::{on_volume, volume_shares, PlacementPolicy, VolumeExtent};
-use crate::stream::{CacheState, ParityState, Stream, StreamId};
+use crate::stream::{CacheState, ParityState, Stream, StreamId, VolumeRun};
 use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer};
 
 /// Fixed (non-buffer) server footprint: "CRAS consumes about (250KB +
@@ -144,6 +145,86 @@ impl Default for ServerConfig {
     }
 }
 
+/// How [`CrasServer::open`] admits a new stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Admit {
+    /// The admission ladder: deferred against a memory-resident hot
+    /// prefix, then the disk test, then cache admission. Feeds the
+    /// popularity estimator.
+    Checked,
+    /// No test and no popularity observation — the Figure 6 sweep
+    /// measures achieved throughput past the admitted load.
+    Unchecked,
+    /// Crash-recovery replay of a deferred admission. The cache is
+    /// empty after a restart, so the prefix-residency test cannot
+    /// re-pass: the stream is installed in [`CacheState::Prefix`] with
+    /// zero disk shares (buffer memory still checked), and its first
+    /// serve miss walks the ordinary drain path. Parity movies have no
+    /// deferred open and take the [`Admit::Checked`] ladder.
+    Deferred,
+}
+
+/// A `crs_open` request: the control-file chunk table and the extent
+/// maps resolved through UFS. The placement is read from the maps:
+/// whole or striped `extents` alone, a `mirror` replica, or a
+/// rotating-`parity` band.
+#[derive(Clone, Debug)]
+pub struct OpenReq {
+    /// Movie name.
+    pub name: String,
+    /// The control-file chunk table.
+    pub table: ChunkTable,
+    /// The (primary, or logical for parity) extent map.
+    pub extents: Vec<VolumeExtent>,
+    /// The mirror replica's extent map, for a mirrored movie.
+    pub mirror: Option<Vec<VolumeExtent>>,
+    /// The rotating-parity state, for a parity-placed movie.
+    pub parity: Option<ParityState>,
+    /// How the stream is admitted.
+    pub admit: Admit,
+}
+
+impl OpenReq {
+    /// A checked open of a movie stored at `extents`.
+    pub fn new(name: &str, table: ChunkTable, extents: Vec<VolumeExtent>) -> OpenReq {
+        OpenReq {
+            name: name.to_string(),
+            table,
+            extents,
+            mirror: None,
+            parity: None,
+            admit: Admit::Checked,
+        }
+    }
+
+    /// A checked open of a single-disk movie: the extent map addresses
+    /// volume 0.
+    pub fn single(name: &str, table: ChunkTable, extents: Vec<Extent>) -> OpenReq {
+        OpenReq::new(name, table, on_volume(VolumeId(0), extents))
+    }
+
+    /// The request with a mirror replica map.
+    pub fn with_mirror(self, mirror: Vec<VolumeExtent>) -> OpenReq {
+        OpenReq {
+            mirror: Some(mirror),
+            ..self
+        }
+    }
+
+    /// The request with a rotating-parity state.
+    pub fn with_parity(self, parity: ParityState) -> OpenReq {
+        OpenReq {
+            parity: Some(parity),
+            ..self
+        }
+    }
+
+    /// The request with another admission mode.
+    pub fn with_admit(self, admit: Admit) -> OpenReq {
+        OpenReq { admit, ..self }
+    }
+}
+
 /// Externally observed load of one spindle, fed by the orchestrator
 /// just before each tick ([`CrasServer::set_volume_loads`]): the part
 /// of the steering signal the planner cannot see from its own
@@ -180,7 +261,7 @@ pub struct ReadReq {
 }
 
 /// What one `interval_tick` did.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IntervalReport {
     /// Interval number (0-based).
     pub index: u64,
@@ -277,6 +358,71 @@ fn bottleneck_time(per_volume: &[f64]) -> f64 {
     })
 }
 
+/// Posts chunks `lo..=hi` of a stream's table into its time-driven
+/// buffer at `now`. Returns the chunks posted.
+fn post_chunks(s: &mut Stream, lo: u32, hi: u32, now: Instant) -> usize {
+    let media_now = s.clock.media_time(now);
+    for i in lo..=hi {
+        let c = *s.table.get(i).expect("batch chunk in table");
+        s.buffer.put(
+            BufferedChunk {
+                index: c.index,
+                timestamp: c.timestamp,
+                duration: c.duration,
+                size: c.size,
+                posted_at: now,
+            },
+            media_now,
+        );
+    }
+    (hi - lo) as usize + 1
+}
+
+/// The media time a stream must be fetched to by `horizon`, and the
+/// chunks from its pre-fetch cursor up to there. `None` when nothing is
+/// due.
+fn due_chunks(s: &Stream, horizon: Instant) -> Option<(Duration, &[Chunk])> {
+    let target = s.clock.media_time(horizon).min(s.table.total_duration());
+    (target > s.prefetch_cursor).then(|| (target, s.table.chunks_in(s.prefetch_cursor, target)))
+}
+
+/// Serves one cache-fed stream's interval up to `horizon` from the
+/// interval cache: a deferred stream reads its movie's resident prefix
+/// (no follower registration, no window pins), any other its window. On
+/// a hit the batch joins the done queue and the cursor advances.
+/// Returns `None` when nothing was due, else whether the cache held the
+/// whole interval (a miss leaves the cursor where it was).
+fn serve_interval(
+    sid: u32,
+    s: &mut Stream,
+    cache: &mut IntervalCache,
+    done: &mut Vec<FetchedBatch>,
+    horizon: Instant,
+    now: Instant,
+) -> Option<bool> {
+    let (target, chunks) = due_chunks(s, horizon)?;
+    let (Some(first), Some(last)) = (chunks.first(), chunks.last()) else {
+        s.prefetch_cursor = target;
+        return None;
+    };
+    let (chunk_lo, chunk_hi) = (first.index, last.index);
+    let served = match s.cache_state {
+        CacheState::Prefix => cache.serve_resident(&s.name, chunks),
+        _ => cache.serve(&s.name, sid, chunks),
+    };
+    if served {
+        s.prefetch_cursor = target;
+        done.push(FetchedBatch {
+            stream: StreamId(sid),
+            chunk_lo,
+            chunk_hi,
+            completed_at: now,
+            from_cache: true,
+        });
+    }
+    Some(served)
+}
+
 /// A point-in-time report on one stream (diagnostics / experiments).
 #[derive(Clone, Copy, Debug)]
 pub struct StreamReport {
@@ -349,6 +495,29 @@ struct ReadInfo {
     /// logical bytes, so it cannot be re-mapped again: a failure here is
     /// a second failure in the band and the range is lost.
     recon: bool,
+}
+
+/// Streams the cache-serve phase left without a working feed.
+#[derive(Default)]
+struct FeedMisses {
+    /// Cache-fed streams whose interval broke (serve miss).
+    broken: Vec<u32>,
+    /// Deferred streams whose resident prefix drained.
+    drained: Vec<u32>,
+    /// Joined followers whose leader stopped multicasting to them.
+    orphaned: Vec<u32>,
+}
+
+/// One stream's planned interval: direct runs tagged with their first
+/// logical byte, reconstruction reads, the chunk range they fetch, and
+/// the load they put on each volume this interval.
+struct StreamPlan {
+    runs: Vec<(u64, VolumeRun)>,
+    recon: Vec<VolumeRun>,
+    lo: u32,
+    hi: u32,
+    params: StreamParams,
+    shares: Vec<f64>,
 }
 
 /// One stream's admission charge: parameters, per-volume rate shares,
@@ -701,80 +870,71 @@ impl CrasServer {
         Ok(())
     }
 
-    /// `crs_open`: admission-test a new stream and allocate its buffer.
+    /// `crs_open`: admission-tests a new stream and allocates its
+    /// buffer. The request's maps name the placement (whole or striped
+    /// extents, a mirror replica, or a rotating-parity band) and its
+    /// [`Admit`] mode the test.
     ///
-    /// The extent map addresses volume 0 — the single-disk case. Use
-    /// [`CrasServer::open_placed`] for movies placed across volumes.
-    pub fn open(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<Extent>,
-    ) -> Result<StreamId, AdmissionError> {
-        self.open_placed(name, table, on_volume(VolumeId(0), extents))
-    }
-
-    /// `crs_open` with a volume-aware extent map.
-    ///
-    /// The caller supplies the control-file chunk table and the extent
-    /// map resolved through UFS; worst-case rate and max chunk size
-    /// drive the admission test, weighted per volume by where the bytes
-    /// live.
-    pub fn open_placed(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-    ) -> Result<StreamId, AdmissionError> {
-        self.open_replicated(name, table, extents, None)
-    }
-
-    /// `crs_open` for a (possibly mirrored) movie: the primary extent
-    /// map plus an optional mirror replica map. Admission charges each
+    /// Admission weights the worst-case rate and max chunk size per
+    /// volume by where the bytes live. A mirrored movie charges each
     /// replica volume the full rate — the worst case where the other
     /// replica is gone — so the guarantee survives either spindle
-    /// failing.
-    pub fn open_replicated(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-    ) -> Result<StreamId, AdmissionError> {
-        self.open_inner(name, table, extents, mirror, None)
-    }
-
-    /// `crs_open` for a parity-placed movie: the logical data extent map
-    /// plus the rotating-parity state. Admission charges every band
-    /// volume the worst-case degraded load — `2/group` of the rate (its
-    /// own `1/group` of the data plus one same-sized reconstruction read
-    /// per stripe the dead spindle owes) as *two* read commands per
-    /// spindle, so the per-command seek/rotation overheads of the
-    /// degraded fan-out are paid up front and streams admitted healthy
-    /// still meet deadlines degraded.
-    pub fn open_parity(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        parity: ParityState,
-    ) -> Result<StreamId, AdmissionError> {
-        self.open_inner(name, table, extents, None, Some(parity))
-    }
-
-    fn open_inner(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-        parity: Option<ParityState>,
-    ) -> Result<StreamId, AdmissionError> {
-        let params = StreamParams::new(table.worst_rate(), table.max_chunk_size() as f64);
-        let shares = match &parity {
+    /// failing. A parity movie charges every band volume the worst-case
+    /// degraded load — `2/group` of the rate (its own `1/group` of the
+    /// data plus one same-sized reconstruction read per stripe the dead
+    /// spindle owes) as *two* read commands per spindle, so streams
+    /// admitted healthy still meet deadlines degraded.
+    ///
+    /// An [`Admit::Unchecked`] open always succeeds.
+    pub fn open(&mut self, req: OpenReq) -> Result<StreamId, AdmissionError> {
+        let params = StreamParams::new(req.table.worst_rate(), req.table.max_chunk_size() as f64);
+        let shares = match &req.parity {
             Some(p) => p.geom.admission_shares(self.cfg.volumes),
-            None => self.shares_of(&extents, mirror.as_deref()),
+            None => self.shares_of(&req.extents, req.mirror.as_deref()),
         };
+        let feed = match req.admit {
+            Admit::Unchecked => CacheState::Disk,
+            // Parity movies have no deferred path: their replay takes
+            // the ordinary ladder.
+            Admit::Deferred if req.parity.is_none() => {
+                let mut entries = self.admit_entries();
+                entries.push((params, vec![0.0; self.cfg.volumes], 1));
+                self.admit_set(&entries)?;
+                self.manager.observe_open(&req.name, &mut self.cache);
+                CacheState::Prefix
+            }
+            _ => self.admit_checked(&req, params, &shares)?,
+        };
+        let id = self.install_stream(req, params, shares);
+        match feed {
+            CacheState::Prefix => {
+                self.streams
+                    .get_mut(&id.0)
+                    .expect("installed above")
+                    .cache_state = CacheState::Prefix;
+                self.cache.stats_mut().prefix_admitted_streams += 1;
+            }
+            CacheState::Served { reserved } => self.attach_cached(id, reserved, false),
+            CacheState::Admitted { reserved } => {
+                self.attach_cached(id, reserved, true);
+                self.cache.stats_mut().cache_admitted_streams += 1;
+            }
+            CacheState::Disk | CacheState::Joined { .. } => {}
+        }
+        Ok(id)
+    }
+
+    /// The checked admission ladder for a stream about to be installed
+    /// with `shares`: deferred against a resident hot prefix, then the
+    /// disk test, then cache admission. Returns the feed the stream
+    /// starts in (`Disk`, `Prefix`, or cache-`Served`/`Admitted` with
+    /// the bytes to reserve).
+    fn admit_checked(
+        &mut self,
+        req: &OpenReq,
+        params: StreamParams,
+        shares: &[f64],
+    ) -> Result<CacheState, AdmissionError> {
         if !shares
             .iter()
             .enumerate()
@@ -782,7 +942,7 @@ impl CrasServer {
         {
             return Err(AdmissionError::VolumeFailed);
         }
-        if let Some(p) = &parity {
+        if let Some(p) = &req.parity {
             // Degraded reads need all but one band volume alive.
             let g = p.geom;
             let down = (g.base..g.base + g.group)
@@ -793,59 +953,44 @@ impl CrasServer {
             }
         }
         let mut entries = self.admit_entries();
-        entries.push((params, shares, if parity.is_some() { 2 } else { 1 }));
+        let reads = if req.parity.is_some() { 2 } else { 1 };
+        entries.push((params, shares.to_vec(), reads));
         // Every checked open feeds the popularity estimator; when the
         // hot set changes, the manager re-pins prefixes in the cache.
-        self.manager.observe_open(name, &mut self.cache);
+        self.manager.observe_open(&req.name, &mut self.cache);
+        // A zero-disk-share candidate: only its buffer demand counts.
+        let volumes = self.cfg.volumes;
+        let zero_share = move |mut entries: Vec<AdmitEntry>| {
+            entries.last_mut().expect("pushed above").1 = vec![0.0; volumes];
+            entries
+        };
         // Deferred admission (DESIGN §16): a hot title whose whole
         // prefix is memory-resident starts from memory and reserves a
         // disk share only when its prefix drains (reserve-at-drain), so
         // only buffer memory is checked at open.
-        if self.prefix_resident_for(name, &table) {
-            let mut deferred = entries.clone();
-            deferred.last_mut().expect("pushed above").1 = vec![0.0; self.cfg.volumes];
-            if self.admit_set(&deferred).is_ok() {
-                let id = self.install_stream(name, table, extents, mirror, parity, params);
-                self.streams
-                    .get_mut(&id.0)
-                    .expect("installed above")
-                    .cache_state = CacheState::Prefix;
-                self.cache.stats_mut().prefix_admitted_streams += 1;
-                return Ok(id);
-            }
+        if self.prefix_resident_for(&req.name, &req.table)
+            && self.admit_set(&zero_share(entries.clone())).is_ok()
+        {
+            return Ok(CacheState::Prefix);
         }
         // Does the new stream trail an active stream on the same movie
         // closely enough to be fed from the interval cache? (None when
         // the cache is disabled or the window does not cover the gap.)
-        let cached_need = self.cache_candidate(name, &table, params, Duration::ZERO, None);
-        match self.admit_set(&entries) {
-            Ok(()) => {
-                let id = self.install_stream(name, table, extents, mirror, parity, params);
-                // Disk-admitted, but opportunistically cache-served:
-                // the spindle keeps the reservation, the cache saves
-                // the bandwidth while the interval holds.
-                if let Some(need) = cached_need {
-                    self.attach_cached(id, need, false);
-                }
-                Ok(id)
-            }
-            Err(e) => {
-                // Cache-aware admission: a trailing stream holds zero
-                // disk shares, so re-test the set with the newcomer's
-                // disk load removed (its buffer demand still counts).
-                let Some(need) = cached_need else {
-                    return Err(e);
-                };
-                let last = entries.last_mut().expect("pushed above");
-                last.1 = vec![0.0; self.cfg.volumes];
-                if self.admit_set(&entries).is_err() {
-                    return Err(e);
-                }
-                let id = self.install_stream(name, table, extents, mirror, parity, params);
-                self.attach_cached(id, need, true);
-                self.cache.stats_mut().cache_admitted_streams += 1;
-                Ok(id)
-            }
+        let cached_need = self.cache_candidate(&req.name, &req.table, params, Duration::ZERO, None);
+        match (self.admit_set(&entries), cached_need) {
+            // Disk-admitted, but opportunistically cache-served: the
+            // spindle keeps the reservation, the cache saves the
+            // bandwidth while the interval holds.
+            (Ok(()), Some(need)) => Ok(CacheState::Served { reserved: need }),
+            (Ok(()), None) => Ok(CacheState::Disk),
+            // Cache-aware admission: a trailing stream holds zero disk
+            // shares, so re-test the set with the newcomer's disk load
+            // removed (its buffer demand still counts).
+            (Err(e), Some(need)) => self
+                .admit_set(&zero_share(entries))
+                .map(|()| CacheState::Admitted { reserved: need })
+                .map_err(|_| e),
+            (Err(e), None) => Err(e),
         }
     }
 
@@ -912,6 +1057,13 @@ impl CrasServer {
         Some(need)
     }
 
+    /// [`CrasServer::cache_candidate`] for an open stream at its
+    /// pre-fetch cursor.
+    fn cache_candidate_for(&self, id: StreamId) -> Option<u64> {
+        let s = self.stream(id);
+        self.cache_candidate(&s.name, &s.table, s.params, s.prefetch_cursor, Some(id))
+    }
+
     /// Whether `name` qualifies for deferred (prefix) admission: it is
     /// in the hot set and its whole prefix is memory-resident.
     fn prefix_resident_for(&self, name: &str, table: &ChunkTable) -> bool {
@@ -920,33 +1072,6 @@ impl CrasServer {
         }
         let end = self.cfg.prefix_secs.min(table.total_duration());
         self.cache.prefix_resident(name, table, Duration::ZERO, end)
-    }
-
-    /// Re-installs a deferred-admission stream during crash recovery.
-    /// The cache is empty after a restart, so the prefix-residency test
-    /// cannot re-pass; the stream is installed with zero disk shares
-    /// (buffer memory still checked) in state
-    /// [`CacheState::Prefix`], and its first serve miss walks the
-    /// ordinary drain path — a disk re-admission at that tick.
-    pub fn open_deferred_replicated(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-    ) -> Result<StreamId, AdmissionError> {
-        let params = StreamParams::new(table.worst_rate(), table.max_chunk_size() as f64);
-        let mut entries = self.admit_entries();
-        entries.push((params, vec![0.0; self.cfg.volumes], 1));
-        self.admit_set(&entries)?;
-        self.manager.observe_open(name, &mut self.cache);
-        let id = self.install_stream(name, table, extents, mirror, None, params);
-        self.streams
-            .get_mut(&id.0)
-            .expect("installed above")
-            .cache_state = CacheState::Prefix;
-        self.cache.stats_mut().prefix_admitted_streams += 1;
-        Ok(id)
     }
 
     /// Marks an installed stream cache-fed and registers it as a
@@ -985,19 +1110,21 @@ impl CrasServer {
         self.cache.stats_mut().interval_breaks += 1;
         let id = StreamId(sid);
         self.detach_cached(id);
-        let state = self.stream(id).cache_state;
+        let admitted = matches!(self.stream(id).cache_state, CacheState::Admitted { .. });
+        self.fall_back_to_disk(sid, admitted, now);
+    }
+
+    /// Moves a stream that lost its cache feed to the disk path. With
+    /// `retest` (it held no disk share) the admission test re-runs with
+    /// the stream's real shares, and a stream the spindles cannot take
+    /// parks where it is (the client may retry once others close).
+    fn fall_back_to_disk(&mut self, sid: u32, retest: bool, now: Instant) {
         self.streams
             .get_mut(&sid)
             .expect("no such stream")
             .cache_state = CacheState::Disk;
-        if let CacheState::Admitted { .. } = state {
-            let entries = self.admit_entries();
-            if self.admit_set(&entries).is_err() {
-                // No disk headroom for the orphaned follower: it stops
-                // where it is (the client may retry later, when other
-                // streams have closed).
-                self.park_stream(sid, now);
-            }
+        if retest && self.admit_set(&self.admit_entries()).is_err() {
+            self.park_stream(sid, now);
         }
     }
 
@@ -1012,80 +1139,22 @@ impl CrasServer {
         }
     }
 
-    /// Opens a stream *without* the admission test — the Figure 6 sweep
-    /// measures achieved throughput past the admitted load. Real
-    /// deployments use [`CrasServer::open`].
-    pub fn open_unchecked(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<Extent>,
-    ) -> StreamId {
-        self.open_placed_unchecked(name, table, on_volume(VolumeId(0), extents))
-    }
-
-    /// [`CrasServer::open_unchecked`] with a volume-aware extent map.
-    pub fn open_placed_unchecked(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-    ) -> StreamId {
-        self.open_replicated_unchecked(name, table, extents, None)
-    }
-
-    /// [`CrasServer::open_replicated`] without the admission test.
-    pub fn open_replicated_unchecked(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-    ) -> StreamId {
-        let params = StreamParams::new(table.worst_rate(), table.max_chunk_size() as f64);
-        self.install_stream(name, table, extents, mirror, None, params)
-    }
-
-    /// [`CrasServer::open_parity`] without the admission test.
-    pub fn open_parity_unchecked(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        parity: ParityState,
-    ) -> StreamId {
-        let params = StreamParams::new(table.worst_rate(), table.max_chunk_size() as f64);
-        self.install_stream(name, table, extents, None, Some(parity), params)
-    }
-
-    fn install_stream(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-        parity: Option<ParityState>,
-        params: StreamParams,
-    ) -> StreamId {
+    fn install_stream(&mut self, req: OpenReq, params: StreamParams, shares: Vec<f64>) -> StreamId {
         let t = self.cfg.interval.as_secs_f64();
         let id = StreamId(self.next_stream);
         self.next_stream += 1;
         // Buffer sizing is 2·(T·R + C) — disk-parameter-independent, so
         // any volume's evaluator gives the same answer.
         let buffer_bytes = self.admissions[0].buffer_for(t, &params);
-        let shares = match &parity {
-            Some(p) => p.geom.admission_shares(self.cfg.volumes),
-            None => self.shares_of(&extents, mirror.as_deref()),
-        };
         self.streams.insert(
             id.0,
             Stream {
                 id,
-                name: name.to_string(),
-                table,
-                extents,
-                mirror,
-                parity,
+                name: req.name,
+                table: req.table,
+                extents: req.extents,
+                mirror: req.mirror,
+                parity: req.parity,
                 params,
                 shares,
                 clock: LogicalClock::new(),
@@ -1103,17 +1172,9 @@ impl CrasServer {
     ///
     /// Panics if the stream does not exist.
     pub fn close(&mut self, id: StreamId) {
+        self.end_joins(id);
         let s = self.streams.remove(&id.0).expect("no such stream");
-        // A closing leader orphans its followers (they dissolve at the
-        // next tick); a closing follower leaves its join.
-        self.joins.remove(&id.0);
-        if let CacheState::Joined { leader } = s.cache_state {
-            self.leave_join(leader, id.0);
-        }
-        // Orphan any in-flight batches; their completions become no-ops.
-        self.pending.retain(|_, b| b.stream != id);
-        self.outstanding.remove(&id.0);
-        self.done.retain(|b| b.stream != id);
+        self.drop_batches(id);
         if self.cache.enabled() {
             // Release this stream's pins and reservation now, and drop
             // the movie's window when its last stream leaves.
@@ -1147,23 +1208,18 @@ impl CrasServer {
         // window has moved on, the first tick's serve miss breaks the
         // interval and re-runs disk admission.
         if matches!(s.cache_state, CacheState::Admitted { .. }) {
-            let (name, from, params) = (s.name.clone(), s.prefetch_cursor, s.params);
-            let table = s.table.clone();
             // Drop any reservation held from open (or a prior attach)
             // before re-sizing it for the current window position.
             self.detach_cached(id);
-            let state = match self.cache_candidate(&name, &table, params, from, Some(id)) {
-                Some(need) => {
-                    self.cache.reserve(need);
-                    self.cache.add_follower(&name, id.0, from);
-                    CacheState::Admitted { reserved: need }
+            match self.cache_candidate_for(id) {
+                Some(need) => self.attach_cached(id, need, true),
+                None => {
+                    self.streams
+                        .get_mut(&id.0)
+                        .expect("checked above")
+                        .cache_state = CacheState::Admitted { reserved: 0 }
                 }
-                None => CacheState::Admitted { reserved: 0 },
-            };
-            self.streams
-                .get_mut(&id.0)
-                .expect("checked above")
-                .cache_state = state;
+            }
         }
         begin
     }
@@ -1239,30 +1295,41 @@ impl CrasServer {
         let s = self.streams.get_mut(&id.0).expect("no such stream");
         s.cache_state = CacheState::Joined { leader };
         s.clock.start(begin);
-        let media_now = s.clock.media_time(now);
-        let mut cursor = Duration::ZERO;
-        if fetched_to > Duration::ZERO {
-            for c in s.table.chunks_in(Duration::ZERO, fetched_to) {
-                if unposted_lo.is_some_and(|lim| c.index >= lim) {
-                    break;
-                }
-                s.buffer.put(
-                    BufferedChunk {
-                        index: c.index,
-                        timestamp: c.timestamp,
-                        duration: c.duration,
-                        size: c.size,
-                        posted_at: now,
-                    },
-                    media_now,
-                );
-                cursor = c.timestamp + c.duration;
+        let backfill = s
+            .table
+            .chunks_in(Duration::ZERO, fetched_to)
+            .iter()
+            .take_while(|c| unposted_lo.is_none_or(|lim| c.index < lim))
+            .last()
+            .map(|c| (c.index, c.timestamp + c.duration));
+        s.prefetch_cursor = match backfill {
+            Some((hi, end)) => {
+                post_chunks(s, 0, hi, now);
+                end
             }
-        }
-        s.prefetch_cursor = cursor;
+            None => Duration::ZERO,
+        };
         self.joins.entry(leader).or_default().push(id.0);
         self.cache.stats_mut().joined_streams += 1;
         begin
+    }
+
+    /// Ends a stream's joins in both roles: as a leader it orphans its
+    /// followers (they dissolve at the next tick), as a follower it
+    /// leaves its leader's multicast list.
+    fn end_joins(&mut self, id: StreamId) {
+        self.joins.remove(&id.0);
+        if let CacheState::Joined { leader } = self.stream(id).cache_state {
+            self.leave_join(leader, id.0);
+        }
+    }
+
+    /// Orphans a stream's in-flight and fetched-but-unposted batches:
+    /// their completions become no-ops.
+    fn drop_batches(&mut self, id: StreamId) {
+        self.pending.retain(|_, b| b.stream != id);
+        self.outstanding.remove(&id.0);
+        self.done.retain(|b| b.stream != id);
     }
 
     /// Removes `follower` from `leader`'s multicast list.
@@ -1311,11 +1378,7 @@ impl CrasServer {
         if self.admit_set(&entries).is_ok() {
             return Some(true);
         }
-        let (name, params, table, from) = {
-            let s = self.stream(id);
-            (s.name.clone(), s.params, s.table.clone(), s.prefetch_cursor)
-        };
-        if let Some(need) = self.cache_candidate(&name, &table, params, from, Some(id)) {
+        if let Some(need) = self.cache_candidate_for(id) {
             self.attach_cached(id, need, true);
             self.cache.stats_mut().cache_admitted_streams += 1;
             return Some(false);
@@ -1414,12 +1477,7 @@ impl CrasServer {
     /// frames in memory indefinitely.
     pub fn stop(&mut self, id: StreamId, now: Instant) {
         self.detach_cached(id);
-        // A stopping leader orphans its followers (they dissolve at the
-        // next tick); a stopping follower leaves its join.
-        self.joins.remove(&id.0);
-        if let CacheState::Joined { leader } = self.stream(id).cache_state {
-            self.leave_join(leader, id.0);
-        }
+        self.end_joins(id);
         let s = self.streams.get_mut(&id.0).expect("no such stream");
         s.clock.stop(now);
         match s.cache_state {
@@ -1447,12 +1505,8 @@ impl CrasServer {
     pub fn seek(&mut self, id: StreamId, now: Instant, to: Duration) {
         self.detach_cached(id);
         // A seeking leader's reads no longer match its followers; a
-        // seeking follower leaves its join (the new position needs its
-        // own feed).
-        self.joins.remove(&id.0);
-        if let CacheState::Joined { leader } = self.stream(id).cache_state {
-            self.leave_join(leader, id.0);
-        }
+        // seeking follower needs its own feed at the new position.
+        self.end_joins(id);
         let s = self.streams.get_mut(&id.0).expect("no such stream");
         s.clock.seek(now, to);
         s.buffer.clear();
@@ -1460,45 +1514,18 @@ impl CrasServer {
         let state = s.cache_state;
         // Pre-seek fetches would post chunks the clock has abandoned
         // (possibly colliding with the refetched range): drop them.
-        self.pending.retain(|_, b| b.stream != id);
-        self.outstanding.remove(&id.0);
-        self.done.retain(|b| b.stream != id);
+        self.drop_batches(id);
         if !state.is_cached() {
             return;
         }
-        let (name, params, table) = {
-            let s = self.stream(id);
-            (s.name.clone(), s.params, s.table.clone())
-        };
-        if let Some(need) = self.cache_candidate(&name, &table, params, to, Some(id)) {
-            // The window covers the new position: stay cache-fed. Any
-            // zero-disk-share state (cache-admitted, prefix-deferred, or
-            // joined) must hold a cache reservation from here on.
-            self.attach_cached(
-                id,
-                need,
-                matches!(
-                    state,
-                    CacheState::Admitted { .. } | CacheState::Prefix | CacheState::Joined { .. }
-                ),
-            );
-            return;
-        }
-        match state {
-            CacheState::Served { .. } => {
-                // Disk capacity was never released; just read from disk.
-                self.streams.get_mut(&id.0).expect("checked").cache_state = CacheState::Disk;
-            }
-            CacheState::Admitted { .. } | CacheState::Prefix | CacheState::Joined { .. } => {
-                // Needs a disk reservation now: re-run the admission
-                // test with this stream's real shares.
-                self.streams.get_mut(&id.0).expect("checked").cache_state = CacheState::Disk;
-                let entries = self.admit_entries();
-                if self.admit_set(&entries).is_err() {
-                    self.park_stream(id.0, now);
-                }
-            }
-            CacheState::Disk => {}
+        // A cache-served stream never released its disk capacity. Any
+        // zero-disk-share state (cache-admitted, prefix-deferred or
+        // joined) must hold a cache reservation from here on when the
+        // window covers the new position, else a disk reservation.
+        let zero_share = !matches!(state, CacheState::Served { .. });
+        match self.cache_candidate_for(id) {
+            Some(need) => self.attach_cached(id, need, zero_share),
+            None => self.fall_back_to_disk(id.0, zero_share, now),
         }
     }
 
@@ -1533,13 +1560,9 @@ impl CrasServer {
             .collect();
         self.admit_set(&entries)?;
         self.detach_cached(id);
-        // A rate change also ends any join in either role: a leader's
-        // reads no longer match its followers, and a follower can no
-        // longer ride its leader's normal-rate reads.
-        self.joins.remove(&id.0);
-        if let CacheState::Joined { leader } = self.stream(id).cache_state {
-            self.leave_join(leader, id.0);
-        }
+        // A leader's reads no longer match its followers, and a
+        // follower can no longer ride its leader's normal-rate reads.
+        self.end_joins(id);
         let need = self.admissions[0].buffer_for(t, &base);
         let s = self.streams.get_mut(&id.0).expect("no such stream");
         s.cache_state = CacheState::Disk;
@@ -1585,40 +1608,66 @@ impl CrasServer {
     }
 
     /// The periodic request-scheduler pass at the start of interval
-    /// `index` (real time `now`): posts completed data, detects overruns,
-    /// and plans the next interval's reads.
+    /// `index` (real time `now`). Its phases, in order:
+    ///
+    /// 1. **post** the previous interval's fetched batches into the
+    ///    buffers, multicasting them to joined followers;
+    /// 2. **cache-serve** each cache-fed stream's next interval from
+    ///    memory, collecting the streams left without a feed;
+    /// 3. **drain/dissolve** those: broken intervals revert to disk,
+    ///    drained prefixes reserve their disk share, orphaned followers
+    ///    find a feed, and any that landed on a cache window is served;
+    /// 4. **plan/steer** the disk-fed streams' reads (replica choice,
+    ///    parity reconstruction, coded-read steering) and issue them;
+    /// 5. **sweep-sort** the reads into each spindle's C-SCAN order.
     pub fn interval_tick(&mut self, now: Instant) -> IntervalReport {
-        let index = self.stats.intervals;
+        let mut rep = IntervalReport {
+            index: self.stats.intervals,
+            // Deadline manager: anything still pending from the last
+            // interval missed its deadline.
+            overran: !self.pending.is_empty(),
+            ..IntervalReport::default()
+        };
         self.stats.intervals += 1;
-
-        // Deadline manager: anything still pending from the last interval
-        // missed its deadline.
-        let overran = !self.pending.is_empty();
-        if overran {
+        if rep.overran {
             self.stats.deadline_misses += 1;
         }
+        // Plan for data needed by the end of the *next* interval
+        // (fetched this interval, posted at the next tick).
+        let horizon = now + self.cfg.interval * 2;
+        rep.posted_chunks = self.post_fetched(now);
+        let misses = self.serve_cached(now, horizon, &mut rep);
+        self.refeed(misses, now, horizon, &mut rep);
+        let active = self.plan_reads(now, horizon, &mut rep);
+        self.sweep_sort(&mut rep.reqs);
+        let t = self.cfg.interval.as_secs_f64();
+        rep.per_volume_calculated = active
+            .iter()
+            .enumerate()
+            .map(|(v, a)| {
+                if a.is_empty() {
+                    0.0
+                } else {
+                    self.admissions[v].calculated_io_time(t, a)
+                }
+            })
+            .collect();
+        // The slowest spindle bounds the interval.
+        rep.calculated_io_time = bottleneck_time(&rep.per_volume_calculated);
+        rep.cache_rejected_titles = std::mem::take(&mut self.pending_rejects);
+        rep.parked_streams = std::mem::take(&mut self.pending_parks);
+        rep
+    }
 
-        // Phase 1: post the previous interval's data into the buffers.
+    /// Phase 1, post: moves the previous interval's fetched batches into
+    /// the time-driven buffers. Returns the chunks posted.
+    fn post_fetched(&mut self, now: Instant) -> usize {
         let mut posted = 0usize;
         for batch in std::mem::take(&mut self.done) {
             let Some(s) = self.streams.get_mut(&batch.stream.0) else {
                 continue; // Closed while in flight.
             };
-            let media_now = s.clock.media_time(now);
-            for i in batch.chunk_lo..=batch.chunk_hi {
-                let c = *s.table.get(i).expect("batch chunk in table");
-                s.buffer.put(
-                    BufferedChunk {
-                        index: c.index,
-                        timestamp: c.timestamp,
-                        duration: c.duration,
-                        size: c.size,
-                        posted_at: now,
-                    },
-                    media_now,
-                );
-                posted += 1;
-            }
+            posted += post_chunks(s, batch.chunk_lo, batch.chunk_hi, now);
             // Every disk batch a stream posts also lands in the
             // interval cache (no-op when the cache is disabled), so a
             // trailing stream of the same movie finds it in memory.
@@ -1629,9 +1678,8 @@ impl CrasServer {
             // Multicast: every follower joined to this stream receives
             // the same chunks in its own buffer, at its own (identical)
             // clock — one disk read feeds the whole batch of viewers.
-            let cast: Vec<u32> = self.joins.get(&batch.stream.0).cloned().unwrap_or_default();
-            for fid in cast {
-                let Some(f) = self.streams.get_mut(&fid) else {
+            for fid in self.joins.get(&batch.stream.0).into_iter().flatten() {
+                let Some(f) = self.streams.get_mut(fid) else {
                     continue;
                 };
                 if !matches!(f.cache_state,
@@ -1639,112 +1687,85 @@ impl CrasServer {
                 {
                     continue;
                 }
-                let media_now = f.clock.media_time(now);
-                for i in batch.chunk_lo..=batch.chunk_hi {
-                    let c = *f.table.get(i).expect("batch chunk in table");
-                    f.buffer.put(
-                        BufferedChunk {
-                            index: c.index,
-                            timestamp: c.timestamp,
-                            duration: c.duration,
-                            size: c.size,
-                            posted_at: now,
-                        },
-                        media_now,
-                    );
-                    posted += 1;
-                }
+                posted += post_chunks(f, batch.chunk_lo, batch.chunk_hi, now);
                 if let Some(c) = f.table.get(batch.chunk_hi) {
                     f.prefetch_cursor = f.prefetch_cursor.max(c.timestamp + c.duration);
                 }
             }
         }
         self.stats.chunks_posted += posted as u64;
+        posted
+    }
 
-        // Phase 2: plan reads for data needed by the end of the *next*
-        // interval (fetched this interval, posted at the next tick).
-        let horizon = now + self.cfg.interval * 2;
+    /// Phase 2, cache-serve: each running cache-fed stream's next
+    /// interval goes straight into the done queue (posting at the next
+    /// tick, the same timing a disk fetch would have), with zero disk
+    /// commands. Joined followers are fed by phase-1 multicast and only
+    /// checked for orphaning. Returns the streams left without a feed.
+    fn serve_cached(
+        &mut self,
+        now: Instant,
+        horizon: Instant,
+        rep: &mut IntervalReport,
+    ) -> FeedMisses {
+        let mut misses = FeedMisses::default();
+        if !self.cache.enabled() && self.cfg.join_window == Duration::ZERO {
+            return misses;
+        }
+        for (&sid, s) in self.streams.iter_mut() {
+            if !s.cache_state.is_cached() || !s.clock.is_running() {
+                continue;
+            }
+            if let CacheState::Joined { leader } = s.cache_state {
+                // An orphaned follower (its leader stopped matching)
+                // must reserve a feed of its own.
+                if !self.joins.get(&leader).is_some_and(|v| v.contains(&sid)) {
+                    misses.orphaned.push(sid);
+                }
+                continue;
+            }
+            match serve_interval(sid, s, &mut self.cache, &mut self.done, horizon, now) {
+                Some(true) => rep.cache_served_streams += 1,
+                // The prefix has drained (or was evicted out from under
+                // the stream): reserve-at-drain happens in phase 3.
+                Some(false) if s.cache_state == CacheState::Prefix => misses.drained.push(sid),
+                // Leader stopped, sought away, or the frame was evicted:
+                // the interval is broken. The cursor did not advance, so
+                // the plan phase picks the stream up in this same tick.
+                Some(false) => misses.broken.push(sid),
+                None => {}
+            }
+        }
+        misses
+    }
 
-        // Phase 1.5: cache-fed streams first. Their interval is pushed
-        // straight into the done queue (posting at the next tick, the
-        // same timing a disk fetch would have) and they issue zero disk
-        // commands. A serve miss breaks the interval: the stream falls
-        // back to the disk path below, re-running admission if it was
-        // cache-admitted.
-        let mut cache_served = 0usize;
-        let mut broken: Vec<u32> = Vec::new();
-        let mut orphaned: Vec<u32> = Vec::new();
-        let mut drained: Vec<u32> = Vec::new();
-        if self.cache.enabled() || self.cfg.join_window > Duration::ZERO {
-            let stream_ids: Vec<u32> = self.streams.keys().copied().collect();
-            for sid in stream_ids {
-                let s = self.streams.get_mut(&sid).expect("iterating keys");
-                if !s.cache_state.is_cached() || !s.clock.is_running() {
-                    continue;
-                }
-                if let CacheState::Joined { leader } = s.cache_state {
-                    // A live join is fed by phase-1 multicast. An
-                    // orphaned follower (its leader stopped matching)
-                    // must reserve a feed of its own.
-                    if !self.joins.get(&leader).is_some_and(|v| v.contains(&sid)) {
-                        orphaned.push(sid);
-                    }
-                    continue;
-                }
-                let target = s.clock.media_time(horizon).min(s.table.total_duration());
-                if target <= s.prefetch_cursor {
-                    continue;
-                }
-                let chunks = s.table.chunks_in(s.prefetch_cursor, target);
-                if chunks.is_empty() {
-                    s.prefetch_cursor = target;
-                    continue;
-                }
-                let lo = chunks.first().expect("non-empty").index;
-                let hi = chunks.last().expect("non-empty").index;
-                let served = match s.cache_state {
-                    // A deferred stream reads its movie's resident
-                    // prefix; no follower registration, no window pins.
-                    CacheState::Prefix => self.cache.serve_resident(&s.name, chunks),
-                    _ => self.cache.serve(&s.name, sid, chunks),
-                };
-                if served {
-                    s.prefetch_cursor = target;
-                    self.done.push(FetchedBatch {
-                        stream: StreamId(sid),
-                        chunk_lo: lo,
-                        chunk_hi: hi,
-                        completed_at: now,
-                        from_cache: true,
-                    });
-                    cache_served += 1;
-                } else if matches!(s.cache_state, CacheState::Prefix) {
-                    // The prefix has drained (or was evicted out from
-                    // under the stream): reserve-at-drain happens now.
-                    drained.push(sid);
-                } else {
-                    // Leader stopped, sought away, or the frame was
-                    // evicted: the interval is broken. The cursor did
-                    // not advance, so the disk path below can pick the
-                    // stream up in this same tick.
-                    broken.push(sid);
-                }
-            }
-            for sid in &broken {
-                self.break_cached(*sid, now);
-            }
-            for sid in &orphaned {
-                self.dissolve_joined(*sid, now);
-            }
+    /// Phase 3, drain/dissolve: finds a new feed for every stream phase
+    /// 2 left without one.
+    fn refeed(
+        &mut self,
+        misses: FeedMisses,
+        now: Instant,
+        horizon: Instant,
+        rep: &mut IntervalReport,
+    ) {
+        let FeedMisses {
+            broken,
+            drained,
+            mut orphaned,
+        } = misses;
+        for &sid in &broken {
+            self.break_cached(sid, now);
+        }
+        for &sid in &orphaned {
+            self.dissolve_joined(sid, now);
         }
         // Reserve-at-drain: each drained deferred stream claims its disk
         // share now. Falling back to the cache window (or parking) keeps
         // it off the spindles; only real disk reservations are journaled.
-        let mut deferred_reserved: Vec<u32> = Vec::new();
-        for sid in &drained {
+        for &sid in &drained {
             self.cache.stats_mut().deferred_drained_streams += 1;
-            if self.reserve_disk_share(*sid, now) {
-                deferred_reserved.push(*sid);
+            if self.reserve_disk_share(sid, now) {
+                rep.deferred_reserved.push(sid);
             }
         }
         // A leader that parked above (broken window, failed drain)
@@ -1754,19 +1775,17 @@ impl CrasServer {
         // interval delivery gap for every follower.
         let mut cascade = std::mem::take(&mut self.parked_orphans);
         while !cascade.is_empty() {
-            for sid in &cascade {
-                self.dissolve_joined(*sid, now);
+            for &sid in &cascade {
+                self.dissolve_joined(sid, now);
             }
             orphaned.extend(cascade);
             cascade = std::mem::take(&mut self.parked_orphans);
         }
-        // A stream that fell back to the cache *window* mid-tick (its
-        // prefix drained or its join dissolved) was already passed over
-        // by the phase-1.5 serve loop. Feed it now: skipping this tick
-        // would post its next interval one full period late — a visible
-        // frame gap right at the prefix boundary. (The disk-reserving
-        // outcomes need nothing here; the plan loop below runs after
-        // this point and picks them up in this same tick.)
+        // A stream that fell back to the cache *window* here was already
+        // passed over by phase 2. Feed it now: skipping this tick would
+        // post its next interval one full period late — a visible frame
+        // gap right at the prefix boundary. (Disk-reserving outcomes
+        // need nothing here; the plan phase picks them up.)
         for sid in drained.iter().chain(orphaned.iter()).copied() {
             let Some(s) = self.streams.get_mut(&sid) else {
                 continue;
@@ -1774,32 +1793,31 @@ impl CrasServer {
             if !s.cache_state.is_cached() || !s.clock.is_running() {
                 continue;
             }
-            let target = s.clock.media_time(horizon).min(s.table.total_duration());
-            if target <= s.prefetch_cursor {
-                continue;
-            }
-            let chunks = s.table.chunks_in(s.prefetch_cursor, target);
-            if chunks.is_empty() {
-                s.prefetch_cursor = target;
-                continue;
-            }
-            let lo = chunks.first().expect("non-empty").index;
-            let hi = chunks.last().expect("non-empty").index;
-            if self.cache.serve(&s.name, sid, chunks) {
-                s.prefetch_cursor = target;
-                self.done.push(FetchedBatch {
-                    stream: StreamId(sid),
-                    chunk_lo: lo,
-                    chunk_hi: hi,
-                    completed_at: now,
-                    from_cache: true,
-                });
-                cache_served += 1;
-            } else {
-                self.break_cached(sid, now);
+            // Reserving a feed leaves a stream on disk or a cache
+            // window, never on its resident prefix.
+            debug_assert_ne!(
+                s.cache_state,
+                CacheState::Prefix,
+                "stream {sid} re-fed as Prefix"
+            );
+            match serve_interval(sid, s, &mut self.cache, &mut self.done, horizon, now) {
+                Some(true) => rep.cache_served_streams += 1,
+                Some(false) => self.break_cached(sid, now),
+                None => {}
             }
         }
-        let mut reqs: Vec<ReadReq> = Vec::new();
+    }
+
+    /// Phase 4, plan/steer: plans and issues the next interval's reads
+    /// for every running disk-fed stream whose backlog allows it.
+    /// Returns each volume's active stream load, for the calculated
+    /// I/O time.
+    fn plan_reads(
+        &mut self,
+        now: Instant,
+        horizon: Instant,
+        rep: &mut IntervalReport,
+    ) -> Vec<Vec<StreamParams>> {
         let mut active: Vec<Vec<StreamParams>> = vec![Vec::new(); self.cfg.volumes];
         // Bytes planned per volume so far this interval — the planner's
         // own half of the unified read-steering signal.
@@ -1814,310 +1832,281 @@ impl CrasServer {
                     + ext.lag.max(0.0) * self.admissions[v].disk_params().transfer_rate
             })
             .collect();
-        let mut degraded_streams = 0usize;
-        let mut steered_streams = 0usize;
-        let mut lost_streams = 0usize;
-        let stream_ids: Vec<u32> = self.streams.keys().copied().collect();
-        for sid in stream_ids {
+        // Walk the stream ids in order without collecting them: planning
+        // never opens or closes a stream.
+        let mut next = self.streams.keys().next().copied();
+        while let Some(sid) = next {
+            next = self
+                .streams
+                .range((Bound::Excluded(sid), Bound::Unbounded))
+                .next()
+                .map(|(&k, _)| k);
             if self.outstanding.get(&sid).copied().unwrap_or(0) >= self.cfg.max_outstanding_batches
             {
                 // The disk is behind for this stream; do not pile on.
                 continue;
             }
-            let (runs, recon, lo, hi, params, active_shares, degraded, steered) = {
-                let s = self.streams.get_mut(&sid).expect("iterating keys");
-                if !s.clock.is_running() {
-                    continue;
-                }
-                if s.cache_state.is_cached() {
-                    // Fed from the interval cache in phase 1.5: zero
-                    // disk commands for this stream.
-                    continue;
-                }
-                let target = s.clock.media_time(horizon).min(s.table.total_duration());
-                if target <= s.prefetch_cursor {
-                    continue;
-                }
-                let chunks = s.table.chunks_in(s.prefetch_cursor, target);
-                s.prefetch_cursor = target;
-                if chunks.is_empty() {
-                    continue;
-                }
-                let lo = chunks.first().expect("non-empty").index;
-                let hi = chunks.last().expect("non-empty").index;
-                let byte_lo = chunks.first().expect("non-empty").file_offset;
-                let last = chunks.last().expect("non-empty");
-                let byte_hi = last.file_offset + last.size as u64;
-                // The unified per-spindle load signal, bytes: what this
-                // tick has already planned on the volume plus the
-                // externally observed device queue and completion lag.
-                let load = |v: usize| planned[v] as f64 + ext_bytes[v];
-                // Pick the replica to read from. Without a mirror this
-                // is the primary map, exactly the pre-redundancy path.
-                let mut map_idx = 0usize;
-                let mut degraded = false;
-                if let Some(m) = &s.mirror {
-                    let hp = Stream::home_volume(&s.extents);
-                    let hm = Stream::home_volume(m);
-                    let p_ok = !self.failed[hp.index()];
-                    let m_ok = !self.failed[hm.index()];
-                    map_idx = match (p_ok, m_ok) {
-                        (true, false) => 0,
-                        (false, true) => 1,
-                        // Both live: steer to the spindle the unified
-                        // load signal says is cheaper (ties favor the
-                        // primary).
-                        (true, true) => usize::from(load(hm.index()) < load(hp.index())),
-                        (false, false) => {
-                            // Both replicas dead: nothing can serve the
-                            // batch. Drop it at plan time as a lost
-                            // read — issuing to the dead primary would
-                            // just let the error path eat the batch one
-                            // read at a time, invisibly.
-                            self.stats.lost_reads += 1;
-                            lost_streams += 1;
-                            continue;
-                        }
-                    };
-                    degraded = map_idx == 1 && !p_ok;
-                }
-                let map: &[VolumeExtent] = match map_idx {
-                    0 => &s.extents,
-                    _ => s.mirror.as_ref().expect("mirror chosen above"),
-                };
-                let mut runs = Stream::split_runs_tagged(
-                    Stream::runs_in(map, byte_lo, byte_hi),
-                    self.cfg.max_read_bytes,
-                );
-                // Parity degraded mode: a run landing on a failed band
-                // volume is replaced *at plan time* by the g-1 surviving
-                // data+parity reads of its stripes, which join this
-                // interval's per-spindle batches below (and are swept in
-                // cylinder order with everything else). A range whose
-                // band has lost a second volume is unreconstructible and
-                // is dropped here.
-                let mut recon: Vec<crate::stream::VolumeRun> = Vec::new();
-                let mut steered = false;
-                if let Some(ps) = &s.parity {
-                    if runs.iter().any(|(_, r)| self.failed[r.volume.index()]) {
-                        degraded = true;
-                        let mut kept = Vec::with_capacity(runs.len());
-                        for (logical, r) in runs {
-                            if !self.failed[r.volume.index()] {
-                                kept.push((logical, r));
-                                continue;
-                            }
-                            let r_hi = logical + r.nblocks as u64 * 512;
-                            match Stream::parity_recon_runs(
-                                &s.extents,
-                                ps,
-                                logical,
-                                r_hi,
-                                r.volume,
-                                &self.failed,
-                            ) {
-                                Some(rs) => {
-                                    self.stats.degraded_reads += rs.len() as u64;
-                                    recon.extend(rs);
-                                }
-                                None => self.stats.lost_reads += 1,
-                            }
-                        }
-                        runs = kept;
-                    }
-                    // Coded-read steering (DESIGN §17): a run whose home
-                    // spindle is live but *loaded* may instead be served
-                    // as the g-1 reconstruction fan-out over the band's
-                    // other members — any g-1 of g suffice — when the
-                    // fan-out's projected bottleneck undercuts the
-                    // direct read's by more than the hysteresis margin.
-                    // Fan-out bytes join `planned` below, so later
-                    // streams in this tick see their cost.
-                    if self.cfg.steer_reads {
-                        let margin = self.cfg.steer_margin_bytes.max(1) as f64;
-                        let mut kept = Vec::with_capacity(runs.len());
-                        for (logical, r) in runs {
-                            let bytes = r.nblocks as u64 * 512;
-                            let direct_peak = load(r.volume.index()) + bytes as f64;
-                            let fanout = Stream::steer_recon_runs(
-                                &s.extents,
-                                ps,
-                                logical,
-                                logical + bytes,
-                                r.volume,
-                                &self.failed,
-                            )
-                            .and_then(|rs| {
-                                let mut fan = vec![0u64; self.cfg.volumes];
-                                for fr in &rs {
-                                    fan[fr.volume.index()] += fr.nblocks as u64 * 512;
-                                }
-                                let peak = fan
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, b)| **b > 0)
-                                    .map(|(v, b)| load(v) + *b as f64)
-                                    .fold(0.0f64, f64::max);
-                                (peak + margin < direct_peak).then_some(rs)
-                            });
-                            match fanout {
-                                Some(rs) => {
-                                    self.stats.steered_reads += 1;
-                                    steered = true;
-                                    recon.extend(rs);
-                                }
-                                None => kept.push((logical, r)),
-                            }
-                        }
-                        runs = kept;
-                    }
-                    recon = Stream::split_runs(recon, self.cfg.max_read_bytes);
-                }
-                // A mirrored stream's whole load lands on the chosen
-                // replica's volume this interval; non-mirrored streams
-                // keep their static per-volume shares.
-                let active_shares = if s.mirror.is_some() {
-                    let mut v = vec![0.0; self.cfg.volumes];
-                    v[Stream::home_volume(map).index()] = 1.0;
-                    v
-                } else {
-                    s.shares.clone()
-                };
-                (
-                    runs,
-                    recon,
-                    lo,
-                    hi,
-                    s.params,
-                    active_shares,
-                    degraded,
-                    steered,
-                )
+            let Some(plan) = self.plan_stream(sid, horizon, &planned, &ext_bytes, rep) else {
+                continue;
             };
-            if degraded {
-                degraded_streams += 1;
-            }
-            if steered {
-                steered_streams += 1;
-            }
-            for (_, r) in &runs {
+            for r in plan.runs.iter().map(|(_, r)| r).chain(&plan.recon) {
                 planned[r.volume.index()] += r.nblocks as u64 * 512;
             }
-            for r in &recon {
-                planned[r.volume.index()] += r.nblocks as u64 * 512;
-            }
-            for (v, share) in active_shares.iter().enumerate() {
+            for (v, share) in plan.shares.iter().enumerate() {
                 if *share > 0.0 {
-                    active[v].push(StreamParams::new(params.rate * share, params.chunk));
+                    active[v].push(StreamParams::new(
+                        plan.params.rate * share,
+                        plan.params.chunk,
+                    ));
                 }
             }
-            if runs.is_empty() && recon.is_empty() {
+            if plan.runs.is_empty() && plan.recon.is_empty() {
                 // Every run was dropped as unreconstructible: no batch to
                 // wait on (the frames are simply never posted).
                 continue;
             }
-            let batch_id = self.next_batch;
-            self.next_batch += 1;
-            *self.outstanding.entry(sid).or_insert(0) += 1;
-            self.pending.insert(
-                batch_id,
-                PendingBatch {
-                    stream: StreamId(sid),
-                    chunk_lo: lo,
-                    chunk_hi: hi,
-                    remaining: runs.len() + recon.len(),
-                    issued_at: now,
-                },
-            );
-            for (logical, r) in runs {
-                let id = ReadId(self.next_read);
-                self.next_read += 1;
-                self.read_info.insert(
-                    id.0,
-                    ReadInfo {
-                        batch: batch_id,
-                        byte_lo: logical,
-                        byte_hi: logical + r.nblocks as u64 * 512,
-                        volume: r.volume,
-                        recon: false,
-                    },
-                );
-                self.stats.reads_issued += 1;
-                self.stats.bytes_requested += r.nblocks as u64 * 512;
-                reqs.push(ReadReq {
-                    id,
-                    stream: StreamId(sid),
-                    volume: r.volume,
-                    block: r.block,
-                    nblocks: r.nblocks,
-                });
-            }
-            for r in recon {
-                let id = ReadId(self.next_read);
-                self.next_read += 1;
-                self.read_info.insert(
-                    id.0,
-                    ReadInfo {
-                        batch: batch_id,
-                        byte_lo: 0,
-                        byte_hi: 0,
-                        volume: r.volume,
-                        recon: true,
-                    },
-                );
-                self.stats.reads_issued += 1;
-                self.stats.bytes_requested += r.nblocks as u64 * 512;
-                reqs.push(ReadReq {
-                    id,
-                    stream: StreamId(sid),
-                    volume: r.volume,
-                    block: r.block,
-                    nblocks: r.nblocks,
-                });
-            }
+            self.issue_batch(sid, plan, now, &mut rep.reqs);
         }
-        // Per volume, sweep order: C-SCAN continuing from where the
-        // spindle's previous interval left its head (ascending from the
-        // carried position, wrapped blocks last). A plain ascending sort
-        // would restart every interval's sweep at block 0 and pay a
-        // full-stroke seek back per spindle per interval.
+        active
+    }
+
+    /// Plans one stream's reads up to `horizon` and advances its
+    /// pre-fetch cursor. `None` when the stream fetches nothing from
+    /// disk this tick (stopped, cache-fed, nothing due, or lost).
+    fn plan_stream(
+        &mut self,
+        sid: u32,
+        horizon: Instant,
+        planned: &[u64],
+        ext_bytes: &[f64],
+        rep: &mut IntervalReport,
+    ) -> Option<StreamPlan> {
+        let s = self.streams.get_mut(&sid).expect("iterating keys");
+        // Cache-fed streams were served in phase 2: zero disk commands.
+        if !s.clock.is_running() || s.cache_state.is_cached() {
+            return None;
+        }
+        let (target, chunks) = due_chunks(s, horizon)?;
+        let span = chunks.first().zip(chunks.last()).map(|(first, last)| {
+            let bytes = (first.file_offset, last.file_offset + last.size as u64);
+            (first.index, last.index, bytes)
+        });
+        s.prefetch_cursor = target;
+        let (lo, hi, (byte_lo, byte_hi)) = span?;
+        // The unified per-spindle load signal, bytes: what this tick has
+        // already planned on the volume plus the externally observed
+        // device queue and completion lag.
+        let load = |v: usize| planned[v] as f64 + ext_bytes[v];
+        // Pick the replica to read from. Without a mirror this is the
+        // primary map, exactly the pre-redundancy path.
+        let mut map_idx = 0usize;
+        let mut degraded = false;
+        if let Some(m) = &s.mirror {
+            let hp = Stream::home_volume(&s.extents);
+            let hm = Stream::home_volume(m);
+            let p_ok = !self.failed[hp.index()];
+            let m_ok = !self.failed[hm.index()];
+            map_idx = match (p_ok, m_ok) {
+                (true, false) => 0,
+                (false, true) => 1,
+                // Both live: steer to the spindle the unified load
+                // signal says is cheaper (ties favor the primary).
+                (true, true) => usize::from(load(hm.index()) < load(hp.index())),
+                (false, false) => {
+                    // Both replicas dead: nothing can serve the batch.
+                    // Drop it at plan time as a lost read — issuing to
+                    // the dead primary would just let the error path eat
+                    // the batch one read at a time, invisibly.
+                    self.stats.lost_reads += 1;
+                    rep.lost_streams += 1;
+                    return None;
+                }
+            };
+            degraded = map_idx == 1 && !p_ok;
+        }
+        let map: &[VolumeExtent] = match map_idx {
+            0 => &s.extents,
+            _ => s.mirror.as_ref().expect("mirror chosen above"),
+        };
+        let mut runs = Stream::split_runs_tagged(
+            Stream::runs_in(map, byte_lo, byte_hi),
+            self.cfg.max_read_bytes,
+        );
+        // Parity degraded mode: a run landing on a failed band volume is
+        // replaced *at plan time* by the g-1 surviving data+parity reads
+        // of its stripes, which join this interval's per-spindle batches
+        // (and are swept in cylinder order with everything else). A
+        // range whose band has lost a second volume is
+        // unreconstructible and is dropped here.
+        let mut recon: Vec<VolumeRun> = Vec::new();
+        let mut steered = false;
+        if let Some(ps) = &s.parity {
+            if runs.iter().any(|(_, r)| self.failed[r.volume.index()]) {
+                degraded = true;
+                let mut kept = Vec::with_capacity(runs.len());
+                for (logical, r) in runs {
+                    if !self.failed[r.volume.index()] {
+                        kept.push((logical, r));
+                        continue;
+                    }
+                    let r_hi = logical + r.nblocks as u64 * 512;
+                    match Stream::parity_recon_runs(
+                        &s.extents,
+                        ps,
+                        logical,
+                        r_hi,
+                        r.volume,
+                        &self.failed,
+                    ) {
+                        Some(rs) => {
+                            self.stats.degraded_reads += rs.len() as u64;
+                            recon.extend(rs);
+                        }
+                        None => self.stats.lost_reads += 1,
+                    }
+                }
+                runs = kept;
+            }
+            // Coded-read steering (DESIGN §17): a run whose home spindle
+            // is live but *loaded* may instead be served as the g-1
+            // reconstruction fan-out over the band's other members — any
+            // g-1 of g suffice — when the fan-out's projected bottleneck
+            // undercuts the direct read's by more than the hysteresis
+            // margin. Fan-out bytes join `planned` in the caller, so
+            // later streams in this tick see their cost.
+            if self.cfg.steer_reads {
+                let margin = self.cfg.steer_margin_bytes.max(1) as f64;
+                let mut kept = Vec::with_capacity(runs.len());
+                for (logical, r) in runs {
+                    let bytes = r.nblocks as u64 * 512;
+                    let direct_peak = load(r.volume.index()) + bytes as f64;
+                    let fanout = Stream::steer_recon_runs(
+                        &s.extents,
+                        ps,
+                        logical,
+                        logical + bytes,
+                        r.volume,
+                        &self.failed,
+                    )
+                    .and_then(|rs| {
+                        let mut fan = vec![0u64; self.cfg.volumes];
+                        for fr in &rs {
+                            fan[fr.volume.index()] += fr.nblocks as u64 * 512;
+                        }
+                        let peak = fan
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, b)| **b > 0)
+                            .map(|(v, b)| load(v) + *b as f64)
+                            .fold(0.0f64, f64::max);
+                        (peak + margin < direct_peak).then_some(rs)
+                    });
+                    match fanout {
+                        Some(rs) => {
+                            self.stats.steered_reads += 1;
+                            steered = true;
+                            recon.extend(rs);
+                        }
+                        None => kept.push((logical, r)),
+                    }
+                }
+                runs = kept;
+            }
+            recon = Stream::split_runs(recon, self.cfg.max_read_bytes);
+        }
+        rep.degraded_streams += usize::from(degraded);
+        rep.steered_streams += usize::from(steered);
+        // A mirrored stream's whole load lands on the chosen replica's
+        // volume this interval; non-mirrored streams keep their static
+        // per-volume shares.
+        let shares = if s.mirror.is_some() {
+            let mut v = vec![0.0; self.cfg.volumes];
+            v[Stream::home_volume(map).index()] = 1.0;
+            v
+        } else {
+            s.shares.clone()
+        };
+        Some(StreamPlan {
+            runs,
+            recon,
+            lo,
+            hi,
+            params: s.params,
+            shares,
+        })
+    }
+
+    /// Registers one planned batch and issues its reads: the direct
+    /// runs first, then the reconstruction reads.
+    fn issue_batch(&mut self, sid: u32, plan: StreamPlan, now: Instant, reqs: &mut Vec<ReadReq>) {
+        let batch = self.next_batch;
+        self.next_batch += 1;
+        *self.outstanding.entry(sid).or_insert(0) += 1;
+        self.pending.insert(
+            batch,
+            PendingBatch {
+                stream: StreamId(sid),
+                chunk_lo: plan.lo,
+                chunk_hi: plan.hi,
+                remaining: plan.runs.len() + plan.recon.len(),
+                issued_at: now,
+            },
+        );
+        let direct = plan.runs.into_iter().map(|(logical, r)| (Some(logical), r));
+        let recon = plan.recon.into_iter().map(|r| (None, r));
+        for (logical, r) in direct.chain(recon) {
+            reqs.push(self.issue_read(batch, StreamId(sid), r, logical));
+        }
+    }
+
+    /// Issues one read of `batch`. `logical` is the first logical byte
+    /// of a direct read, which a failure can re-map through another
+    /// replica; `None` marks a parity-reconstruction read.
+    fn issue_read(
+        &mut self,
+        batch: u64,
+        stream: StreamId,
+        r: VolumeRun,
+        logical: Option<u64>,
+    ) -> ReadReq {
+        let id = ReadId(self.next_read);
+        self.next_read += 1;
+        let bytes = r.nblocks as u64 * 512;
+        self.read_info.insert(
+            id.0,
+            ReadInfo {
+                batch,
+                byte_lo: logical.unwrap_or(0),
+                byte_hi: logical.map_or(0, |l| l + bytes),
+                volume: r.volume,
+                recon: logical.is_none(),
+            },
+        );
+        self.stats.reads_issued += 1;
+        self.stats.bytes_requested += bytes;
+        ReadReq {
+            id,
+            stream,
+            volume: r.volume,
+            block: r.block,
+            nblocks: r.nblocks,
+        }
+    }
+
+    /// Phase 5, sweep-sort: per volume, C-SCAN continuing from where the
+    /// spindle's previous interval left its head (ascending from the
+    /// carried position, wrapped blocks last). A plain ascending sort
+    /// would restart every interval's sweep at block 0 and pay a
+    /// full-stroke seek back per spindle per interval.
+    fn sweep_sort(&mut self, reqs: &mut [ReadReq]) {
         reqs.sort_by_key(|r| (r.volume, self.sweep[r.volume.index()].key(r.block)));
         // Carry each spindle's head position: reqs are in issue order,
         // so the last advance per volume wins. Anchor at each request's
         // *start* block — consecutive reads of a stream overlap by one
         // block, so anchoring at the end would mark every follow-on
         // read as wrapped (see [`SweepCursor::advance`]).
-        for r in &reqs {
+        for r in reqs.iter() {
             self.sweep[r.volume.index()].advance(r.block);
-        }
-        let t = self.cfg.interval.as_secs_f64();
-        let per_volume_calculated: Vec<f64> = active
-            .iter()
-            .enumerate()
-            .map(|(v, a)| {
-                if a.is_empty() {
-                    0.0
-                } else {
-                    self.admissions[v].calculated_io_time(t, a)
-                }
-            })
-            .collect();
-        // The slowest spindle bounds the interval.
-        let calculated = bottleneck_time(&per_volume_calculated);
-        IntervalReport {
-            index,
-            reqs,
-            posted_chunks: posted,
-            overran,
-            calculated_io_time: calculated,
-            per_volume_calculated,
-            degraded_streams,
-            steered_streams,
-            lost_streams,
-            cache_served_streams: cache_served,
-            deferred_reserved,
-            cache_rejected_titles: std::mem::take(&mut self.pending_rejects),
-            parked_streams: std::mem::take(&mut self.pending_parks),
         }
     }
 
@@ -2166,83 +2155,55 @@ impl CrasServer {
         let Some(sid) = self.pending.get(&info.batch).map(|b| b.stream) else {
             return Vec::new();
         };
-        // Each replacement is (logical tag, run, recon?): mirror remaps
+        // Each replacement is tagged like a planned read: mirror remaps
         // stay re-mappable (accurate logical tags), parity
         // reconstructions do not (their bytes address survivors' units).
-        let runs: Option<Vec<(u64, crate::stream::VolumeRun, bool)>> =
-            self.streams.get(&sid.0).and_then(|s| {
-                if info.recon {
-                    // A reconstruction read has no further fallback.
-                    return None;
-                }
-                if let Some(ps) = &s.parity {
-                    return Stream::parity_recon_runs(
-                        &s.extents,
-                        ps,
-                        info.byte_lo,
-                        info.byte_hi,
-                        info.volume,
-                        &self.failed,
-                    )
-                    .map(|rs| {
-                        Stream::split_runs(rs, self.cfg.max_read_bytes)
-                            .into_iter()
-                            .map(|r| (0, r, true))
-                            .collect()
-                    });
-                }
-                s.replica_maps()
-                    .find(|m| {
-                        let home = Stream::home_volume(m);
-                        home != info.volume && !self.failed[home.index()]
-                    })
-                    .map(|m| {
-                        Stream::split_runs_tagged(
-                            Stream::runs_in(m, info.byte_lo, info.byte_hi),
-                            self.cfg.max_read_bytes,
-                        )
+        let runs: Option<Vec<(Option<u64>, VolumeRun)>> = self.streams.get(&sid.0).and_then(|s| {
+            if info.recon {
+                // A reconstruction read has no further fallback.
+                return None;
+            }
+            if let Some(ps) = &s.parity {
+                return Stream::parity_recon_runs(
+                    &s.extents,
+                    ps,
+                    info.byte_lo,
+                    info.byte_hi,
+                    info.volume,
+                    &self.failed,
+                )
+                .map(|rs| {
+                    Stream::split_runs(rs, self.cfg.max_read_bytes)
                         .into_iter()
-                        .map(|(logical, r)| (logical, r, false))
+                        .map(|r| (None, r))
                         .collect()
-                    })
-            });
+                });
+            }
+            s.replica_maps()
+                .find(|m| {
+                    let home = Stream::home_volume(m);
+                    home != info.volume && !self.failed[home.index()]
+                })
+                .map(|m| {
+                    Stream::split_runs_tagged(
+                        Stream::runs_in(m, info.byte_lo, info.byte_hi),
+                        self.cfg.max_read_bytes,
+                    )
+                    .into_iter()
+                    .map(|(logical, r)| (Some(logical), r))
+                    .collect()
+                })
+        });
         match runs {
             Some(runs) if !runs.is_empty() => {
-                let batch_id = info.batch;
                 self.pending
-                    .get_mut(&batch_id)
+                    .get_mut(&info.batch)
                     .expect("checked above")
                     .remaining += runs.len() - 1;
-                let mut reqs = Vec::with_capacity(runs.len());
-                for (logical, r, recon) in runs {
-                    let id = ReadId(self.next_read);
-                    self.next_read += 1;
-                    self.read_info.insert(
-                        id.0,
-                        ReadInfo {
-                            batch: batch_id,
-                            byte_lo: if recon { 0 } else { logical },
-                            byte_hi: if recon {
-                                0
-                            } else {
-                                logical + r.nblocks as u64 * 512
-                            },
-                            volume: r.volume,
-                            recon,
-                        },
-                    );
-                    self.stats.reads_issued += 1;
-                    self.stats.bytes_requested += r.nblocks as u64 * 512;
-                    self.stats.degraded_reads += 1;
-                    reqs.push(ReadReq {
-                        id,
-                        stream: sid,
-                        volume: r.volume,
-                        block: r.block,
-                        nblocks: r.nblocks,
-                    });
-                }
-                reqs
+                self.stats.degraded_reads += runs.len() as u64;
+                runs.into_iter()
+                    .map(|(logical, r)| self.issue_read(info.batch, sid, r, logical))
+                    .collect()
             }
             _ => {
                 self.stats.lost_reads += 1;
@@ -2301,7 +2262,7 @@ mod tests {
     fn open_admits_and_allocates_buffer() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         // B_i = 2*(0.5*187500 + 6250) = 200 000 (+- f64 rounding of the
         // generated table's worst rate).
         let cap = srv.stream(id).buffer.capacity();
@@ -2315,8 +2276,9 @@ mod tests {
         cfg.buffer_budget = 300_000;
         let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
         let (t, e) = movie_table(10.0);
-        srv.open("a", t.clone(), e.clone()).unwrap();
-        let err = srv.open("b", t, e);
+        srv.open(OpenReq::single("a", t.clone(), e.clone()))
+            .unwrap();
+        let err = srv.open(OpenReq::single("b", t, e));
         assert!(matches!(err, Err(AdmissionError::OutOfMemory { .. })));
     }
 
@@ -2324,7 +2286,7 @@ mod tests {
     fn idle_tick_issues_nothing() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let _id = srv.open("m", t, e).unwrap();
+        let _id = srv.open(OpenReq::single("m", t, e)).unwrap();
         let rep = srv.interval_tick(at(0));
         assert!(rep.reqs.is_empty());
         assert_eq!(rep.posted_chunks, 0);
@@ -2335,7 +2297,7 @@ mod tests {
     fn start_then_prefetch_pipeline() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         let begin = srv.start(id, at(0));
         assert_eq!(begin, at(1000)); // 2 intervals of 0.5 s.
 
@@ -2373,7 +2335,7 @@ mod tests {
     fn overrun_detected_when_io_lags() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep1 = srv.interval_tick(at(500));
@@ -2388,7 +2350,7 @@ mod tests {
     fn stop_freezes_prefetch() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2407,7 +2369,7 @@ mod tests {
     fn stop_then_restart_resumes_where_it_left_off() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2443,7 +2405,7 @@ mod tests {
     fn seek_clears_buffer_and_refetches() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2467,7 +2429,7 @@ mod tests {
     fn seek_orphans_inflight_batches() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2491,7 +2453,7 @@ mod tests {
     fn prefetch_stops_at_end_of_movie() {
         let mut srv = server();
         let (t, e) = movie_table(1.0); // 1-second movie.
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         let mut total_bytes = 0u64;
         for k in 0..10u64 {
@@ -2511,7 +2473,7 @@ mod tests {
     fn close_orphans_inflight_io() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2531,7 +2493,7 @@ mod tests {
     fn set_rate_readmits() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.set_rate(id, at(0), 2.0).unwrap();
         assert!((srv.stream(id).params.rate - 375_000.0).abs() < 1.0);
         // Buffer regrown for the doubled rate.
@@ -2554,7 +2516,7 @@ mod tests {
     fn stream_report_reflects_state() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         let r0 = srv.stream_report(id);
         assert!(!r0.running);
         assert_eq!(r0.buffer_bytes, 0);
@@ -2576,7 +2538,7 @@ mod tests {
     fn calculated_io_time_reported_when_active() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -2609,7 +2571,7 @@ mod tests {
             let mut n = 0u32;
             loop {
                 let (t, e) = movie_on(n % volumes as u32, 10.0);
-                if srv.open_placed(&format!("m{n}"), t, e).is_err() {
+                if srv.open(OpenReq::new(&format!("m{n}"), t, e)).is_err() {
                     return n;
                 }
                 n += 1;
@@ -2631,7 +2593,10 @@ mod tests {
         let mut n_single = 0u32;
         loop {
             let (t, e) = movie_on(0, 10.0);
-            if single.open_placed(&format!("s{n_single}"), t, e).is_err() {
+            if single
+                .open(OpenReq::new(&format!("s{n_single}"), t, e))
+                .is_err()
+            {
                 break;
             }
             n_single += 1;
@@ -2639,7 +2604,10 @@ mod tests {
         let mut n_lop = 0u32;
         loop {
             let (t, e) = movie_on(0, 10.0);
-            if lopsided.open_placed(&format!("l{n_lop}"), t, e).is_err() {
+            if lopsided
+                .open(OpenReq::new(&format!("l{n_lop}"), t, e))
+                .is_err()
+            {
                 break;
             }
             n_lop += 1;
@@ -2654,20 +2622,20 @@ mod tests {
         let mut ids = Vec::new();
         loop {
             let (t, e) = movie_on(0, 10.0);
-            match srv.open_placed("v0", t, e) {
+            match srv.open(OpenReq::new("v0", t, e)) {
                 Ok(id) => ids.push(id),
                 Err(_) => break,
             }
         }
         // Volume 0 is full; volume 1 still admits...
         let (t, e) = movie_on(0, 10.0);
-        assert!(srv.open_placed("extra0", t, e).is_err());
+        assert!(srv.open(OpenReq::new("extra0", t, e)).is_err());
         let (t, e) = movie_on(1, 10.0);
-        let on1 = srv.open_placed("extra1", t, e).unwrap();
+        let on1 = srv.open(OpenReq::new("extra1", t, e)).unwrap();
         // ...and closing a volume-0 stream reopens volume-0 capacity.
         srv.close(*ids.first().expect("admitted at least one"));
         let (t, e) = movie_on(0, 10.0);
-        assert!(srv.open_placed("refill0", t, e).is_ok());
+        assert!(srv.open(OpenReq::new("refill0", t, e)).is_ok());
         srv.close(on1);
     }
 
@@ -2699,13 +2667,16 @@ mod tests {
                     },
                 },
             ];
-            srv.open_placed(&format!("st{n}"), t, extents)
+            srv.open(OpenReq::new(&format!("st{n}"), t, extents))
         };
         let mut whole = multi_server(1, 1 << 40);
         let mut n_whole = 0u32;
         loop {
             let (t, e) = movie_on(0, 10.0);
-            if whole.open_placed(&format!("w{n_whole}"), t, e).is_err() {
+            if whole
+                .open(OpenReq::new(&format!("w{n_whole}"), t, e))
+                .is_err()
+            {
                 break;
             }
             n_whole += 1;
@@ -2767,7 +2738,7 @@ mod tests {
             let mut n = 0u32;
             loop {
                 let (t, e) = movie_on(0, 10.0);
-                if srv.open_placed(&format!("s{n}"), t, e).is_err() {
+                if srv.open(OpenReq::new(&format!("s{n}"), t, e)).is_err() {
                     break;
                 }
                 n += 1;
@@ -2780,7 +2751,7 @@ mod tests {
             let (p, m) = srv.place_next_pair();
             let (t, pri, mir) = mirrored_movie(p.0, m.0, 10.0);
             if srv
-                .open_replicated(&format!("m{n}"), t, pri, Some(mir))
+                .open(OpenReq::new(&format!("m{n}"), t, pri).with_mirror(mir))
                 .is_err()
             {
                 break;
@@ -2794,7 +2765,9 @@ mod tests {
     fn steering_balances_replicas_when_both_live() {
         let mut srv = multi_server(2, 8 << 20);
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        let id = srv.open_replicated("m", t, pri, Some(mir)).unwrap();
+        let id = srv
+            .open(OpenReq::new("m", t, pri).with_mirror(mir))
+            .unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -2805,7 +2778,9 @@ mod tests {
         // A second mirrored stream opened the other way round lands on
         // its primary too; steering splits load when volumes are uneven.
         let (t2, pri2, mir2) = mirrored_movie(1, 0, 10.0);
-        let id2 = srv.open_replicated("m2", t2, pri2, Some(mir2)).unwrap();
+        let id2 = srv
+            .open(OpenReq::new("m2", t2, pri2).with_mirror(mir2))
+            .unwrap();
         srv.start(id2, at(500));
         let _ = id2;
     }
@@ -2814,7 +2789,9 @@ mod tests {
     fn degraded_read_remaps_to_mirror_and_still_posts() {
         let mut srv = multi_server(2, 8 << 20);
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        let id = srv.open_replicated("m", t, pri, Some(mir)).unwrap();
+        let id = srv
+            .open(OpenReq::new("m", t, pri).with_mirror(mir))
+            .unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -2853,7 +2830,9 @@ mod tests {
         // whole interval's reads onto the replica.
         let mut srv = multi_server(2, 8 << 20);
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        let id = srv.open_replicated("m", t, pri, Some(mir)).unwrap();
+        let id = srv
+            .open(OpenReq::new("m", t, pri).with_mirror(mir))
+            .unwrap();
         srv.start(id, at(0));
         let mut loads = vec![VolumeLoad::default(); 2];
         loads[0] = VolumeLoad {
@@ -2875,7 +2854,9 @@ mod tests {
         // pass drops it, counts it, and reports it.
         let mut srv = multi_server(2, 8 << 20);
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        let id = srv.open_replicated("m", t, pri, Some(mir)).unwrap();
+        let id = srv
+            .open(OpenReq::new("m", t, pri).with_mirror(mir))
+            .unwrap();
         srv.start(id, at(0));
         srv.set_volume_failed(VolumeId(0), true);
         srv.set_volume_failed(VolumeId(1), true);
@@ -2899,7 +2880,7 @@ mod tests {
         // it, and close clears the count.
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep1 = srv.interval_tick(at(500));
@@ -2923,7 +2904,7 @@ mod tests {
     fn failed_read_without_replica_drops_batch() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -2948,7 +2929,7 @@ mod tests {
             loop {
                 let (p, m) = srv.place_next_pair();
                 let (t, pri, mir) = mirrored_movie(p.0, m.0, 10.0);
-                match srv.open_replicated("c", t, pri, Some(mir)) {
+                match srv.open(OpenReq::new("c", t, pri).with_mirror(mir)) {
                     Ok(id) => ids.push(id),
                     Err(_) => break,
                 }
@@ -2973,11 +2954,13 @@ mod tests {
         let mut srv = multi_server(2, 1 << 40);
         srv.set_volume_failed(VolumeId(0), true);
         let (t, e) = movie_on(0, 10.0);
-        let err = srv.open_placed("dead", t, e);
+        let err = srv.open(OpenReq::new("dead", t, e));
         assert!(matches!(err, Err(AdmissionError::VolumeFailed)));
         // A mirrored stream with one live replica is still admitted.
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        assert!(srv.open_replicated("half", t, pri, Some(mir)).is_ok());
+        assert!(srv
+            .open(OpenReq::new("half", t, pri).with_mirror(mir))
+            .is_ok());
     }
 
     #[test]
@@ -2985,8 +2968,8 @@ mod tests {
         let mut srv = multi_server(2, 8 << 20);
         let (t0, e0) = movie_on(1, 10.0); // Volume 1 first by open order...
         let (t1, e1) = movie_on(0, 10.0);
-        let a = srv.open_placed("on1", t0, e0).unwrap();
-        let b = srv.open_placed("on0", t1, e1).unwrap();
+        let a = srv.open(OpenReq::new("on1", t0, e0)).unwrap();
+        let b = srv.open(OpenReq::new("on0", t1, e1)).unwrap();
         srv.start(a, at(0));
         srv.start(b, at(0));
         srv.interval_tick(at(0));
@@ -3050,8 +3033,8 @@ mod tests {
             disk_block: 400_000,
             nblocks: ea[0].nblocks,
         }];
-        let a = srv.open("near", ta, ea).unwrap();
-        let b = srv.open("far", tb, eb).unwrap();
+        let a = srv.open(OpenReq::single("near", ta, ea)).unwrap();
+        let b = srv.open(OpenReq::single("far", tb, eb)).unwrap();
         srv.start(a, at(0));
         srv.start(b, at(0));
         srv.interval_tick(at(0));
@@ -3094,7 +3077,7 @@ mod tests {
     /// leader's posted window.
     fn warm_leader(srv: &mut CrasServer, name: &str, ticks: u64) -> StreamId {
         let (t, e) = movie_table(30.0);
-        let id = srv.open(name, t, e).unwrap();
+        let id = srv.open(OpenReq::single(name, t, e)).unwrap();
         srv.start(id, at(0));
         for k in 0..ticks {
             let rep = srv.interval_tick(at(k * 500));
@@ -3112,7 +3095,7 @@ mod tests {
         // The leader's posted window spans media [0, ~2 s): a second
         // client of the same title attaches to the cache at open.
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).unwrap();
+        let follower = srv.open(OpenReq::single("pop", t, e)).unwrap();
         assert!(srv.stream(follower).cache_state.is_cached());
         srv.start(follower, at(2600));
         let mut follower_reqs = 0usize;
@@ -3141,7 +3124,10 @@ mod tests {
         let mut fillers = 0u32;
         loop {
             let (t, e) = movie_table(30.0);
-            if srv.open(&format!("f{fillers}"), t, e).is_err() {
+            if srv
+                .open(OpenReq::single(&format!("f{fillers}"), t, e))
+                .is_err()
+            {
                 break;
             }
             fillers += 1;
@@ -3150,7 +3136,9 @@ mod tests {
         // A trailing stream of the hot title still gets in — admitted
         // against the cache budget, charging the spindle nothing.
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).expect("cache-admitted");
+        let follower = srv
+            .open(OpenReq::single("pop", t, e))
+            .expect("cache-admitted");
         assert!(matches!(
             srv.stream(follower).cache_state,
             CacheState::Admitted { .. }
@@ -3159,7 +3147,7 @@ mod tests {
         assert_eq!(srv.cache().stats().cache_admitted_streams, 1);
         // The disk bound is genuinely still exhausted for cold titles.
         let (t, e) = movie_table(30.0);
-        assert!(srv.open("cold", t, e).is_err());
+        assert!(srv.open(OpenReq::single("cold", t, e)).is_err());
     }
 
     #[test]
@@ -3167,7 +3155,7 @@ mod tests {
         let mut srv = cache_server(8 << 20, 8 << 20);
         let leader = warm_leader(&mut srv, "pop", 6);
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).unwrap();
+        let follower = srv.open(OpenReq::single("pop", t, e)).unwrap();
         assert!(srv.stream(follower).cache_state.is_cached());
         srv.start(follower, at(2600));
         for k in 6..8u64 {
@@ -3201,13 +3189,18 @@ mod tests {
         let mut fillers = 0u32;
         loop {
             let (t, e) = movie_table(30.0);
-            if srv.open(&format!("f{fillers}"), t, e).is_err() {
+            if srv
+                .open(OpenReq::single(&format!("f{fillers}"), t, e))
+                .is_err()
+            {
                 break;
             }
             fillers += 1;
         }
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).expect("cache-admitted");
+        let follower = srv
+            .open(OpenReq::single("pop", t, e))
+            .expect("cache-admitted");
         srv.start(follower, at(2600));
         for k in 6..8u64 {
             let rep = srv.interval_tick(at(k * 500));
@@ -3241,7 +3234,7 @@ mod tests {
         let mut srv = cache_server(8 << 20, 8 << 20);
         let _leader = warm_leader(&mut srv, "pop", 6);
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).unwrap();
+        let follower = srv.open(OpenReq::single("pop", t, e)).unwrap();
         assert!(srv.stream(follower).cache_state.is_cached());
         assert!(srv.cache().pinned_frames() > 0);
         assert!(srv.cache().reserved() > 0);
@@ -3252,7 +3245,7 @@ mod tests {
         srv.close(follower);
         // ...and a far seek past the cached window detaches likewise.
         let (t, e) = movie_table(30.0);
-        let f2 = srv.open("pop", t, e).unwrap();
+        let f2 = srv.open(OpenReq::single("pop", t, e)).unwrap();
         assert!(srv.cache().pinned_frames() > 0);
         srv.seek(f2, at(2700), Duration::from_secs(20));
         assert_eq!(srv.cache().pinned_frames(), 0);
@@ -3266,7 +3259,7 @@ mod tests {
         let drive = |srv: &mut CrasServer| {
             let a = warm_leader(srv, "pop", 6);
             let (t, e) = movie_table(30.0);
-            let b = srv.open("pop", t, e).unwrap();
+            let b = srv.open(OpenReq::single("pop", t, e)).unwrap();
             srv.start(b, at(2600));
             let mut log = Vec::new();
             for k in 6..14u64 {
@@ -3298,7 +3291,7 @@ mod tests {
     /// single-open filler titles in the hot-set ordering.
     fn bump_popularity(srv: &mut CrasServer, name: &str) {
         let (t, e) = movie_table(30.0);
-        let id = srv.open(name, t, e).unwrap();
+        let id = srv.open(OpenReq::single(name, t, e)).unwrap();
         srv.close(id);
     }
 
@@ -3312,7 +3305,10 @@ mod tests {
         let mut fillers = 0u32;
         loop {
             let (t, e) = movie_table(30.0);
-            if srv.open(&format!("f{fillers}"), t, e).is_err() {
+            if srv
+                .open(OpenReq::single(&format!("f{fillers}"), t, e))
+                .is_err()
+            {
                 break;
             }
             fillers += 1;
@@ -3322,7 +3318,9 @@ mod tests {
         // A new viewer of the hot title still gets in: its whole prefix
         // is resident, so admission is deferred — zero disk shares.
         let (t, e) = movie_table(30.0);
-        let viewer = srv.open("pop", t, e).expect("deferred admission");
+        let viewer = srv
+            .open(OpenReq::single("pop", t, e))
+            .expect("deferred admission");
         assert!(matches!(srv.cache_state_of(viewer), CacheState::Prefix));
         assert_eq!(srv.cache().stats().prefix_admitted_streams, 1);
         assert_eq!(srv.disk_charged_streams(), charged);
@@ -3334,7 +3332,9 @@ mod tests {
         bump_popularity(&mut srv, "pop");
         let _leader = warm_leader(&mut srv, "pop", 6);
         let (t, e) = movie_table(30.0);
-        let viewer = srv.open("pop", t, e).expect("deferred admission");
+        let viewer = srv
+            .open(OpenReq::single("pop", t, e))
+            .expect("deferred admission");
         assert!(matches!(srv.cache_state_of(viewer), CacheState::Prefix));
         srv.start(viewer, at(3100));
         let mut reserved_tick = None;
@@ -3367,8 +3367,10 @@ mod tests {
     fn batched_join_multicasts_one_read_stream() {
         let mut srv = join_server(600);
         let (t, e) = movie_table(10.0);
-        let a = srv.open("pop", t.clone(), e.clone()).unwrap();
-        let b = srv.open("pop", t, e).unwrap();
+        let a = srv
+            .open(OpenReq::single("pop", t.clone(), e.clone()))
+            .unwrap();
+        let b = srv.open(OpenReq::single("pop", t, e)).unwrap();
         let begin_a = srv.start(a, at(0));
         let begin_b = srv.start(b, at(100));
         assert_eq!(begin_b, begin_a, "follower anchors on the leader's begin");
@@ -3402,8 +3404,10 @@ mod tests {
     fn leader_close_dissolves_join_to_disk() {
         let mut srv = join_server(600);
         let (t, e) = movie_table(10.0);
-        let a = srv.open("pop", t.clone(), e.clone()).unwrap();
-        let b = srv.open("pop", t, e).unwrap();
+        let a = srv
+            .open(OpenReq::single("pop", t.clone(), e.clone()))
+            .unwrap();
+        let b = srv.open(OpenReq::single("pop", t, e)).unwrap();
         srv.start(a, at(0));
         srv.start(b, at(100));
         for k in 0..4u64 {
@@ -3433,8 +3437,10 @@ mod tests {
     fn join_window_zero_never_joins() {
         let mut srv = join_server(0);
         let (t, e) = movie_table(10.0);
-        let a = srv.open("pop", t.clone(), e.clone()).unwrap();
-        let b = srv.open("pop", t, e).unwrap();
+        let a = srv
+            .open(OpenReq::single("pop", t.clone(), e.clone()))
+            .unwrap();
+        let b = srv.open(OpenReq::single("pop", t, e)).unwrap();
         srv.start(a, at(0));
         srv.start(b, at(100));
         assert!(matches!(srv.cache_state_of(a), CacheState::Disk));
@@ -3459,7 +3465,7 @@ mod tests {
             let mut ids = Vec::new();
             loop {
                 let (t, e) = movie_on(v, 10.0);
-                match srv.open_placed("h", t, e) {
+                match srv.open(OpenReq::new("h", t, e)) {
                     Ok(id) => ids.push(id),
                     Err(_) => break,
                 }
@@ -3533,7 +3539,7 @@ mod tests {
                 let mut n = 0usize;
                 loop {
                     let (t, e, ps) = parity_movie(group, 0, 20.0, 7);
-                    if srv.open_parity("p", t, e, ps).is_err() {
+                    if srv.open(OpenReq::new("p", t, e).with_parity(ps)).is_err() {
                         break;
                     }
                     n += 1;
@@ -3555,7 +3561,7 @@ mod tests {
                             extent: ve.extent,
                         })
                         .collect();
-                    if srv.open_placed("s", t, striped).is_err() {
+                    if srv.open(OpenReq::new("s", t, striped)).is_err() {
                         break;
                     }
                     n += 1;
@@ -3579,7 +3585,7 @@ mod tests {
     fn degraded_parity_plan_fans_out_into_surviving_spindle_batches() {
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = srv.open(OpenReq::new("p", t, e).with_parity(ps)).unwrap();
         srv.start(id, at(0));
         // Kill a volume that holds data of the first stripes: row 0's
         // parity is on volume 0, so its data units live on 1, 2, 3.
@@ -3622,7 +3628,7 @@ mod tests {
         // bytes on g−1 volumes, so it can never beat direct + margin.
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = srv.open(OpenReq::new("p", t, e).with_parity(ps)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         for i in 1..6u64 {
@@ -3639,7 +3645,7 @@ mod tests {
     fn hot_spindle_steers_parity_reads_around_it() {
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = srv.open(OpenReq::new("p", t, e).with_parity(ps)).unwrap();
         srv.start(id, at(0));
         // Volume 1 holds data of the first stripe rows (row 0's parity
         // sits on volume 0). Report a deep queue on it: every direct
@@ -3685,7 +3691,7 @@ mod tests {
         cfg.steer_reads = false;
         let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = srv.open(OpenReq::new("p", t, e).with_parity(ps)).unwrap();
         srv.start(id, at(0));
         let mut loads = vec![VolumeLoad::default(); 4];
         loads[1] = VolumeLoad {
@@ -3707,7 +3713,7 @@ mod tests {
         // its batches late gets bypassed even with an empty queue.
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = srv.open(OpenReq::new("p", t, e).with_parity(ps)).unwrap();
         srv.start(id, at(0));
         let mut loads = vec![VolumeLoad::default(); 4];
         loads[1] = VolumeLoad {
@@ -3725,7 +3731,7 @@ mod tests {
     fn parity_io_failed_replaces_read_with_survivors_and_loses_on_second_failure() {
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = srv.open(OpenReq::new("p", t, e).with_parity(ps)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -3750,12 +3756,95 @@ mod tests {
         let mut srv = multi_server(4, 1 << 30);
         srv.set_volume_failed(VolumeId(1), true);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        assert!(srv.open_parity("one-down", t, e, ps).is_ok());
+        assert!(srv
+            .open(OpenReq::new("one-down", t, e).with_parity(ps))
+            .is_ok());
         srv.set_volume_failed(VolumeId(2), true);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
         assert!(matches!(
-            srv.open_parity("two-down", t, e, ps),
+            srv.open(OpenReq::new("two-down", t, e).with_parity(ps)),
             Err(AdmissionError::VolumeFailed)
         ));
+    }
+
+    #[test]
+    fn admit_modes_keep_unchecked_and_parity_deferred_semantics() {
+        let single = |admit| {
+            let (t, e) = movie_table(10.0);
+            OpenReq::single("m", t, e).with_admit(admit)
+        };
+        let parity = |admit| {
+            let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
+            OpenReq::new("p", t, e).with_parity(ps).with_admit(admit)
+        };
+        // (case, server, fill it with checked opens first, failed
+        // volumes, request, outcome, opens the estimator records)
+        type Case<'a> = (
+            &'a str,
+            CrasServer,
+            bool,
+            &'a [u32],
+            OpenReq,
+            Result<CacheState, AdmissionError>,
+            u64,
+        );
+        let cases: Vec<Case> = vec![
+            (
+                "unchecked past the bound installs unobserved",
+                multi_server(1, 300_000),
+                true,
+                &[],
+                single(Admit::Unchecked),
+                Ok(CacheState::Disk),
+                0,
+            ),
+            (
+                "deferred whole movie installs as a prefix",
+                server(),
+                false,
+                &[],
+                single(Admit::Deferred),
+                Ok(CacheState::Prefix),
+                1,
+            ),
+            (
+                "deferred parity movie takes the checked ladder",
+                multi_server(4, 1 << 30),
+                false,
+                &[],
+                parity(Admit::Deferred),
+                Ok(CacheState::Disk),
+                1,
+            ),
+            (
+                "deferred parity movie is refused with two band volumes down",
+                multi_server(4, 1 << 30),
+                false,
+                &[1, 2],
+                parity(Admit::Deferred),
+                Err(AdmissionError::VolumeFailed),
+                0,
+            ),
+        ];
+        for (case, mut srv, fill, failed, req, want, observed) in cases {
+            if fill {
+                while srv.open(req.clone().with_admit(Admit::Checked)).is_ok() {}
+            }
+            for &v in failed {
+                srv.set_volume_failed(VolumeId(v), true);
+            }
+            let name = req.name.clone();
+            let before = srv.cache_manager().popularity().count(&name);
+            let streams = srv.stream_count();
+            let got = srv.open(req).map(|id| srv.cache_state_of(id));
+            assert_eq!(got, want, "{case}");
+            let count = srv.cache_manager().popularity().count(&name);
+            assert_eq!(count, before + observed, "{case}");
+            assert_eq!(
+                srv.stream_count(),
+                streams + usize::from(got.is_ok()),
+                "{case}"
+            );
+        }
     }
 }

@@ -1,14 +1,11 @@
 //! The paced link: a shared transmitter with an EDF send queue.
 //!
-//! `cras-sys::net::Link` is fire-and-forget — `transmit` charges the
-//! FIFO serialization time and returns an arrival instant, with no way
-//! to reorder, drop or share fairly. The paced link replaces that for
-//! the delivery subsystem: packets wait in a per-link queue ordered by
-//! playout deadline (earliest-deadline-first), the transmitter serves
-//! one packet at a time, and every dequeue charges the real queueing
-//! delay. Sessions sharing a link therefore contend exactly as on a
-//! half-duplex segment: an urgent retransmit overtakes bulk frames
-//! whose playout is still comfortably ahead.
+//! Packets wait in a per-link queue ordered by playout deadline
+//! (earliest-deadline-first), the transmitter serves one packet at a
+//! time, and every dequeue charges the real queueing delay. Sessions
+//! sharing a link therefore contend exactly as on a half-duplex
+//! segment: an urgent retransmit overtakes bulk frames whose playout
+//! is still comfortably ahead.
 //!
 //! The link itself is a passive structure — [`crate::NetDelivery`]
 //! drives the send/free cycle and owns the packet records; the link

@@ -15,14 +15,9 @@ use std::collections::BinaryHeap;
 
 use crate::time::{Duration, Instant};
 
-/// A handle identifying a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
 struct Scheduled<E> {
     at: Instant,
     seq: u64,
-    id: EventId,
     payload: E,
 }
 
@@ -69,8 +64,6 @@ pub struct Engine<E> {
     now: Instant,
     queue: BinaryHeap<Scheduled<E>>,
     seq: u64,
-    next_id: u64,
-    cancelled: Vec<EventId>,
     dispatched: u64,
 }
 
@@ -87,8 +80,6 @@ impl<E> Engine<E> {
             now: Instant::ZERO,
             queue: BinaryHeap::new(),
             seq: 0,
-            next_id: 0,
-            cancelled: Vec::new(),
             dispatched: 0,
         }
     }
@@ -103,9 +94,9 @@ impl<E> Engine<E> {
         self.dispatched
     }
 
-    /// Number of events still pending (including cancelled tombstones).
+    /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.queue.len().saturating_sub(self.cancelled.len())
+        self.queue.len()
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -114,67 +105,41 @@ impl<E> Engine<E> {
     ///
     /// Panics if `at` is in the past — scheduling backwards in time is a
     /// logic error in the caller.
-    pub fn schedule(&mut self, at: Instant, payload: E) -> EventId {
+    pub fn schedule(&mut self, at: Instant, payload: E) {
         assert!(
             at >= self.now,
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
         self.seq += 1;
         self.queue.push(Scheduled {
             at,
             seq: self.seq,
-            id,
             payload,
         });
-        id
     }
 
     /// Schedules `payload` to fire `after` from now.
-    pub fn schedule_after(&mut self, after: Duration, payload: E) -> EventId {
+    pub fn schedule_after(&mut self, after: Duration, payload: E) {
         let at = self.now + after;
-        self.schedule(at, payload)
+        self.schedule(at, payload);
     }
 
     /// Schedules `payload` to fire immediately (at the current time, after
     /// all events already queued for the current time).
-    pub fn schedule_now(&mut self, payload: E) -> EventId {
-        self.schedule(self.now, payload)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Cancellation is lazy: the entry stays in the heap as a tombstone and
-    /// is skipped at pop time. Cancelling an already-fired or unknown id is
-    /// a behavioural no-op, but its tombstone lingers (undercounting
-    /// [`Engine::pending`]) until the queue next drains — avoid cancelling
-    /// ids you know have fired.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.push(id);
+    pub fn schedule_now(&mut self, payload: E) {
+        self.schedule(self.now, payload);
     }
 
     /// Pops the earliest pending event, advancing the clock to its time.
     ///
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        loop {
-            let head = self.queue.pop()?;
-            if let Some(pos) = self.cancelled.iter().position(|c| *c == head.id) {
-                self.cancelled.swap_remove(pos);
-                continue;
-            }
-            debug_assert!(head.at >= self.now, "event queue went backwards");
-            self.now = head.at;
-            self.dispatched += 1;
-            // An empty queue proves any remaining tombstones refer to
-            // already-fired events; drop them so pending() stays exact.
-            if self.queue.is_empty() {
-                self.cancelled.clear();
-            }
-            return Some((head.at, head.payload));
-        }
+        let head = self.queue.pop()?;
+        debug_assert!(head.at >= self.now, "event queue went backwards");
+        self.now = head.at;
+        self.dispatched += 1;
+        Some((head.at, head.payload))
     }
 
     /// Pops *every* event due at the earliest pending timestamp into
@@ -191,20 +156,8 @@ impl<E> Engine<E> {
         let (at, first) = self.pop()?;
         buf.push(first);
         while self.peek_time() == Some(at) {
-            // peek_time is a conservative bound: the head may be a
-            // tombstone, which pop() skips — re-check the popped time.
-            match self.pop() {
-                Some((t, ev)) if t == at => buf.push(ev),
-                Some((t, ev)) => {
-                    // A tombstone hid a later event; it belongs to the
-                    // next batch. Put it back and rewind the clock to
-                    // the batch's timestamp.
-                    self.now = at;
-                    self.schedule(t, ev);
-                    break;
-                }
-                None => break,
-            }
+            let (_, ev) = self.pop().expect("peeked above");
+            buf.push(ev);
         }
         Some(at)
     }
@@ -227,8 +180,6 @@ impl<E> Engine<E> {
 
     /// Peeks at the time of the earliest pending event without firing it.
     pub fn peek_time(&self) -> Option<Instant> {
-        // Tombstones may hide the true head; this is a conservative bound
-        // (never later than the true next event), which is all callers need.
         self.queue.peek().map(|s| s.at)
     }
 
@@ -241,20 +192,8 @@ impl<E> Engine<E> {
     where
         F: FnMut(&mut Engine<E>, Instant, E),
     {
-        while let Some(at) = self.peek_time() {
-            if at > until {
-                break;
-            }
-            let Some((t, payload)) = self.pop() else {
-                break;
-            };
-            if t > until {
-                // A cancelled tombstone hid this later event from
-                // peek_time: put it back for the next run and stop.
-                self.now = until;
-                self.schedule(t, payload);
-                break;
-            }
+        while self.peek_time().is_some_and(|at| at <= until) {
+            let (t, payload) = self.pop().expect("peeked above");
             dispatch(self, t, payload);
         }
         if self.now < until && self.peek_time().is_none() {
@@ -305,36 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_after(ms(1), 1);
-        e.schedule_after(ms(2), 2);
-        e.cancel(a);
-        assert_eq!(e.pop().unwrap().1, 2);
-        assert!(e.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_is_noop() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_after(ms(1), 1);
-        assert_eq!(e.pop().unwrap().1, 1);
-        e.cancel(a); // Already fired.
-        e.schedule_after(ms(1), 2);
-        assert_eq!(e.pop().unwrap().1, 2);
-    }
-
-    #[test]
-    fn pending_accounts_for_tombstones() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_after(ms(1), 1);
-        e.schedule_after(ms(2), 2);
-        assert_eq!(e.pending(), 2);
-        e.cancel(a);
-        assert_eq!(e.pending(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn schedule_past_panics() {
         let mut e: Engine<u32> = Engine::new();
@@ -353,33 +262,6 @@ mod tests {
         e.run_until(Instant::ZERO + ms(6), |_, _, p| seen.push(p));
         assert_eq!(seen, vec![1, 5]);
         assert_eq!(e.pending(), 1);
-    }
-
-    #[test]
-    fn run_until_requeues_event_hidden_by_tombstone() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_after(ms(5), 1); // Will be cancelled.
-        e.schedule_after(ms(20), 2); // Beyond the deadline.
-        e.cancel(a);
-        let mut seen = Vec::new();
-        e.run_until(Instant::ZERO + ms(10), |_, _, p| seen.push(p));
-        assert!(seen.is_empty(), "nothing fires before the deadline");
-        assert_eq!(e.pending(), 1, "the later event is still queued");
-        // It fires once the window reaches it.
-        e.run_until(Instant::ZERO + ms(25), |_, _, p| seen.push(p));
-        assert_eq!(seen, vec![2]);
-    }
-
-    #[test]
-    fn stale_tombstones_cleared_when_queue_drains() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_after(ms(1), 1);
-        assert_eq!(e.pop().unwrap().1, 1);
-        e.cancel(a); // Already fired: tombstone goes stale.
-        e.schedule_after(ms(1), 2);
-        assert_eq!(e.pop().unwrap().1, 2); // Queue drains => purge.
-        e.schedule_after(ms(1), 3);
-        assert_eq!(e.pending(), 1, "stale tombstone no longer undercounts");
     }
 
     #[test]
@@ -419,34 +301,6 @@ mod tests {
                 }
             }
         }
-
-        /// Cancelling an arbitrary subset removes exactly that subset.
-        #[test]
-        fn cancel_subset() {
-            let mut rng = Rng::new(0xCA9CE1);
-            for case in 0..200 {
-                let n = rng.range_inclusive(1, 59) as usize;
-                let delays: Vec<(u64, bool)> =
-                    (0..n).map(|_| (rng.below(100), rng.chance(0.5))).collect();
-                let mut e: Engine<usize> = Engine::new();
-                let mut keep = Vec::new();
-                for (i, &(d, cancel)) in delays.iter().enumerate() {
-                    let id = e.schedule_after(Duration::from_micros(d), i);
-                    if cancel {
-                        e.cancel(id);
-                    } else {
-                        keep.push(i);
-                    }
-                }
-                let mut popped: Vec<usize> = Vec::new();
-                while let Some((_, i)) = e.pop() {
-                    popped.push(i);
-                }
-                popped.sort_unstable();
-                keep.sort_unstable();
-                assert_eq!(popped, keep, "case {case}");
-            }
-        }
     }
 
     #[test]
@@ -466,24 +320,6 @@ mod tests {
         assert_eq!(batch, vec![9]);
         batch.clear();
         assert_eq!(e.pop_batch(&mut batch), None);
-    }
-
-    #[test]
-    fn pop_batch_requeues_event_hidden_by_tombstone() {
-        let mut e: Engine<u32> = Engine::new();
-        let t = Instant::ZERO + ms(5);
-        e.schedule(t, 1);
-        let a = e.schedule(t, 2);
-        e.schedule_after(ms(9), 9); // Hidden behind 2's tombstone.
-        e.cancel(a);
-        let mut batch = Vec::new();
-        assert_eq!(e.pop_batch(&mut batch), Some(t));
-        assert_eq!(batch, vec![1], "cancelled event must not appear");
-        assert_eq!(e.now(), t, "clock stays at the batch timestamp");
-        // The later event is still pending and schedulable at its time.
-        batch.clear();
-        assert_eq!(e.pop_batch(&mut batch), Some(Instant::ZERO + ms(9)));
-        assert_eq!(batch, vec![9]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod table;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Engine, EventId};
+pub use engine::Engine;
 pub use rng::Rng;
 pub use time::{Duration, Instant};
 pub use trace::{Trace, TraceRecord};

@@ -15,11 +15,10 @@
 //!   copies and parity reconstruction.
 //! * [`metrics`] — per-interval admission-accuracy accounting.
 //! * [`tags`] — the global event enum and routing tags.
-//! * [`net`] — a minimal NPS-like network link for the distributed
-//!   (Figure 11) configuration. The full delivery subsystem (paced
-//!   links, playout sessions, multicast, loss/retransmit) lives in the
-//!   `cras-net` crate and plugs into [`system::SysState`] as the `net`
-//!   field (DESIGN §18).
+//!
+//! The delivery subsystem (paced links, playout sessions, multicast,
+//! loss/retransmit) lives in the `cras-net` crate and plugs into
+//! [`system::SysState`] as the `net` field (DESIGN §18).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +28,6 @@ pub mod bgload;
 pub mod config;
 pub mod journal;
 pub mod metrics;
-pub mod net;
 pub mod player;
 pub mod rebuild;
 pub mod system;
@@ -40,7 +38,6 @@ pub use bgload::BgReader;
 pub use config::{prio, CpuCosts, IssueMode, SchedMode, SysConfig};
 pub use journal::{Journal, JournalRecord};
 pub use metrics::{IntervalIo, IntervalWall, Metrics, ShardLoad, VolumeHealth};
-pub use net::Link;
 pub use player::{Player, PlayerMode, PlayerStats};
 pub use rebuild::{plan_chunks, plan_parity_recon, RebuildChunk, RebuildManager, SrcRead};
 pub use system::{AttachError, MoviePlacement, SysState, System, UOwner, UReq};

@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use cras_core::{
-    on_volume, AdmissionError, CacheState, CrasServer, ParityGeometry, ParityState,
+    on_volume, AdmissionError, Admit, CacheState, CrasServer, OpenReq, ParityGeometry, ParityState,
     PlacementPolicy, ReadId, ReadReq, StreamId, VolumeExtent, VolumeLoad, PARITY_STRIPE_BYTES,
 };
 use cras_disk::{Completed, DiskDevice, DiskRequest, VolumeId, VolumeSet};
@@ -779,52 +779,32 @@ impl SysState {
     }
 
     /// Opens a CRAS stream for `movie`: the admission half of
-    /// [`System::add_cras_player`].
-    fn open_cras_stream(&mut self, movie: &Movie) -> Result<StreamId, AdmissionError> {
-        let extents = self.movie_extents(movie);
-        let stream = if let Some(ps) = self.movie_parity_state(movie) {
-            if self.cfg.enforce_admission {
-                self.cras
-                    .open_parity(&movie.name, movie.table.clone(), extents, ps)?
-            } else {
-                match self.cras.open_parity(
-                    &movie.name,
-                    movie.table.clone(),
-                    extents.clone(),
-                    ps.clone(),
-                ) {
-                    Ok(id) => id,
-                    Err(_) => self.cras.open_parity_unchecked(
-                        &movie.name,
-                        movie.table.clone(),
-                        extents,
-                        ps,
-                    ),
-                }
-            }
-        } else {
-            let mirror = self.movie_mirror_extents(movie);
-            if self.cfg.enforce_admission {
-                self.cras
-                    .open_replicated(&movie.name, movie.table.clone(), extents, mirror)?
-            } else {
-                match self.cras.open_replicated(
-                    &movie.name,
-                    movie.table.clone(),
-                    extents.clone(),
-                    mirror.clone(),
-                ) {
-                    Ok(id) => id,
-                    Err(_) => self.cras.open_replicated_unchecked(
-                        &movie.name,
-                        movie.table.clone(),
-                        extents,
-                        mirror,
-                    ),
-                }
-            }
+    /// [`System::add_cras_player`]. With admission enforcement off, a
+    /// checked open the test refuses is installed unchecked instead.
+    fn open_cras_stream(
+        &mut self,
+        movie: &Movie,
+        admit: Admit,
+    ) -> Result<StreamId, AdmissionError> {
+        let req = OpenReq {
+            name: movie.name.clone(),
+            table: movie.table.clone(),
+            extents: self.movie_extents(movie),
+            mirror: self.movie_mirror_extents(movie),
+            parity: self.movie_parity_state(movie),
+            admit,
         };
-        Ok(stream)
+        // A parity movie's deferred open takes the checked ladder.
+        let checked = admit == Admit::Checked || req.parity.is_some();
+        if self.cfg.enforce_admission || !checked {
+            return self.cras.open(req);
+        }
+        self.cras.open(req.clone()).or_else(|_| {
+            self.cras.open(OpenReq {
+                admit: Admit::Unchecked,
+                ..req
+            })
+        })
     }
 }
 
@@ -884,7 +864,7 @@ impl System {
         movie: &Movie,
         stride: u32,
     ) -> Result<ClientId, AdmissionError> {
-        let stream = self.state.open_cras_stream(movie)?;
+        let stream = self.state.open_cras_stream(movie, Admit::Checked)?;
         Ok(self.install_cras_player(movie, stride, stream))
     }
 
@@ -897,17 +877,7 @@ impl System {
         movie: &Movie,
         stride: u32,
     ) -> Result<ClientId, AdmissionError> {
-        if self.state.movie_parity_state(movie).is_some() {
-            return self.add_cras_player(movie, stride);
-        }
-        let extents = self.state.movie_extents(movie);
-        let mirror = self.state.movie_mirror_extents(movie);
-        let stream = self.state.cras.open_deferred_replicated(
-            &movie.name,
-            movie.table.clone(),
-            extents,
-            mirror,
-        )?;
+        let stream = self.state.open_cras_stream(movie, Admit::Deferred)?;
         Ok(self.install_cras_player(movie, stride, stream))
     }
 
@@ -1233,18 +1203,8 @@ impl System {
 
     /// Runs the event loop until `t` (events after `t` stay queued).
     pub fn run_until(&mut self, t: Instant) {
-        while let Some(at) = self.engine.peek_time() {
-            if at > t {
-                break;
-            }
-            let Some((now, ev)) = self.engine.pop() else {
-                break;
-            };
-            if now > t {
-                // A cancelled tombstone hid this later event: re-queue.
-                self.engine.schedule(now, ev);
-                break;
-            }
+        while self.engine.peek_time().is_some_and(|at| at <= t) {
+            let (now, ev) = self.engine.pop().expect("peeked above");
             self.handle(ev, now);
         }
     }
@@ -1264,22 +1224,9 @@ impl System {
     /// byte-identical metrics.
     pub fn run_until_shuffled(&mut self, t: Instant, rng: &mut Rng) {
         let mut batch: Vec<Event> = Vec::new();
-        loop {
-            match self.engine.peek_time() {
-                Some(at) if at <= t => {}
-                _ => break,
-            }
+        while self.engine.peek_time().is_some_and(|at| at <= t) {
             batch.clear();
-            let Some(at) = self.engine.pop_batch(&mut batch) else {
-                break;
-            };
-            if at > t {
-                // A cancelled tombstone hid this later batch: re-queue.
-                for ev in batch.drain(..) {
-                    self.engine.schedule(at, ev);
-                }
-                break;
-            }
+            let at = self.engine.pop_batch(&mut batch).expect("peeked above");
             rng.shuffle(&mut batch);
             batch.sort_by_key(Event::dispatch_key);
             for &ev in &batch {

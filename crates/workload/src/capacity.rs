@@ -10,7 +10,7 @@
 //! admitted streams and the bandwidth fraction they represent, for both
 //! MPEG-1 and MPEG-2 rates.
 
-use cras_core::{Admission, AdmissionModel, CrasServer, ServerConfig, StreamParams};
+use cras_core::{Admission, AdmissionModel, CrasServer, OpenReq, ServerConfig, StreamParams};
 use cras_disk::calibrate::DiskParams;
 
 use crate::result::{Figure, KvTable};
@@ -139,7 +139,7 @@ pub fn table3(params: DiskParams) -> KvTable {
             disk_block: 100_000 + i * 100_000,
             nblocks,
         }];
-        srv.open(&format!("m{i}"), table, extents)
+        srv.open(OpenReq::single(&format!("m{i}"), table, extents))
             .expect("5 MPEG1 streams fit");
     }
     kt.row(

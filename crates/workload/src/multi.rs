@@ -14,7 +14,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use cras_core::{CrasServer, ReadId, ServerConfig, StreamId};
+use cras_core::{Admit, CrasServer, OpenReq, ReadId, ServerConfig, StreamId};
 use cras_disk::calibrate::calibrate;
 use cras_disk::{DiskDevice, DiskRequest};
 use cras_media::StreamProfile;
@@ -62,7 +62,11 @@ fn synth_streams(
                 disk_block: base_block + i as u64 * 150_000,
                 nblocks,
             }];
-            srv.open_unchecked(&format!("s{base_block}-{i}"), table, extents)
+            srv.open(
+                OpenReq::single(&format!("s{base_block}-{i}"), table, extents)
+                    .with_admit(Admit::Unchecked),
+            )
+            .expect("unchecked open installs")
         })
         .collect()
 }

@@ -4,8 +4,8 @@
 //! property-testing framework.
 
 use cras_repro::core::{
-    on_volume, Admission, AdmissionModel, CrasServer, PlacementPolicy, ServerConfig, StreamParams,
-    TimeDrivenBuffer,
+    on_volume, Admission, AdmissionModel, CrasServer, OpenReq, PlacementPolicy, ServerConfig,
+    StreamParams, TimeDrivenBuffer,
 };
 use cras_repro::disk::calibrate::DiskParams;
 use cras_repro::disk::cscan::CScanQueue;
@@ -441,25 +441,31 @@ fn closing_stream_frees_capacity_on_its_volume() {
         };
         // Fill volume 0 to rejection.
         let mut on0 = Vec::new();
-        while let Ok(id) = srv.open_placed("v0", table.clone(), extents(0)) {
+        while let Ok(id) = srv.open(OpenReq::new("v0", table.clone(), extents(0))) {
             on0.push(id);
         }
         assert!(on0.len() >= 2, "case {case}");
         // Volume 1 is untouched: a stream there still admits, and its
         // admission does not consume volume-0 capacity.
         let on1 = srv
-            .open_placed("v1", table.clone(), extents(1))
+            .open(OpenReq::new("v1", table.clone(), extents(1)))
             .expect("volume 1 has free capacity");
-        assert!(srv.open_placed("x", table.clone(), extents(0)).is_err());
+        assert!(srv
+            .open(OpenReq::new("x", table.clone(), extents(0)))
+            .is_err());
         // Closing the volume-1 stream frees nothing on volume 0 ...
         srv.close(on1);
-        assert!(srv.open_placed("x", table.clone(), extents(0)).is_err());
+        assert!(srv
+            .open(OpenReq::new("x", table.clone(), extents(0)))
+            .is_err());
         // ... but closing a volume-0 stream frees exactly one slot there.
         let victim = rng.below(on0.len() as u64) as usize;
         srv.close(on0.swap_remove(victim));
-        srv.open_placed("x", table.clone(), extents(0))
+        srv.open(OpenReq::new("x", table.clone(), extents(0)))
             .expect("closing a volume-0 stream frees volume-0 capacity");
-        assert!(srv.open_placed("y", table.clone(), extents(0)).is_err());
+        assert!(srv
+            .open(OpenReq::new("y", table.clone(), extents(0)))
+            .is_err());
     }
 }
 
@@ -545,11 +551,9 @@ fn degraded_capacity_monotone_and_restored() {
             loop {
                 let p = live[n % live.len()];
                 let m = live[(n + 1) % live.len()];
-                let open = srv.open_replicated(
-                    &format!("s{n}"),
-                    table.clone(),
-                    rep(p, 0),
-                    Some(rep(m, 1_000_000)),
+                let open = srv.open(
+                    OpenReq::new(&format!("s{n}"), table.clone(), rep(p, 0))
+                        .with_mirror(rep(m, 1_000_000)),
                 );
                 match open {
                     Ok(_) => n += 1,
@@ -658,7 +662,9 @@ fn cache_served_follower_gets_byte_identical_data() {
                 ..ServerConfig::default()
             };
             let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
-            let leader = srv.open("m", table.clone(), extents.clone()).unwrap();
+            let leader = srv
+                .open(OpenReq::single("m", table.clone(), extents.clone()))
+                .unwrap();
             srv.start(leader, Instant::ZERO);
             let mut follower = None;
             let mut begin = Instant::ZERO;
@@ -666,7 +672,9 @@ fn cache_served_follower_gets_byte_identical_data() {
             for k in 0..40u64 {
                 let now = Instant::ZERO + Duration::from_millis(k * 500);
                 if follower.is_none() && k == follow_tick {
-                    let id = srv.open("m", table.clone(), extents.clone()).unwrap();
+                    let id = srv
+                        .open(OpenReq::single("m", table.clone(), extents.clone()))
+                        .unwrap();
                     begin = srv.start(id, now);
                     follower = Some(id);
                 }
@@ -749,7 +757,9 @@ fn leader_stop_degrades_follower_to_disk_without_drops() {
             ..ServerConfig::default()
         };
         let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
-        let leader = srv.open("m", table.clone(), extents.clone()).unwrap();
+        let leader = srv
+            .open(OpenReq::single("m", table.clone(), extents.clone()))
+            .unwrap();
         srv.start(leader, Instant::ZERO);
         let mut follower = None;
         let mut follower_reqs = 0usize;
@@ -757,7 +767,7 @@ fn leader_stop_degrades_follower_to_disk_without_drops() {
             let now = Instant::ZERO + Duration::from_millis(k * 500);
             if k == 6 {
                 let id = srv
-                    .open("m", table.clone(), extents.clone())
+                    .open(OpenReq::single("m", table.clone(), extents.clone()))
                     .expect("disk has room for the follower");
                 assert!(
                     srv.stream(id).cache_state.is_cached(),
@@ -816,14 +826,18 @@ fn follower_departure_never_leaks_pins() {
             ..ServerConfig::default()
         };
         let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
-        let leader = srv.open("m", table.clone(), extents.clone()).unwrap();
+        let leader = srv
+            .open(OpenReq::single("m", table.clone(), extents.clone()))
+            .unwrap();
         srv.start(leader, Instant::ZERO);
         let mut followers = Vec::new();
         let mut now = Instant::ZERO;
         for k in 0..14u64 {
             now = Instant::ZERO + Duration::from_millis(k * 500);
             if k >= 6 && followers.len() < n_followers && k % 2 == 0 {
-                let id = srv.open("m", table.clone(), extents.clone()).unwrap();
+                let id = srv
+                    .open(OpenReq::single("m", table.clone(), extents.clone()))
+                    .unwrap();
                 srv.start(id, now);
                 followers.push(id);
             }
