@@ -124,7 +124,7 @@ fn bench_interval_plan() {
             let now = Instant::ZERO + Duration::from_millis(500) * k;
             let rep = srv.interval_tick(now);
             for r in &rep.reqs {
-                srv.io_done(r.id, now + Duration::from_millis(100));
+                srv.io_done(r.id);
             }
             black_box(rep.reqs.len());
         }

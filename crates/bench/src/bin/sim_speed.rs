@@ -7,18 +7,17 @@
 //! a reconstruction rebuild fanning extra I/O onto every spindle).
 //!
 //! ```text
-//! cargo run --release -p cras-bench --bin sim_speed [-- --quick] [-- --check]
+//! cargo run --release -p cras-bench --bin sim_speed [-- --quick] [-- --check [--strict]]
 //! ```
 //!
-//! With `--check`, instead of rewriting the baselines the run is
-//! compared against the committed `BENCH_sim_speed.json` at the repo
-//! root: a scenario whose events/sec moved more than ±30% prints a
-//! `WARN` line. The check never fails the build — CI machines are too
-//! noisy for a hard gate — it exists so a real regression shows up in
-//! the log the day it lands.
+//! The artifact is `BENCH_sim_speed.json` at the repo root. With
+//! `--check`, the run is compared against it instead of rewriting it —
+//! warn-only, so a regression shows up in the log the day it lands
+//! without gating noisy CI machines. Adding `--strict` turns drift past
+//! ±20% into a nonzero exit for local pre-merge runs.
 #![allow(clippy::field_reassign_with_default)]
 
-use cras_bench::{quick_mode, write_result};
+use cras_bench::{check_bench, check_mode, quick_mode, strict_mode, write_bench};
 use cras_core::PlacementPolicy;
 use cras_media::StreamProfile;
 use cras_sim::Duration;
@@ -105,62 +104,9 @@ fn parity_failover_like(streams: usize, secs: f64) -> System {
     sys
 }
 
-/// Pulls `"events_per_sec"` for scenario `name` out of the committed
-/// baseline JSON (hand-rolled: the repo takes no serde dependency).
-fn baseline_events_per_sec(json: &str, name: &str) -> Option<f64> {
-    let key = format!("\"name\":\"{name}\"");
-    let at = json.find(&key)?;
-    let rest = &json[at..];
-    let field = "\"events_per_sec\":";
-    let v = &rest[rest.find(field)? + field.len()..];
-    let end = v
-        .find(|c: char| c != '-' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit())
-        .unwrap_or(v.len());
-    v[..end].parse().ok()
-}
-
-/// Warn-only comparison against the committed baseline: ±`TOLERANCE`
-/// on events/sec. Always returns normally — the check informs, it does
-/// not gate.
-fn check_against_baseline(runs: &[Measured]) {
-    const TOLERANCE: f64 = 0.30;
-    let baseline = match std::fs::read_to_string("BENCH_sim_speed.json") {
-        Ok(s) => s,
-        Err(e) => {
-            println!("WARN: no committed BENCH_sim_speed.json to check against ({e})");
-            return;
-        }
-    };
-    for r in runs {
-        let Some(base) = baseline_events_per_sec(&baseline, r.name) else {
-            println!("WARN: scenario {} missing from committed baseline", r.name);
-            continue;
-        };
-        let ratio = r.events_per_sec() / base;
-        if (ratio - 1.0).abs() > TOLERANCE {
-            println!(
-                "WARN: {} events/sec {:.0} vs baseline {:.0} ({:+.0}% — outside +/-{:.0}%)",
-                r.name,
-                r.events_per_sec(),
-                base,
-                (ratio - 1.0) * 100.0,
-                TOLERANCE * 100.0
-            );
-        } else {
-            println!(
-                "OK:   {} events/sec {:.0} vs baseline {:.0} ({:+.0}%)",
-                r.name,
-                r.events_per_sec(),
-                base,
-                (ratio - 1.0) * 100.0
-            );
-        }
-    }
-}
-
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    let (streams, movie_secs, sim) = if quick_mode() {
+    let quick = quick_mode();
+    let (streams, movie_secs, sim) = if quick {
         (4, 12.0, Duration::from_secs(10))
     } else {
         (8, 35.0, Duration::from_secs(30))
@@ -177,20 +123,6 @@ fn main() {
             sim,
         ),
     ];
-    if check {
-        for r in &runs {
-            println!(
-                "{:18} {:>9} events in {:.3}s wall  ({:.0} events/s, {:.1}x real time)",
-                r.name,
-                r.events,
-                r.wall_secs,
-                r.events_per_sec(),
-                r.speedup()
-            );
-        }
-        check_against_baseline(&runs);
-        return;
-    }
     let mut json = String::from("{\"scenarios\":[");
     for (i, r) in runs.iter().enumerate() {
         println!(
@@ -216,8 +148,11 @@ fn main() {
         ));
     }
     json.push_str("]}");
-    write_result("BENCH_sim_speed", &json);
-    // Also drop a copy at the repo root where perf-trajectory tooling
-    // looks for `BENCH_*.json` artifacts.
-    std::fs::write("BENCH_sim_speed.json", &json).expect("write BENCH_sim_speed.json");
+    if check_mode() {
+        if !check_bench("sim_speed", &json, quick) && strict_mode() {
+            std::process::exit(1);
+        }
+        return;
+    }
+    write_bench("sim_speed", &json, quick);
 }

@@ -340,7 +340,9 @@ impl Cluster {
     /// then shard id.
     fn route_candidates(&self, title: &str, info: &TitleInfo) -> Vec<u32> {
         let prefix_on = self.cfg.base.server.prefix_secs > Duration::ZERO;
-        let mut cands: Vec<u32> = info
+        // Each candidate's sort key (prefix flag and load signal) is
+        // read once, not once per comparison.
+        let mut cands: Vec<(u32, bool, ShardLoad)> = info
             .replicas
             .iter()
             .copied()
@@ -349,19 +351,23 @@ impl Cluster {
                 Some(cap) => self.shards[s as usize].sys.cras.stream_count() < cap,
                 None => true,
             })
+            .map(|s| {
+                let sys = &self.shards[s as usize].sys;
+                (
+                    s,
+                    prefix_on && sys.cras.cache().has_prefix(title),
+                    sys.load_signal(),
+                )
+            })
             .collect();
-        cands.sort_by(|&a, &b| {
-            let pa = prefix_on && self.shards[a as usize].sys.cras.cache().has_prefix(title);
-            let pb = prefix_on && self.shards[b as usize].sys.cras.cache().has_prefix(title);
-            let la: ShardLoad = self.shards[a as usize].sys.load_signal();
-            let lb: ShardLoad = self.shards[b as usize].sys.load_signal();
-            pb.cmp(&pa)
+        cands.sort_by(|(a, pa, la), (b, pb, lb)| {
+            pb.cmp(pa)
                 .then(la.recent_lag.total_cmp(&lb.recent_lag))
                 .then(la.streams.cmp(&lb.streams))
                 .then(lb.recent_slack.total_cmp(&la.recent_slack))
-                .then(a.cmp(&b))
+                .then(a.cmp(b))
         });
-        cands
+        cands.into_iter().map(|(s, ..)| s).collect()
     }
 
     /// Admits `title` on the best live replica and starts playback.
@@ -372,9 +378,9 @@ impl Cluster {
         }
         let mut last = None;
         for s in self.route_candidates(title, info) {
-            let movie = self.titles[title].movies[&s].clone();
+            let movie = &self.titles[title].movies[&s];
             let sh = &mut self.shards[s as usize];
-            match sh.sys.add_cras_player(&movie, 1) {
+            match sh.sys.add_cras_player(movie, 1) {
                 Ok(c) => {
                     sh.sys.start_playback(c);
                     return Ok((s, c));

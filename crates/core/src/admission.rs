@@ -40,6 +40,59 @@ impl StreamParams {
         assert!(rate > 0.0 && chunk >= 0.0, "bad stream parameters");
         StreamParams { rate, chunk }
     }
+
+    /// `A_i = T·R_i + C_i` (B.3): bytes to retrieve per interval.
+    pub fn data_per_interval(&self, interval: f64) -> f64 {
+        interval * self.rate + self.chunk
+    }
+
+    /// `B_i = 2·A_i` (B.7): buffer bytes.
+    pub fn buffer(&self, interval: f64) -> u64 {
+        (2.0 * self.data_per_interval(interval)).ceil() as u64
+    }
+}
+
+/// A stream set folded into the sums the admission test reads: `n`,
+/// `Σ R_i`, `Σ C_i`, the 256 KB read commands `Σ ⌈A_i / 256 KB⌉` and
+/// the buffer demand `Σ B_i`, all at one interval `T`.
+///
+/// Streams are added one at a time in the caller's order, so a fold
+/// over a set does exactly the floating-point additions that
+/// [`Load::of`] does over the same set collected into a slice, and the
+/// two decide identically.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Load {
+    /// Streams (or per-spindle read commands) charged: `n`.
+    pub n: usize,
+    /// `Σ R_i`, bytes/second.
+    pub rate: f64,
+    /// `Σ C_i`, bytes.
+    pub chunk: f64,
+    /// `Σ ⌈A_i / 256 KB⌉`: the commands [`AdmissionModel::MultiCommand`]
+    /// charges.
+    pub reads: f64,
+    /// `Σ B_i`, bytes.
+    pub buffer: u64,
+}
+
+impl Load {
+    /// The load of a stream set at interval `interval`.
+    pub fn of(interval: f64, streams: &[StreamParams]) -> Load {
+        let mut load = Load::default();
+        for s in streams {
+            load.add(interval, s);
+        }
+        load
+    }
+
+    /// Adds one stream at interval `interval`.
+    pub fn add(&mut self, interval: f64, s: &StreamParams) {
+        self.n += 1;
+        self.rate += s.rate;
+        self.chunk += s.chunk;
+        self.reads += (s.data_per_interval(interval) / MAX_READ_BYTES as f64).ceil();
+        self.buffer += s.buffer(interval);
+    }
 }
 
 /// Which overhead model to use.
@@ -143,26 +196,27 @@ impl Admission {
     }
 
     /// Number of disk commands the model charges for.
-    fn command_count(&self, interval: f64, streams: &[StreamParams]) -> f64 {
+    fn command_count(&self, load: &Load) -> f64 {
         match self.model {
-            AdmissionModel::Paper => streams.len() as f64,
-            AdmissionModel::MultiCommand => streams
-                .iter()
-                .map(|s| (self.data_per_interval(interval, s) / MAX_READ_BYTES as f64).ceil())
-                .sum(),
+            AdmissionModel::Paper => load.n as f64,
+            AdmissionModel::MultiCommand => load.reads,
         }
     }
 
     /// `O_cmd` (C.10).
     pub fn o_cmd(&self, interval: f64, streams: &[StreamParams]) -> f64 {
-        self.command_count(interval, streams) * self.params.t_cmd.as_secs_f64()
+        self.command_count(&Load::of(interval, streams)) * self.params.t_cmd.as_secs_f64()
     }
 
     /// `O_seek` (C.11/C.12): the C-SCAN sweep bound. Seeks are charged per
     /// *stream* in both models — consecutive reads of one stream are
     /// sequential.
     pub fn o_seek(&self, streams: &[StreamParams]) -> f64 {
-        let n = streams.len();
+        self.seek_bound(streams.len())
+    }
+
+    /// `O_seek` for `n` streams.
+    fn seek_bound(&self, n: usize) -> f64 {
         let t_max = self.params.t_seek_max.as_secs_f64();
         let t_min = self.params.t_seek_min.as_secs_f64();
         match n {
@@ -174,45 +228,41 @@ impl Admission {
 
     /// `O_rot` (C.13).
     pub fn o_rot(&self, interval: f64, streams: &[StreamParams]) -> f64 {
-        self.command_count(interval, streams) * self.params.t_rot.as_secs_f64()
+        self.command_count(&Load::of(interval, streams)) * self.params.t_rot.as_secs_f64()
     }
 
     /// `O_total` (C.14/C.15).
     pub fn o_total(&self, interval: f64, streams: &[StreamParams]) -> f64 {
-        if streams.is_empty() {
+        self.o_total_load(&Load::of(interval, streams))
+    }
+
+    /// `O_total` of a folded stream set.
+    fn o_total_load(&self, load: &Load) -> f64 {
+        if load.n == 0 {
             return 0.0;
         }
+        let commands = self.command_count(load);
         self.o_other()
-            + self.o_seek(streams)
-            + self.o_rot(interval, streams)
-            + self.o_cmd(interval, streams)
-    }
-
-    /// `A_i = T·R_i + C_i` (B.3): bytes to retrieve for one stream per
-    /// interval.
-    pub fn data_per_interval(&self, interval: f64, s: &StreamParams) -> f64 {
-        interval * s.rate + s.chunk
-    }
-
-    /// `Σ R_i`.
-    pub fn total_rate(streams: &[StreamParams]) -> f64 {
-        streams.iter().map(|s| s.rate).sum()
-    }
-
-    /// `Σ C_i`.
-    pub fn total_chunk(streams: &[StreamParams]) -> f64 {
-        streams.iter().map(|s| s.chunk).sum()
+            + self.seek_bound(load.n)
+            + commands * self.params.t_rot.as_secs_f64()
+            + commands * self.params.t_cmd.as_secs_f64()
     }
 
     /// The calculated per-interval disk I/O time:
     /// `O_total + A_total / D` — the denominator of the Figure 8/9
     /// accuracy ratio.
     pub fn calculated_io_time(&self, interval: f64, streams: &[StreamParams]) -> f64 {
-        if streams.is_empty() {
+        self.io_time(interval, &Load::of(interval, streams))
+    }
+
+    /// [`Admission::calculated_io_time`] of a stream set folded at
+    /// `interval`.
+    pub fn io_time(&self, interval: f64, load: &Load) -> f64 {
+        if load.n == 0 {
             return 0.0;
         }
-        let a_total = interval * Self::total_rate(streams) + Self::total_chunk(streams);
-        self.o_total(interval, streams) + a_total / self.params.transfer_rate
+        let a_total = interval * load.rate + load.chunk;
+        self.o_total_load(load) + a_total / self.params.transfer_rate
     }
 
     /// The minimum feasible interval (paper (1)), or an error if the rates
@@ -223,25 +273,19 @@ impl Admission {
     /// [`Admission::admit`] with a concrete interval.
     pub fn min_interval(&self, streams: &[StreamParams]) -> Result<f64, AdmissionError> {
         let d = self.params.transfer_rate;
-        let r_total = Self::total_rate(streams);
-        if r_total >= d {
+        // Paper-model O_total is interval-independent; fold at T = 0.
+        let load = Load::of(0.0, streams);
+        if load.rate >= d {
             return Err(AdmissionError::RateSaturated {
-                total_rate: r_total,
+                total_rate: load.rate,
             });
         }
-        // Paper-model O_total is interval-independent; pass T = 0.
-        let o_total = self.o_total(0.0, streams);
-        Ok((o_total * d + Self::total_chunk(streams)) / (d - r_total))
-    }
-
-    /// `B_i = 2·A_i` (B.7): buffer bytes for one stream.
-    pub fn buffer_for(&self, interval: f64, s: &StreamParams) -> u64 {
-        (2.0 * self.data_per_interval(interval, s)).ceil() as u64
+        Ok((self.o_total_load(&load) * d + load.chunk) / (d - load.rate))
     }
 
     /// `B_total = 2·(T·R_total + C_total)` (B.8 / paper (2)).
     pub fn buffer_total(&self, interval: f64, streams: &[StreamParams]) -> u64 {
-        streams.iter().map(|s| self.buffer_for(interval, s)).sum()
+        Load::of(interval, streams).buffer
     }
 
     /// The full admission decision for a stream set at interval `T` with a
@@ -252,21 +296,29 @@ impl Admission {
         streams: &[StreamParams],
         memory_budget: u64,
     ) -> Result<(), AdmissionError> {
-        let d = self.params.transfer_rate;
-        let r_total = Self::total_rate(streams);
-        if r_total >= d {
+        self.admit_load(interval, &Load::of(interval, streams), memory_budget)
+    }
+
+    /// [`Admission::admit`] of a stream set folded at `interval`: rate
+    /// saturation, then interval feasibility, then the buffer budget.
+    pub fn admit_load(
+        &self,
+        interval: f64,
+        load: &Load,
+        memory_budget: u64,
+    ) -> Result<(), AdmissionError> {
+        if load.rate >= self.params.transfer_rate {
             return Err(AdmissionError::RateSaturated {
-                total_rate: r_total,
+                total_rate: load.rate,
             });
         }
-        let needed = self.calculated_io_time(interval, streams);
+        let needed = self.io_time(interval, load);
         if needed > interval {
             return Err(AdmissionError::IntervalTooShort { needed, interval });
         }
-        let buf = self.buffer_total(interval, streams);
-        if buf > memory_budget {
+        if load.buffer > memory_budget {
             return Err(AdmissionError::OutOfMemory {
-                needed: buf,
+                needed: load.buffer,
                 budget: memory_budget,
             });
         }
@@ -282,10 +334,10 @@ impl Admission {
         memory_budget: u64,
         limit: usize,
     ) -> usize {
-        let mut streams = Vec::new();
+        let mut load = Load::default();
         for n in 1..=limit {
-            streams.push(proto);
-            if self.admit(interval, &streams, memory_budget).is_err() {
+            load.add(interval, &proto);
+            if self.admit_load(interval, &load, memory_budget).is_err() {
                 return n - 1;
             }
         }
@@ -350,7 +402,7 @@ mod tests {
         let a = adm();
         // One MPEG1 stream at T = 0.5: A = 93 750 + 6 250 = 100 000;
         // B = 200 000.
-        assert_eq!(a.buffer_for(0.5, &mpeg1(1)[0]), 200_000);
+        assert_eq!(mpeg1(1)[0].buffer(0.5), 200_000);
         assert_eq!(a.buffer_total(0.5, &mpeg1(4)), 800_000);
     }
 
@@ -437,7 +489,7 @@ mod tests {
         let t1 = a.calculated_io_time(0.5, &s);
         let t2 = a.calculated_io_time(1.0, &s);
         // Doubling the interval doubles the transfer term only.
-        let transfer_delta = 0.5 * Admission::total_rate(&s) / 6.5e6;
+        let transfer_delta = 0.5 * Load::of(0.5, &s).rate / 6.5e6;
         assert!((t2 - t1 - transfer_delta).abs() < 1e-9);
     }
 

@@ -125,7 +125,7 @@ mod tests {
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
         for r in &rep.reqs {
-            srv.io_done(r.id, at(700));
+            srv.io_done(r.id);
         }
         srv.interval_tick(at(1000));
         let chunk = crs_get(&mut srv, s, Duration::ZERO).expect("first frame");

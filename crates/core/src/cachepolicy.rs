@@ -81,8 +81,20 @@ impl PopularityEstimator {
 
     /// Records one open of `title`.
     pub fn observe(&mut self, title: &str) {
-        *self.counts.entry(title.to_string()).or_insert(0) += 1;
+        match self.counts.get_mut(title) {
+            Some(c) => *c += 1,
+            None => {
+                self.counts.insert(title.to_string(), 1);
+            }
+        }
         self.total += 1;
+    }
+
+    /// Whether `a` ranks above `b` in [`PopularityEstimator::top`]: more
+    /// opens, or as many and an earlier name.
+    fn ranks_above(&self, a: &str, b: &str) -> bool {
+        let (ca, cb) = (self.count(a), self.count(b));
+        ca > cb || (ca == cb && a < b)
     }
 
     /// Opens observed for `title`.
@@ -176,31 +188,50 @@ impl CacheManager {
         self.hot.iter().any(|t| t == title)
     }
 
-    /// Records one open of `title`, recomputes the hot set, and syncs
-    /// the cache's prefix pins (new hot titles pinned, demoted titles
-    /// unpinned).
+    /// Records one open of `title`, updates the hot set, and syncs the
+    /// cache's prefix pins: a demoted title is unpinned, then every hot
+    /// title without a resident prefix (newly promoted, or dropped from
+    /// the cache since) is pinned again.
+    ///
+    /// One open raises only `title`'s count, so the top-`hot_set` can
+    /// change only by `title` moving up inside it or displacing its last
+    /// member; the hot set is updated in place (no sort) and stays equal
+    /// to [`PopularityEstimator::top`].
     pub fn observe_open(&mut self, title: &str, cache: &mut IntervalCache) {
         self.popularity.observe(title);
         if !self.enabled() || !cache.enabled() {
             return;
         }
-        let next: Vec<String> = self
-            .popularity
-            .top(self.hot_set)
-            .into_iter()
-            .map(|(t, _)| t.to_string())
-            .collect();
-        for old in &self.hot {
-            if !next.contains(old) {
-                cache.set_prefix(old, Duration::ZERO);
+        let popularity = &self.popularity;
+        let (entry, demoted) = match self.hot.iter().position(|t| t == title) {
+            Some(i) => (Some(self.hot.remove(i)), None),
+            None if self.hot.len() < self.hot_set => (None, None),
+            None => {
+                let last = self.hot.last().expect("hot set is full");
+                if popularity.ranks_above(title, last) {
+                    (None, self.hot.pop())
+                } else {
+                    (None, None)
+                }
+            }
+        };
+        if entry.is_some() || demoted.is_some() || self.hot.len() < self.hot_set {
+            let at = self
+                .hot
+                .iter()
+                .position(|t| popularity.ranks_above(title, t))
+                .unwrap_or(self.hot.len());
+            self.hot
+                .insert(at, entry.unwrap_or_else(|| title.to_string()));
+        }
+        if let Some(old) = demoted {
+            cache.set_prefix(&old, Duration::ZERO);
+        }
+        for t in &self.hot {
+            if !cache.has_prefix(t) {
+                cache.set_prefix(t, self.prefix_secs);
             }
         }
-        for new in &next {
-            if !cache.has_prefix(new) {
-                cache.set_prefix(new, self.prefix_secs);
-            }
-        }
-        self.hot = next;
     }
 }
 
@@ -268,5 +299,40 @@ mod tests {
         assert!(!mgr.enabled());
         assert_eq!(mgr.popularity().count("a.mov"), 1);
         assert!(!cache.has_prefix("a.mov"));
+    }
+
+    #[test]
+    fn hot_set_tracks_top_k_through_ties_and_repins_dropped_prefixes() {
+        let titles = ["a", "b", "c", "d", "e", "f"];
+        for seed in 0..20 {
+            let mut rng = cras_sim::Rng::new(seed);
+            let k = 1 + seed as usize % 4;
+            let mut cache = IntervalCache::new(1 << 20, Duration::from_secs(10));
+            let mut mgr = CacheManager::new(k, Duration::from_secs(5));
+            for step in 0..200 {
+                // Drop a title's cache entry now and then, hot or not:
+                // its pin must come back at the next open if it is hot.
+                if rng.chance(0.2) {
+                    cache.drop_movie(titles[rng.below(6) as usize]);
+                }
+                // Few titles, skewed draws: counts tie often.
+                let t = titles[(rng.below(6) * rng.below(6) / 5) as usize];
+                mgr.observe_open(t, &mut cache);
+                let top: Vec<&str> = mgr
+                    .popularity()
+                    .top(k)
+                    .into_iter()
+                    .map(|(t, _)| t)
+                    .collect();
+                assert_eq!(mgr.hot_titles(), top, "seed {seed} step {step}");
+                for t in titles {
+                    assert_eq!(
+                        cache.has_prefix(t),
+                        mgr.is_hot(t),
+                        "seed {seed} step {step} title {t}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -51,7 +51,9 @@ pub mod stream;
 pub mod tdbuffer;
 pub mod writer;
 
-pub use admission::{Admission, AdmissionError, AdmissionModel, StreamParams, MAX_READ_BYTES};
+pub use admission::{
+    Admission, AdmissionError, AdmissionModel, Load, StreamParams, MAX_READ_BYTES,
+};
 pub use api::{crs_close, crs_get, crs_open, crs_seek, crs_start, crs_stop, CrsSession};
 pub use cache::{CacheStats, EvictPolicy, IntervalCache};
 pub use cachepolicy::{

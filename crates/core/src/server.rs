@@ -34,7 +34,7 @@
 //! disk-time bound is exhausted — such a trailing stream can be
 //! *admitted* against the cache memory budget instead.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 
 use cras_disk::calibrate::DiskParams;
@@ -44,7 +44,9 @@ use cras_media::{Chunk, ChunkTable};
 use cras_sim::{Duration, Instant};
 use cras_ufs::Extent;
 
-use crate::admission::{Admission, AdmissionError, AdmissionModel, StreamParams, MAX_READ_BYTES};
+use crate::admission::{
+    Admission, AdmissionError, AdmissionModel, Load, StreamParams, MAX_READ_BYTES,
+};
 use crate::cache::{EvictPolicy, IntervalCache};
 use crate::cachepolicy::CacheManager;
 use crate::clock::LogicalClock;
@@ -398,7 +400,6 @@ fn serve_interval(
     cache: &mut IntervalCache,
     done: &mut Vec<FetchedBatch>,
     horizon: Instant,
-    now: Instant,
 ) -> Option<bool> {
     let (target, chunks) = due_chunks(s, horizon)?;
     let (Some(first), Some(last)) = (chunks.first(), chunks.last()) else {
@@ -416,7 +417,6 @@ fn serve_interval(
             stream: StreamId(sid),
             chunk_lo,
             chunk_hi,
-            completed_at: now,
             from_cache: true,
         });
     }
@@ -477,7 +477,6 @@ struct FetchedBatch {
     stream: StreamId,
     chunk_lo: u32,
     chunk_hi: u32,
-    completed_at: Instant,
     /// Whether this batch was served from the interval cache rather
     /// than a disk read (cache batches are not re-inserted).
     from_cache: bool,
@@ -520,11 +519,28 @@ struct StreamPlan {
     shares: Vec<f64>,
 }
 
-/// One stream's admission charge: parameters, per-volume rate shares,
-/// and the worst-case read commands it issues on a spindle per interval
-/// (two for parity streams — the own-unit slice plus one reconstruction
-/// read; see [`Stream::spindle_reads`]).
-type AdmitEntry = (StreamParams, Vec<f64>, u32);
+/// One stream's admission charge: parameters, per-volume rate shares
+/// (empty while it holds no disk share), and the worst-case read
+/// commands it issues on a spindle per interval (two for parity streams
+/// — the own-unit slice plus one reconstruction read; see
+/// [`Stream::spindle_reads`]).
+#[derive(Clone, Copy)]
+struct Charge<'a> {
+    params: StreamParams,
+    shares: &'a [f64],
+    reads: u32,
+}
+
+impl Charge<'_> {
+    /// An open stream's charge as it stands.
+    fn of(s: &Stream) -> Charge<'_> {
+        Charge {
+            params: s.params,
+            shares: s.admission_shares(),
+            reads: s.spindle_reads(),
+        }
+    }
+}
 
 /// The CRAS server.
 pub struct CrasServer {
@@ -554,6 +570,10 @@ pub struct CrasServer {
     /// so waiting a tick would open a one-interval delivery gap).
     parked_orphans: Vec<u32>,
     streams: BTreeMap<u32, Stream>,
+    /// Open stream ids per title, changed only where `streams` gains or
+    /// loses a stream, so per-title scans (cache and join candidates,
+    /// the last-stream check at close) skip every other title.
+    by_title: BTreeMap<String, BTreeSet<u32>>,
     next_stream: u32,
     next_place: u32,
     pending: HashMap<u64, PendingBatch>,
@@ -620,6 +640,7 @@ impl CrasServer {
             parked_orphans: Vec::new(),
             cfg,
             streams: BTreeMap::new(),
+            by_title: BTreeMap::new(),
             next_stream: 0,
             next_place: 0,
             pending: HashMap::new(),
@@ -812,26 +833,37 @@ impl CrasServer {
         self.failed[vol.index()]
     }
 
-    /// Builds the admission charge of every open stream: parameters,
-    /// per-volume rate shares, and worst-case per-spindle read commands
-    /// (see [`Stream::spindle_reads`]).
-    fn admit_entries(&self) -> Vec<AdmitEntry> {
-        self.streams
-            .values()
-            .map(|s| (s.params, s.admission_shares(), s.spindle_reads()))
-            .collect()
-    }
-
-    /// The admission decision for a prospective stream set, with each
-    /// stream's per-volume byte shares.
+    /// The admission decision for the open streams plus `extra`, with
+    /// `rerate`'s stream charged at new parameters and its full shares.
     ///
     /// Rate and interval feasibility are checked per volume against
     /// that spindle's weighted load (the bottleneck disk bounds the
     /// system); buffer memory is a shared host resource and is checked
     /// globally, exactly as the single-disk test does. With one volume
     /// every share is 1.0 and this reduces to [`Admission::admit`].
-    fn admit_set(&self, entries: &[AdmitEntry]) -> Result<(), AdmissionError> {
+    ///
+    /// Each volume's [`Load`] is folded over the streams in id order
+    /// with `extra` last, so every sum, decision and error payload is
+    /// the one [`Admission::admit`] gives on that volume's stream list
+    /// collected in the same order — without building the list.
+    fn admit_with(
+        &self,
+        rerate: Option<(StreamId, StreamParams)>,
+        extra: Option<Charge<'_>>,
+    ) -> Result<(), AdmissionError> {
         let t = self.cfg.interval.as_secs_f64();
+        let charges = self
+            .streams
+            .values()
+            .map(|s| match rerate {
+                Some((id, params)) if id == s.id => Charge {
+                    params,
+                    shares: &s.shares,
+                    reads: s.spindle_reads(),
+                },
+                _ => Charge::of(s),
+            })
+            .chain(extra);
         for v in 0..self.cfg.volumes {
             if self.failed[v] {
                 // A dead spindle serves no load; mirrored streams'
@@ -840,27 +872,26 @@ impl CrasServer {
                 // the pre-failure test.
                 continue;
             }
-            let mut scaled: Vec<StreamParams> = Vec::new();
-            for (p, shares, reads) in entries {
-                if shares[v] <= 0.0 {
+            let mut load = Load::default();
+            for c in charges.clone() {
+                let share = c.shares.get(v).copied().unwrap_or(0.0);
+                if share <= 0.0 {
                     continue;
                 }
                 // One evaluator entry per worst-case read command: the
                 // per-stream command/rotation/seek overheads then count
                 // `reads` times, while the byte charge (the rate split
                 // across the commands) stays the stream's share.
-                let per = shares[v] / *reads as f64;
-                for _ in 0..*reads {
-                    scaled.push(StreamParams::new(p.rate * per, p.chunk));
+                let per = share / c.reads as f64;
+                for _ in 0..c.reads {
+                    load.add(t, &StreamParams::new(c.params.rate * per, c.params.chunk));
                 }
             }
-            if scaled.is_empty() {
-                continue;
+            if load.n > 0 {
+                self.admissions[v].admit_load(t, &load, u64::MAX)?;
             }
-            self.admissions[v].admit(t, &scaled, u64::MAX)?;
         }
-        let all: Vec<StreamParams> = entries.iter().map(|(p, _, _)| *p).collect();
-        let needed = self.admissions[0].buffer_total(t, &all);
+        let needed: u64 = charges.map(|c| c.params.buffer(t)).sum();
         if needed > self.cfg.buffer_budget {
             return Err(AdmissionError::OutOfMemory {
                 needed,
@@ -897,9 +928,14 @@ impl CrasServer {
             // Parity movies have no deferred path: their replay takes
             // the ordinary ladder.
             Admit::Deferred if req.parity.is_none() => {
-                let mut entries = self.admit_entries();
-                entries.push((params, vec![0.0; self.cfg.volumes], 1));
-                self.admit_set(&entries)?;
+                self.admit_with(
+                    None,
+                    Some(Charge {
+                        params,
+                        shares: &[],
+                        reads: 1,
+                    }),
+                )?;
                 self.manager.observe_open(&req.name, &mut self.cache);
                 CacheState::Prefix
             }
@@ -952,24 +988,25 @@ impl CrasServer {
                 return Err(AdmissionError::VolumeFailed);
             }
         }
-        let mut entries = self.admit_entries();
-        let reads = if req.parity.is_some() { 2 } else { 1 };
-        entries.push((params, shares.to_vec(), reads));
+        let candidate = Charge {
+            params,
+            shares,
+            reads: if req.parity.is_some() { 2 } else { 1 },
+        };
+        // A zero-disk-share candidate: only its buffer demand counts.
+        let zero_share = Charge {
+            shares: &[],
+            ..candidate
+        };
         // Every checked open feeds the popularity estimator; when the
         // hot set changes, the manager re-pins prefixes in the cache.
         self.manager.observe_open(&req.name, &mut self.cache);
-        // A zero-disk-share candidate: only its buffer demand counts.
-        let volumes = self.cfg.volumes;
-        let zero_share = move |mut entries: Vec<AdmitEntry>| {
-            entries.last_mut().expect("pushed above").1 = vec![0.0; volumes];
-            entries
-        };
         // Deferred admission (DESIGN §16): a hot title whose whole
         // prefix is memory-resident starts from memory and reserves a
         // disk share only when its prefix drains (reserve-at-drain), so
         // only buffer memory is checked at open.
         if self.prefix_resident_for(&req.name, &req.table)
-            && self.admit_set(&zero_share(entries.clone())).is_ok()
+            && self.admit_with(None, Some(zero_share)).is_ok()
         {
             return Ok(CacheState::Prefix);
         }
@@ -977,7 +1014,7 @@ impl CrasServer {
         // closely enough to be fed from the interval cache? (None when
         // the cache is disabled or the window does not cover the gap.)
         let cached_need = self.cache_candidate(&req.name, &req.table, params, Duration::ZERO, None);
-        match (self.admit_set(&entries), cached_need) {
+        match (self.admit_with(None, Some(candidate)), cached_need) {
             // Disk-admitted, but opportunistically cache-served: the
             // spindle keeps the reservation, the cache saves the
             // bandwidth while the interval holds.
@@ -987,7 +1024,7 @@ impl CrasServer {
             // shares, so re-test the set with the newcomer's disk load
             // removed (its buffer demand still counts).
             (Err(e), Some(need)) => self
-                .admit_set(&zero_share(entries))
+                .admit_with(None, Some(zero_share))
                 .map(|()| CacheState::Admitted { reserved: need })
                 .map_err(|_| e),
             (Err(e), None) => Err(e),
@@ -1021,9 +1058,8 @@ impl CrasServer {
         // The window only keeps filling while a disk-fed stream of the
         // movie is running ahead of us.
         let leader = self
-            .streams
-            .values()
-            .any(|s| s.name == name && s.clock.is_running() && !s.cache_state.is_cached());
+            .title_streams(name)
+            .any(|s| s.clock.is_running() && !s.cache_state.is_cached());
         if !leader {
             return None;
         }
@@ -1031,13 +1067,9 @@ impl CrasServer {
             return None;
         }
         let pred = self
-            .streams
-            .values()
+            .title_streams(name)
             .filter(|s| {
-                Some(s.id) != exclude
-                    && s.name == name
-                    && s.cache_state.is_cached()
-                    && s.prefetch_cursor >= from
+                Some(s.id) != exclude && s.cache_state.is_cached() && s.prefetch_cursor >= from
             })
             .map(|s| s.prefetch_cursor)
             .min();
@@ -1055,6 +1087,15 @@ impl CrasServer {
             return None;
         }
         Some(need)
+    }
+
+    /// The open streams of one title, in stream-id order.
+    fn title_streams<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a Stream> + 'a {
+        self.by_title
+            .get(name)
+            .into_iter()
+            .flatten()
+            .map(|id| &self.streams[id])
     }
 
     /// [`CrasServer::cache_candidate`] for an open stream at its
@@ -1123,7 +1164,7 @@ impl CrasServer {
             .get_mut(&sid)
             .expect("no such stream")
             .cache_state = CacheState::Disk;
-        if retest && self.admit_set(&self.admit_entries()).is_err() {
+        if retest && self.admit_with(None, None).is_err() {
             self.park_stream(sid, now);
         }
     }
@@ -1143,9 +1184,11 @@ impl CrasServer {
         let t = self.cfg.interval.as_secs_f64();
         let id = StreamId(self.next_stream);
         self.next_stream += 1;
-        // Buffer sizing is 2·(T·R + C) — disk-parameter-independent, so
-        // any volume's evaluator gives the same answer.
-        let buffer_bytes = self.admissions[0].buffer_for(t, &params);
+        let buffer_bytes = params.buffer(t);
+        self.by_title
+            .entry(req.name.clone())
+            .or_default()
+            .insert(id.0);
         self.streams.insert(
             id.0,
             Stream {
@@ -1174,13 +1217,19 @@ impl CrasServer {
     pub fn close(&mut self, id: StreamId) {
         self.end_joins(id);
         let s = self.streams.remove(&id.0).expect("no such stream");
+        let ids = self.by_title.get_mut(&s.name).expect("indexed at install");
+        ids.remove(&id.0);
+        let last = ids.is_empty();
+        if last {
+            self.by_title.remove(&s.name);
+        }
         self.drop_batches(id);
         if self.cache.enabled() {
             // Release this stream's pins and reservation now, and drop
             // the movie's window when its last stream leaves.
             self.cache.remove_follower(&s.name, id.0);
             self.cache.unreserve(s.cache_state.reserved());
-            if !self.streams.values().any(|o| o.name == s.name) {
+            if last {
                 self.cache.drop_movie(&s.name);
             }
         }
@@ -1241,11 +1290,9 @@ impl CrasServer {
         }
         let delay = self.cfg.interval * self.cfg.initial_delay_intervals as u64;
         let natural = now + delay;
-        self.streams
-            .values()
+        self.title_streams(&s.name)
             .filter(|l| {
                 l.id != id
-                    && l.name == s.name
                     && l.clock.is_running()
                     && l.clock.rate() >= 1.0
                     && l.clock.rate() <= 1.0
@@ -1374,8 +1421,7 @@ impl CrasServer {
             .get_mut(&sid)
             .expect("no such stream")
             .cache_state = CacheState::Disk;
-        let entries = self.admit_entries();
-        if self.admit_set(&entries).is_ok() {
+        if self.admit_with(None, None).is_ok() {
             return Some(true);
         }
         if let Some(need) = self.cache_candidate_for(id) {
@@ -1544,26 +1590,15 @@ impl CrasServer {
             let s = self.streams.get(&id.0).expect("no such stream");
             StreamParams::new(s.table.worst_rate() * rate, s.params.chunk)
         };
-        let entries: Vec<AdmitEntry> = self
-            .streams
-            .values()
-            .map(|s| {
-                if s.id == id {
-                    // A rate change ends any cache dependence (the gap
-                    // to the leader would drift), so the stream needs a
-                    // full disk reservation at the new rate.
-                    (base, s.shares.clone(), s.spindle_reads())
-                } else {
-                    (s.params, s.admission_shares(), s.spindle_reads())
-                }
-            })
-            .collect();
-        self.admit_set(&entries)?;
+        // A rate change ends any cache dependence (the gap to the leader
+        // would drift), so the stream is tested at the new rate on its
+        // full shares.
+        self.admit_with(Some((id, base)), None)?;
         self.detach_cached(id);
         // A leader's reads no longer match its followers, and a
         // follower can no longer ride its leader's normal-rate reads.
         self.end_joins(id);
-        let need = self.admissions[0].buffer_for(t, &base);
+        let need = base.buffer(t);
         let s = self.streams.get_mut(&id.0).expect("no such stream");
         s.cache_state = CacheState::Disk;
         s.params = base;
@@ -1636,7 +1671,7 @@ impl CrasServer {
         // (fetched this interval, posted at the next tick).
         let horizon = now + self.cfg.interval * 2;
         rep.posted_chunks = self.post_fetched(now);
-        let misses = self.serve_cached(now, horizon, &mut rep);
+        let misses = self.serve_cached(horizon, &mut rep);
         self.refeed(misses, now, horizon, &mut rep);
         let active = self.plan_reads(now, horizon, &mut rep);
         self.sweep_sort(&mut rep.reqs);
@@ -1644,13 +1679,7 @@ impl CrasServer {
         rep.per_volume_calculated = active
             .iter()
             .enumerate()
-            .map(|(v, a)| {
-                if a.is_empty() {
-                    0.0
-                } else {
-                    self.admissions[v].calculated_io_time(t, a)
-                }
-            })
+            .map(|(v, load)| self.admissions[v].io_time(t, load))
             .collect();
         // The slowest spindle bounds the interval.
         rep.calculated_io_time = bottleneck_time(&rep.per_volume_calculated);
@@ -1702,12 +1731,7 @@ impl CrasServer {
     /// tick, the same timing a disk fetch would have), with zero disk
     /// commands. Joined followers are fed by phase-1 multicast and only
     /// checked for orphaning. Returns the streams left without a feed.
-    fn serve_cached(
-        &mut self,
-        now: Instant,
-        horizon: Instant,
-        rep: &mut IntervalReport,
-    ) -> FeedMisses {
+    fn serve_cached(&mut self, horizon: Instant, rep: &mut IntervalReport) -> FeedMisses {
         let mut misses = FeedMisses::default();
         if !self.cache.enabled() && self.cfg.join_window == Duration::ZERO {
             return misses;
@@ -1724,7 +1748,7 @@ impl CrasServer {
                 }
                 continue;
             }
-            match serve_interval(sid, s, &mut self.cache, &mut self.done, horizon, now) {
+            match serve_interval(sid, s, &mut self.cache, &mut self.done, horizon) {
                 Some(true) => rep.cache_served_streams += 1,
                 // The prefix has drained (or was evicted out from under
                 // the stream): reserve-at-drain happens in phase 3.
@@ -1800,7 +1824,7 @@ impl CrasServer {
                 CacheState::Prefix,
                 "stream {sid} re-fed as Prefix"
             );
-            match serve_interval(sid, s, &mut self.cache, &mut self.done, horizon, now) {
+            match serve_interval(sid, s, &mut self.cache, &mut self.done, horizon) {
                 Some(true) => rep.cache_served_streams += 1,
                 Some(false) => self.break_cached(sid, now),
                 None => {}
@@ -1817,8 +1841,9 @@ impl CrasServer {
         now: Instant,
         horizon: Instant,
         rep: &mut IntervalReport,
-    ) -> Vec<Vec<StreamParams>> {
-        let mut active: Vec<Vec<StreamParams>> = vec![Vec::new(); self.cfg.volumes];
+    ) -> Vec<Load> {
+        let t = self.cfg.interval.as_secs_f64();
+        let mut active = vec![Load::default(); self.cfg.volumes];
         // Bytes planned per volume so far this interval — the planner's
         // own half of the unified read-steering signal.
         let mut planned = vec![0u64; self.cfg.volumes];
@@ -1854,10 +1879,10 @@ impl CrasServer {
             }
             for (v, share) in plan.shares.iter().enumerate() {
                 if *share > 0.0 {
-                    active[v].push(StreamParams::new(
-                        plan.params.rate * share,
-                        plan.params.chunk,
-                    ));
+                    active[v].add(
+                        t,
+                        &StreamParams::new(plan.params.rate * share, plan.params.chunk),
+                    );
                 }
             }
             if plan.runs.is_empty() && plan.recon.is_empty() {
@@ -2113,7 +2138,7 @@ impl CrasServer {
     /// I/O-done manager: records a completed read. When a stream's whole
     /// batch is in, it is queued for posting at the next tick; returns
     /// `Some((stream, issued_at))` at that moment.
-    pub fn io_done(&mut self, read: ReadId, now: Instant) -> Option<(StreamId, Instant)> {
+    pub fn io_done(&mut self, read: ReadId) -> Option<(StreamId, Instant)> {
         let Some(info) = self.read_info.remove(&read.0) else {
             return None; // Stream closed while in flight.
         };
@@ -2129,10 +2154,8 @@ impl CrasServer {
             stream: batch.stream,
             chunk_lo: batch.chunk_lo,
             chunk_hi: batch.chunk_hi,
-            completed_at: now,
             from_cache: false,
         });
-        let _ = self.done.last().map(|b| b.completed_at); // Recorded for future use.
         Some(result)
     }
 
@@ -2322,7 +2345,7 @@ mod tests {
         // Complete them; chunks post at tick 2 and frame 0 is gettable at
         // media time 0 (real time 1.0 s).
         for r in &rep1.reqs {
-            srv.io_done(r.id, at(700));
+            srv.io_done(r.id);
         }
         let rep2 = srv.interval_tick(at(1000));
         assert!(rep2.posted_chunks > 0);
@@ -2355,7 +2378,7 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id, at(600));
+            srv.io_done(r.id);
         }
         srv.stop(id, at(700));
         // Further ticks do not fetch beyond the frozen clock.
@@ -2374,12 +2397,12 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id, at(600));
+            srv.io_done(r.id);
         }
         srv.interval_tick(at(1000));
         let r2 = srv.interval_tick(at(1000));
         for r in &r2.reqs {
-            srv.io_done(r.id, at(1100));
+            srv.io_done(r.id);
         }
         let cursor_before = srv.stream(id).prefetch_cursor;
         srv.stop(id, at(1100));
@@ -2410,7 +2433,7 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id, at(600));
+            srv.io_done(r.id);
         }
         srv.interval_tick(at(1000)); // Posts media [0, 0.5).
         assert!(srv.get(id, Duration::ZERO).is_some());
@@ -2437,10 +2460,7 @@ mod tests {
         // Seek while the interval's reads are still in flight.
         srv.seek(id, at(600), Duration::from_secs(5));
         for r in &r1.reqs {
-            assert!(
-                srv.io_done(r.id, at(700)).is_none(),
-                "stale read must be orphaned"
-            );
+            assert!(srv.io_done(r.id).is_none(), "stale read must be orphaned");
         }
         // The next tick posts nothing stale and refetches from 5 s.
         let r2 = srv.interval_tick(at(1000));
@@ -2460,7 +2480,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
                 total_bytes += r.nblocks as u64 * 512;
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         // Only ~1 s of data (187.5 KB) ever fetched, rounded to blocks.
@@ -2481,7 +2501,7 @@ mod tests {
         srv.close(id);
         // Completions for the closed stream are ignored.
         for r in &r1.reqs {
-            assert!(srv.io_done(r.id, at(600)).is_none());
+            assert!(srv.io_done(r.id).is_none());
         }
         assert_eq!(srv.stream_count(), 0);
         let rep = srv.interval_tick(at(1000));
@@ -2524,7 +2544,7 @@ mod tests {
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
         for r in &rep.reqs {
-            srv.io_done(r.id, at(700));
+            srv.io_done(r.id);
         }
         srv.interval_tick(at(1000));
         let r1 = srv.stream_report(id);
@@ -2812,7 +2832,7 @@ mod tests {
         assert_eq!(srv.stats().degraded_reads, remapped.len() as u64);
         // Completing the remapped reads posts the batch: no overrun.
         for r in &remapped {
-            srv.io_done(r.id, at(700));
+            srv.io_done(r.id);
         }
         let rep2 = srv.interval_tick(at(1000));
         assert!(!rep2.overran, "remapped batch met its deadline");
@@ -2892,7 +2912,7 @@ mod tests {
         assert!(rep3.reqs.is_empty(), "stream at cap must not plan");
         // Completing the first batch frees a slot.
         for r in &rep1.reqs {
-            srv.io_done(r.id, at(1600));
+            srv.io_done(r.id);
         }
         let rep4 = srv.interval_tick(at(2000));
         assert!(!rep4.reqs.is_empty(), "completion must resume planning");
@@ -3043,7 +3063,7 @@ mod tests {
         for k in 1..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             if rep.reqs.is_empty() {
                 continue;
@@ -3082,7 +3102,7 @@ mod tests {
         for k in 0..ticks {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         id
@@ -3105,7 +3125,7 @@ mod tests {
             follower_reqs += rep.reqs.iter().filter(|r| r.stream == follower).count();
             cache_served += rep.cache_served_streams;
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran);
         }
@@ -3161,7 +3181,7 @@ mod tests {
         for k in 6..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         // The leader stops: the frontier freezes, the follower drains
@@ -3172,7 +3192,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             follower_reqs += rep.reqs.iter().filter(|r| r.stream == follower).count();
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran, "fallback to disk must not miss deadlines");
         }
@@ -3205,14 +3225,14 @@ mod tests {
         for k in 6..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         srv.stop(leader, at(4000));
         for k in 8..24u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         // The interval broke with no spindle time left: the follower is
@@ -3266,7 +3286,7 @@ mod tests {
                 let rep = srv.interval_tick(at(k * 500));
                 for r in &rep.reqs {
                     log.push((r.stream, r.volume, r.block, r.nblocks));
-                    srv.io_done(r.id, at(k * 500 + 100));
+                    srv.io_done(r.id);
                 }
                 log.push((a, VolumeId(u32::MAX), rep.posted_chunks as u64, 0));
             }
@@ -3344,7 +3364,7 @@ mod tests {
                 reserved_tick = Some(k);
             }
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran);
         }
@@ -3381,7 +3401,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         // Both viewers hold frame 0, fed by one read stream.
@@ -3391,7 +3411,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran);
         }
@@ -3413,7 +3433,7 @@ mod tests {
         for k in 0..4u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         srv.close(a);
@@ -3422,7 +3442,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran);
         }
@@ -3616,7 +3636,7 @@ mod tests {
         // reconstructed, not lost).
         let mut posted = false;
         for r in &rep.reqs {
-            posted |= srv.io_done(r.id, at(700)).is_some();
+            posted |= srv.io_done(r.id).is_some();
         }
         assert!(posted, "batch must complete from surviving reads");
     }
@@ -3635,7 +3655,7 @@ mod tests {
             let rep = srv.interval_tick(at(500 * i));
             assert_eq!(rep.steered_streams, 0, "tick {i} steered");
             for r in &rep.reqs {
-                srv.io_done(r.id, at(500 * i + 100));
+                srv.io_done(r.id);
             }
         }
         assert_eq!(srv.stats().steered_reads, 0);
@@ -3672,7 +3692,7 @@ mod tests {
         // completes: steering never changes what gets delivered.
         let mut posted = false;
         for r in &rep.reqs {
-            posted |= srv.io_done(r.id, at(700)).is_some();
+            posted |= srv.io_done(r.id).is_some();
         }
         assert!(posted, "steered batch must complete");
         // Clearing the load stops further steering.
@@ -3846,5 +3866,210 @@ mod tests {
                 "{case}"
             );
         }
+    }
+
+    /// The admission decision as the server made it before the fold:
+    /// every stream's charge collected into a `Vec` (a rate-changed
+    /// stream at its new parameters on its full shares, the zero-share
+    /// feed states as all-zero shares, the candidate last), one scaled
+    /// `Vec<StreamParams>` per live volume judged by [`Admission::admit`],
+    /// then the global buffer test.
+    fn reference_admit(
+        srv: &CrasServer,
+        rerate: Option<(StreamId, StreamParams)>,
+        extra: Option<(StreamParams, Vec<f64>, u32)>,
+    ) -> Result<(), AdmissionError> {
+        let t = srv.cfg.interval.as_secs_f64();
+        let mut entries: Vec<(StreamParams, Vec<f64>, u32)> = srv
+            .streams
+            .values()
+            .map(|s| match rerate {
+                Some((id, p)) if id == s.id => (p, s.shares.clone(), s.spindle_reads()),
+                _ => {
+                    let zero = matches!(
+                        s.cache_state,
+                        CacheState::Admitted { .. }
+                            | CacheState::Prefix
+                            | CacheState::Joined { .. }
+                    );
+                    let shares = if zero {
+                        vec![0.0; s.shares.len()]
+                    } else {
+                        s.shares.clone()
+                    };
+                    (s.params, shares, s.spindle_reads())
+                }
+            })
+            .collect();
+        entries.extend(extra);
+        for v in 0..srv.cfg.volumes {
+            if srv.failed[v] {
+                continue;
+            }
+            let mut scaled = Vec::new();
+            for (p, shares, reads) in &entries {
+                if shares[v] <= 0.0 {
+                    continue;
+                }
+                let per = shares[v] / *reads as f64;
+                for _ in 0..*reads {
+                    scaled.push(StreamParams::new(p.rate * per, p.chunk));
+                }
+            }
+            if !scaled.is_empty() {
+                srv.admissions[v].admit(t, &scaled, u64::MAX)?;
+            }
+        }
+        let all: Vec<StreamParams> = entries.iter().map(|e| e.0).collect();
+        let needed = srv.admissions[0].buffer_total(t, &all);
+        if needed > srv.cfg.buffer_budget {
+            return Err(AdmissionError::OutOfMemory {
+                needed,
+                budget: srv.cfg.buffer_budget,
+            });
+        }
+        Ok(())
+    }
+
+    /// A random placement on a 4-volume server: whole, striped over 2–4
+    /// volumes at random cut points, mirrored, or rotating parity (a
+    /// 2-volume band or the 4-volume band).
+    fn random_req(rng: &mut Rng, name: &str) -> OpenReq {
+        match rng.below(4) {
+            0 => {
+                let (t, e) = movie_on(rng.below(4) as u32, 1.0);
+                OpenReq::new(name, t, e)
+            }
+            1 => {
+                let (t, e) = movie_table(1.0);
+                let (first, k) = (rng.below(4) as u32, rng.range_inclusive(2, 4) as u32);
+                let mut cuts: Vec<u32> = (1..k)
+                    .map(|_| rng.below(e[0].nblocks as u64) as u32)
+                    .collect();
+                cuts.push(0);
+                cuts.push(e[0].nblocks);
+                cuts.sort_unstable();
+                let extents = cuts
+                    .windows(2)
+                    .enumerate()
+                    .filter(|(_, w)| w[1] > w[0])
+                    .map(|(i, w)| VolumeExtent {
+                        volume: VolumeId((first + i as u32) % 4),
+                        extent: Extent {
+                            file_offset: w[0] as u64 * 512,
+                            disk_block: 10_000 + w[0] as u64,
+                            nblocks: w[1] - w[0],
+                        },
+                    })
+                    .collect();
+                OpenReq::new(name, t, extents)
+            }
+            2 => {
+                let p = rng.below(4) as u32;
+                let m = (p + 1 + rng.below(3) as u32) % 4;
+                let (t, pri, mir) = mirrored_movie(p, m, 1.0);
+                OpenReq::new(name, t, pri).with_mirror(mir)
+            }
+            _ => {
+                let (group, base) = *rng.pick(&[(2, 0), (2, 2), (4, 0)]);
+                let (t, e, ps) = parity_movie(group, base, 1.0, rng.next_u64());
+                OpenReq::new(name, t, e).with_parity(ps)
+            }
+        }
+    }
+
+    /// Random admission parameters: rates and chunks off any round grid,
+    /// so a fold that adds in another order shows in the low bits of
+    /// the error payloads.
+    fn random_params(rng: &mut Rng) -> StreamParams {
+        StreamParams::new(rng.f64_range(40e3, 2.5e6), rng.f64_range(0.0, 40e3))
+    }
+
+    #[test]
+    fn admission_fold_is_bit_identical_to_per_volume_lists() {
+        let mut rng = Rng::new(0xF01D);
+        let mut outcomes = [0usize; 4];
+        for trial in 0..600 {
+            let mut cfg = ServerConfig::default();
+            cfg.volumes = 4;
+            cfg.buffer_budget = rng.range_inclusive(4 << 20, 40 << 20);
+            cfg.model = if trial % 2 == 0 {
+                AdmissionModel::Paper
+            } else {
+                AdmissionModel::MultiCommand
+            };
+            let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
+            for n in 0..rng.below(40) {
+                let req = random_req(&mut rng, &format!("s{n}")).with_admit(Admit::Unchecked);
+                let id = srv.open(req).expect("unchecked open");
+                let s = srv.streams.get_mut(&id.0).expect("opened");
+                s.params = random_params(&mut rng);
+                s.cache_state = match rng.below(5) {
+                    0 => CacheState::Disk,
+                    1 => CacheState::Served { reserved: 1 },
+                    2 => CacheState::Admitted { reserved: 1 },
+                    3 => CacheState::Prefix,
+                    _ => CacheState::Joined { leader: 0 },
+                };
+            }
+            for v in 0..4 {
+                srv.set_volume_failed(VolumeId(v), rng.chance(0.15));
+            }
+            let rerate = match srv.streams.len() {
+                n if n > 0 && rng.chance(0.25) => {
+                    let id = *srv
+                        .streams
+                        .keys()
+                        .nth(rng.below(n as u64) as usize)
+                        .unwrap();
+                    Some((StreamId(id), random_params(&mut rng)))
+                }
+                _ => None,
+            };
+            let req = random_req(&mut rng, "candidate");
+            let params = random_params(&mut rng);
+            let shares = match &req.parity {
+                Some(p) => p.geom.admission_shares(4),
+                None => srv.shares_of(&req.extents, req.mirror.as_deref()),
+            };
+            let reads = if req.parity.is_some() { 2 } else { 1 };
+            let (fold, reference) = match rng.below(3) {
+                0 => (
+                    srv.admit_with(rerate, None),
+                    reference_admit(&srv, rerate, None),
+                ),
+                1 => (
+                    srv.admit_with(
+                        rerate,
+                        Some(Charge {
+                            params,
+                            shares: &shares,
+                            reads,
+                        }),
+                    ),
+                    reference_admit(&srv, rerate, Some((params, shares.clone(), reads))),
+                ),
+                _ => (
+                    srv.admit_with(
+                        rerate,
+                        Some(Charge {
+                            params,
+                            shares: &[],
+                            reads,
+                        }),
+                    ),
+                    reference_admit(&srv, rerate, Some((params, vec![0.0; 4], reads))),
+                ),
+            };
+            assert_eq!(fold, reference, "trial {trial}");
+            outcomes[match reference {
+                Ok(()) => 0,
+                Err(AdmissionError::RateSaturated { .. }) => 1,
+                Err(AdmissionError::IntervalTooShort { .. }) => 2,
+                _ => 3,
+            }] += 1;
+        }
+        // Every verdict shows up often enough to catch a reordered sum.
+        assert!(outcomes.iter().all(|&n| n >= 30), "outcomes {outcomes:?}");
     }
 }

@@ -165,17 +165,15 @@ impl Stream {
     }
 
     /// The per-volume rate shares the admission test should charge for
-    /// this stream: its real shares normally, all-zero while the stream
-    /// is cache-*admitted*, prefix-deferred, or joined (it holds no disk
-    /// reservation). Cache-*served* streams keep their disk charge —
-    /// serving them from memory is an opportunistic saving, not an
-    /// admission promise.
-    pub fn admission_shares(&self) -> Vec<f64> {
+    /// this stream: its real shares normally, none (an empty slice)
+    /// while the stream is cache-*admitted*, prefix-deferred, or joined
+    /// (it holds no disk reservation). Cache-*served* streams keep their
+    /// disk charge — serving them from memory is an opportunistic
+    /// saving, not an admission promise.
+    pub fn admission_shares(&self) -> &[f64] {
         match self.cache_state {
-            CacheState::Admitted { .. } | CacheState::Prefix | CacheState::Joined { .. } => {
-                vec![0.0; self.shares.len()]
-            }
-            _ => self.shares.clone(),
+            CacheState::Admitted { .. } | CacheState::Prefix | CacheState::Joined { .. } => &[],
+            _ => &self.shares,
         }
     }
 

@@ -8,6 +8,8 @@
 //! A *chunk* is the unit CRAS reads and clients fetch (one video frame or
 //! a group of audio samples).
 
+use std::sync::Arc;
+
 use cras_sim::Duration;
 
 /// Timing and size of one media chunk.
@@ -33,11 +35,27 @@ impl Chunk {
 }
 
 /// The full per-stream chunk table (the "control file" contents).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The table is immutable once built: clones share one chunk array, and
+/// the admission parameters (worst-case rate, largest chunk) are
+/// computed once at construction.
+#[derive(Clone, Debug, Default)]
 pub struct ChunkTable {
-    chunks: Vec<Chunk>,
+    chunks: Arc<Vec<Chunk>>,
     total_bytes: u64,
+    worst_rate: f64,
+    max_chunk_size: u32,
 }
+
+/// Tables are equal when their chunks are; every other field is derived
+/// from them.
+impl PartialEq for ChunkTable {
+    fn eq(&self, other: &ChunkTable) -> bool {
+        self.chunks == other.chunks
+    }
+}
+
+impl Eq for ChunkTable {}
 
 impl ChunkTable {
     /// Builds a table from `(duration, size)` pairs, computing timestamps
@@ -46,6 +64,8 @@ impl ChunkTable {
         let mut chunks = Vec::with_capacity(items.len());
         let mut ts = Duration::ZERO;
         let mut off = 0u64;
+        let mut worst_rate = 0.0f64;
+        let mut max_chunk_size = 0u32;
         for (i, &(duration, size)) in items.iter().enumerate() {
             chunks.push(Chunk {
                 index: i as u32,
@@ -56,10 +76,17 @@ impl ChunkTable {
             });
             ts += duration;
             off += size as u64;
+            let d = duration.as_secs_f64();
+            if d != 0.0 {
+                worst_rate = worst_rate.max(size as f64 / d);
+            }
+            max_chunk_size = max_chunk_size.max(size);
         }
         ChunkTable {
-            chunks,
+            chunks: Arc::new(chunks),
             total_bytes: off,
+            worst_rate,
+            max_chunk_size,
         }
     }
 
@@ -110,17 +137,7 @@ impl ChunkTable {
     /// (`size / duration`, maximized). The paper's admission test uses the
     /// worst case, which §3.2 notes wastes buffer space on VBR streams.
     pub fn worst_rate(&self) -> f64 {
-        self.chunks
-            .iter()
-            .map(|c| {
-                let d = c.duration.as_secs_f64();
-                if d == 0.0 {
-                    0.0
-                } else {
-                    c.size as f64 / d
-                }
-            })
-            .fold(0.0, f64::max)
+        self.worst_rate
     }
 
     /// Index of the chunk whose `[timestamp, end)` interval contains the
@@ -143,7 +160,7 @@ impl ChunkTable {
 
     /// Largest chunk size in bytes (the paper's `C_i` per-chunk term).
     pub fn max_chunk_size(&self) -> u32 {
-        self.chunks.iter().map(|c| c.size).max().unwrap_or(0)
+        self.max_chunk_size
     }
 }
 

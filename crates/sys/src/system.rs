@@ -2126,7 +2126,7 @@ impl SysState {
             DiskTag::Cras(rid) => {
                 self.metrics.on_cras_read_done(rid, &done);
                 // I/O-done manager thread: cheap, handled inline.
-                self.cras.io_done(rid, now);
+                self.cras.io_done(rid);
                 self.on_serial_read_settled(rid, &[], acts);
             }
             DiskTag::CrasWrite(_) => {

@@ -100,6 +100,26 @@ pub fn merge_runs(blocks: &[FsBlock], maxcontig: u32) -> Vec<FetchRun> {
     out
 }
 
+/// Walks an inode's block map in file order, merging adjacent
+/// file-system blocks into disk-block runs.
+fn walk_extents(inode: &Inode) -> Vec<Extent> {
+    let mut out: Vec<Extent> = Vec::new();
+    for (i, b) in inode.data_blocks().into_iter().enumerate() {
+        let disk = fsblock_to_disk(b);
+        match out.last_mut() {
+            Some(last) if last.disk_block + last.nblocks as u64 == disk => {
+                last.nblocks += SECT_PER_FSBLOCK;
+            }
+            _ => out.push(Extent {
+                file_offset: i as u64 * BSIZE as u64,
+                disk_block: disk,
+                nblocks: SECT_PER_FSBLOCK,
+            }),
+        }
+    }
+    out
+}
+
 /// The plan for serving one read call.
 #[derive(Clone, Debug, Default)]
 pub struct ReadPlan {
@@ -352,25 +372,20 @@ impl Ufs {
     /// adjacent file-system blocks into disk-block runs.
     ///
     /// CRAS resolves this once per `crs_open`, which is how it avoids
-    /// touching UFS metadata during constant-rate retrieval.
+    /// touching UFS metadata during constant-rate retrieval. The map is
+    /// built on first use and kept with the inode until a block is
+    /// mapped or the size changes, so repeated opens of a recorded
+    /// movie skip the block-map walk.
     pub fn extent_map(&self, ino: Ino) -> Vec<Extent> {
         let inode = &self.inodes[ino as usize];
-        let blocks = inode.data_blocks();
-        let mut out: Vec<Extent> = Vec::new();
-        for (i, &b) in blocks.iter().enumerate() {
-            let disk = fsblock_to_disk(b);
-            match out.last_mut() {
-                Some(last) if last.disk_block + last.nblocks as u64 == disk => {
-                    last.nblocks += SECT_PER_FSBLOCK;
-                }
-                _ => out.push(Extent {
-                    file_offset: i as u64 * BSIZE as u64,
-                    disk_block: disk,
-                    nblocks: SECT_PER_FSBLOCK,
-                }),
+        if let Some((size, map)) = &*inode.extents.borrow() {
+            if *size == inode.size {
+                return map.clone();
             }
         }
-        out
+        let map = walk_extents(inode);
+        *inode.extents.borrow_mut() = Some((inode.size, map.clone()));
+        map
     }
 
     /// Plans a read of `[offset, offset+len)` through the buffer cache.
@@ -586,6 +601,58 @@ mod tests {
         for e in &extents {
             assert_eq!(e.file_offset, off);
             off += e.bytes();
+        }
+    }
+
+    #[test]
+    fn memoized_extent_map_matches_an_uncached_walk() {
+        let mut fs = stock_fs();
+        let check = |fs: &Ufs, ino: Ino| {
+            // Twice: the first call may build the memo, the second reads it.
+            for _ in 0..2 {
+                assert_eq!(fs.extent_map(ino), walk_extents(fs.inode(ino)));
+            }
+        };
+        let a = fs.create("a").unwrap();
+        let b = fs.create("b").unwrap();
+        for step in 0..8u64 {
+            // Interleaved growth: whole blocks, a partial block, and a
+            // preallocation, each after the map was already built.
+            fs.append(a, 3 * MB + step * 1000).unwrap();
+            check(&fs, a);
+            fs.preallocate(b, MB / 2 + 7).unwrap();
+            check(&fs, b);
+        }
+        // Remove plus re-create under the same name: fresh inode, fresh
+        // map, and the old one's blocks handed out again.
+        fs.remove("a").unwrap();
+        let a2 = fs.create("a").unwrap();
+        check(&fs, a2);
+        fs.append(a2, 10 * MB).unwrap();
+        check(&fs, a2);
+        check(&fs, b);
+        // A hole filled at an unchanged size: only the clear in
+        // `set_bmap` can notice that the map changed.
+        let c = fs.create("c").unwrap();
+        fs.append(c, 4 * BSIZE as u64).unwrap();
+        fs.inodes[c as usize].size += BSIZE as u64;
+        check(&fs, c);
+        let block = fs.alloc.alloc_meta(0).unwrap();
+        fs.inodes[c as usize].set_bmap(4, block, &mut Vec::new());
+        check(&fs, c);
+        // A block mapped past the end of file (`append` maps blocks
+        // before it sets the size) joins the map only once the size
+        // covers it: only the size key can notice that.
+        let d = fs.create("d").unwrap();
+        fs.append(d, 4 * BSIZE as u64).unwrap();
+        let block = fs.alloc.alloc_meta(0).unwrap();
+        fs.inodes[d as usize].set_bmap(4, block, &mut Vec::new());
+        check(&fs, d);
+        fs.inodes[d as usize].size += BSIZE as u64;
+        check(&fs, d);
+        for ino in [c, d] {
+            let bytes: u64 = fs.extent_map(ino).iter().map(|e| e.bytes()).sum();
+            assert_eq!(bytes, 5 * BSIZE as u64);
         }
     }
 

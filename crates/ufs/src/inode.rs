@@ -6,6 +6,9 @@
 //! through the buffer cache. CRAS avoids that steady-state cost by
 //! resolving a file's full extent map once at `crs_open` time.
 
+use std::cell::RefCell;
+
+use crate::fs::Extent;
 use crate::layout::{FsBlock, Ino, BSIZE, NDIRECT, NINDIR};
 
 /// Which physical blocks must be read to reach a file block: zero, one or
@@ -38,6 +41,10 @@ pub struct Inode {
     /// how many blocks it has placed there (for `maxbpg`).
     pub(crate) alloc_group: Option<u32>,
     pub(crate) blocks_in_group: u32,
+    /// The extent map [`Ufs::extent_map`](crate::Ufs::extent_map) last
+    /// built from this block map, keyed by the `size` it was built at.
+    /// Mapping a block clears it; a size change misses the key.
+    pub(crate) extents: RefCell<Option<(u64, Vec<Extent>)>>,
 }
 
 impl Inode {
@@ -53,6 +60,7 @@ impl Inode {
             dind_tables: Vec::new(),
             alloc_group: None,
             blocks_in_group: 0,
+            extents: RefCell::new(None),
         }
     }
 
@@ -126,6 +134,7 @@ impl Inode {
     /// Panics if `fb` is beyond the double-indirect range, if a required
     /// metadata block was not supplied, or if `fb` is already mapped.
     pub fn set_bmap(&mut self, fb: u64, data: FsBlock, meta: &mut Vec<FsBlock>) {
+        *self.extents.get_mut() = None;
         if fb < NDIRECT as u64 {
             assert!(self.direct[fb as usize].is_none(), "remapping block {fb}");
             self.direct[fb as usize] = Some(data);

@@ -146,7 +146,7 @@ pub fn run_config(
                 let (done, next) = disk.complete(at);
                 bytes += done.req.bytes();
                 let (si, rid) = done.req.tag;
-                srvs[si].io_done(rid, at);
+                srvs[si].io_done(rid);
                 if let Some(t) = next {
                     heap.push(Reverse((t, seq, Ev::DiskDone)));
                     seq += 1;
