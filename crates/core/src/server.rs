@@ -50,7 +50,7 @@ use crate::admission::{
 use crate::cache::{EvictPolicy, IntervalCache};
 use crate::cachepolicy::CacheManager;
 use crate::clock::LogicalClock;
-use crate::placement::{on_volume, volume_shares, PlacementPolicy, VolumeExtent};
+use crate::placement::{on_volume, PlacementPolicy, VolumeExtent};
 use crate::stream::{CacheState, ParityState, Stream, StreamId, VolumeRun};
 use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer};
 
@@ -361,21 +361,26 @@ fn bottleneck_time(per_volume: &[f64]) -> f64 {
 }
 
 /// Posts chunks `lo..=hi` of a stream's table into its time-driven
-/// buffer at `now`. Returns the chunks posted.
+/// buffer at `now`, up to the first chunk the buffer cannot take: a
+/// stopped clock discards nothing, and a rate cut shrinks the buffer
+/// under a batch fetched at the old rate. The pre-fetch cursor is
+/// rewound to that chunk, so the stream fetches it again. Returns the
+/// chunks posted.
 fn post_chunks(s: &mut Stream, lo: u32, hi: u32, now: Instant) -> usize {
     let media_now = s.clock.media_time(now);
     for i in lo..=hi {
         let c = *s.table.get(i).expect("batch chunk in table");
-        s.buffer.put(
-            BufferedChunk {
-                index: c.index,
-                timestamp: c.timestamp,
-                duration: c.duration,
-                size: c.size,
-                posted_at: now,
-            },
-            media_now,
-        );
+        let chunk = BufferedChunk {
+            index: c.index,
+            timestamp: c.timestamp,
+            duration: c.duration,
+            size: c.size,
+            posted_at: now,
+        };
+        if !s.buffer.try_put(chunk, media_now) {
+            s.prefetch_cursor = c.timestamp;
+            return (i - lo) as usize;
+        }
     }
     (hi - lo) as usize + 1
 }
@@ -494,6 +499,43 @@ struct ReadInfo {
     /// logical bytes, so it cannot be re-mapped again: a failure here is
     /// a second failure in the band and the range is lost.
     recon: bool,
+}
+
+/// What moves one stream's feed ([`CacheState`]) through
+/// [`CrasServer::feed`]: a public operation, or what the tick's
+/// cache-serve phase found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FeedEvent {
+    /// `crs_start`: join a starting leader, or run on the current feed.
+    Start,
+    /// `crs_stop` (the clock is already stopped).
+    Stop,
+    /// `crs_seek` (the stream is already repositioned).
+    Seek,
+    /// A rate change that passed admission at the new rate.
+    Rerate,
+    /// A park on the caller's initiative (delivery backpressure).
+    Park,
+    /// The client's retry of a stopped, unfed stream.
+    Resume,
+    /// The cache-serve phase missed: a broken window or a drained
+    /// prefix.
+    Miss,
+    /// The stream's join leader stopped multicasting to it.
+    Orphaned,
+    /// `crs_close` (the stream is removed next).
+    Close,
+}
+
+/// A rung of the feed ladder ([`CrasServer::acquire`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rung {
+    /// A disk share: kept when held, else granted by the disk test.
+    Disk,
+    /// The movie's interval-cache window behind a predecessor.
+    Window,
+    /// No feed for now: the clock stops where it is.
+    Park,
 }
 
 /// Streams the cache-serve phase left without a working feed.
@@ -707,7 +749,7 @@ impl CrasServer {
     pub fn disk_charged_streams(&self) -> usize {
         self.streams
             .values()
-            .filter(|s| matches!(s.cache_state, CacheState::Disk | CacheState::Served { .. }))
+            .filter(|s| s.cache_state.holds_disk_share())
             .count()
     }
 
@@ -724,6 +766,11 @@ impl CrasServer {
         for (v, l) in self.ext_load.iter_mut().enumerate() {
             *l = loads.get(v).copied().unwrap_or_default();
         }
+    }
+
+    /// Write access to an open stream.
+    fn stream_mut(&mut self, id: StreamId) -> &mut Stream {
+        self.streams.get_mut(&id.0).expect("no such stream")
     }
 
     /// Drops one outstanding-batch count for a stream (its batch
@@ -919,10 +966,12 @@ impl CrasServer {
     /// An [`Admit::Unchecked`] open always succeeds.
     pub fn open(&mut self, req: OpenReq) -> Result<StreamId, AdmissionError> {
         let params = StreamParams::new(req.table.worst_rate(), req.table.max_chunk_size() as f64);
-        let shares = match &req.parity {
-            Some(p) => p.geom.admission_shares(self.cfg.volumes),
-            None => self.shares_of(&req.extents, req.mirror.as_deref()),
-        };
+        let shares = Stream::rate_shares(
+            &req.extents,
+            req.mirror.as_deref(),
+            req.parity.as_ref(),
+            self.cfg.volumes,
+        );
         let feed = match req.admit {
             Admit::Unchecked => CacheState::Disk,
             // Parity movies have no deferred path: their replay takes
@@ -941,21 +990,41 @@ impl CrasServer {
             }
             _ => self.admit_checked(&req, params, &shares)?,
         };
-        let id = self.install_stream(req, params, shares);
+        let id = StreamId(self.next_stream);
+        self.next_stream += 1;
+        self.by_title
+            .entry(req.name.clone())
+            .or_default()
+            .insert(id.0);
+        let buffer_bytes = params.buffer(self.cfg.interval.as_secs_f64());
+        self.streams.insert(
+            id.0,
+            Stream {
+                id,
+                name: req.name,
+                table: req.table,
+                extents: req.extents,
+                mirror: req.mirror,
+                parity: req.parity,
+                params,
+                shares,
+                clock: LogicalClock::new(),
+                buffer: TimeDrivenBuffer::new(buffer_bytes, self.cfg.jitter),
+                prefetch_cursor: Duration::ZERO,
+                cache_state: feed,
+            },
+        );
+        let stats = self.cache.stats_mut();
         match feed {
-            CacheState::Prefix => {
-                self.streams
-                    .get_mut(&id.0)
-                    .expect("installed above")
-                    .cache_state = CacheState::Prefix;
-                self.cache.stats_mut().prefix_admitted_streams += 1;
-            }
-            CacheState::Served { reserved } => self.attach_cached(id, reserved, false),
-            CacheState::Admitted { reserved } => {
-                self.attach_cached(id, reserved, true);
-                self.cache.stats_mut().cache_admitted_streams += 1;
-            }
-            CacheState::Disk | CacheState::Joined { .. } => {}
+            CacheState::Prefix => stats.prefix_admitted_streams += 1,
+            CacheState::Admitted { .. } => stats.cache_admitted_streams += 1,
+            _ => {}
+        }
+        if feed.reserved() > 0 {
+            // A window feed pins the window from the stream's first frame.
+            self.cache.reserve(feed.reserved());
+            let name = &self.streams[&id.0].name;
+            self.cache.add_follower(name, id.0, Duration::ZERO);
         }
         Ok(id)
     }
@@ -1013,7 +1082,8 @@ impl CrasServer {
         // Does the new stream trail an active stream on the same movie
         // closely enough to be fed from the interval cache? (None when
         // the cache is disabled or the window does not cover the gap.)
-        let cached_need = self.cache_candidate(&req.name, &req.table, params, Duration::ZERO, None);
+        let cached_need =
+            self.cache_candidate(&req.name, &req.table, params, Duration::ZERO, None, false);
         match (self.admit_with(None, Some(candidate)), cached_need) {
             // Disk-admitted, but opportunistically cache-served: the
             // spindle keeps the reservation, the cache saves the
@@ -1036,7 +1106,9 @@ impl CrasServer {
     /// reserve for it: the gap to its nearest cache-dependent
     /// predecessor (whose pins already cover the rest of the window),
     /// plus a double-buffer-safe margin of three intervals and two
-    /// chunks, all at the stream's worst-case rate.
+    /// chunks, all at the stream's worst-case rate. `exclude` is the
+    /// stream itself when it is open; `leading` counts it as a running
+    /// disk-fed stream of the movie.
     fn cache_candidate(
         &self,
         name: &str,
@@ -1044,6 +1116,7 @@ impl CrasServer {
         params: StreamParams,
         from: Duration,
         exclude: Option<StreamId>,
+        leading: bool,
     ) -> Option<u64> {
         if !self.cache.enabled() {
             return None;
@@ -1057,9 +1130,10 @@ impl CrasServer {
         }
         // The window only keeps filling while a disk-fed stream of the
         // movie is running ahead of us.
-        let leader = self
-            .title_streams(name)
-            .any(|s| s.clock.is_running() && !s.cache_state.is_cached());
+        let leader = leading
+            || self
+                .title_streams(name)
+                .any(|s| s.clock.is_running() && !s.cache_state.is_cached());
         if !leader {
             return None;
         }
@@ -1099,10 +1173,19 @@ impl CrasServer {
     }
 
     /// [`CrasServer::cache_candidate`] for an open stream at its
-    /// pre-fetch cursor.
-    fn cache_candidate_for(&self, id: StreamId) -> Option<u64> {
+    /// pre-fetch cursor. A stream the disk rung of the feed ladder just
+    /// `refused` is tested as a disk-fed one.
+    fn cache_candidate_for(&self, id: StreamId, refused: bool) -> Option<u64> {
         let s = self.stream(id);
-        self.cache_candidate(&s.name, &s.table, s.params, s.prefetch_cursor, Some(id))
+        let leading = refused && s.clock.is_running();
+        self.cache_candidate(
+            &s.name,
+            &s.table,
+            s.params,
+            s.prefetch_cursor,
+            Some(id),
+            leading,
+        )
     }
 
     /// Whether `name` qualifies for deferred (prefix) admission: it is
@@ -1115,98 +1198,191 @@ impl CrasServer {
         self.cache.prefix_resident(name, table, Duration::ZERO, end)
     }
 
-    /// Marks an installed stream cache-fed and registers it as a
-    /// follower of its movie's window.
-    fn attach_cached(&mut self, id: StreamId, need: u64, admitted: bool) {
-        let s = self.streams.get_mut(&id.0).expect("stream installed");
-        s.cache_state = if admitted {
-            CacheState::Admitted { reserved: need }
-        } else {
-            CacheState::Served { reserved: need }
+    /// The start delay of a stream's clock: the configured number of
+    /// intervals.
+    fn initial_delay(&self) -> Duration {
+        self.cfg.interval * self.cfg.initial_delay_intervals as u64
+    }
+
+    /// The feed transition: every change of a stream's [`CacheState`]
+    /// is one `(state, event)` arm of this match (the table in DESIGN
+    /// §16). The arms are built on two primitives:
+    /// [`CrasServer::shed`] releases what the old feed held, and
+    /// [`CrasServer::acquire`] climbs the feed ladder. Returns the rung
+    /// that took the stream, when the arm climbed the ladder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream does not exist.
+    fn feed(&mut self, id: StreamId, ev: FeedEvent, now: Instant) -> Option<Rung> {
+        use CacheState::{Admitted, Disk, Joined, Prefix, Served, Unfed};
+        use FeedEvent as E;
+        const LADDER: &[Rung] = &[Rung::Disk, Rung::Window, Rung::Park];
+        let s = self.stream(id);
+        let (state, running) = (s.cache_state, s.clock.is_running());
+        // These events release the old feed before anything else.
+        if matches!(ev, E::Stop | E::Seek | E::Rerate | E::Close) || (ev == E::Park && running) {
+            self.shed(id, ev);
+        }
+        let (next, rung) = match (state, ev) {
+            (_, E::Start) => match self.join_candidate(id, now) {
+                // A fresh stream within the join window of a starting
+                // same-title leader rides that leader's reads.
+                Some(leader) => {
+                    self.shed(id, ev);
+                    self.join_stream(id, leader, now);
+                    (Joined { leader }, None)
+                }
+                None => {
+                    let begin = now + self.initial_delay();
+                    self.stream_mut(id).clock.start(begin);
+                    if matches!(state, Admitted { .. } | Unfed) {
+                        // No disk share to run on: re-attach to the
+                        // window at the frozen cursor. Without one, the
+                        // first serve miss re-tests the disk.
+                        self.shed(id, ev);
+                        self.acquire(id, now, &[Rung::Window])
+                    } else {
+                        (state, None)
+                    }
+                }
+            },
+            // A stopped stream keeps a disk share it held, and a
+            // resident prefix still feeds it on restart.
+            (Served { .. }, E::Stop) => (Disk, None),
+            (Admitted { .. } | Joined { .. } | Unfed, E::Stop) => (Unfed, None),
+            // Re-attach at the new position when the window covers it,
+            // else back to the disk: a served stream still holds its
+            // share, any other must pass the disk test or park.
+            (Served { .. } | Admitted { .. } | Prefix | Joined { .. } | Unfed, E::Seek) => {
+                self.acquire(id, now, &[Rung::Window, Rung::Disk, Rung::Park])
+            }
+            // The new rate passed admission on the stream's full shares.
+            (_, E::Rerate) => (Disk, None),
+            (_, E::Park) if running => self.acquire(id, now, &[Rung::Park]),
+            (Unfed, E::Resume) if !running => {
+                let (next, rung) = self.acquire(id, now, &[Rung::Disk, Rung::Window]);
+                if rung.is_some() {
+                    let begin = now + self.initial_delay();
+                    self.stream_mut(id).clock.start(begin);
+                }
+                (next, rung)
+            }
+            // Reserve-at-drain: the resident prefix ran out.
+            (Prefix, E::Miss) => {
+                self.cache.stats_mut().deferred_drained_streams += 1;
+                self.acquire(id, now, LADDER)
+            }
+            // A broken window: back to the disk share a served stream
+            // still holds, else through the disk test.
+            (_, E::Miss) => {
+                self.cache.stats_mut().interval_breaks += 1;
+                self.shed(id, ev);
+                self.acquire(id, now, &[Rung::Disk, Rung::Park])
+            }
+            (Joined { .. }, E::Orphaned) => {
+                // A follower that got everything before its leader left
+                // has nothing left to read.
+                let s = self.stream(id);
+                let done = s.prefetch_cursor >= s.table.total_duration();
+                self.acquire(id, now, if done { &[] } else { LADDER })
+            }
+            // A disk or prefix stream's stop, a disk stream's seek, a
+            // close (the stream goes next), and a park, resume or
+            // orphaning that does not apply leave the state as it is.
+            (Disk | Prefix, E::Stop)
+            | (Disk, E::Seek)
+            | (_, E::Close | E::Park | E::Resume | E::Orphaned) => (state, None),
         };
-        let name = s.name.clone();
-        let from = s.prefetch_cursor;
-        self.cache.reserve(need);
-        self.cache.add_follower(&name, id.0, from);
+        self.stream_mut(id).cache_state = next;
+        rung
     }
 
-    /// Detaches a stream from the cache: strips its pins and releases
-    /// its reservation in the same call (no leaked pins).
-    fn detach_cached(&mut self, id: StreamId) {
-        let s = self.streams.get_mut(&id.0).expect("no such stream");
-        let reserved = s.cache_state.reserved();
-        if !s.cache_state.is_cached() {
-            return;
+    /// Releases what a stream's feed holds as `ev` moves it: its cache
+    /// pins and reservation, and its join membership in both roles —
+    /// except on a start or a serve miss, which leave the stream in
+    /// its joins.
+    fn shed(&mut self, id: StreamId, ev: FeedEvent) {
+        let s = &self.streams[&id.0];
+        let state = s.cache_state;
+        // `remove_follower` also runs the eviction sweep, so it runs
+        // exactly where a pin can be held: off the disk path, and at
+        // close for every stream of a cached movie.
+        if state.is_cached() || (ev == FeedEvent::Close && self.cache.enabled()) {
+            self.cache.remove_follower(&s.name, id.0);
+            self.cache.unreserve(state.reserved());
         }
-        let name = s.name.clone();
-        self.cache.remove_follower(&name, id.0);
-        self.cache.unreserve(reserved);
-    }
-
-    /// Handles a broken interval (serve miss) for a cache-fed stream:
-    /// detach, then either revert silently to the still-charged disk
-    /// path (cache-*served*) or re-run disk admission (cache-*admitted*)
-    /// — stopping the stream if the disk cannot take it.
-    fn break_cached(&mut self, sid: u32, now: Instant) {
-        self.cache.stats_mut().interval_breaks += 1;
-        let id = StreamId(sid);
-        self.detach_cached(id);
-        let admitted = matches!(self.stream(id).cache_state, CacheState::Admitted { .. });
-        self.fall_back_to_disk(sid, admitted, now);
-    }
-
-    /// Moves a stream that lost its cache feed to the disk path. With
-    /// `retest` (it held no disk share) the admission test re-runs with
-    /// the stream's real shares, and a stream the spindles cannot take
-    /// parks where it is (the client may retry once others close).
-    fn fall_back_to_disk(&mut self, sid: u32, retest: bool, now: Instant) {
-        self.streams
-            .get_mut(&sid)
-            .expect("no such stream")
-            .cache_state = CacheState::Disk;
-        if retest && self.admit_with(None, None).is_err() {
-            self.park_stream(sid, now);
+        if !matches!(ev, FeedEvent::Start | FeedEvent::Miss) {
+            self.leave_joins(id);
         }
     }
 
-    fn shares_of(&self, extents: &[VolumeExtent], mirror: Option<&[VolumeExtent]>) -> Vec<f64> {
-        match mirror {
-            None => volume_shares(extents, self.cfg.volumes),
-            Some(m) => {
-                let mut all = extents.to_vec();
-                all.extend(m.iter().cloned());
-                volume_shares(&all, self.cfg.volumes)
+    /// Takes a stream out of every join, in both roles. Followers it led
+    /// are orphaned; the next tick's cache-serve phase finds them.
+    fn leave_joins(&mut self, id: StreamId) {
+        self.joins.remove(&id.0);
+        self.joins.retain(|_, followers| {
+            followers.retain(|&f| f != id.0);
+            !followers.is_empty()
+        });
+    }
+
+    /// The feed ladder: tries `rungs` in order and returns the state of
+    /// the first that takes the stream, with that rung. A disk-charged
+    /// stream keeps its share on the disk rung and takes a window as
+    /// cache-*served*; any other must pass the disk test, and a window
+    /// it takes after the test refused it counts as a cache admission.
+    /// The park rung stops the clock where it is and orphans the
+    /// stream's followers into this tick's re-feed. With every rung
+    /// refused the stream is left [`CacheState::Unfed`].
+    fn acquire(
+        &mut self,
+        id: StreamId,
+        now: Instant,
+        rungs: &[Rung],
+    ) -> (CacheState, Option<Rung>) {
+        let s = self.stream(id);
+        let (charged, params) = (s.cache_state.holds_disk_share(), s.params);
+        let mut refused = false;
+        for &rung in rungs {
+            match rung {
+                Rung::Disk => {
+                    if charged || self.admit_with(Some((id, params)), None).is_ok() {
+                        return (CacheState::Disk, Some(rung));
+                    }
+                    refused = true;
+                }
+                Rung::Window => {
+                    let Some(need) = self.cache_candidate_for(id, refused) else {
+                        continue;
+                    };
+                    let s = &self.streams[&id.0];
+                    self.cache.reserve(need);
+                    self.cache.add_follower(&s.name, id.0, s.prefetch_cursor);
+                    if refused {
+                        self.cache.stats_mut().cache_admitted_streams += 1;
+                    }
+                    let next = if charged {
+                        CacheState::Served { reserved: need }
+                    } else {
+                        CacheState::Admitted { reserved: need }
+                    };
+                    return (next, Some(rung));
+                }
+                Rung::Park => {
+                    if let Some(fs) = self.joins.remove(&id.0) {
+                        self.parked_orphans.extend(fs);
+                    }
+                    let s = self.streams.get_mut(&id.0).expect("no such stream");
+                    s.clock.stop(now);
+                    self.cache.stats_mut().cache_rejected_streams += 1;
+                    self.pending_rejects.push(s.name.clone());
+                    self.pending_parks.push(id.0);
+                    return (CacheState::Unfed, Some(rung));
+                }
             }
         }
-    }
-
-    fn install_stream(&mut self, req: OpenReq, params: StreamParams, shares: Vec<f64>) -> StreamId {
-        let t = self.cfg.interval.as_secs_f64();
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        let buffer_bytes = params.buffer(t);
-        self.by_title
-            .entry(req.name.clone())
-            .or_default()
-            .insert(id.0);
-        self.streams.insert(
-            id.0,
-            Stream {
-                id,
-                name: req.name,
-                table: req.table,
-                extents: req.extents,
-                mirror: req.mirror,
-                parity: req.parity,
-                params,
-                shares,
-                clock: LogicalClock::new(),
-                buffer: TimeDrivenBuffer::new(buffer_bytes, self.cfg.jitter),
-                prefetch_cursor: Duration::ZERO,
-                cache_state: CacheState::Disk,
-            },
-        );
-        id
+        (CacheState::Unfed, None)
     }
 
     /// `crs_close`: releases the stream and its buffer.
@@ -1215,24 +1391,19 @@ impl CrasServer {
     ///
     /// Panics if the stream does not exist.
     pub fn close(&mut self, id: StreamId) {
-        self.end_joins(id);
+        // Closing never parks, so the feed transition needs no time.
+        self.feed(id, FeedEvent::Close, Instant::ZERO);
         let s = self.streams.remove(&id.0).expect("no such stream");
         let ids = self.by_title.get_mut(&s.name).expect("indexed at install");
         ids.remove(&id.0);
-        let last = ids.is_empty();
-        if last {
+        if ids.is_empty() {
             self.by_title.remove(&s.name);
-        }
-        self.drop_batches(id);
-        if self.cache.enabled() {
-            // Release this stream's pins and reservation now, and drop
-            // the movie's window when its last stream leaves.
-            self.cache.remove_follower(&s.name, id.0);
-            self.cache.unreserve(s.cache_state.reserved());
-            if last {
+            // The movie's window goes with its last stream.
+            if self.cache.enabled() {
                 self.cache.drop_movie(&s.name);
             }
         }
+        self.drop_batches(id);
     }
 
     /// `crs_start`: starts pre-fetching; the logical clock begins after
@@ -1245,32 +1416,8 @@ impl CrasServer {
     /// chunks are backfilled, and later batches are multicast as they
     /// post — zero disk commands of its own.
     pub fn start(&mut self, id: StreamId, now: Instant) -> Instant {
-        let delay = self.cfg.interval * self.cfg.initial_delay_intervals as u64;
-        let begin = now + delay;
-        if let Some(leader) = self.join_candidate(id, now) {
-            return self.join_stream(id, leader, now);
-        }
-        let s = self.streams.get_mut(&id.0).expect("no such stream");
-        s.clock.start(begin);
-        // A cache-admitted stream holds no disk reservation: it must
-        // re-attach to its movie's window at the frozen cursor. If the
-        // window has moved on, the first tick's serve miss breaks the
-        // interval and re-runs disk admission.
-        if matches!(s.cache_state, CacheState::Admitted { .. }) {
-            // Drop any reservation held from open (or a prior attach)
-            // before re-sizing it for the current window position.
-            self.detach_cached(id);
-            match self.cache_candidate_for(id) {
-                Some(need) => self.attach_cached(id, need, true),
-                None => {
-                    self.streams
-                        .get_mut(&id.0)
-                        .expect("checked above")
-                        .cache_state = CacheState::Admitted { reserved: 0 }
-                }
-            }
-        }
-        begin
+        self.feed(id, FeedEvent::Start, now);
+        self.stream(id).clock.anchor().expect("clock started")
     }
 
     /// The stream a starting stream should join, if any: a same-title,
@@ -1288,8 +1435,7 @@ impl CrasServer {
         if s.prefetch_cursor > Duration::ZERO || s.clock.media_time(now) > Duration::ZERO {
             return None;
         }
-        let delay = self.cfg.interval * self.cfg.initial_delay_intervals as u64;
-        let natural = now + delay;
+        let natural = now + self.initial_delay();
         self.title_streams(&s.name)
             .filter(|l| {
                 l.id != id
@@ -1313,9 +1459,7 @@ impl CrasServer {
     /// Coalesces a starting stream onto `leader`'s read stream: anchors
     /// its clock on the leader's begin, backfills the chunks the leader
     /// has already posted, and registers it for multicast of the rest.
-    fn join_stream(&mut self, id: StreamId, leader: u32, now: Instant) -> Instant {
-        // Any reservation held from the open path is superseded.
-        self.detach_cached(id);
+    fn join_stream(&mut self, id: StreamId, leader: u32, now: Instant) {
         let (begin, fetched_to) = {
             let l = self.streams.get(&leader).expect("candidate exists");
             (
@@ -1340,7 +1484,6 @@ impl CrasServer {
             )
             .min();
         let s = self.streams.get_mut(&id.0).expect("no such stream");
-        s.cache_state = CacheState::Joined { leader };
         s.clock.start(begin);
         let backfill = s
             .table
@@ -1349,26 +1492,12 @@ impl CrasServer {
             .take_while(|c| unposted_lo.is_none_or(|lim| c.index < lim))
             .last()
             .map(|c| (c.index, c.timestamp + c.duration));
-        s.prefetch_cursor = match backfill {
-            Some((hi, end)) => {
-                post_chunks(s, 0, hi, now);
-                end
-            }
-            None => Duration::ZERO,
-        };
+        s.prefetch_cursor = backfill.map_or(Duration::ZERO, |(_, end)| end);
+        if let Some((hi, _)) = backfill {
+            post_chunks(s, 0, hi, now);
+        }
         self.joins.entry(leader).or_default().push(id.0);
         self.cache.stats_mut().joined_streams += 1;
-        begin
-    }
-
-    /// Ends a stream's joins in both roles: as a leader it orphans its
-    /// followers (they dissolve at the next tick), as a follower it
-    /// leaves its leader's multicast list.
-    fn end_joins(&mut self, id: StreamId) {
-        self.joins.remove(&id.0);
-        if let CacheState::Joined { leader } = self.stream(id).cache_state {
-            self.leave_join(leader, id.0);
-        }
     }
 
     /// Orphans a stream's in-flight and fetched-but-unposted batches:
@@ -1379,119 +1508,18 @@ impl CrasServer {
         self.done.retain(|b| b.stream != id);
     }
 
-    /// Removes `follower` from `leader`'s multicast list.
-    fn leave_join(&mut self, leader: u32, follower: u32) {
-        if let Some(v) = self.joins.get_mut(&leader) {
-            v.retain(|&f| f != follower);
-            if v.is_empty() {
-                self.joins.remove(&leader);
-            }
-        }
-    }
-
-    /// Dissolves a joined stream whose leader no longer multicasts to
-    /// it (stopped, sought, changed rate, parked, or closed). A fully-
-    /// delivered follower needs nothing; otherwise it must reserve a
-    /// disk share. Idempotent: a stream that already dissolved (or
-    /// closed) this tick is left alone.
-    fn dissolve_joined(&mut self, sid: u32, now: Instant) {
-        let Some(s) = self.streams.get_mut(&sid) else {
-            return;
-        };
-        if !matches!(s.cache_state, CacheState::Joined { .. }) {
-            return;
-        }
-        if s.prefetch_cursor >= s.table.total_duration() {
-            // Everything was delivered before the leader left: nothing
-            // left to read, no reservation needed.
-            s.cache_state = CacheState::Admitted { reserved: 0 };
-            return;
-        }
-        self.reserve_disk_share(sid, now);
-    }
-
-    /// Tries to secure a feed for a stream holding no reservation: disk
-    /// admission first, then the interval-cache window. Returns
-    /// `Some(true)` for a disk share, `Some(false)` for a cache window,
-    /// `None` when neither can take it (state restored to the zero-
-    /// share marker).
-    fn try_reserve_feed(&mut self, sid: u32) -> Option<bool> {
-        let id = StreamId(sid);
-        self.streams
-            .get_mut(&sid)
-            .expect("no such stream")
-            .cache_state = CacheState::Disk;
-        if self.admit_with(None, None).is_ok() {
-            return Some(true);
-        }
-        if let Some(need) = self.cache_candidate_for(id) {
-            self.attach_cached(id, need, true);
-            self.cache.stats_mut().cache_admitted_streams += 1;
-            return Some(false);
-        }
-        self.streams
-            .get_mut(&sid)
-            .expect("no such stream")
-            .cache_state = CacheState::Admitted { reserved: 0 };
-        None
-    }
-
-    /// Parks a stream that found no feed: the clock stops where it is
-    /// (the viewer rebuffers; [`CrasServer::resume`] retries later) and
-    /// any joined followers are orphaned — a parked leader fetches
-    /// nothing, so they must find feeds of their own, in this same tick.
-    fn park_stream(&mut self, sid: u32, now: Instant) {
-        if let Some(fs) = self.joins.remove(&sid) {
-            self.parked_orphans.extend(fs);
-        }
-        let s = self.streams.get_mut(&sid).expect("no such stream");
-        s.clock.stop(now);
-        s.cache_state = CacheState::Admitted { reserved: 0 };
-        let name = s.name.clone();
-        self.cache.stats_mut().cache_rejected_streams += 1;
-        self.pending_rejects.push(name);
-        self.pending_parks.push(sid);
-    }
-
-    /// Reserves a disk share for a stream that lost its zero-share feed
-    /// (drained prefix or dissolved join): disk admission first, then
-    /// the interval-cache window, else the stream is parked (clock
-    /// stopped) for the client to retry. Returns whether a *disk* share
-    /// was reserved.
-    fn reserve_disk_share(&mut self, sid: u32, now: Instant) -> bool {
-        match self.try_reserve_feed(sid) {
-            Some(disk) => disk,
-            None => {
-                // Parked: neither the spindles nor the cache can take
-                // it now.
-                self.park_stream(sid, now);
-                false
-            }
-        }
-    }
-
     /// Parks a *running* stream on the caller's initiative (delivery
     /// backpressure, DESIGN §18): the clock freezes where it is and the
     /// stream sheds whatever feed it held — cache pins and reservation,
-    /// join membership (followers of a parked leader are orphaned into
-    /// this tick's re-feed pass), and its disk share, which the
-    /// recomputed admission set releases because a parked stream scores
-    /// zero shares. [`CrasServer::resume`] restarts it later through
-    /// the ordinary feed ladder. Returns false (leaving the stream
-    /// untouched) when the stream does not exist or its clock is
-    /// already stopped — an already-parked or never-started stream has
-    /// nothing to shed.
+    /// join membership (followers of a parked leader are orphaned), and
+    /// its disk share, which the recomputed admission set releases
+    /// because a parked stream scores zero shares.
+    /// [`CrasServer::resume`] restarts it later through the ordinary
+    /// feed ladder. Returns false (leaving the stream untouched) when
+    /// the stream does not exist or its clock is already stopped — an
+    /// already-parked or never-started stream has nothing to shed.
     pub fn park(&mut self, id: StreamId, now: Instant) -> bool {
-        match self.streams.get(&id.0) {
-            Some(s) if s.clock.is_running() => {}
-            _ => return false,
-        }
-        self.detach_cached(id);
-        if let CacheState::Joined { leader } = self.stream(id).cache_state {
-            self.leave_join(leader, id.0);
-        }
-        self.park_stream(id.0, now);
-        true
+        self.streams.contains_key(&id.0) && self.feed(id, FeedEvent::Park, now).is_some()
     }
 
     /// Retries admission for a parked stream (the client's `crs_start`
@@ -1502,19 +1530,10 @@ impl CrasServer {
     /// journal the promotion like any reserve-at-drain) — and `None`
     /// when the stream is still unservable or was not parked.
     pub fn resume(&mut self, id: StreamId, now: Instant) -> Option<(Instant, bool)> {
-        let s = self.streams.get(&id.0)?;
-        if s.clock.is_running() || !matches!(s.cache_state, CacheState::Admitted { reserved: 0 }) {
-            return None;
-        }
-        let disk = self.try_reserve_feed(id.0)?;
-        let delay = self.cfg.interval * self.cfg.initial_delay_intervals as u64;
-        let begin = now + delay;
-        self.streams
-            .get_mut(&id.0)
-            .expect("checked above")
-            .clock
-            .start(begin);
-        Some((begin, disk))
+        self.streams.get(&id.0)?;
+        let rung = self.feed(id, FeedEvent::Resume, now)?;
+        let begin = self.stream(id).clock.anchor().expect("clock restarted");
+        Some((begin, rung == Rung::Disk))
     }
 
     /// `crs_stop`: stops the logical clock; pre-fetching ceases at the
@@ -1522,23 +1541,8 @@ impl CrasServer {
     /// released in this same call — a stopped client must not hold
     /// frames in memory indefinitely.
     pub fn stop(&mut self, id: StreamId, now: Instant) {
-        self.detach_cached(id);
-        self.end_joins(id);
-        let s = self.streams.get_mut(&id.0).expect("no such stream");
-        s.clock.stop(now);
-        match s.cache_state {
-            // The disk reservation is still held: plain disk stream.
-            CacheState::Served { .. } => s.cache_state = CacheState::Disk,
-            // No disk reservation: remember that a restart must either
-            // re-attach to the window or pass disk admission.
-            CacheState::Admitted { .. } | CacheState::Joined { .. } => {
-                s.cache_state = CacheState::Admitted { reserved: 0 }
-            }
-            // Still feeding from its resident prefix; a restart resumes
-            // it and the drain path reserves a share when it runs out.
-            CacheState::Prefix => {}
-            CacheState::Disk => {}
-        }
+        self.stream_mut(id).clock.stop(now);
+        self.feed(id, FeedEvent::Stop, now);
     }
 
     /// `crs_seek`: repositions the logical clock; buffered data is stale
@@ -1549,30 +1553,14 @@ impl CrasServer {
     /// falls back to the disk path (with a re-admission test if it was
     /// cache-admitted).
     pub fn seek(&mut self, id: StreamId, now: Instant, to: Duration) {
-        self.detach_cached(id);
-        // A seeking leader's reads no longer match its followers; a
-        // seeking follower needs its own feed at the new position.
-        self.end_joins(id);
-        let s = self.streams.get_mut(&id.0).expect("no such stream");
+        let s = self.stream_mut(id);
         s.clock.seek(now, to);
         s.buffer.clear();
         s.prefetch_cursor = to;
-        let state = s.cache_state;
         // Pre-seek fetches would post chunks the clock has abandoned
         // (possibly colliding with the refetched range): drop them.
         self.drop_batches(id);
-        if !state.is_cached() {
-            return;
-        }
-        // A cache-served stream never released its disk capacity. Any
-        // zero-disk-share state (cache-admitted, prefix-deferred or
-        // joined) must hold a cache reservation from here on when the
-        // window covers the new position, else a disk reservation.
-        let zero_share = !matches!(state, CacheState::Served { .. });
-        match self.cache_candidate_for(id) {
-            Some(need) => self.attach_cached(id, need, zero_share),
-            None => self.fall_back_to_disk(id.0, zero_share, now),
-        }
+        self.feed(id, FeedEvent::Seek, now);
     }
 
     /// Changes a stream's retrieval rate (fast forward: "CRAS needs to
@@ -1586,29 +1574,24 @@ impl CrasServer {
     ) -> Result<(), AdmissionError> {
         assert!(rate > 0.0 && rate.is_finite(), "bad rate");
         let t = self.cfg.interval.as_secs_f64();
-        let base = {
-            let s = self.streams.get(&id.0).expect("no such stream");
-            StreamParams::new(s.table.worst_rate() * rate, s.params.chunk)
-        };
+        let s = self.stream(id);
+        let base = StreamParams::new(s.table.worst_rate() * rate, s.params.chunk);
         // A rate change ends any cache dependence (the gap to the leader
         // would drift), so the stream is tested at the new rate on its
         // full shares.
         self.admit_with(Some((id, base)), None)?;
-        self.detach_cached(id);
-        // A leader's reads no longer match its followers, and a
-        // follower can no longer ride its leader's normal-rate reads.
-        self.end_joins(id);
         let need = base.buffer(t);
-        let s = self.streams.get_mut(&id.0).expect("no such stream");
-        s.cache_state = CacheState::Disk;
+        let jitter = self.cfg.jitter;
+        let s = self.stream_mut(id);
         s.params = base;
         s.clock.set_rate(now, rate);
         // Resize in both directions: growing keeps the guarantee at the
         // higher rate, shrinking keeps the wired memory equal to what the
         // admission test accounted for.
         if need != s.buffer.capacity() {
-            s.buffer = TimeDrivenBuffer::new(need, self.cfg.jitter);
+            s.buffer = TimeDrivenBuffer::new(need, jitter);
         }
+        self.feed(id, FeedEvent::Rerate, now);
         Ok(())
     }
 
@@ -1616,8 +1599,7 @@ impl CrasServer {
     /// stream's time-driven buffer. No server communication happens in the
     /// real system; here it is a read-mostly buffer probe.
     pub fn get(&mut self, id: StreamId, media_time: Duration) -> Option<BufferedChunk> {
-        let s = self.streams.get_mut(&id.0).expect("no such stream");
-        s.buffer.get(media_time)
+        self.stream_mut(id).buffer.get(media_time)
     }
 
     /// A diagnostic report for one stream.
@@ -1692,11 +1674,22 @@ impl CrasServer {
     /// the time-driven buffers. Returns the chunks posted.
     fn post_fetched(&mut self, now: Instant) -> usize {
         let mut posted = 0usize;
+        // Streams whose buffer refused a chunk this tick: they get no
+        // more chunks until they fetch again from the rewound cursor.
+        let mut refused: Vec<StreamId> = Vec::new();
         for batch in std::mem::take(&mut self.done) {
             let Some(s) = self.streams.get_mut(&batch.stream.0) else {
                 continue; // Closed while in flight.
             };
-            posted += post_chunks(s, batch.chunk_lo, batch.chunk_hi, now);
+            if refused.contains(&batch.stream) {
+                continue;
+            }
+            let whole = (batch.chunk_hi - batch.chunk_lo) as usize + 1;
+            let n = post_chunks(s, batch.chunk_lo, batch.chunk_hi, now);
+            posted += n;
+            if n < whole {
+                refused.push(batch.stream);
+            }
             // Every disk batch a stream posts also lands in the
             // interval cache (no-op when the cache is disabled), so a
             // trailing stream of the same movie finds it in memory.
@@ -1713,14 +1706,25 @@ impl CrasServer {
                 };
                 if !matches!(f.cache_state,
                     CacheState::Joined { leader } if leader == batch.stream.0)
+                    || refused.contains(&f.id)
                 {
                     continue;
                 }
-                posted += post_chunks(f, batch.chunk_lo, batch.chunk_hi, now);
-                if let Some(c) = f.table.get(batch.chunk_hi) {
+                let n = post_chunks(f, batch.chunk_lo, batch.chunk_hi, now);
+                posted += n;
+                if n < whole {
+                    refused.push(f.id);
+                } else if let Some(c) = f.table.get(batch.chunk_hi) {
                     f.prefetch_cursor = f.prefetch_cursor.max(c.timestamp + c.duration);
                 }
             }
+        }
+        // A refused stream's own later batches are dropped, and it leaves
+        // its joins: the refetch would post chunks its followers, or it,
+        // already hold.
+        for id in refused {
+            self.drop_batches(id);
+            self.leave_joins(id);
         }
         self.stats.chunks_posted += posted as u64;
         posted
@@ -1752,7 +1756,9 @@ impl CrasServer {
                 Some(true) => rep.cache_served_streams += 1,
                 // The prefix has drained (or was evicted out from under
                 // the stream): reserve-at-drain happens in phase 3.
-                Some(false) if s.cache_state == CacheState::Prefix => misses.drained.push(sid),
+                Some(false) if matches!(s.cache_state, CacheState::Prefix) => {
+                    misses.drained.push(sid)
+                }
                 // Leader stopped, sought away, or the frame was evicted:
                 // the interval is broken. The cursor did not advance, so
                 // the plan phase picks the stream up in this same tick.
@@ -1778,17 +1784,16 @@ impl CrasServer {
             mut orphaned,
         } = misses;
         for &sid in &broken {
-            self.break_cached(sid, now);
+            self.feed(StreamId(sid), FeedEvent::Miss, now);
         }
         for &sid in &orphaned {
-            self.dissolve_joined(sid, now);
+            self.feed(StreamId(sid), FeedEvent::Orphaned, now);
         }
         // Reserve-at-drain: each drained deferred stream claims its disk
         // share now. Falling back to the cache window (or parking) keeps
         // it off the spindles; only real disk reservations are journaled.
         for &sid in &drained {
-            self.cache.stats_mut().deferred_drained_streams += 1;
-            if self.reserve_disk_share(sid, now) {
+            if self.feed(StreamId(sid), FeedEvent::Miss, now) == Some(Rung::Disk) {
                 rep.deferred_reserved.push(sid);
             }
         }
@@ -1800,7 +1805,10 @@ impl CrasServer {
         let mut cascade = std::mem::take(&mut self.parked_orphans);
         while !cascade.is_empty() {
             for &sid in &cascade {
-                self.dissolve_joined(sid, now);
+                // A follower may have closed since its leader parked.
+                if self.streams.contains_key(&sid) {
+                    self.feed(StreamId(sid), FeedEvent::Orphaned, now);
+                }
             }
             orphaned.extend(cascade);
             cascade = std::mem::take(&mut self.parked_orphans);
@@ -1826,7 +1834,9 @@ impl CrasServer {
             );
             match serve_interval(sid, s, &mut self.cache, &mut self.done, horizon) {
                 Some(true) => rep.cache_served_streams += 1,
-                Some(false) => self.break_cached(sid, now),
+                Some(false) => {
+                    self.feed(StreamId(sid), FeedEvent::Miss, now);
+                }
                 None => {}
             }
         }
@@ -2530,6 +2540,196 @@ mod tests {
         let err = srv.set_rate(id, at(0), 100.0);
         assert!(err.is_err());
         assert!((srv.stream(id).params.rate - 375_000.0).abs() < 1.0);
+    }
+
+    /// Runs one tick at `now` and completes every read it issued.
+    fn tick_and_complete(srv: &mut CrasServer, now: Instant) {
+        let rep = srv.interval_tick(now);
+        for r in &rep.reqs {
+            srv.io_done(r.id);
+        }
+    }
+
+    /// Asserts a stream's buffer fits its capacity and holds every chunk
+    /// between its first and last buffered timestamps.
+    fn assert_buffer_whole(s: &Stream) {
+        assert!(s.buffer.bytes() <= s.buffer.capacity());
+        let (Some(lo), Some(hi)) = (s.buffer.first_timestamp(), s.buffer.last_timestamp()) else {
+            return;
+        };
+        for c in s.table.chunks_in(lo, hi) {
+            assert!(
+                s.buffer.peek(c.timestamp).is_some(),
+                "gap at {:?}",
+                c.timestamp
+            );
+        }
+    }
+
+    #[test]
+    fn stop_or_park_right_after_a_tick_posts_only_what_fits() {
+        for park in [false, true] {
+            let mut srv = server();
+            let (t, e) = movie_table(30.0);
+            let id = srv.open(OpenReq::single("m", t, e)).unwrap();
+            srv.start(id, at(0));
+            for k in 0..=5 {
+                tick_and_complete(&mut srv, at(k * 500));
+            }
+            if park {
+                assert!(srv.park(id, at(2500)));
+            } else {
+                srv.stop(id, at(2500));
+            }
+            // The frozen clock keeps about 2T + J of data, more than the
+            // 2A buffer holds: the next tick posts what fits and rewinds
+            // the cursor to the first chunk left out.
+            tick_and_complete(&mut srv, at(3000));
+            let s = srv.stream(id);
+            assert_buffer_whole(s);
+            let rewound = s.prefetch_cursor;
+            let last = s.buffer.last_timestamp().unwrap();
+            assert_eq!(
+                s.buffer.peek(last).map(|c| c.timestamp + c.duration),
+                Some(rewound)
+            );
+            // A restart fetches the rewound chunk again.
+            if park {
+                assert!(srv.resume(id, at(3500)).is_some());
+            } else {
+                srv.start(id, at(3500));
+            }
+            let mut refetched = false;
+            for k in 7..=16 {
+                tick_and_complete(&mut srv, at(k * 500));
+                let s = srv.stream(id);
+                assert_buffer_whole(s);
+                refetched |= s.buffer.peek(rewound).is_some();
+            }
+            assert!(refetched, "park={park}");
+            assert!(srv.stream(id).prefetch_cursor > rewound);
+        }
+    }
+
+    #[test]
+    fn lowering_the_rate_with_a_faster_batch_in_flight_posts_only_what_fits() {
+        let mut srv = server();
+        let (t, e) = movie_table(30.0);
+        let id = srv.open(OpenReq::single("m", t, e)).unwrap();
+        srv.start(id, at(0));
+        for k in 0..=4 {
+            tick_and_complete(&mut srv, at(k * 500));
+        }
+        srv.set_rate(id, at(2250), 2.0).unwrap();
+        tick_and_complete(&mut srv, at(2500));
+        // The buffer shrinks back to 2A under a batch fetched at twice
+        // the rate.
+        srv.set_rate(id, at(2750), 1.0).unwrap();
+        for k in 6..=16 {
+            tick_and_complete(&mut srv, at(k * 500));
+            assert_buffer_whole(srv.stream(id));
+        }
+        assert!(srv.stream(id).prefetch_cursor > Duration::from_secs(7));
+    }
+
+    /// The feed state machine's cross-structure invariants: cache
+    /// reservations match the streams' states, every join list names
+    /// open streams joined to that open leader, and the disk-charged
+    /// set passes admission.
+    fn assert_feed_invariants(srv: &CrasServer, ctx: &str) {
+        let reserved: u64 = srv.streams.values().map(|s| s.cache_state.reserved()).sum();
+        assert_eq!(srv.cache.reserved(), reserved, "{ctx}: cache reservations");
+        for (leader, followers) in &srv.joins {
+            assert!(
+                srv.streams.contains_key(leader),
+                "{ctx}: leader {leader} closed"
+            );
+            for f in followers {
+                let s = srv.streams.get(f);
+                assert!(
+                    s.is_some_and(|s| s.cache_state == CacheState::Joined { leader: *leader }),
+                    "{ctx}: follower {f} of {leader} is {:?}",
+                    s.map(|s| s.cache_state)
+                );
+            }
+        }
+        assert!(
+            srv.admit_with(None, None).is_ok(),
+            "{ctx}: disk set over capacity"
+        );
+    }
+
+    #[test]
+    fn random_ops_never_panic_and_keep_the_feed_invariants() {
+        // Every public stream operation at random, both at the tick
+        // instant and mid-interval, with the cache budget, prefix
+        // residency, hot set and join window all on. Reads complete at
+        // the next tick.
+        let (table, extents) = movie_table(20.0);
+        for seed in 0..40u64 {
+            let mut rng = Rng::new(seed);
+            let mut cfg = ServerConfig::default();
+            cfg.buffer_budget = 3 << 20;
+            cfg.cache_budget = 6 << 20;
+            cfg.prefix_secs = Duration::from_secs(2);
+            cfg.hot_set = 1;
+            cfg.join_window = ms(1000);
+            let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
+            // Open streams and whether each was started.
+            let mut open: Vec<(StreamId, bool)> = Vec::new();
+            let mut reads: Vec<ReadId> = Vec::new();
+            let mut ops = 0;
+            for k in 0u64.. {
+                if ops >= 300 {
+                    break;
+                }
+                for r in reads.drain(..) {
+                    srv.io_done(r);
+                }
+                let tick = at(k * 500);
+                reads = srv.interval_tick(tick).reqs.iter().map(|r| r.id).collect();
+                assert_feed_invariants(&srv, &format!("seed {seed} tick {k}"));
+                for now in [tick, tick + ms(250)] {
+                    for _ in 0..rng.below(3) {
+                        ops += 1;
+                        let i = rng.below(open.len().max(1) as u64) as usize;
+                        match rng.below(10) {
+                            op @ (2..=9) if !open.is_empty() => {
+                                let id = open[i].0;
+                                match op {
+                                    2 | 3 if !open[i].1 => {
+                                        srv.start(id, now);
+                                        open[i].1 = true;
+                                    }
+                                    4 => srv.stop(id, now),
+                                    5 => srv.seek(id, now, ms(rng.below(19_000))),
+                                    6 => {
+                                        let rate = [0.5, 1.0, 2.0][rng.below(3) as usize];
+                                        let _ = srv.set_rate(id, now, rate);
+                                    }
+                                    7 => {
+                                        srv.park(id, now);
+                                    }
+                                    8 => {
+                                        srv.resume(id, now);
+                                    }
+                                    9 => srv.close(open.swap_remove(i).0),
+                                    _ => {}
+                                }
+                            }
+                            _ => {
+                                let name = ["a", "b"][rng.below(2) as usize];
+                                let req = OpenReq::single(name, table.clone(), extents.clone());
+                                if let Ok(id) = srv.open(req) {
+                                    open.push((id, false));
+                                }
+                            }
+                        }
+                        assert_feed_invariants(&srv, &format!("seed {seed} op {ops}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -3240,10 +3440,7 @@ mod tests {
         assert!(srv.cache().stats().interval_breaks >= 1);
         assert_eq!(srv.cache().stats().cache_rejected_streams, 1);
         let s = srv.stream(follower);
-        assert!(matches!(
-            s.cache_state,
-            CacheState::Admitted { reserved: 0 }
-        ));
+        assert_eq!(s.cache_state, CacheState::Unfed);
         assert!(!s.clock.is_running());
         assert_eq!(srv.cache().pinned_frames(), 0);
         assert_eq!(srv.cache().reserved(), 0);
@@ -4028,10 +4225,8 @@ mod tests {
             };
             let req = random_req(&mut rng, "candidate");
             let params = random_params(&mut rng);
-            let shares = match &req.parity {
-                Some(p) => p.geom.admission_shares(4),
-                None => srv.shares_of(&req.extents, req.mirror.as_deref()),
-            };
+            let shares =
+                Stream::rate_shares(&req.extents, req.mirror.as_deref(), req.parity.as_ref(), 4);
             let reads = if req.parity.is_some() { 2 } else { 1 };
             let (fold, reference) = match rng.below(3) {
                 0 => (

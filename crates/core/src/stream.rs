@@ -49,12 +49,27 @@ pub enum CacheState {
         /// The stream whose reads feed this one.
         leader: u32,
     },
+    /// No feed at all: no disk share, no cache window, no join. The
+    /// stream was parked, stopped without a disk share, started with no
+    /// window to ride, or dissolved from a join with nothing left to
+    /// read. A running unfed stream still tries the interval cache each
+    /// tick; its first miss re-tests the disk, and
+    /// [`CrasServer::resume`](crate::CrasServer::resume) re-runs the
+    /// feed ladder for a stopped one.
+    Unfed,
 }
 
 impl CacheState {
-    /// Whether the stream is currently fed from the cache.
+    /// Whether the stream is off the disk path (it plans no reads of its
+    /// own): every state but [`CacheState::Disk`].
     pub fn is_cached(self) -> bool {
         !matches!(self, CacheState::Disk)
+    }
+
+    /// Whether the stream holds a disk share that the admission test
+    /// charges: plain disk streams and cache-*served* ones.
+    pub fn holds_disk_share(self) -> bool {
+        matches!(self, CacheState::Disk | CacheState::Served { .. })
     }
 
     /// The cache reservation held by this stream, if any. Prefix and
@@ -62,8 +77,8 @@ impl CacheState {
     /// manager, not per-stream, and a joined stream reads nothing.
     pub fn reserved(self) -> u64 {
         match self {
-            CacheState::Disk | CacheState::Prefix | CacheState::Joined { .. } => 0,
             CacheState::Served { reserved } | CacheState::Admitted { reserved } => reserved,
+            _ => 0,
         }
     }
 }
@@ -144,36 +159,35 @@ pub struct Stream {
 }
 
 impl Stream {
-    /// Recomputes [`Stream::shares`] for a server managing `volumes`
-    /// disks. Replica extents are included: a mirrored stream charges
-    /// the full rate to each replica volume, and a parity stream
-    /// charges the worst-case degraded load (`2/g` per band volume —
-    /// see [`ParityGeometry::admission_shares`]).
-    pub fn compute_shares(&mut self, volumes: usize) {
-        if let Some(p) = &self.parity {
-            self.shares = p.geom.admission_shares(volumes);
-            return;
+    /// The per-volume rate weights ([`Stream::shares`]) of a movie
+    /// stored at `extents` on a server managing `volumes` disks. Replica
+    /// extents are included: a mirrored stream charges the full rate to
+    /// each replica volume, and a parity stream charges the worst-case
+    /// degraded load (`2/g` per band volume — see
+    /// [`ParityGeometry::admission_shares`]).
+    pub fn rate_shares(
+        extents: &[VolumeExtent],
+        mirror: Option<&[VolumeExtent]>,
+        parity: Option<&ParityState>,
+        volumes: usize,
+    ) -> Vec<f64> {
+        match (parity, mirror) {
+            (Some(p), _) => p.geom.admission_shares(volumes),
+            (None, None) => volume_shares(extents, volumes),
+            (None, Some(m)) => volume_shares(&[extents, m].concat(), volumes),
         }
-        self.shares = match &self.mirror {
-            None => volume_shares(&self.extents, volumes),
-            Some(m) => {
-                let mut all = self.extents.clone();
-                all.extend(m.iter().cloned());
-                volume_shares(&all, volumes)
-            }
-        };
     }
 
     /// The per-volume rate shares the admission test should charge for
-    /// this stream: its real shares normally, none (an empty slice)
-    /// while the stream is cache-*admitted*, prefix-deferred, or joined
-    /// (it holds no disk reservation). Cache-*served* streams keep their
+    /// this stream: its real shares while it holds a disk share, none
+    /// (an empty slice) otherwise. Cache-*served* streams keep their
     /// disk charge — serving them from memory is an opportunistic
     /// saving, not an admission promise.
     pub fn admission_shares(&self) -> &[f64] {
-        match self.cache_state {
-            CacheState::Admitted { .. } | CacheState::Prefix | CacheState::Joined { .. } => &[],
-            _ => &self.shares,
+        if self.cache_state.holds_disk_share() {
+            &self.shares
+        } else {
+            &[]
         }
     }
 
@@ -420,30 +434,25 @@ mod tests {
     fn stream_with_extents(extents: Vec<VolumeExtent>) -> Stream {
         let mut rng = Rng::new(1);
         let table = cras_media::generate_chunks(&StreamProfile::mpeg1(), 1.0, &mut rng);
-        let mut s = Stream {
+        let volumes = extents
+            .iter()
+            .map(|v| v.volume.index() + 1)
+            .max()
+            .unwrap_or(1);
+        Stream {
             id: StreamId(0),
             name: "t".into(),
             table,
+            shares: Stream::rate_shares(&extents, None, None, volumes),
             extents,
             mirror: None,
             parity: None,
             params: StreamParams::new(187_500.0, 6_250.0),
-            shares: Vec::new(),
             clock: LogicalClock::new(),
             buffer: TimeDrivenBuffer::new(200_000, Duration::from_millis(100)),
             prefetch_cursor: Duration::ZERO,
             cache_state: CacheState::Disk,
-        };
-        s.compute_shares(
-            1.max(
-                s.extents
-                    .iter()
-                    .map(|v| v.volume.index() + 1)
-                    .max()
-                    .unwrap_or(1),
-            ),
-        );
-        s
+        }
     }
 
     fn ext(file_offset: u64, disk_block: u64, nblocks: u32) -> Extent {
@@ -576,10 +585,10 @@ mod tests {
 
     #[test]
     fn mirrored_stream_shares_charge_both_replicas() {
-        let mut s = stream_with_extents(on_volume(VolumeId(0), vec![ext(0, 1000, 64)]));
-        s.mirror = Some(on_volume(VolumeId(1), vec![ext(0, 4000, 64)]));
-        s.compute_shares(2);
-        assert_eq!(s.shares, vec![1.0, 1.0]);
+        let primary = on_volume(VolumeId(0), vec![ext(0, 1000, 64)]);
+        let mirror = on_volume(VolumeId(1), vec![ext(0, 4000, 64)]);
+        let shares = Stream::rate_shares(&primary, Some(&mirror), None, 2);
+        assert_eq!(shares, vec![1.0, 1.0]);
     }
 
     /// Synthetic parity layout: one contiguous extent per data unit
@@ -661,10 +670,8 @@ mod tests {
     #[test]
     fn parity_stream_shares_charge_worst_case_degraded() {
         let (extents, ps, _) = synthetic_parity(4, 1 << 20, None);
-        let mut s = stream_with_extents(extents);
-        s.parity = Some(ps);
-        s.compute_shares(4);
-        assert_eq!(s.shares, vec![0.5; 4]);
+        let shares = Stream::rate_shares(&extents, None, Some(&ps), 4);
+        assert_eq!(shares, vec![0.5; 4]);
     }
 
     #[test]

@@ -136,28 +136,42 @@ impl TimeDrivenBuffer {
         }
     }
 
-    /// Inserts a chunk (server side), discarding obsolete entries first.
+    /// Inserts a chunk, discarding obsolete entries first.
     ///
     /// # Panics
     ///
-    /// Panics if the chunk does not fit even after discarding — the
-    /// admission test's `B_i = 2·A_i` bound makes that a server bug, and
-    /// the paper's design guarantees "the buffer always has enough space
-    /// for storing media data retrieved from disks".
+    /// Panics if the chunk does not fit even after discarding, or if a
+    /// chunk with the same timestamp is already buffered.
     pub fn put(&mut self, chunk: BufferedChunk, media_now: Duration) {
-        self.discard_obsolete(media_now);
+        let fits = self.try_put(chunk, media_now);
         assert!(
-            self.bytes + chunk.size as u64 <= self.capacity_bytes,
+            fits,
             "time-driven buffer overflow: {} + {} > {} (admission bug)",
-            self.bytes,
-            chunk.size,
-            self.capacity_bytes
+            self.bytes, chunk.size, self.capacity_bytes
         );
+    }
+
+    /// Inserts a chunk (server side), discarding obsolete entries first,
+    /// when it fits; returns false, inserting nothing, when it does not
+    /// fit even after discarding. While the clock runs at the admitted
+    /// rate, the admission test's `B_i = 2·A_i` bound guarantees "the
+    /// buffer always has enough space for storing media data retrieved
+    /// from disks"; a stopped clock or a rate cut can leave less.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chunk with the same timestamp is already buffered.
+    pub fn try_put(&mut self, chunk: BufferedChunk, media_now: Duration) -> bool {
+        self.discard_obsolete(media_now);
+        if self.bytes + chunk.size as u64 > self.capacity_bytes {
+            return false;
+        }
         let prev = self.entries.insert(chunk.timestamp.as_nanos(), chunk);
         assert!(prev.is_none(), "duplicate chunk timestamp");
         self.bytes += chunk.size as u64;
         self.stats.puts += 1;
         self.stats.max_bytes = self.stats.max_bytes.max(self.bytes);
+        true
     }
 
     /// Client-side `crs_get`: the chunk whose `[timestamp, timestamp +

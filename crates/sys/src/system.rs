@@ -1127,28 +1127,11 @@ impl System {
     /// resumed; a viewer that is not paused (or is done) returns false.
     pub fn retry_parked(&mut self, client: ClientId) -> bool {
         let now = self.now();
-        let Some(p) = self.state.players.get(&client.0) else {
-            return false;
-        };
-        if p.done || !p.paused {
-            return false;
-        }
-        let PlayerMode::Cras { stream } = p.mode else {
-            return false;
-        };
-        let Some((begin, disk)) = self.state.cras.resume(stream, now) else {
-            return false;
-        };
-        let p = self.state.players.get_mut(&client.0).expect("checked");
-        p.paused = false;
-        p.polls_this_frame = 0;
-        self.engine.schedule(begin, Event::PlayerFrame(client));
-        if disk {
-            self.journal
-                .append(now, JournalRecord::DiskShareReserved { client: client.0 });
-        }
-        self.metrics.resumed_streams += 1;
-        true
+        let mut acts = std::mem::take(&mut self.actions);
+        let resumed = self.state.resume_player(client, now, &mut acts);
+        self.apply(&mut acts, now);
+        self.actions = acts;
+        resumed
     }
 
     // ----- delivery subsystem setup (DESIGN §18) -----------------------
@@ -2602,50 +2585,57 @@ impl SysState {
     /// a fully drained session generates no more playout events, so the
     /// chain cannot re-trigger the resume by itself.
     fn net_resume(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) {
-        if !self.net.is_parked(client.0) {
+        // Nothing to resume when the viewer is gone or done, or when
+        // something else (a gateway failover, the workload's retry
+        // loop) already resumed the stream.
+        let waiting = self.net.is_parked(client.0)
+            && self
+                .players
+                .get(&client.0)
+                .is_some_and(|p| !p.done && p.paused && matches!(p.mode, PlayerMode::Cras { .. }));
+        if !waiting || self.resume_player(client, now, acts) {
             self.net.mark_resumed(client.0);
-            return;
-        }
-        let Some(p) = self.players.get(&client.0) else {
-            self.net.mark_resumed(client.0);
-            return;
-        };
-        if p.done {
-            self.net.mark_resumed(client.0);
-            return;
-        }
-        if !p.paused {
-            // Something else (a gateway failover, the workload's retry
-            // loop) already resumed the stream.
-            self.net.mark_resumed(client.0);
-            return;
-        }
-        let PlayerMode::Cras { stream } = p.mode else {
-            self.net.mark_resumed(client.0);
-            return;
-        };
-        match self.cras.resume(stream, now) {
-            Some((begin, disk)) => {
-                let p = self.players.get_mut(&client.0).expect("checked");
-                p.paused = false;
-                p.polls_this_frame = 0;
-                acts.push(Action::Schedule {
-                    at: begin,
-                    ev: Event::PlayerFrame(client),
-                });
-                if disk {
-                    acts.push(Action::Journal(JournalRecord::DiskShareReserved {
-                        client: client.0,
-                    }));
-                }
-                self.metrics.resumed_streams += 1;
-                self.net.mark_resumed(client.0);
-            }
-            None => acts.push(Action::Schedule {
+        } else {
+            acts.push(Action::Schedule {
                 at: now + self.cfg.server.interval,
                 ev: Event::NetRetry(client),
-            }),
+            });
         }
+    }
+
+    /// Restarts a paused CRAS viewer through the server's feed ladder
+    /// ([`CrasServer::resume`]); a viewer that is not paused, or is
+    /// done, stays as it is. On success the player unpauses, its
+    /// next frame is scheduled at the restarted clock's begin, a disk
+    /// share is journaled like any reserve-at-drain promotion, and the
+    /// resume is counted. Returns whether the viewer resumed.
+    fn resume_player(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) -> bool {
+        let Some(p) = self
+            .players
+            .get_mut(&client.0)
+            .filter(|p| !p.done && p.paused)
+        else {
+            return false;
+        };
+        let PlayerMode::Cras { stream } = p.mode else {
+            return false;
+        };
+        let Some((begin, disk)) = self.cras.resume(stream, now) else {
+            return false;
+        };
+        p.paused = false;
+        p.polls_this_frame = 0;
+        acts.push(Action::Schedule {
+            at: begin,
+            ev: Event::PlayerFrame(client),
+        });
+        if disk {
+            acts.push(Action::Journal(JournalRecord::DiskShareReserved {
+                client: client.0,
+            }));
+        }
+        self.metrics.resumed_streams += 1;
+        true
     }
 
     fn on_bg_write(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) {
