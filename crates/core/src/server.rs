@@ -1423,16 +1423,21 @@ impl CrasServer {
     /// The stream a starting stream should join, if any: a same-title,
     /// normal-rate leader whose playback begin is still in the future
     /// (nothing consumed — the follower misses no frames) and within
-    /// the join window of the follower's natural begin. Ties go to the
-    /// lowest stream id so coalescing is order-independent.
+    /// the join window of the follower's natural begin. The follower
+    /// must play at normal rate too. Ties go to the lowest stream id so
+    /// coalescing is order-independent.
     fn join_candidate(&self, id: StreamId, now: Instant) -> Option<u32> {
         if self.cfg.join_window == Duration::ZERO {
             return None;
         }
         let s = self.stream(id);
-        // Only a fresh stream (position zero, nothing fetched) can ride
-        // a leader's reads frame for frame.
-        if s.prefetch_cursor > Duration::ZERO || s.clock.media_time(now) > Duration::ZERO {
+        let normal_rate = |c: &LogicalClock| c.rate() >= 1.0 && c.rate() <= 1.0;
+        // Only a fresh normal-rate stream (position zero, nothing
+        // fetched) can ride a leader's reads frame for frame.
+        if s.prefetch_cursor > Duration::ZERO
+            || s.clock.media_time(now) > Duration::ZERO
+            || !normal_rate(&s.clock)
+        {
             return None;
         }
         let natural = now + self.initial_delay();
@@ -1440,8 +1445,7 @@ impl CrasServer {
             .filter(|l| {
                 l.id != id
                     && l.clock.is_running()
-                    && l.clock.rate() >= 1.0
-                    && l.clock.rate() <= 1.0
+                    && normal_rate(&l.clock)
                     && !matches!(l.cache_state, CacheState::Joined { .. })
             })
             .filter(|l| {
@@ -3648,6 +3652,22 @@ mod tests {
         assert!(matches!(srv.cache_state_of(b), CacheState::Disk));
         assert!(b_reqs > 0, "dissolved follower reads from disk");
         assert!(srv.stream_report(b).buffer.puts > 0);
+    }
+
+    #[test]
+    fn a_non_normal_rate_follower_never_joins() {
+        let mut srv = join_server(600);
+        let (t, e) = movie_table(10.0);
+        let a = srv
+            .open(OpenReq::single("pop", t.clone(), e.clone()))
+            .unwrap();
+        let b = srv.open(OpenReq::single("pop", t, e)).unwrap();
+        srv.set_rate(b, at(0), 2.0).unwrap();
+        srv.start(a, at(0));
+        srv.start(b, at(100));
+        assert!(matches!(srv.cache_state_of(a), CacheState::Disk));
+        assert!(!matches!(srv.cache_state_of(b), CacheState::Joined { .. }));
+        assert_eq!(srv.cache().stats().joined_streams, 0);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * [`rebuild`] — rate-controlled rebuild after a volume loss: mirror
 //!   copies and parity reconstruction.
 //! * [`metrics`] — per-interval admission-accuracy accounting.
+//! * `placement` — [`MoviePlacement`], a movie's file layout: recorded,
+//!   resolved for `crs_open` and rebuilt after a volume loss.
 //! * [`tags`] — the global event enum and routing tags.
 //!
 //! The delivery subsystem (paced links, playout sessions, multicast,
@@ -28,6 +30,7 @@ pub mod bgload;
 pub mod config;
 pub mod journal;
 pub mod metrics;
+mod placement;
 pub mod player;
 pub mod rebuild;
 pub mod system;
@@ -38,7 +41,8 @@ pub use bgload::BgReader;
 pub use config::{prio, CpuCosts, IssueMode, SchedMode, SysConfig};
 pub use journal::{Journal, JournalRecord};
 pub use metrics::{IntervalIo, IntervalWall, Metrics, ShardLoad, VolumeHealth};
+pub use placement::MoviePlacement;
 pub use player::{Player, PlayerMode, PlayerStats};
 pub use rebuild::{plan_chunks, plan_parity_recon, RebuildChunk, RebuildManager, SrcRead};
-pub use system::{AttachError, MoviePlacement, SysState, System, UOwner, UReq};
+pub use system::{AttachError, SysState, System, UOwner, UReq};
 pub use tags::{ClientId, CpuTag, DiskTag, Event};

@@ -24,8 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use cras_core::{
-    on_volume, AdmissionError, Admit, CacheState, CrasServer, OpenReq, ParityGeometry, ParityState,
-    PlacementPolicy, ReadId, ReadReq, StreamId, VolumeExtent, VolumeLoad, PARITY_STRIPE_BYTES,
+    AdmissionError, Admit, CacheState, CrasServer, OpenReq, ReadId, ReadReq, StreamId, VolumeLoad,
 };
 use cras_disk::{Completed, DiskDevice, DiskRequest, VolumeId, VolumeSet};
 use cras_media::{Movie, StreamProfile};
@@ -35,15 +34,16 @@ use cras_rtmach::{Cpu, SchedPolicy, ThreadId};
 use cras_sim::trace::Trace;
 use cras_sim::{Duration, Engine, Instant, Rng};
 use cras_ufs::layout::fsblock_to_disk;
-use cras_ufs::{Extent, FsReq, Ino, MkfsParams, Step, Ufs, UnixServer, BSIZE, SECT_PER_FSBLOCK};
+use cras_ufs::{FsReq, Ino, MkfsParams, Step, Ufs, UnixServer, SECT_PER_FSBLOCK};
 
 use crate::action::Action;
 use crate::bgload::{BgReader, BgWriter};
 use crate::config::{prio, IssueMode, SchedMode, SysConfig};
 use crate::journal::{Journal, JournalRecord};
 use crate::metrics::{Metrics, ShardLoad, VolumeHealth};
+use crate::placement::{self, file_extents, MoviePlacement};
 use crate::player::{Player, PlayerMode};
-use crate::rebuild::{plan_chunks, plan_parity_recon, RebuildManager};
+use crate::rebuild::RebuildManager;
 use crate::tags::{ClientId, CpuTag, DiskTag, Event, TagArena};
 
 /// Completed interval walls the load-aware rebuild pacing averages its
@@ -88,56 +88,6 @@ pub struct UReq {
     pub vol: u32,
     /// Requesting client.
     pub owner: UOwner,
-}
-
-/// Where a recorded movie's data lives across the volume set.
-#[derive(Clone, Debug)]
-pub enum MoviePlacement {
-    /// The whole movie on one volume (round-robin placement).
-    Whole {
-        /// The volume.
-        vol: u32,
-        /// The media data file on that volume.
-        ino: Ino,
-    },
-    /// Striped across all volumes in `stripe_bytes` units.
-    Striped {
-        /// `stripes[v]` is the stripe file on volume `v`.
-        stripes: Vec<Ino>,
-        /// Stripe unit in bytes (multiple of the fs block size).
-        stripe_bytes: u64,
-        /// Total media bytes.
-        total_bytes: u64,
-    },
-    /// Written in full to a primary volume and to a mirror volume.
-    Mirrored {
-        /// Primary volume.
-        primary: u32,
-        /// Mirror volume (never the primary's spindle).
-        mirror: u32,
-        /// The media data file on the primary volume.
-        ino: Ino,
-        /// The replica data file on the mirror volume.
-        mirror_ino: Ino,
-    },
-    /// Laid out in rotating-parity stripe groups across a band of `group`
-    /// volumes: each row of `group - 1` data units gets one XOR parity
-    /// unit, and the parity volume rotates per row so no spindle is a
-    /// dedicated parity disk.
-    Parity {
-        /// First volume of the band.
-        base: u32,
-        /// Band width `g` (data units per row is `g - 1`).
-        group: u32,
-        /// Stripe unit in bytes.
-        stripe_bytes: u64,
-        /// Total media bytes.
-        total_bytes: u64,
-        /// `data[v]` is the data-unit file on band volume `base + v`.
-        data: Vec<Ino>,
-        /// `parity[v]` is the parity-unit file on band volume `base + v`.
-        parity: Vec<Ino>,
-    },
 }
 
 /// Why [`System::try_attach_replacement`] refused to attach a
@@ -481,295 +431,25 @@ impl SysState {
     /// config seed and the record order, so replaying the journal
     /// reproduces it exactly.
     fn record_movie(&mut self, name: &str, profile: StreamProfile, secs: f64) -> Movie {
-        match self.cfg.server.placement {
-            PlacementPolicy::RoundRobin => {
-                let vol = self.cras.place_next();
-                let movie = cras_media::record_movie(
-                    &mut self.fs[vol.index()],
-                    name,
-                    profile,
-                    secs,
-                    &mut self.rng,
-                )
-                .expect("movie recording failed");
-                self.placements.insert(
-                    name.to_string(),
-                    MoviePlacement::Whole {
-                        vol: vol.0,
-                        ino: movie.ino,
-                    },
-                );
-                movie
-            }
-            PlacementPolicy::Striped { stripe_bytes } => {
-                self.record_movie_striped(name, profile, secs, stripe_bytes)
-            }
-            PlacementPolicy::Mirrored => self.record_movie_mirrored(name, profile, secs),
-            PlacementPolicy::Parity { group } => {
-                self.record_movie_parity(name, profile, secs, group)
-            }
-        }
-    }
-
-    /// Records a movie in rotating-parity layout across the next band of
-    /// `group` volumes: band volume `v` gets a data-unit file
-    /// (`{name}.pd{v}`) holding its share of the stripe rows and a
-    /// parity file (`{name}.pp{v}`) holding the rows whose parity
-    /// rotates onto it. The control file lives on the band's base
-    /// volume. Setup phase: the parity bytes are *laid out* here; the
-    /// simulation is data-free, so no XOR is computed (the
-    /// [`cras_core::ParityEncoder`] covers the §4 recording path).
-    fn record_movie_parity(
-        &mut self,
-        name: &str,
-        profile: StreamProfile,
-        secs: f64,
-        group: usize,
-    ) -> Movie {
-        let base = self.cras.place_next_band(group).0;
-        let group = group as u32;
-        let table = cras_media::generate_chunks(&profile, secs, &mut self.rng);
-        let total = table.total_bytes();
-        let geom = ParityGeometry::new(base, group, PARITY_STRIPE_BYTES, total);
-        let mut data = Vec::with_capacity(group as usize);
-        let mut parity = Vec::with_capacity(group as usize);
-        for v in 0..group {
-            let fsv = &mut self.fs[(base + v) as usize];
-            let dino = fsv
-                .create(&format!("{name}.pd{v}"))
-                .expect("data-unit file");
-            let db = geom.data_bytes_on(v);
-            if db > 0 {
-                fsv.append(dino, db).expect("data-unit allocation");
-            }
-            let pino = fsv.create(&format!("{name}.pp{v}")).expect("parity file");
-            let pb = geom.parity_bytes_on(v);
-            if pb > 0 {
-                fsv.append(pino, pb).expect("parity allocation");
-            }
-            data.push(dino);
-            parity.push(pino);
-        }
-        let ctl = cras_media::container::encode(&table);
-        let ctl_ino = self.fs[base as usize]
-            .create(&format!("{name}.ctl"))
-            .expect("control file");
-        self.fs[base as usize]
-            .append(ctl_ino, ctl.len() as u64)
-            .expect("control file fits");
-        let ino = data[0];
-        self.placements.insert(
-            name.to_string(),
-            MoviePlacement::Parity {
-                base,
-                group,
-                stripe_bytes: geom.stripe_bytes,
-                total_bytes: total,
-                data,
-                parity,
-            },
-        );
-        Movie {
-            name: name.to_string(),
-            ino,
-            table,
+        let (placement, movie) = placement::record(
+            self.cfg.server.placement,
+            &mut self.cras,
+            &mut self.fs,
+            name,
             profile,
-        }
-    }
-
-    /// Records a movie twice: normally onto a primary volume, and as a
-    /// same-size replica file (`{name}.mir`) onto a mirror volume. The
-    /// replica allocates its own extents, so the two copies may fragment
-    /// differently — degraded reads remap by logical byte range, not by
-    /// disk block.
-    fn record_movie_mirrored(&mut self, name: &str, profile: StreamProfile, secs: f64) -> Movie {
-        let (p, m) = self.cras.place_next_pair();
-        let movie =
-            cras_media::record_movie(&mut self.fs[p.index()], name, profile, secs, &mut self.rng)
-                .expect("movie recording failed");
-        let total = movie.table.total_bytes();
-        let fsm = &mut self.fs[m.index()];
-        let mirror_ino = fsm.create(&format!("{name}.mir")).expect("mirror file");
-        fsm.append(mirror_ino, total).expect("mirror allocation");
-        self.placements.insert(
-            name.to_string(),
-            MoviePlacement::Mirrored {
-                primary: p.0,
-                mirror: m.0,
-                ino: movie.ino,
-                mirror_ino,
-            },
+            secs,
+            &mut self.rng,
         );
+        self.placements.insert(name.to_string(), placement);
         movie
     }
 
-    /// Records a movie striped across all volumes: stripe unit `k` of the
-    /// data goes to volume `k mod N`, appended to a per-volume stripe
-    /// file. The control file lives on volume 0, as in the whole-movie
-    /// layout.
-    fn record_movie_striped(
-        &mut self,
-        name: &str,
-        profile: StreamProfile,
-        secs: f64,
-        stripe_bytes: u64,
-    ) -> Movie {
-        assert!(stripe_bytes > 0, "zero stripe unit");
-        assert!(
-            stripe_bytes.is_multiple_of(BSIZE as u64),
-            "stripe unit must be a multiple of the fs block size"
-        );
-        let table = cras_media::generate_chunks(&profile, secs, &mut self.rng);
-        let total = table.total_bytes();
-        let n = self.fs.len() as u64;
-        // Stripe k (the last may be short) lands on volume k mod N.
-        let nstripes = total.div_ceil(stripe_bytes);
-        let mut per_vol = vec![0u64; n as usize];
-        for k in 0..nstripes {
-            let len = stripe_bytes.min(total - k * stripe_bytes);
-            per_vol[(k % n) as usize] += len;
-        }
-        let mut stripes = Vec::with_capacity(n as usize);
-        for (v, bytes) in per_vol.iter().enumerate() {
-            let fsv = &mut self.fs[v];
-            let ino = fsv.create(&format!("{name}.s{v}")).expect("stripe file");
-            if *bytes > 0 {
-                fsv.append(ino, *bytes).expect("stripe allocation");
-            }
-            stripes.push(ino);
-        }
-        let ctl = cras_media::container::encode(&table);
-        let ctl_ino = self.fs[0]
-            .create(&format!("{name}.ctl"))
-            .expect("control file");
-        self.fs[0]
-            .append(ctl_ino, ctl.len() as u64)
-            .expect("control file fits");
-        let ino = stripes[0];
-        self.placements.insert(
-            name.to_string(),
-            MoviePlacement::Striped {
-                stripes,
-                stripe_bytes,
-                total_bytes: total,
-            },
-        );
-        Movie {
-            name: name.to_string(),
-            ino,
-            table,
-            profile,
-        }
-    }
-
-    /// Resolves a movie's placed extent map for `crs_open`: each extent
-    /// tagged with the volume it lives on, file offsets in logical media
-    /// bytes.
-    fn movie_extents(&self, movie: &Movie) -> Vec<VolumeExtent> {
-        match self.placements.get(&movie.name) {
-            // The placement names the volume; the `Movie` handle names the
-            // inode (tools like the fragmenter re-home a movie's data into
-            // a fresh inode under the same name).
-            Some(MoviePlacement::Whole { vol, ino: _ }) => {
-                on_volume(VolumeId(*vol), self.fs[*vol as usize].extent_map(movie.ino))
-            }
-            Some(MoviePlacement::Striped {
-                stripes,
-                stripe_bytes,
-                total_bytes,
-            }) => {
-                let maps: Vec<Vec<Extent>> = stripes
-                    .iter()
-                    .enumerate()
-                    .map(|(v, &ino)| self.fs[v].extent_map(ino))
-                    .collect();
-                striped_extents(&maps, *stripe_bytes, *total_bytes)
-            }
-            Some(MoviePlacement::Mirrored { primary, .. }) => on_volume(
-                VolumeId(*primary),
-                self.fs[*primary as usize].extent_map(movie.ino),
-            ),
-            Some(MoviePlacement::Parity {
-                base,
-                group,
-                stripe_bytes,
-                total_bytes,
-                data,
-                ..
-            }) => {
-                let geom = ParityGeometry::new(*base, *group, *stripe_bytes, *total_bytes);
-                let maps: Vec<Vec<Extent>> = data
-                    .iter()
-                    .enumerate()
-                    .map(|(v, &ino)| self.fs[(*base + v as u32) as usize].extent_map(ino))
-                    .collect();
-                parity_data_extents(&geom, &maps)
-            }
-            // Movies created directly through `ufs_mut()` (tests,
-            // experiments) live on volume 0.
-            None => on_volume(VolumeId(0), self.fs[0].extent_map(movie.ino)),
-        }
-    }
-
-    /// The mirror replica's extent map, if the movie is mirrored.
-    fn movie_mirror_extents(&self, movie: &Movie) -> Option<Vec<VolumeExtent>> {
-        match self.placements.get(&movie.name) {
-            Some(MoviePlacement::Mirrored {
-                mirror, mirror_ino, ..
-            }) => Some(on_volume(
-                VolumeId(*mirror),
-                self.fs[*mirror as usize].extent_map(*mirror_ino),
-            )),
-            _ => None,
-        }
-    }
-
-    /// The parity layout and per-volume parity-file maps of a
-    /// parity-placed movie, for `crs_open` and the rebuild planner.
-    fn movie_parity_state(&self, movie: &Movie) -> Option<ParityState> {
-        match self.placements.get(&movie.name) {
-            Some(MoviePlacement::Parity {
-                base,
-                group,
-                stripe_bytes,
-                total_bytes,
-                parity,
-                ..
-            }) => {
-                let geom = ParityGeometry::new(*base, *group, *stripe_bytes, *total_bytes);
-                let parity_maps = parity
-                    .iter()
-                    .enumerate()
-                    .map(|(v, &ino)| {
-                        let vol = *base + v as u32;
-                        on_volume(VolumeId(vol), self.fs[vol as usize].extent_map(ino))
-                    })
-                    .collect();
-                Some(ParityState { geom, parity_maps })
-            }
-            _ => None,
-        }
-    }
-
     /// The single volume holding a movie's data, for Unix-server access
-    /// paths that read one file.
-    ///
-    /// # Panics
-    ///
-    /// Panics for striped and parity movies: the Unix server reads whole
-    /// files and has no stripe-reassembly layer.
+    /// paths that read one file; it panics for striped and parity
+    /// movies. Movies created directly through `ufs_mut()` live on
+    /// volume 0.
     fn movie_volume(&self, movie: &Movie) -> u32 {
-        match self.placements.get(&movie.name) {
-            Some(MoviePlacement::Whole { vol, .. }) => *vol,
-            Some(MoviePlacement::Mirrored { primary, .. }) => *primary,
-            Some(MoviePlacement::Striped { .. }) => {
-                panic!("Unix-server access to a striped movie is not supported")
-            }
-            Some(MoviePlacement::Parity { .. }) => {
-                panic!("Unix-server access to a parity movie is not supported")
-            }
-            None => 0,
-        }
+        self.placements.get(&movie.name).map_or(0, |p| p.volume())
     }
 
     fn alloc_client(&mut self) -> ClientId {
@@ -786,12 +466,18 @@ impl SysState {
         movie: &Movie,
         admit: Admit,
     ) -> Result<StreamId, AdmissionError> {
+        let (extents, mirror, parity) = match self.placements.get(&movie.name) {
+            Some(p) => p.resolve(&self.fs, movie.ino),
+            // Movies created directly through `ufs_mut()` (tests,
+            // experiments) live on volume 0.
+            None => (file_extents(&self.fs, 0, movie.ino), None, None),
+        };
         let req = OpenReq {
             name: movie.name.clone(),
             table: movie.table.clone(),
-            extents: self.movie_extents(movie),
-            mirror: self.movie_mirror_extents(movie),
-            parity: self.movie_parity_state(movie),
+            extents,
+            mirror,
+            parity,
             admit,
         };
         // A parity movie's deferred open takes the checked ladder.
@@ -836,9 +522,11 @@ impl System {
     }
 
     /// Records a movie into the file system (setup phase; consumes no
-    /// simulated time). Under round-robin placement the whole movie lands
-    /// on the next volume in rotation; under striped placement its data is
-    /// spread over every volume in stripe units. The recording is
+    /// simulated time) under the configured placement policy:
+    /// round-robin puts the whole movie on the next volume in rotation,
+    /// striped spreads it over every volume in stripe units, mirrored
+    /// writes it to a primary and a mirror volume, and parity lays it out
+    /// in rotating-parity rows across the next band. The recording is
     /// journaled: replaying the journal against the same config seed
     /// reproduces the placement exactly.
     pub fn record_movie(&mut self, name: &str, profile: StreamProfile, secs: f64) -> Movie {
@@ -1337,91 +1025,11 @@ impl System {
                     cfg.seed ^ 0xFA17 ^ ((vol as u64) << 32) ^ 0x5EB1,
                 )));
         }
-        let mirrored: Vec<(u32, u32, Ino, Ino)> = self
+        let chunks = self
             .placements
             .values()
-            .filter_map(|p| match p {
-                MoviePlacement::Mirrored {
-                    primary,
-                    mirror,
-                    ino,
-                    mirror_ino,
-                } => Some((*primary, *mirror, *ino, *mirror_ino)),
-                _ => None,
-            })
+            .flat_map(|p| p.rebuild_chunks(&self.fs, vol, self.cfg.rebuild_chunk))
             .collect();
-        let mut chunks = Vec::new();
-        for (p, m, ino, mino) in mirrored {
-            let (src, dst) = if p == vol {
-                (
-                    on_volume(VolumeId(m), self.fs[m as usize].extent_map(mino)),
-                    on_volume(VolumeId(p), self.fs[p as usize].extent_map(ino)),
-                )
-            } else if m == vol {
-                (
-                    on_volume(VolumeId(p), self.fs[p as usize].extent_map(ino)),
-                    on_volume(VolumeId(m), self.fs[m as usize].extent_map(mino)),
-                )
-            } else {
-                continue;
-            };
-            chunks.extend(plan_chunks(&src, &dst, self.cfg.rebuild_chunk));
-        }
-        // Parity movies whose band contains the volume: reconstruct its
-        // lost data units from the surviving data+parity units, and
-        // re-encode its lost parity units from the rows' data units.
-        // (base, group, stripe_bytes, total_bytes, data inos, parity inos)
-        type ParityBand = (u32, u32, u64, u64, Vec<Ino>, Vec<Ino>);
-        let parity_placed: Vec<ParityBand> = self
-            .placements
-            .values()
-            .filter_map(|p| match p {
-                MoviePlacement::Parity {
-                    base,
-                    group,
-                    stripe_bytes,
-                    total_bytes,
-                    data,
-                    parity,
-                } if (*base..*base + *group).contains(&vol) => Some((
-                    *base,
-                    *group,
-                    *stripe_bytes,
-                    *total_bytes,
-                    data.clone(),
-                    parity.clone(),
-                )),
-                _ => None,
-            })
-            .collect();
-        for (base, group, stripe_bytes, total_bytes, data, parity) in parity_placed {
-            let geom = ParityGeometry::new(base, group, stripe_bytes, total_bytes);
-            let maps: Vec<Vec<Extent>> = data
-                .iter()
-                .enumerate()
-                .map(|(v, &ino)| self.fs[(base + v as u32) as usize].extent_map(ino))
-                .collect();
-            let extents = parity_data_extents(&geom, &maps);
-            let parity_maps = parity
-                .iter()
-                .enumerate()
-                .map(|(v, &ino)| {
-                    let pv = base + v as u32;
-                    on_volume(VolumeId(pv), self.fs[pv as usize].extent_map(ino))
-                })
-                .collect();
-            let ps = ParityState { geom, parity_maps };
-            let bv = (vol - base) as usize;
-            let dst_data = on_volume(VolumeId(vol), self.fs[vol as usize].extent_map(data[bv]));
-            let dst_parity = on_volume(VolumeId(vol), self.fs[vol as usize].extent_map(parity[bv]));
-            chunks.extend(plan_parity_recon(
-                &extents,
-                &ps,
-                &dst_data,
-                &dst_parity,
-                vol,
-            ));
-        }
         let now = self.now();
         self.metrics.rebuild_started_at = Some(now);
         self.rebuild_gen += 1;
@@ -2702,84 +2310,11 @@ impl SysState {
     }
 }
 
-/// Composes the placed extent map of a striped movie from the per-volume
-/// stripe files' extent maps. Stripe `k` (logical bytes
-/// `[k·S, k·S+len)`) is the `k/N`-th stripe inside volume `k mod N`'s
-/// stripe file; only the final logical stripe may be short, and it is the
-/// last one in its file, so within-file stripe offsets are exact
-/// multiples of the stripe unit.
-fn striped_extents(maps: &[Vec<Extent>], stripe_bytes: u64, total: u64) -> Vec<VolumeExtent> {
-    let n = maps.len() as u64;
-    let mut out = Vec::new();
-    let mut logical = 0u64;
-    let mut k = 0u64;
-    while logical < total {
-        let len = stripe_bytes.min(total - logical);
-        let vol = (k % n) as usize;
-        let within = (k / n) * stripe_bytes;
-        let (lo, hi) = (within, within + len);
-        for e in &maps[vol] {
-            let e_lo = e.file_offset;
-            let e_hi = e.file_offset + e.nblocks as u64 * 512;
-            let a = lo.max(e_lo);
-            let b = hi.min(e_hi);
-            if a >= b {
-                continue;
-            }
-            out.push(VolumeExtent {
-                volume: VolumeId(vol as u32),
-                extent: Extent {
-                    file_offset: logical + (a - lo),
-                    disk_block: e.disk_block + (a - e_lo) / 512,
-                    nblocks: (b - a).div_ceil(512) as u32,
-                },
-            });
-        }
-        logical += len;
-        k += 1;
-    }
-    out
-}
-
-/// Composes the placed logical extent map of a parity movie's *data*
-/// bytes from the band's per-volume data-unit files. Data unit `k`
-/// (logical bytes `[k·S, k·S+len)`) is the `data_file_index(k)`-th unit
-/// inside its volume's data file; only the final logical unit may be
-/// short, and it is the last one in its file, so within-file unit
-/// offsets are exact multiples of the stripe unit.
-fn parity_data_extents(geom: &ParityGeometry, maps: &[Vec<Extent>]) -> Vec<VolumeExtent> {
-    let sb = geom.stripe_bytes;
-    let mut out = Vec::new();
-    for k in 0..geom.data_units() {
-        let len = geom.unit_len(k);
-        let vol = geom.data_volume(k);
-        let within = geom.data_file_index(k) * sb;
-        let (lo, hi) = (within, within + len);
-        for e in &maps[(vol.0 - geom.base) as usize] {
-            let e_lo = e.file_offset;
-            let e_hi = e.file_offset + e.nblocks as u64 * 512;
-            let a = lo.max(e_lo);
-            let b = hi.min(e_hi);
-            if a >= b {
-                continue;
-            }
-            out.push(VolumeExtent {
-                volume: vol,
-                extent: Extent {
-                    file_offset: k * sb + (a - lo),
-                    disk_block: e.disk_block + (a - e_lo) / 512,
-                    nblocks: (b - a).div_ceil(512) as u32,
-                },
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
+    use cras_core::{ParityGeometry, PlacementPolicy, VolumeExtent};
     use cras_media::StreamProfile;
 
     fn sys(cfg: SysConfig) -> System {
@@ -2980,28 +2515,75 @@ mod tests {
         assert!(rt1 > 0, "volume 1 idle");
     }
 
-    #[test]
-    fn striped_extents_cover_movie_bytes_in_order() {
-        let mut cfg = SysConfig::default();
-        cfg.server.volumes = 2;
-        cfg.server.placement = PlacementPolicy::Striped {
-            stripe_bytes: 256 * 1024,
-        };
-        let mut s = sys(cfg);
-        let movie = s.record_movie("m", StreamProfile::mpeg1(), 6.0);
-        let extents = s.movie_extents(&movie);
-        assert!(extents.len() >= 2, "striping should split extents");
+    /// Asserts a resolved map covers the movie's logical bytes `[0, total)`
+    /// in order with no gap, and returns the volumes it reads.
+    fn covered_volumes(map: &[VolumeExtent], total: u64) -> BTreeSet<u32> {
         let mut cursor = 0u64;
-        for ve in &extents {
+        for ve in map {
             assert_eq!(ve.extent.file_offset, cursor, "gap in logical bytes");
             cursor += ve.extent.nblocks as u64 * 512;
         }
-        assert!(
-            cursor >= movie.table.total_bytes(),
-            "extents cover the movie"
-        );
-        let vols: std::collections::BTreeSet<u32> = extents.iter().map(|ve| ve.volume.0).collect();
-        assert_eq!(vols.len(), 2, "both volumes hold data");
+        assert!(cursor >= total, "extents cover the movie");
+        map.iter().map(|ve| ve.volume.0).collect()
+    }
+
+    #[test]
+    fn every_placement_records_resolves_and_sizes_its_files() {
+        let striped = PlacementPolicy::Striped {
+            stripe_bytes: 256 * 1024,
+        };
+        let parity = PlacementPolicy::Parity { group: 4 };
+        // (policy, volumes holding data, mirror volumes, storage factor)
+        let cases: [(PlacementPolicy, &[u32], &[u32], f64); 4] = [
+            (PlacementPolicy::RoundRobin, &[0], &[], 1.0),
+            (striped, &[0, 1, 2, 3], &[], 1.0),
+            (PlacementPolicy::Mirrored, &[0], &[1], 2.0),
+            (parity, &[0, 1, 2, 3], &[], 4.0 / 3.0),
+        ];
+        for (policy, data_vols, mirror_vols, factor) in cases {
+            let mut cfg = SysConfig::default();
+            cfg.server.volumes = 4;
+            cfg.server.placement = policy;
+            let mut s = sys(cfg);
+            let movie = s.record_movie("m", StreamProfile::mpeg1(), 6.0);
+            let total = movie.table.total_bytes();
+            let p = s.placement("m").expect("recorded").clone();
+            assert_eq!(p.files()[0], (data_vols[0], movie.ino), "{policy:?}");
+            let (extents, mirror, parity_state) = p.resolve(&s.fs, movie.ino);
+            let vols = covered_volumes(&extents, total);
+            assert!(vols.iter().eq(data_vols), "{policy:?} data on {vols:?}");
+            assert!(extents.len() >= data_vols.len(), "{policy:?}");
+            match mirror {
+                Some(m) => {
+                    let vols = covered_volumes(&m, total);
+                    assert!(vols.iter().eq(mirror_vols), "{policy:?} mirror on {vols:?}");
+                }
+                None => assert!(mirror_vols.is_empty(), "{policy:?} lost its mirror"),
+            }
+            assert_eq!(parity_state.is_some(), policy == parity, "{policy:?}");
+            if let Some(ps) = parity_state {
+                for v in 0..4u32 {
+                    let mapped: u64 = ps.parity_maps[v as usize]
+                        .iter()
+                        .map(|e| e.extent.bytes())
+                        .sum();
+                    assert!(
+                        mapped >= ps.geom.parity_bytes_on(v),
+                        "volume {v} parity file too small"
+                    );
+                }
+            }
+            let stored: u64 = p
+                .files()
+                .iter()
+                .map(|&(v, ino)| s.ufs_on(v).file_size(ino))
+                .sum();
+            let measured = stored as f64 / total as f64;
+            assert!(
+                (measured - factor).abs() < 0.05,
+                "{policy:?} stores {measured:.3}x, expected {factor:.3}x"
+            );
+        }
     }
 
     fn mirrored_cfg(volumes: usize) -> SysConfig {
@@ -3253,35 +2835,6 @@ mod tests {
                     + geom.parity_bytes_on(v)
             }
             other => panic!("unexpected placement {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parity_extents_cover_the_movie_across_the_band() {
-        let mut s = sys(parity_cfg(4, 4));
-        let movie = s.record_movie("m", StreamProfile::mpeg1(), 6.0);
-        let extents = s.movie_extents(&movie);
-        let mut cursor = 0u64;
-        for ve in &extents {
-            assert_eq!(ve.extent.file_offset, cursor, "gap in logical bytes");
-            cursor += ve.extent.nblocks as u64 * 512;
-        }
-        assert!(
-            cursor >= movie.table.total_bytes(),
-            "extents cover the movie"
-        );
-        let vols: std::collections::BTreeSet<u32> = extents.iter().map(|ve| ve.volume.0).collect();
-        assert_eq!(vols.len(), 4, "every band volume holds data units");
-        let ps = s.movie_parity_state(&movie).expect("parity state");
-        for v in 0..4u32 {
-            let mapped: u64 = ps.parity_maps[v as usize]
-                .iter()
-                .map(|e| e.extent.bytes())
-                .sum();
-            assert!(
-                mapped >= ps.geom.parity_bytes_on(v),
-                "volume {v} parity file too small"
-            );
         }
     }
 

@@ -14,9 +14,9 @@
 //! spindle, and a longer (but still harmless) rebuild.
 
 use cras_core::PlacementPolicy;
-use cras_media::StreamProfile;
+use cras_media::{Movie, StreamProfile};
 use cras_sim::{Duration, Instant};
-use cras_sys::{MoviePlacement, SysConfig, System};
+use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
 
@@ -41,6 +41,88 @@ pub struct FailoverOutcome {
     pub rebuild_secs: f64,
 }
 
+/// The configuration both failover experiments run: `volumes` spindles
+/// under `placement`, with 64 MB of buffer memory.
+pub(crate) fn config(placement: PlacementPolicy, volumes: usize, seed: u64) -> SysConfig {
+    let mut cfg = SysConfig::default();
+    cfg.seed = seed;
+    cfg.server.volumes = volumes;
+    cfg.server.placement = placement;
+    cfg.server.buffer_budget = 64 << 20;
+    cfg
+}
+
+/// One run of the failover scenario.
+pub(crate) struct Run {
+    /// The system after the rebuild drained.
+    pub sys: System,
+    /// The recorded movies, in `names` order.
+    pub movies: Vec<Movie>,
+    /// Streams the admission test accepted.
+    pub admitted: usize,
+    /// Frames the admitted players dropped.
+    pub dropped: u64,
+}
+
+/// The failover scenario both placements share: record one
+/// `measure + 8 s` MPEG-1 movie per name, admit them in order until the
+/// test refuses one, start every admitted player, fail `victim` a third
+/// of the way into `measure`, attach a replacement, play to the end of
+/// `measure` and drain the rebuild.
+pub(crate) fn run(
+    cfg: SysConfig,
+    names: &[String],
+    measure: Duration,
+    victim: impl FnOnce(&System) -> u32,
+) -> Run {
+    let mut sys = System::new(cfg);
+    let secs = measure.as_secs_f64() + 8.0;
+    let movies: Vec<Movie> = names
+        .iter()
+        .map(|n| sys.record_movie(n, StreamProfile::mpeg1(), secs))
+        .collect();
+    let mut players = Vec::new();
+    for m in &movies {
+        match sys.add_cras_player(m, 1) {
+            Ok(c) => players.push(c),
+            Err(_) => break,
+        }
+    }
+    let mut start = Instant::ZERO;
+    for &p in &players {
+        start = sys.start_playback(p).max(start);
+    }
+    let victim = victim(&sys);
+    sys.run_until(start + Duration::from_secs_f64(measure.as_secs_f64() / 3.0));
+    sys.fail_volume(victim);
+    // Attach the replacement and rebuild while playback continues.
+    // Under load the dead spindle's fast-error queue may still be
+    // draining through the event loop, so retry until the device is
+    // free instead of panicking on the race.
+    let mut tries = 0;
+    while let Err(e) = sys.try_attach_replacement(victim) {
+        tries += 1;
+        assert!(tries < 100, "replacement never attached: {e}");
+        sys.run_for(Duration::from_millis(100));
+    }
+    sys.run_until(start + measure);
+    let mut guard = 0;
+    while sys.rebuild_active() && guard < 3600 {
+        sys.run_for(Duration::from_secs(1));
+        guard += 1;
+    }
+    let dropped = players
+        .iter()
+        .map(|c| sys.players[&c.0].stats.frames_dropped)
+        .sum();
+    Run {
+        sys,
+        movies,
+        admitted: players.len(),
+        dropped,
+    }
+}
+
 /// Runs the failover scenario at each requested stream count: `volumes`
 /// mirrored volumes, kill the first movie's primary a third of the way
 /// into the measurement, attach a replacement one second later, and play
@@ -54,59 +136,15 @@ pub fn sweep(
     assert!(volumes >= 2, "failover needs at least two volumes");
     let mut out = Vec::new();
     for &requested in stream_counts {
-        let mut cfg = SysConfig::default();
-        cfg.seed = seed;
-        cfg.server.volumes = volumes;
-        cfg.server.placement = PlacementPolicy::Mirrored;
-        cfg.server.buffer_budget = 64 << 20;
-        let mut sys = System::new(cfg);
-        let movies: Vec<_> = (0..requested)
-            .map(|i| {
-                sys.record_movie(
-                    &format!("fo{i}.mov"),
-                    StreamProfile::mpeg1(),
-                    measure.as_secs_f64() + 8.0,
-                )
-            })
-            .collect();
-        let mut players = Vec::new();
-        for m in &movies {
-            match sys.add_cras_player(m, 1) {
-                Ok(c) => players.push(c),
-                Err(_) => break,
-            }
-        }
-        let admitted = players.len();
-        let mut start = Instant::ZERO;
-        for &p in &players {
-            start = sys.start_playback(p).max(start);
-        }
-        let victim = match sys.placement("fo0.mov") {
-            Some(MoviePlacement::Mirrored { primary, .. }) => *primary,
-            other => panic!("movie 0 is not mirrored: {other:?}"),
-        };
-        sys.run_until(start + Duration::from_secs_f64(measure.as_secs_f64() / 3.0));
-        sys.fail_volume(victim);
-        // Attach the replacement and rebuild while playback continues.
-        // Under load the dead spindle's fast-error queue may still be
-        // draining through the event loop, so retry until the device is
-        // free instead of panicking on the race.
-        let mut tries = 0;
-        while let Err(e) = sys.try_attach_replacement(victim) {
-            tries += 1;
-            assert!(tries < 100, "replacement never attached: {e}");
-            sys.run_for(Duration::from_millis(100));
-        }
-        sys.run_until(start + measure);
-        let mut guard = 0;
-        while sys.rebuild_active() && guard < 3600 {
-            sys.run_for(Duration::from_secs(1));
-            guard += 1;
-        }
-        let dropped = players
-            .iter()
-            .map(|c| sys.players[&c.0].stats.frames_dropped)
-            .sum();
+        let names: Vec<String> = (0..requested).map(|i| format!("fo{i}.mov")).collect();
+        let cfg = config(PlacementPolicy::Mirrored, volumes, seed);
+        let victim = |sys: &System| sys.placement("fo0.mov").expect("recorded").volume();
+        let Run {
+            sys,
+            admitted,
+            dropped,
+            ..
+        } = run(cfg, &names, measure, victim);
         out.push(FailoverOutcome {
             requested,
             admitted,

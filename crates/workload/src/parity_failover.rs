@@ -15,10 +15,11 @@
 //! reconstruction.
 
 use cras_core::PlacementPolicy;
-use cras_media::StreamProfile;
-use cras_sim::{Duration, Instant};
-use cras_sys::{MoviePlacement, SysConfig, System};
+use cras_media::{Movie, StreamProfile};
+use cras_sim::Duration;
+use cras_sys::System;
 
+use crate::failover;
 use crate::result::{Figure, KvTable};
 
 /// Outcome of one parity failover run.
@@ -51,41 +52,15 @@ pub struct ParityFailoverOutcome {
     pub mirrored_storage_factor: f64,
 }
 
-/// Stored-over-media byte ratio of the named movies, measured from the
-/// per-volume file sizes the recording actually allocated.
-fn storage_factor(sys: &System, names: &[String]) -> f64 {
-    let mut media = 0u64;
-    let mut stored = 0u64;
-    for name in names {
-        match sys.placement(name) {
-            Some(MoviePlacement::Parity {
-                base,
-                total_bytes,
-                data,
-                parity,
-                ..
-            }) => {
-                media += total_bytes;
-                for (v, &ino) in data.iter().enumerate() {
-                    stored += sys.ufs_on(base + v as u32).file_size(ino);
-                }
-                for (v, &ino) in parity.iter().enumerate() {
-                    stored += sys.ufs_on(base + v as u32).file_size(ino);
-                }
-            }
-            Some(MoviePlacement::Mirrored {
-                primary,
-                mirror,
-                ino,
-                mirror_ino,
-            }) => {
-                let sz = sys.ufs_on(*primary).file_size(*ino);
-                media += sz;
-                stored += sz + sys.ufs_on(*mirror).file_size(*mirror_ino);
-            }
-            other => panic!("unexpected placement for {name}: {other:?}"),
-        }
-    }
+/// Stored-over-media byte ratio of `movies`, measured from the sizes of
+/// the files the recording actually allocated.
+fn storage_factor(sys: &System, movies: &[Movie]) -> f64 {
+    let media: u64 = movies.iter().map(|m| m.table.total_bytes()).sum();
+    let stored: u64 = movies
+        .iter()
+        .flat_map(|m| sys.placement(&m.name).expect("recorded").files())
+        .map(|(v, ino)| sys.ufs_on(v).file_size(ino))
+        .sum();
     stored as f64 / media as f64
 }
 
@@ -104,69 +79,26 @@ pub fn sweep(
     assert!(volumes >= 2, "parity needs at least two volumes");
     let mut out = Vec::new();
     for &requested in stream_counts {
-        let mut cfg = SysConfig::default();
-        cfg.seed = seed;
-        cfg.server.volumes = volumes;
-        cfg.server.placement = PlacementPolicy::Parity { group: volumes };
-        cfg.server.buffer_budget = 64 << 20;
-        let mut sys = System::new(cfg);
         let names: Vec<String> = (0..requested).map(|i| format!("pf{i}.mov")).collect();
-        let movies: Vec<_> = names
-            .iter()
-            .map(|n| sys.record_movie(n, StreamProfile::mpeg1(), measure.as_secs_f64() + 8.0))
-            .collect();
-        let parity_factor = storage_factor(&sys, &names);
-        // The mirrored yardstick: same movies, same seed, recording only.
-        let mirrored_factor = {
-            let mut mcfg = cfg;
-            mcfg.server.placement = PlacementPolicy::Mirrored;
-            let mut msys = System::new(mcfg);
-            for n in &names {
-                msys.record_movie(n, StreamProfile::mpeg1(), measure.as_secs_f64() + 8.0);
-            }
-            storage_factor(&msys, &names)
-        };
-        let mut players = Vec::new();
-        for m in &movies {
-            match sys.add_cras_player(m, 1) {
-                Ok(c) => players.push(c),
-                Err(_) => break,
-            }
-        }
-        let admitted = players.len();
-        let mut start = Instant::ZERO;
-        for &p in &players {
-            start = sys.start_playback(p).max(start);
-        }
+        let cfg = failover::config(PlacementPolicy::Parity { group: volumes }, volumes, seed);
         // Every movie spans the whole band, so any band volume serves as
         // the victim.
-        let victim = (volumes as u32) / 2;
-        sys.run_until(start + Duration::from_secs_f64(measure.as_secs_f64() / 3.0));
-        sys.fail_volume(victim);
-        // Attach the replacement and reconstruct while playback
-        // continues; the dead spindle's fast-error queue may still be
-        // draining through the event loop, so retry instead of panicking
-        // on the race.
-        let mut tries = 0;
-        while let Err(e) = sys.try_attach_replacement(victim) {
-            tries += 1;
-            assert!(tries < 100, "replacement never attached: {e}");
-            sys.run_for(Duration::from_millis(100));
-        }
-        sys.run_until(start + measure);
-        let mut guard = 0;
-        while sys.rebuild_active() && guard < 3600 {
-            sys.run_for(Duration::from_secs(1));
-            guard += 1;
-        }
-        let dropped = players
-            .iter()
-            .map(|c| sys.players[&c.0].stats.frames_dropped)
-            .sum();
+        let run = failover::run(cfg, &names, measure, |_| (volumes as u32) / 2);
+        // The mirrored yardstick: same movies, same seed, recording only.
+        let mirrored_factor = {
+            let mut msys = System::new(failover::config(PlacementPolicy::Mirrored, volumes, seed));
+            let secs = measure.as_secs_f64() + 8.0;
+            let movies: Vec<Movie> = names
+                .iter()
+                .map(|n| msys.record_movie(n, StreamProfile::mpeg1(), secs))
+                .collect();
+            storage_factor(&msys, &movies)
+        };
+        let sys = &run.sys;
         out.push(ParityFailoverOutcome {
             requested,
-            admitted,
-            dropped,
+            admitted: run.admitted,
+            dropped: run.dropped,
             overruns: sys.metrics.overruns,
             degraded_intervals: sys.metrics.degraded_intervals,
             degraded_reads: sys.cras.stats().degraded_reads,
@@ -177,7 +109,7 @@ pub fn sweep(
                 .rebuild_time()
                 .map(|t| t.as_secs_f64())
                 .unwrap_or(f64::NAN),
-            storage_factor: parity_factor,
+            storage_factor: storage_factor(sys, &run.movies),
             mirrored_storage_factor: mirrored_factor,
         });
     }
