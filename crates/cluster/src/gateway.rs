@@ -490,7 +490,7 @@ impl Cluster {
                 .players
                 .iter()
                 .filter(|(_, p)| p.paused && !p.done)
-                .map(|(&id, _)| id)
+                .map(|(id, _)| id)
                 .collect();
             for id in paused {
                 if sh.sys.retry_parked(ClientId(id)) {

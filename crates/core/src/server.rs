@@ -35,13 +35,12 @@
 //! *admitted* against the cache memory budget instead.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Bound;
 
 use cras_disk::calibrate::DiskParams;
 use cras_disk::geometry::BlockNo;
 use cras_disk::{SweepCursor, VolumeId};
 use cras_media::{Chunk, ChunkTable};
-use cras_sim::{Duration, Instant};
+use cras_sim::{Duration, IdTable, Instant};
 use cras_ufs::Extent;
 
 use crate::admission::{
@@ -549,6 +548,14 @@ struct FeedMisses {
     orphaned: Vec<u32>,
 }
 
+impl FeedMisses {
+    fn clear(&mut self) {
+        self.broken.clear();
+        self.drained.clear();
+        self.orphaned.clear();
+    }
+}
+
 /// One stream's planned interval: direct runs tagged with their first
 /// logical byte, reconstruction reads, the chunk range they fetch, and
 /// the load they put on each volume this interval.
@@ -611,7 +618,8 @@ pub struct CrasServer {
     /// *same* tick the park happened (a parked leader fetches nothing,
     /// so waiting a tick would open a one-interval delivery gap).
     parked_orphans: Vec<u32>,
-    streams: BTreeMap<u32, Stream>,
+    /// Open streams by id; a closed stream leaves a hole.
+    streams: IdTable<Stream>,
     /// Open stream ids per title, changed only where `streams` gains or
     /// loses a stream, so per-title scans (cache and join candidates,
     /// the last-stream check at close) skip every other title.
@@ -642,6 +650,11 @@ pub struct CrasServer {
     /// interval's issue order continues the sweep instead of
     /// restarting at block 0 and paying a full-stroke seek back.
     sweep: Vec<SweepCursor>,
+    /// Reused per-tick scratch: the cache-serve phase's misses.
+    misses: FeedMisses,
+    /// Reused per-tick scratch: streams whose buffer refused a chunk in
+    /// the post phase.
+    refused: Vec<StreamId>,
 }
 
 impl CrasServer {
@@ -681,7 +694,7 @@ impl CrasServer {
             pending_parks: Vec::new(),
             parked_orphans: Vec::new(),
             cfg,
-            streams: BTreeMap::new(),
+            streams: IdTable::new(),
             by_title: BTreeMap::new(),
             next_stream: 0,
             next_place: 0,
@@ -695,6 +708,8 @@ impl CrasServer {
             stats: ServerStats::default(),
             failed: vec![false; cfg.volumes],
             sweep: vec![SweepCursor::new(); cfg.volumes],
+            misses: FeedMisses::default(),
+            refused: Vec::new(),
         }
     }
 
@@ -1657,8 +1672,11 @@ impl CrasServer {
         // (fetched this interval, posted at the next tick).
         let horizon = now + self.cfg.interval * 2;
         rep.posted_chunks = self.post_fetched(now);
-        let misses = self.serve_cached(horizon, &mut rep);
-        self.refeed(misses, now, horizon, &mut rep);
+        let mut misses = std::mem::take(&mut self.misses);
+        self.serve_cached(horizon, &mut rep, &mut misses);
+        self.refeed(&mut misses, now, horizon, &mut rep);
+        misses.clear();
+        self.misses = misses;
         let active = self.plan_reads(now, horizon, &mut rep);
         self.sweep_sort(&mut rep.reqs);
         let t = self.cfg.interval.as_secs_f64();
@@ -1680,7 +1698,7 @@ impl CrasServer {
         let mut posted = 0usize;
         // Streams whose buffer refused a chunk this tick: they get no
         // more chunks until they fetch again from the rewound cursor.
-        let mut refused: Vec<StreamId> = Vec::new();
+        let mut refused = std::mem::take(&mut self.refused);
         for batch in std::mem::take(&mut self.done) {
             let Some(s) = self.streams.get_mut(&batch.stream.0) else {
                 continue; // Closed while in flight.
@@ -1726,10 +1744,11 @@ impl CrasServer {
         // A refused stream's own later batches are dropped, and it leaves
         // its joins: the refetch would post chunks its followers, or it,
         // already hold.
-        for id in refused {
+        for id in refused.drain(..) {
             self.drop_batches(id);
             self.leave_joins(id);
         }
+        self.refused = refused;
         self.stats.chunks_posted += posted as u64;
         posted
     }
@@ -1738,13 +1757,18 @@ impl CrasServer {
     /// interval goes straight into the done queue (posting at the next
     /// tick, the same timing a disk fetch would have), with zero disk
     /// commands. Joined followers are fed by phase-1 multicast and only
-    /// checked for orphaning. Returns the streams left without a feed.
-    fn serve_cached(&mut self, horizon: Instant, rep: &mut IntervalReport) -> FeedMisses {
-        let mut misses = FeedMisses::default();
+    /// checked for orphaning. Collects the streams left without a feed
+    /// in `misses`.
+    fn serve_cached(
+        &mut self,
+        horizon: Instant,
+        rep: &mut IntervalReport,
+        misses: &mut FeedMisses,
+    ) {
         if !self.cache.enabled() && self.cfg.join_window == Duration::ZERO {
-            return misses;
+            return;
         }
-        for (&sid, s) in self.streams.iter_mut() {
+        for (sid, s) in self.streams.iter_mut() {
             if !s.cache_state.is_cached() || !s.clock.is_running() {
                 continue;
             }
@@ -1770,14 +1794,13 @@ impl CrasServer {
                 None => {}
             }
         }
-        misses
     }
 
     /// Phase 3, drain/dissolve: finds a new feed for every stream phase
     /// 2 left without one.
     fn refeed(
         &mut self,
-        misses: FeedMisses,
+        misses: &mut FeedMisses,
         now: Instant,
         horizon: Instant,
         rep: &mut IntervalReport,
@@ -1785,18 +1808,18 @@ impl CrasServer {
         let FeedMisses {
             broken,
             drained,
-            mut orphaned,
+            orphaned,
         } = misses;
-        for &sid in &broken {
+        for &sid in broken.iter() {
             self.feed(StreamId(sid), FeedEvent::Miss, now);
         }
-        for &sid in &orphaned {
+        for &sid in orphaned.iter() {
             self.feed(StreamId(sid), FeedEvent::Orphaned, now);
         }
         // Reserve-at-drain: each drained deferred stream claims its disk
         // share now. Falling back to the cache window (or parking) keeps
         // it off the spindles; only real disk reservations are journaled.
-        for &sid in &drained {
+        for &sid in drained.iter() {
             if self.feed(StreamId(sid), FeedEvent::Miss, now) == Some(Rung::Disk) {
                 rep.deferred_reserved.push(sid);
             }
@@ -1873,13 +1896,9 @@ impl CrasServer {
             .collect();
         // Walk the stream ids in order without collecting them: planning
         // never opens or closes a stream.
-        let mut next = self.streams.keys().next().copied();
+        let mut next = self.streams.first_key();
         while let Some(sid) = next {
-            next = self
-                .streams
-                .range((Bound::Excluded(sid), Bound::Unbounded))
-                .next()
-                .map(|(&k, _)| k);
+            next = self.streams.next_key(sid);
             if self.outstanding.get(&sid).copied().unwrap_or(0) >= self.cfg.max_outstanding_batches
             {
                 // The disk is behind for this stream; do not pile on.
@@ -4234,7 +4253,7 @@ mod tests {
             }
             let rerate = match srv.streams.len() {
                 n if n > 0 && rng.chance(0.25) => {
-                    let id = *srv
+                    let id = srv
                         .streams
                         .keys()
                         .nth(rng.below(n as u64) as usize)

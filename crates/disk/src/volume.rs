@@ -193,8 +193,8 @@ impl<T> VolumeSet<T> {
     /// plus any in-flight operation), indexed by volume id — the
     /// device-side half of the read-steering load signal
     /// ([`DiskDevice::outstanding`]).
-    pub fn outstanding_depths(&self) -> Vec<usize> {
-        self.disks.iter().map(|d| d.outstanding()).collect()
+    pub fn outstanding_depths(&self) -> impl Iterator<Item = usize> + '_ {
+        self.disks.iter().map(|d| d.outstanding())
     }
 
     /// Marks a volume permanently down: its in-flight operation fails

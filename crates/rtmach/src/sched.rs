@@ -12,6 +12,16 @@
 //! thread meet its interval deadlines in Figure 10. Round-robin threads
 //! share their level in quantum-sized slices, which is exactly what
 //! produces the large delay jitter the paper measures under round-robin.
+//!
+//! The ready queue is ordered by effective priority, highest first, then
+//! by a per-thread rank: a thread entering the queue normally (woken from
+//! blocked, more work after a burst, quantum expiry) ranks behind every
+//! other, and a preempted thread ranks ahead of every other, so it
+//! resumes before its equal-priority peers. Each burst carries a `Copy`
+//! tag of the caller's type, handed back in [`BurstDone`].
+
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use cras_sim::{Duration, Instant};
 
@@ -35,21 +45,30 @@ pub type Resched = Option<(Instant, SliceToken)>;
 
 /// A completed burst report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BurstDone {
+pub struct BurstDone<T> {
     /// The thread whose burst finished.
     pub tid: ThreadId,
     /// The tag given at [`Cpu::wake`].
-    pub tag: u64,
+    pub tag: T,
 }
 
 /// Outcome of a [`Cpu::slice_end`] call.
-#[derive(Clone, Debug, Default)]
-pub struct SliceOutcome {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SliceOutcome<T> {
     /// Burst that completed at this boundary (empty for quantum expiry or
     /// a stale token).
-    pub completed: Option<BurstDone>,
+    pub completed: Option<BurstDone<T>>,
     /// Next slice boundary to schedule.
     pub resched: Resched,
+}
+
+impl<T> Default for SliceOutcome<T> {
+    fn default() -> Self {
+        SliceOutcome {
+            completed: None,
+            resched: None,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -62,7 +81,7 @@ struct Current {
 }
 
 /// Aggregate CPU statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CpuStats {
     /// Total time the CPU executed any thread.
     pub busy: Duration,
@@ -72,28 +91,44 @@ pub struct CpuStats {
     pub preemptions: u64,
 }
 
-/// The simulated CPU.
-pub struct Cpu {
-    threads: Vec<ThreadRec>,
-    /// Ready thread ids, dispatch order = max effective prio, then FIFO.
-    ready: Vec<ThreadId>,
+/// A ready-queue key: highest effective priority first, then lowest
+/// rank.
+type ReadyKey = (Reverse<u8>, i64);
+
+impl<T> ThreadRec<T> {
+    fn ready_key(&self) -> ReadyKey {
+        (Reverse(self.effective_prio()), self.rank)
+    }
+}
+
+/// The simulated CPU. Bursts carry tags of type `T`.
+pub struct Cpu<T> {
+    threads: Vec<ThreadRec<T>>,
+    /// Ready threads in dispatch order.
+    ready: BTreeMap<ReadyKey, ThreadId>,
+    /// Rank of the last thread queued ahead of all others (preempted).
+    front: i64,
+    /// Rank of the last thread queued behind all others.
+    back: i64,
     current: Option<Current>,
     next_token: u64,
     stats: CpuStats,
 }
 
-impl Default for Cpu {
+impl<T: Copy> Default for Cpu<T> {
     fn default() -> Self {
         Cpu::new()
     }
 }
 
-impl Cpu {
+impl<T: Copy> Cpu<T> {
     /// Creates an empty CPU.
-    pub fn new() -> Cpu {
+    pub fn new() -> Cpu<T> {
         Cpu {
             threads: Vec::new(),
-            ready: Vec::new(),
+            ready: BTreeMap::new(),
+            front: 0,
+            back: 0,
             current: None,
             next_token: 0,
             stats: CpuStats::default(),
@@ -145,19 +180,26 @@ impl Cpu {
 
     /// Sets (or clears) a priority-inheritance boost on a thread.
     ///
-    /// A raised boost on a *ready* thread can preempt the running thread;
-    /// the caller must treat the returned [`Resched`] like any other.
+    /// A ready thread moves to its new priority's place in the ready
+    /// queue, keeping its rank. A raised boost on a *ready* thread can
+    /// preempt the running thread; the caller must treat the returned
+    /// [`Resched`] like any other.
     pub fn set_boost(&mut self, tid: ThreadId, boost: Option<u8>, now: Instant) -> Resched {
-        self.threads[tid.0 as usize].boost = boost;
-        // Re-evaluate only if the boosted thread is ready and would now
-        // outrank the running thread.
-        if self.threads[tid.0 as usize].state == ThreadState::Ready {
-            if let Some(cur) = self.current {
-                let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
-                let new_prio = self.threads[tid.0 as usize].effective_prio();
-                if new_prio > cur_prio {
-                    return self.preempt_and_dispatch(now);
-                }
+        let t = &mut self.threads[tid.0 as usize];
+        if t.state != ThreadState::Ready {
+            t.boost = boost;
+            return None;
+        }
+        self.ready.remove(&t.ready_key());
+        t.boost = boost;
+        self.ready.insert(t.ready_key(), tid);
+        // Re-evaluate only if the boosted thread would now outrank the
+        // running thread.
+        if let Some(cur) = self.current {
+            let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
+            let new_prio = self.threads[tid.0 as usize].effective_prio();
+            if new_prio > cur_prio {
+                return self.preempt_and_dispatch(now);
             }
         }
         None
@@ -174,23 +216,18 @@ impl Cpu {
     /// Panics if `work` is zero — zero-length bursts would complete
     /// "instantly" and are almost always an orchestrator bug; model cheap
     /// operations with a small positive cost instead.
-    pub fn wake(&mut self, tid: ThreadId, work: Duration, tag: u64, now: Instant) -> Resched {
+    pub fn wake(&mut self, tid: ThreadId, work: Duration, tag: T, now: Instant) -> Resched {
         assert!(!work.is_zero(), "zero-length CPU burst");
         let t = &mut self.threads[tid.0 as usize];
         t.work.push_back(Burst {
             remaining: work,
             tag,
         });
-        match t.state {
-            ThreadState::Blocked => {
-                t.state = ThreadState::Ready;
-                self.ready.push(tid);
-            }
-            ThreadState::Ready | ThreadState::Running => {
-                // Extra work queued behind the current burst(s).
-                return None;
-            }
+        if t.state != ThreadState::Blocked {
+            // Extra work queued behind the current burst(s).
+            return None;
         }
+        self.enqueue(tid, false);
         match self.current {
             None => self.dispatch(now),
             Some(cur) => {
@@ -212,7 +249,7 @@ impl Cpu {
     /// A stale token (the slice was preempted away) yields an empty
     /// outcome. Otherwise the running thread either completed its burst or
     /// exhausted its quantum, and the next thread is dispatched.
-    pub fn slice_end(&mut self, token: SliceToken, now: Instant) -> SliceOutcome {
+    pub fn slice_end(&mut self, token: SliceToken, now: Instant) -> SliceOutcome<T> {
         let Some(cur) = self.current else {
             return SliceOutcome::default();
         };
@@ -237,22 +274,36 @@ impl Cpu {
             if t.work.is_empty() {
                 t.state = ThreadState::Blocked;
             } else {
-                t.state = ThreadState::Ready;
-                self.ready.push(cur.tid);
+                self.enqueue(cur.tid, false);
             }
         } else {
             // Quantum expiry: charge the slice against the burst and
-            // requeue at the tail of the ready list.
+            // requeue behind every ready thread.
             let burst = t.work.front_mut().expect("running thread without work");
             burst.remaining = burst.remaining.saturating_sub(elapsed);
-            t.state = ThreadState::Ready;
-            self.ready.push(cur.tid);
+            self.enqueue(cur.tid, false);
         }
 
         SliceOutcome {
             completed,
             resched: self.dispatch(now),
         }
+    }
+
+    /// Puts a thread in the ready queue: ahead of every other thread when
+    /// `front` (a preempted thread), else behind every other.
+    fn enqueue(&mut self, tid: ThreadId, front: bool) {
+        let rank = if front {
+            self.front -= 1;
+            self.front
+        } else {
+            self.back += 1;
+            self.back
+        };
+        let t = &mut self.threads[tid.0 as usize];
+        t.state = ThreadState::Ready;
+        t.rank = rank;
+        self.ready.insert(t.ready_key(), tid);
     }
 
     fn preempt_and_dispatch(&mut self, now: Instant) -> Resched {
@@ -264,28 +315,14 @@ impl Cpu {
         self.stats.preemptions += 1;
         let burst = t.work.front_mut().expect("running thread without work");
         burst.remaining = burst.remaining.saturating_sub(elapsed);
-        t.state = ThreadState::Ready;
         // A preempted thread resumes ahead of equal-priority peers.
-        self.ready.insert(0, cur.tid);
+        self.enqueue(cur.tid, true);
         self.dispatch(now)
     }
 
     fn dispatch(&mut self, now: Instant) -> Resched {
         debug_assert!(self.current.is_none());
-        if self.ready.is_empty() {
-            return None;
-        }
-        // Highest effective priority; FIFO among equals (stable scan).
-        let mut best_idx = 0;
-        let mut best_prio = self.threads[self.ready[0].0 as usize].effective_prio();
-        for (i, &tid) in self.ready.iter().enumerate().skip(1) {
-            let p = self.threads[tid.0 as usize].effective_prio();
-            if p > best_prio {
-                best_prio = p;
-                best_idx = i;
-            }
-        }
-        let tid = self.ready.remove(best_idx);
+        let (_, tid) = self.ready.pop_first()?;
         let t = &mut self.threads[tid.0 as usize];
         t.state = ThreadState::Running;
         let burst = t.work.front().expect("ready thread without work");
@@ -333,7 +370,10 @@ mod tests {
 
     /// Drives the CPU to completion from a list of initial wakes,
     /// returning (finish_time_ms, tid, tag) triples in completion order.
-    fn drive(cpu: &mut Cpu, wakes: Vec<(u64, ThreadId, u64, u64)>) -> Vec<(u64, ThreadId, u64)> {
+    fn drive(
+        cpu: &mut Cpu<u64>,
+        wakes: Vec<(u64, ThreadId, u64, u64)>,
+    ) -> Vec<(u64, ThreadId, u64)> {
         // wakes: (time_ms, tid, work_ms, tag)
         let mut events: Vec<(Instant, SliceToken)> = Vec::new();
         let mut done = Vec::new();
@@ -566,5 +606,263 @@ mod tests {
         let out2 = cpu.slice_end(tok2, t2);
         assert_eq!(out2.completed.unwrap().tid, b);
         assert_eq!(t2, at(15));
+    }
+
+    /// The scheduler as it was before the ordered ready queue: a `Vec`
+    /// of ready ids, a stable scan for the highest effective priority,
+    /// `Vec::remove` of the winner, and `insert(0, …)` for a preempted
+    /// thread. The differential test below checks [`Cpu`] against it.
+    struct ListCpu {
+        threads: Vec<ThreadRec<u64>>,
+        ready: Vec<ThreadId>,
+        current: Option<Current>,
+        next_token: u64,
+        stats: CpuStats,
+    }
+
+    impl ListCpu {
+        fn new() -> ListCpu {
+            ListCpu {
+                threads: Vec::new(),
+                ready: Vec::new(),
+                current: None,
+                next_token: 0,
+                stats: CpuStats::default(),
+            }
+        }
+
+        fn create(&mut self, policy: SchedPolicy) -> ThreadId {
+            let tid = ThreadId(self.threads.len() as u32);
+            self.threads.push(ThreadRec::new(String::new(), policy));
+            tid
+        }
+
+        fn set_boost(&mut self, tid: ThreadId, boost: Option<u8>, now: Instant) -> Resched {
+            self.threads[tid.0 as usize].boost = boost;
+            if self.threads[tid.0 as usize].state == ThreadState::Ready {
+                if let Some(cur) = self.current {
+                    let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
+                    let new_prio = self.threads[tid.0 as usize].effective_prio();
+                    if new_prio > cur_prio {
+                        return self.preempt_and_dispatch(now);
+                    }
+                }
+            }
+            None
+        }
+
+        fn wake(&mut self, tid: ThreadId, work: Duration, tag: u64, now: Instant) -> Resched {
+            let t = &mut self.threads[tid.0 as usize];
+            t.work.push_back(Burst {
+                remaining: work,
+                tag,
+            });
+            match t.state {
+                ThreadState::Blocked => {
+                    t.state = ThreadState::Ready;
+                    self.ready.push(tid);
+                }
+                ThreadState::Ready | ThreadState::Running => return None,
+            }
+            match self.current {
+                None => self.dispatch(now),
+                Some(cur) => {
+                    let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
+                    let new_prio = self.threads[tid.0 as usize].effective_prio();
+                    if new_prio > cur_prio && now < cur.ends {
+                        self.preempt_and_dispatch(now)
+                    } else {
+                        None
+                    }
+                }
+            }
+        }
+
+        fn slice_end(&mut self, token: SliceToken, now: Instant) -> SliceOutcome<u64> {
+            let Some(cur) = self.current else {
+                return SliceOutcome::default();
+            };
+            if cur.token != token {
+                return SliceOutcome::default();
+            }
+            assert_eq!(cur.ends, now, "slice event fired at the wrong time");
+            self.current = None;
+            let elapsed = now.since(cur.started);
+            let t = &mut self.threads[cur.tid.0 as usize];
+            t.total_cpu += elapsed;
+            self.stats.busy += elapsed;
+            let mut completed = None;
+            if cur.burst_ends {
+                let burst = t.work.pop_front().expect("running thread without work");
+                t.bursts_completed += 1;
+                completed = Some(BurstDone {
+                    tid: cur.tid,
+                    tag: burst.tag,
+                });
+                if t.work.is_empty() {
+                    t.state = ThreadState::Blocked;
+                } else {
+                    t.state = ThreadState::Ready;
+                    self.ready.push(cur.tid);
+                }
+            } else {
+                let burst = t.work.front_mut().expect("running thread without work");
+                burst.remaining = burst.remaining.saturating_sub(elapsed);
+                t.state = ThreadState::Ready;
+                self.ready.push(cur.tid);
+            }
+            SliceOutcome {
+                completed,
+                resched: self.dispatch(now),
+            }
+        }
+
+        fn preempt_and_dispatch(&mut self, now: Instant) -> Resched {
+            let cur = self.current.take().expect("preempt with idle CPU");
+            let elapsed = now.since(cur.started);
+            let t = &mut self.threads[cur.tid.0 as usize];
+            t.total_cpu += elapsed;
+            self.stats.busy += elapsed;
+            self.stats.preemptions += 1;
+            let burst = t.work.front_mut().expect("running thread without work");
+            burst.remaining = burst.remaining.saturating_sub(elapsed);
+            t.state = ThreadState::Ready;
+            self.ready.insert(0, cur.tid);
+            self.dispatch(now)
+        }
+
+        fn dispatch(&mut self, now: Instant) -> Resched {
+            if self.ready.is_empty() {
+                return None;
+            }
+            let mut best_idx = 0;
+            let mut best_prio = self.threads[self.ready[0].0 as usize].effective_prio();
+            for (i, &tid) in self.ready.iter().enumerate().skip(1) {
+                let p = self.threads[tid.0 as usize].effective_prio();
+                if p > best_prio {
+                    best_prio = p;
+                    best_idx = i;
+                }
+            }
+            let tid = self.ready.remove(best_idx);
+            let t = &mut self.threads[tid.0 as usize];
+            t.state = ThreadState::Running;
+            let burst = t.work.front().expect("ready thread without work");
+            let (slice, burst_ends) = match t.policy.quantum() {
+                Some(q) if q < burst.remaining => (q, false),
+                _ => (burst.remaining, true),
+            };
+            self.next_token += 1;
+            let token = SliceToken(self.next_token);
+            let ends = now + slice;
+            self.current = Some(Current {
+                tid,
+                token,
+                started: now,
+                ends,
+                burst_ends,
+            });
+            self.stats.dispatches += 1;
+            Some((ends, token))
+        }
+    }
+
+    /// Asserts the two schedulers agree on everything observable.
+    fn assert_same(cpu: &Cpu<u64>, list: &ListCpu, ctx: &str) {
+        assert_eq!(cpu.running(), list.current.map(|c| c.tid), "{ctx}: running");
+        assert_eq!(cpu.stats(), list.stats, "{ctx}: stats");
+        for (i, t) in list.threads.iter().enumerate() {
+            let tid = ThreadId(i as u32);
+            assert_eq!(cpu.state(tid), t.state, "{ctx}: thread {i} state");
+            assert_eq!(cpu.runtime(tid), t.total_cpu, "{ctx}: thread {i} runtime");
+            assert_eq!(
+                cpu.bursts_completed(tid),
+                t.bursts_completed,
+                "{ctx}: thread {i} bursts"
+            );
+        }
+        let ready_order: Vec<ThreadId> = cpu.ready.values().copied().collect();
+        let mut list_order = list.ready.clone();
+        // The list's dispatch order: a stable sort by descending priority.
+        list_order.sort_by_key(|t| Reverse(list.threads[t.0 as usize].effective_prio()));
+        assert_eq!(ready_order, list_order, "{ctx}: ready order");
+    }
+
+    #[test]
+    fn ordered_queue_matches_the_stable_scan_list() {
+        use cras_sim::Rng;
+        for seed in 0..50u64 {
+            let mut rng = Rng::new(seed);
+            let mut cpu: Cpu<u64> = Cpu::new();
+            let mut list = ListCpu::new();
+            let n = 3 + rng.below(8) as u32;
+            for _ in 0..n {
+                // Few distinct levels, so equal-priority order matters.
+                let prio = 1 + rng.below(4) as u8 * 3;
+                let policy = if rng.chance(0.5) {
+                    fp(prio)
+                } else {
+                    rr(prio, 1 + rng.below(20))
+                };
+                assert_eq!(cpu.create("t", policy), list.create(policy));
+            }
+            let mut now = Instant::ZERO;
+            // Pending slice events (stale ones included), as the
+            // orchestrator would hold them.
+            let mut events: Vec<(Instant, SliceToken)> = Vec::new();
+            let mut tag = 0u64;
+            for op in 0..2_000 {
+                let ctx = format!("seed {seed} op {op}");
+                let next = events.iter().map(|e| e.0).min();
+                let roll = rng.below(10);
+                if roll < 4 && next.is_some() {
+                    // Quantum expiry or burst completion (or a stale
+                    // token) at the earliest pending boundary.
+                    let i = (0..events.len()).min_by_key(|&i| events[i]).unwrap();
+                    let (t, tok) = events.swap_remove(i);
+                    now = t;
+                    let a = cpu.slice_end(tok, t);
+                    let b = list.slice_end(tok, t);
+                    assert_eq!(a, b, "{ctx}: slice_end");
+                    events.extend(a.resched);
+                } else {
+                    // Anywhere up to the next boundary, and quite often
+                    // exactly on it (a wake at `cur.ends`).
+                    if let Some(t) = next {
+                        now = match rng.below(3) {
+                            0 => t,
+                            1 => now,
+                            _ => {
+                                now + Duration::from_micros(rng.below(t.since(now).as_micros() + 1))
+                            }
+                        };
+                    } else {
+                        now += ms(rng.below(5));
+                    }
+                    let tid = ThreadId(rng.below(n as u64) as u32);
+                    let (a, b) = if roll < 8 {
+                        tag += 1;
+                        let work = Duration::from_micros(1 + rng.below(30_000));
+                        (
+                            cpu.wake(tid, work, tag, now),
+                            list.wake(tid, work, tag, now),
+                        )
+                    } else {
+                        // Raise, lower (possibly under the base) or clear.
+                        let boost = match rng.below(3) {
+                            0 => None,
+                            _ => Some(rng.below(14) as u8),
+                        };
+                        (
+                            cpu.set_boost(tid, boost, now),
+                            list.set_boost(tid, boost, now),
+                        )
+                    };
+                    assert_eq!(a, b, "{ctx}: resched");
+                    events.extend(a);
+                }
+                assert_same(&cpu, &list, &ctx);
+            }
+        }
     }
 }

@@ -66,11 +66,11 @@ impl SchedPolicy {
 
 /// A unit of CPU work given to a thread by [`crate::sched::Cpu::wake`].
 #[derive(Clone, Copy, Debug)]
-pub struct Burst {
+pub struct Burst<T> {
     /// CPU time still owed.
     pub remaining: Duration,
     /// Caller tag reported back when the burst completes.
-    pub tag: u64,
+    pub tag: T,
 }
 
 /// Lifecycle state of a thread.
@@ -86,25 +86,29 @@ pub enum ThreadState {
 
 /// Internal per-thread record.
 #[derive(Clone, Debug)]
-pub(crate) struct ThreadRec {
+pub(crate) struct ThreadRec<T> {
     pub name: String,
     pub policy: SchedPolicy,
     /// Priority-inheritance boost; effective priority is
     /// `max(policy.prio(), boost)`.
     pub boost: Option<u8>,
     pub state: ThreadState,
-    pub work: VecDeque<Burst>,
+    /// Place among equal-priority ready threads (lower goes first); set
+    /// each time the thread enters the ready queue.
+    pub rank: i64,
+    pub work: VecDeque<Burst<T>>,
     pub total_cpu: Duration,
     pub bursts_completed: u64,
 }
 
-impl ThreadRec {
-    pub fn new(name: String, policy: SchedPolicy) -> ThreadRec {
+impl<T> ThreadRec<T> {
+    pub fn new(name: String, policy: SchedPolicy) -> ThreadRec<T> {
         ThreadRec {
             name,
             policy,
             boost: None,
             state: ThreadState::Blocked,
+            rank: 0,
             work: VecDeque::new(),
             total_cpu: Duration::ZERO,
             bursts_completed: 0,
@@ -138,7 +142,7 @@ mod tests {
 
     #[test]
     fn boost_raises_but_never_lowers() {
-        let mut t = ThreadRec::new("t".into(), SchedPolicy::FixedPriority { prio: 10 });
+        let mut t = ThreadRec::<u64>::new("t".into(), SchedPolicy::FixedPriority { prio: 10 });
         assert_eq!(t.effective_prio(), 10);
         t.boost = Some(20);
         assert_eq!(t.effective_prio(), 20);

@@ -9,6 +9,8 @@
 //! * [`time`] — nanosecond-resolution [`time::Instant`] / [`time::Duration`]
 //!   newtypes.
 //! * [`engine`] — the generic event queue, [`engine::Engine`].
+//! * [`idtable`] — [`idtable::IdTable`], a dense table keyed by
+//!   never-reused `u32` ids, iterated in ascending id order.
 //! * [`rng`] — a seedable, forkable deterministic PRNG.
 //! * [`stats`] — online statistics, histograms, time series,
 //!   time-weighted averages.
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod idtable;
 pub mod json;
 pub mod rng;
 pub mod stats;
@@ -32,6 +35,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::Engine;
+pub use idtable::IdTable;
 pub use rng::Rng;
 pub use time::{Duration, Instant};
 pub use trace::{Trace, TraceRecord};

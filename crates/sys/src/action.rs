@@ -19,7 +19,7 @@ use cras_rtmach::ThreadId;
 use cras_sim::{Duration, Instant};
 
 use crate::journal::JournalRecord;
-use crate::tags::{DiskTag, Event};
+use crate::tags::{CpuTag, DiskTag, Event};
 
 /// One deferred side effect emitted by a state transition.
 #[derive(Debug)]
@@ -46,15 +46,15 @@ pub enum Action {
         /// The event to fire.
         ev: Event,
     },
-    /// Wake a CPU thread with a `burst` of work. `tag` is the interned
-    /// [`crate::tags::CpuTag`] id identifying the burst's completion.
+    /// Wake a CPU thread with a `burst` of work. The CPU carries `tag`
+    /// with the burst and hands it back at completion.
     WakeCpu {
         /// The thread.
         tid: ThreadId,
         /// Burst length.
         burst: Duration,
-        /// Interned completion tag.
-        tag: u64,
+        /// Completion tag.
+        tag: CpuTag,
     },
     /// Post one deadline-overrun warning (interval `index`) to the
     /// deadline notification port.

@@ -32,7 +32,7 @@ use cras_net::{LinkParams, NetDelivery, NetEffect, NetFaults, SessionCfg};
 use cras_rtmach::port::{FullPolicy, Port};
 use cras_rtmach::{Cpu, SchedPolicy, ThreadId};
 use cras_sim::trace::Trace;
-use cras_sim::{Duration, Engine, Instant, Rng};
+use cras_sim::{Duration, Engine, IdTable, Instant, Rng};
 use cras_ufs::layout::fsblock_to_disk;
 use cras_ufs::{FsReq, Ino, MkfsParams, Step, Ufs, UnixServer, SECT_PER_FSBLOCK};
 
@@ -44,7 +44,7 @@ use crate::metrics::{Metrics, ShardLoad, VolumeHealth};
 use crate::placement::{self, file_extents, MoviePlacement};
 use crate::player::{Player, PlayerMode};
 use crate::rebuild::RebuildManager;
-use crate::tags::{ClientId, CpuTag, DiskTag, Event, TagArena};
+use crate::tags::{ClientId, CpuTag, DiskTag, Event};
 
 /// Completed interval walls the load-aware rebuild pacing averages its
 /// slack estimate over.
@@ -140,7 +140,12 @@ pub struct SysState {
     /// The CRAS server.
     pub cras: CrasServer,
     /// Players by client id.
-    pub players: BTreeMap<u32, Player>,
+    pub players: IdTable<Player>,
+    /// The client playing each CRAS stream, by stream id. Set when the
+    /// player is installed and kept after the stream closes, like the
+    /// player record itself: a follower still joined to a leader that
+    /// closed since the last tick resolves the leader's client.
+    stream_clients: IdTable<ClientId>,
     /// Background readers by client id.
     pub bgs: BTreeMap<u32, BgReader>,
     /// Background writers by client id.
@@ -159,11 +164,12 @@ pub struct SysState {
     /// handlers emit [`Action::Trace`] records (only while enabled) and
     /// the executor appends them.
     pub trace: Trace,
+    /// Reused delivery-effect buffer (drained after every net step).
+    net_fx: Vec<NetEffect>,
     /// Per-volume file systems (index = volume id).
     fs: Vec<Ufs>,
     /// Movie placements by name.
     placements: BTreeMap<String, MoviePlacement>,
-    tags: TagArena,
     /// `(volume, block)` pairs with disk I/O in flight (sync or
     /// read-ahead).
     inflight_blocks: HashSet<(u32, cras_ufs::FsBlock)>,
@@ -209,8 +215,9 @@ pub struct System {
     pub engine: Engine<Event>,
     /// The disk volumes.
     pub disks: VolumeSet<DiskTag>,
-    /// The CPU.
-    pub cpu: Cpu,
+    /// The CPU; each burst carries the [`CpuTag`] that routes its
+    /// completion.
+    pub cpu: Cpu<CpuTag>,
     /// The deadline notification port: one message per interval overrun,
     /// consumed by the deadline-manager role (bounded; losing an old
     /// warning is acceptable, as in Real-Time Mach).
@@ -221,6 +228,9 @@ pub struct System {
     journal: Journal,
     /// Reused action buffer (drained after every transition).
     actions: Vec<Action>,
+    /// Reused per-spindle load snapshot, refilled at every scheduler
+    /// tick.
+    loads: Vec<VolumeLoad>,
 }
 
 impl std::ops::Deref for System {
@@ -306,15 +316,16 @@ impl System {
                 cfg,
                 userver: UnixServer::new(),
                 cras,
-                players: BTreeMap::new(),
+                players: IdTable::new(),
+                stream_clients: IdTable::new(),
                 bgs: BTreeMap::new(),
                 writers: BTreeMap::new(),
                 metrics: Metrics::new(),
                 net: NetDelivery::new(),
                 trace: Trace::new(4096),
+                net_fx: Vec::new(),
                 fs,
                 placements: BTreeMap::new(),
-                tags: TagArena::default(),
                 inflight_blocks: HashSet::new(),
                 server_wait: None,
                 cras_tid,
@@ -330,6 +341,7 @@ impl System {
             },
             journal: Journal::new(),
             actions: Vec::new(),
+            loads: Vec::new(),
         }
     }
 
@@ -515,8 +527,7 @@ impl System {
     /// Handlers never call this — they emit [`Action::WakeCpu`] instead.
     fn exec_wake_cpu(&mut self, tid: ThreadId, burst: Duration, tag: CpuTag) {
         let now = self.engine.now();
-        let id = self.state.tags.intern(tag);
-        if let Some((at, tok)) = self.cpu.wake(tid, burst, id, now) {
+        if let Some((at, tok)) = self.cpu.wake(tid, burst, tag, now) {
             self.engine.schedule(at, Event::CpuSlice(tok));
         }
     }
@@ -589,6 +600,7 @@ impl System {
                 tid,
             ),
         );
+        self.state.stream_clients.insert(stream.0, id);
         let rec = if matches!(self.state.cras.cache_state_of(stream), CacheState::Prefix) {
             JournalRecord::DeferredAdmitted {
                 client: id.0,
@@ -1333,18 +1345,19 @@ impl System {
                     // executor-owned, so it is sampled here — like disk
                     // completions — and handed to the pure transition
                     // through the server's setter.
-                    if matches!(self.state.tags.resolve(done.tag), CpuTag::CrasSched) {
-                        let depths = self.disks.outstanding_depths();
+                    if matches!(done.tag, CpuTag::CrasSched) {
                         let lags = self
                             .state
                             .metrics
-                            .recent_volume_lag(depths.len(), STEER_LAG_WINDOW);
-                        let loads: Vec<VolumeLoad> = depths
-                            .into_iter()
-                            .zip(lags)
-                            .map(|(queued, lag)| VolumeLoad { queued, lag })
-                            .collect();
-                        self.state.cras.set_volume_loads(&loads);
+                            .recent_volume_lag(self.disks.len(), STEER_LAG_WINDOW);
+                        self.loads.clear();
+                        self.loads.extend(
+                            self.disks
+                                .outstanding_depths()
+                                .zip(lags)
+                                .map(|(queued, lag)| VolumeLoad { queued, lag }),
+                        );
+                        self.state.cras.set_volume_loads(&self.loads);
                     }
                     self.state.on_cpu_done(done.tag, now, &mut acts);
                 }
@@ -1480,15 +1493,10 @@ impl SysState {
         }));
     }
 
-    /// Emits a CPU wake: interns the completion tag and defers the wake
-    /// to the executor.
-    fn wake_cpu(&mut self, tid: ThreadId, burst: Duration, tag: CpuTag, acts: &mut Vec<Action>) {
-        let id = self.tags.intern(tag);
-        acts.push(Action::WakeCpu {
-            tid,
-            burst,
-            tag: id,
-        });
+    /// Emits a CPU wake: the executor hands the burst, tagged, to the
+    /// CPU.
+    fn wake_cpu(&self, tid: ThreadId, burst: Duration, tag: CpuTag, acts: &mut Vec<Action>) {
+        acts.push(Action::WakeCpu { tid, burst, tag });
     }
 
     /// Emits a disk submit.
@@ -1570,9 +1578,9 @@ impl SysState {
 
     /// The completion half of a CPU burst: the executor has already
     /// ended the slice and re-armed the scheduler; this transition
-    /// routes the interned completion tag.
-    fn on_cpu_done(&mut self, tag: u64, now: Instant, acts: &mut Vec<Action>) {
-        match self.tags.resolve(tag) {
+    /// routes the completion tag.
+    fn on_cpu_done(&mut self, tag: CpuTag, now: Instant, acts: &mut Vec<Action>) {
+        match tag {
             CpuTag::CrasSched => {
                 let rep = self.cras.interval_tick(now);
                 if rep.overran {
@@ -1612,10 +1620,8 @@ impl SysState {
                 // the gateway may retry admission for it later via
                 // `System::resume_playback`.
                 for sid in &rep.parked_streams {
-                    let paused = self.players.values_mut().find(
-                        |p| matches!(p.mode, PlayerMode::Cras { stream } if stream.0 == *sid),
-                    );
-                    if let Some(p) = paused {
+                    let client = self.stream_clients.get(sid).map(|c| c.0);
+                    if let Some(p) = client.and_then(|c| self.players.get_mut(&c)) {
                         p.paused = true;
                     }
                 }
@@ -1623,11 +1629,7 @@ impl SysState {
                 // journal the promotion so crash recovery re-admits it
                 // as an ordinary disk stream from here on.
                 for sid in &rep.deferred_reserved {
-                    let client = self.players.values().find_map(|p| match p.mode {
-                        PlayerMode::Cras { stream } if stream.0 == *sid => Some(p.id.0),
-                        _ => None,
-                    });
-                    if let Some(client) = client {
+                    if let Some(&ClientId(client)) = self.stream_clients.get(sid) {
                         acts.push(Action::Journal(JournalRecord::DiskShareReserved { client }));
                     }
                 }
@@ -2058,13 +2060,7 @@ impl SysState {
         };
         let leader_client = match p.mode {
             PlayerMode::Cras { stream } => match self.cras.cache_state_of(stream) {
-                CacheState::Joined { leader } => self
-                    .players
-                    .iter()
-                    .find(
-                        |(_, q)| matches!(q.mode, PlayerMode::Cras { stream: s } if s.0 == leader),
-                    )
-                    .map(|(&cid, _)| cid),
+                CacheState::Joined { leader } => self.stream_clients.get(&leader).map(|c| c.0),
                 _ => None,
             },
             PlayerMode::Ufs { .. } => None,
@@ -2090,48 +2086,41 @@ impl SysState {
             return;
         };
         self.net_sync_join(client);
-        let mut fx = Vec::new();
-        self.net.send_frame(
-            client.0,
-            frame,
-            chunk.size as u64,
-            chunk.timestamp,
-            now,
-            &mut fx,
-        );
-        self.apply_net_effects(fx, now, acts);
+        self.net_step(now, acts, |net, fx| {
+            net.send_frame(client.0, frame, chunk.size as u64, chunk.timestamp, now, fx)
+        });
     }
 
     fn on_net_link_free(&mut self, link: u32, now: Instant, acts: &mut Vec<Action>) {
-        let mut fx = Vec::new();
-        self.net.on_link_free(link, now, &mut fx);
-        self.apply_net_effects(fx, now, acts);
+        self.net_step(now, acts, |net, fx| net.on_link_free(link, now, fx));
     }
 
     fn on_net_arrive(&mut self, link: u32, pkt: u64, now: Instant, acts: &mut Vec<Action>) {
-        let mut fx = Vec::new();
-        self.net.on_arrive(link, pkt, now, &mut fx);
-        self.apply_net_effects(fx, now, acts);
+        self.net_step(now, acts, |net, fx| net.on_arrive(link, pkt, now, fx));
     }
 
     fn on_net_nak(&mut self, client: ClientId, ord: u32, now: Instant, acts: &mut Vec<Action>) {
-        let mut fx = Vec::new();
-        self.net.on_nak(client.0, ord, now, &mut fx);
-        self.apply_net_effects(fx, now, acts);
+        self.net_step(now, acts, |net, fx| net.on_nak(client.0, ord, now, fx));
     }
 
     fn on_net_playout(&mut self, client: ClientId, ord: u32, now: Instant, acts: &mut Vec<Action>) {
-        let mut fx = Vec::new();
-        self.net.on_playout(client.0, ord, now, &mut fx);
-        self.apply_net_effects(fx, now, acts);
+        self.net_step(now, acts, |net, fx| net.on_playout(client.0, ord, now, fx));
     }
 
-    /// Maps the delivery machine's requested effects onto the §14 action
-    /// seam: timers become scheduled events, park/resume requests run
-    /// their stream-layer transitions inline (they emit further actions
-    /// but never further net effects, so this does not recurse).
-    fn apply_net_effects(&mut self, fx: Vec<NetEffect>, now: Instant, acts: &mut Vec<Action>) {
-        for e in fx {
+    /// Runs one delivery-machine step into the reused effect buffer,
+    /// then maps the requested effects onto the §14 action seam: timers
+    /// become scheduled events, park/resume requests run their
+    /// stream-layer transitions inline (they emit further actions but
+    /// never further net effects, so this does not recurse).
+    fn net_step(
+        &mut self,
+        now: Instant,
+        acts: &mut Vec<Action>,
+        step: impl FnOnce(&mut NetDelivery, &mut Vec<NetEffect>),
+    ) {
+        let mut fx = std::mem::take(&mut self.net_fx);
+        step(&mut self.net, &mut fx);
+        for e in fx.drain(..) {
             match e {
                 NetEffect::LinkFree { at, link } => acts.push(Action::Schedule {
                     at,
@@ -2153,6 +2142,7 @@ impl SysState {
                 NetEffect::Resume { session } => self.net_resume(ClientId(session), now, acts),
             }
         }
+        self.net_fx = fx;
     }
 
     /// Credit exhausted: the client's playout buffer crossed its high

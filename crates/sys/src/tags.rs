@@ -131,42 +131,3 @@ pub enum CpuTag {
     /// The Unix server spent CPU processing one request.
     UfsServe,
 }
-
-/// Tag arena: the CPU scheduler carries `u64` tags; the system maps them
-/// to [`CpuTag`] values through this arena.
-#[derive(Default, Debug)]
-pub struct TagArena {
-    tags: Vec<CpuTag>,
-}
-
-impl TagArena {
-    /// Interns a tag, returning its id.
-    pub fn intern(&mut self, tag: CpuTag) -> u64 {
-        self.tags.push(tag);
-        (self.tags.len() - 1) as u64
-    }
-
-    /// Resolves an id.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an id this arena never issued.
-    pub fn resolve(&self, id: u64) -> CpuTag {
-        self.tags[id as usize]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arena_roundtrip() {
-        let mut a = TagArena::default();
-        let x = a.intern(CpuTag::CrasSched);
-        let y = a.intern(CpuTag::Hog(3));
-        assert_eq!(a.resolve(x), CpuTag::CrasSched);
-        assert_eq!(a.resolve(y), CpuTag::Hog(3));
-        assert_ne!(x, y);
-    }
-}
