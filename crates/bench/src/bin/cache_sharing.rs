@@ -1,6 +1,16 @@
 //! Regenerates the interval-cache sharing experiment.
+//!
+//! ```text
+//! cargo run --release -p cras-bench --bin cache_sharing [-- --quick] [-- --check [--strict]]
+//! ```
+//!
+//! With `--check`, both artifacts are compared against the committed
+//! `BENCH_cache_sharing.json` and `BENCH_cache_sharing_admitted.json`
+//! (written by `--bin all`, whose configuration this full run shares)
+//! instead of being rewritten. Adding `--strict` turns drift past ±20%
+//! into a nonzero exit.
 
-use cras_bench::{quick_mode, write_result};
+use cras_bench::{check_bench, check_mode, quick_mode, strict_mode, write_result};
 use cras_sim::Duration;
 use cras_workload::cache_sharing::sweep;
 
@@ -26,8 +36,23 @@ fn main() {
     );
     println!("{}", t.render());
     println!("{}", f.render());
-    write_result("cache_sharing", &t.to_json());
-    write_result("cache_sharing_admitted", &f.to_json());
+    let artifacts = [
+        ("cache_sharing", t.to_json()),
+        ("cache_sharing_admitted", f.to_json()),
+    ];
+    if check_mode() {
+        let drifted = artifacts
+            .iter()
+            .filter(|(name, json)| !check_bench(name, json, quick))
+            .count();
+        if drifted > 0 && strict_mode() {
+            std::process::exit(1);
+        }
+    } else {
+        for (name, json) in &artifacts {
+            write_result(name, json);
+        }
+    }
     // Smoke contract for CI: the cache admitted extra viewers and every
     // admitted stream kept every deadline.
     let base = outs.first().expect("budget 0 ran");

@@ -7,17 +7,15 @@
 //! queue) carries the difference in memory.
 //!
 //! ```text
-//! cargo run --release -p cras-bench --bin catalog_scaling [-- --quick] [-- --check]
+//! cargo run --release -p cras-bench --bin catalog_scaling [-- --quick] [-- --check [--strict]]
 //! ```
 //!
 //! With `--check`, the run is compared against the committed
 //! `BENCH_catalog_scaling.json` at the repo root: numeric fields are
-//! compared pairwise and drift past ±20% prints a `WARN` line.
-//! Warn-only, like the `sim_speed` check — it exists so a capacity
-//! regression shows up in the log the day it lands, not to gate noisy
-//! CI machines.
+//! compared pairwise and drift past ±20% prints a `WARN` line. Adding
+//! `--strict` turns that drift into a nonzero exit.
 
-use cras_bench::{check_bench, check_mode, quick_mode, write_bench};
+use cras_bench::{check_bench, check_mode, quick_mode, strict_mode, write_bench};
 use cras_workload::catalog_scaling::{bench_shape, points_json, spindle_bound, sweep};
 
 fn main() {
@@ -31,7 +29,9 @@ fn main() {
 
     let json = points_json(bound, &outs);
     if check {
-        check_bench("catalog_scaling", &json, quick);
+        if !check_bench("catalog_scaling", &json, quick) && strict_mode() {
+            std::process::exit(1);
+        }
         return;
     }
 

@@ -2657,9 +2657,10 @@ mod tests {
 
     /// The feed state machine's cross-structure invariants: cache
     /// reservations match the streams' states, every join list names
-    /// open streams joined to that open leader, and the disk-charged
-    /// set passes admission.
+    /// open streams joined to that open leader, the disk-charged set
+    /// passes admission, and the cache's own bookkeeping holds.
     fn assert_feed_invariants(srv: &CrasServer, ctx: &str) {
+        srv.cache.check_invariants();
         let reserved: u64 = srv.streams.values().map(|s| s.cache_state.reserved()).sum();
         assert_eq!(srv.cache.reserved(), reserved, "{ctx}: cache reservations");
         for (leader, followers) in &srv.joins {
