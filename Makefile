@@ -13,7 +13,8 @@ test:
 bench:
 	cargo bench --workspace
 
-# Regenerate every paper figure/table (writes results/*.json).
+# Regenerate every paper figure/table (rewrites the root BENCH_*.json
+# baselines plus results/*.json); --quick writes only under results/.
 figures:
 	cargo run -p cras-bench --release --bin all
 

@@ -1,6 +1,6 @@
 //! Reduced-scale timings of every paper figure, so `cargo bench`
 //! exercises the entire regeneration harness. (Full-resolution figures
-//! come from the `cras-bench` binaries.)
+//! come from `cargo run -p cras-bench --release --bin all`.)
 
 use std::hint::black_box;
 

@@ -8,7 +8,7 @@ use cras_bench::report::summarize;
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| "results".into());
     let Ok(entries) = fs::read_dir(&dir) else {
-        eprintln!("no {dir}/ directory; run the figure binaries first");
+        eprintln!("no {dir}/ directory; run `--bin all` first");
         std::process::exit(1);
     };
     let mut paths: Vec<_> = entries

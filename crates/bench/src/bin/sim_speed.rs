@@ -10,14 +10,14 @@
 //! cargo run --release -p cras-bench --bin sim_speed [-- --quick] [-- --check [--strict]]
 //! ```
 //!
-//! The artifact is `BENCH_sim_speed.json` at the repo root. With
-//! `--check`, the run is compared against it instead of rewriting it —
-//! warn-only, so a regression shows up in the log the day it lands
-//! without gating noisy CI machines. Adding `--strict` turns drift past
-//! ±20% into a nonzero exit for local pre-merge runs.
+//! A full run writes `BENCH_sim_speed.json` at the repo root; `--quick`
+//! writes only under `results/`. With `--check`, the run is compared
+//! against the baseline instead of rewriting it. These are wall-clock
+//! numbers, so every field gets a ±20% band, and the check only prints
+//! unless `--strict` turns drift into a nonzero exit.
 #![allow(clippy::field_reassign_with_default)]
 
-use cras_bench::{check_bench, check_mode, quick_mode, strict_mode, write_bench};
+use cras_bench::{check_bench, check_mode, quick_mode, strict_mode, write_bench, Gate};
 use cras_core::PlacementPolicy;
 use cras_media::StreamProfile;
 use cras_sim::Duration;
@@ -149,7 +149,7 @@ fn main() {
     }
     json.push_str("]}");
     if check_mode() {
-        if !check_bench("sim_speed", &json, quick) && strict_mode() {
+        if !check_bench("sim_speed", &json, quick, Gate::Timing) && strict_mode() {
             std::process::exit(1);
         }
         return;
