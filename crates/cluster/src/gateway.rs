@@ -21,9 +21,11 @@
 //!
 //! Stepping is barrier-synchronous: every live shard runs to the next
 //! barrier before any gateway action happens. Because shards share no
-//! state between barriers, [`Stepping::Parallel`] (one thread per shard
-//! per quantum) replays the exact per-shard event sequences of
-//! [`Stepping::Lockstep`] — byte-identical metrics, checked in tests.
+//! state between barriers, the default [`Stepping::Parallel`] steps
+//! them on every core, the calling thread taking one group of shards,
+//! and replays the exact per-shard event sequences of the serial
+//! [`Stepping::Lockstep`] reference — byte-identical metrics, checked
+//! in tests.
 
 use std::collections::BTreeMap;
 
@@ -39,11 +41,14 @@ use crate::ring::{mix, Ring};
 /// How the gateway steps its shards between barriers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stepping {
-    /// One shard after another on the calling thread.
+    /// One shard after another on the calling thread: the serial
+    /// reference the parallel stepper is checked against.
     Lockstep,
-    /// One thread per live shard per quantum; the barrier joins them.
-    /// First real use of the pure-transition seam: a shard's step
-    /// touches only its own `System`.
+    /// The default. With `n = min(live shards, available cores)`, live
+    /// shard `i` is stepped by group `i mod n`: the calling thread
+    /// steps group 0 and `n − 1` scoped workers step the others, each
+    /// serially; the barrier joins them. With `n = 1` no thread is
+    /// spawned. A shard's step touches only its own `System`.
     Parallel,
 }
 
@@ -71,7 +76,8 @@ pub struct ClusterConfig {
     pub stream_cap: Option<usize>,
     /// Synchronization quantum between shard barriers.
     pub barrier: Duration,
-    /// Lockstep or one-thread-per-shard stepping.
+    /// Shard groups on every core (the default) or the serial
+    /// lockstep reference.
     pub stepping: Stepping,
     /// How long a rejected open waits in the gateway's retry queue
     /// before it is given up. At every barrier the gateway re-tries
@@ -83,7 +89,8 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A `shards`-wide cluster over `base`, with 2-way hot replication,
-    /// a 32-title hot set, and one admission interval per barrier.
+    /// a 32-title hot set, one admission interval per barrier, and
+    /// parallel stepping.
     pub fn new(shards: usize, base: SysConfig) -> ClusterConfig {
         ClusterConfig {
             shards,
@@ -93,7 +100,7 @@ impl ClusterConfig {
             vnodes: 64,
             stream_cap: None,
             barrier: base.server.interval,
-            stepping: Stepping::Lockstep,
+            stepping: Stepping::Parallel,
             retry_window: Duration::ZERO,
         }
     }
@@ -170,6 +177,10 @@ pub struct RetryStats {
     pub expired: u64,
     /// Queued opens dropped because every replica shard died.
     pub purged: u64,
+    /// Queued opens closed by the viewer before they were admitted.
+    /// With it the queue balances: `queued = admitted + expired +
+    /// purged + cancelled + pending_opens()`.
+    pub cancelled: u64,
     /// Parked (rebuffering) viewers resumed by a barrier retry sweep.
     pub resumed: u64,
 }
@@ -200,6 +211,26 @@ impl std::fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
+/// Why [`Cluster::kill_shard`] refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KillError {
+    /// No shard has this id.
+    UnknownShard(u32),
+    /// The shard is already dead.
+    AlreadyDead(u32),
+}
+
+impl std::fmt::Display for KillError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KillError::UnknownShard(s) => write!(f, "no shard {s}"),
+            KillError::AlreadyDead(s) => write!(f, "shard {s} is already dead"),
+        }
+    }
+}
+
+impl std::error::Error for KillError {}
+
 /// What [`Cluster::kill_shard`] did with the victim's sessions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FailoverReport {
@@ -229,6 +260,8 @@ pub struct Cluster {
     now: Instant,
     /// Next barrier at which parked viewers get an admission retry.
     resume_at: Instant,
+    /// Cores available to [`Stepping::Parallel`], read once.
+    cores: usize,
 }
 
 impl Cluster {
@@ -263,6 +296,7 @@ impl Cluster {
             retry_stats: RetryStats::default(),
             now: Instant::ZERO,
             resume_at: Instant::ZERO,
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -512,11 +546,12 @@ impl Cluster {
 
     /// Ends a session: the shard closes the stream (`crs_close`),
     /// freeing its admission shares and its slot under `stream_cap`. A
-    /// queued session simply leaves the retry queue.
+    /// queued session leaves the retry queue and counts as cancelled.
     pub fn close(&mut self, sid: SessionId) {
         if let Some(s) = self.sessions.get(&sid.0) {
             if s.queued {
                 self.pending.retain(|p| p.session != sid.0);
+                self.retry_stats.cancelled += 1;
             } else if !s.lost {
                 let (shard, client) = (s.shard, s.client);
                 if self.shards[shard as usize].alive {
@@ -555,10 +590,16 @@ impl Cluster {
     /// stops being stepped, and each session it was serving is
     /// re-admitted on the best surviving replica of its title (playback
     /// restarts from the top, as after a set-top reconnect). Titles
-    /// with no surviving copy are reported lost.
-    pub fn kill_shard(&mut self, victim: u32) -> FailoverReport {
+    /// with no surviving copy are reported lost. Killing a shard that
+    /// does not exist or is already dead is an error and changes
+    /// nothing.
+    pub fn kill_shard(&mut self, victim: u32) -> Result<FailoverReport, KillError> {
         let idx = victim as usize;
-        assert!(self.shards[idx].alive, "shard {victim} is already dead");
+        match self.shards.get(idx) {
+            None => return Err(KillError::UnknownShard(victim)),
+            Some(sh) if !sh.alive => return Err(KillError::AlreadyDead(victim)),
+            Some(_) => {}
+        }
         self.shards[idx].alive = false;
         self.shards[idx].sys.fail_shard();
         self.ring.remove_shard(victim);
@@ -619,7 +660,7 @@ impl Cluster {
                 }
             }
         }
-        report
+        Ok(report)
     }
 
     /// Steps one shard to the barrier and aligns its clock with it.
@@ -629,6 +670,27 @@ impl Cluster {
             // Safe: after `run_until(t)` every pending event is past `t`.
             sh.sys.engine.advance_to(t);
         }
+    }
+
+    /// Steps every live shard to `t` in `n = min(live, cores)` groups:
+    /// live shard `i` joins group `i mod n`, scoped workers step groups
+    /// `1..n` while the calling thread steps group 0, and the scope's
+    /// end is the barrier. With `n = 1` nothing is spawned.
+    fn step_groups(shards: &mut [Shard], t: Instant, cores: usize) {
+        let live = shards.iter().filter(|s| s.alive).count();
+        let n = cores.min(live).max(1);
+        let mut groups: Vec<Vec<&mut Shard>> = (0..n).map(|_| Vec::new()).collect();
+        for (i, sh) in shards.iter_mut().filter(|s| s.alive).enumerate() {
+            groups[i % n].push(sh);
+        }
+        let mut groups = groups.into_iter();
+        let mine = groups.next().unwrap_or_default();
+        std::thread::scope(|scope| {
+            for group in groups {
+                scope.spawn(move || group.into_iter().for_each(|sh| Self::step_shard(sh, t)));
+            }
+            mine.into_iter().for_each(|sh| Self::step_shard(sh, t));
+        });
     }
 
     /// Runs every live shard to the next barrier, repeatedly, until the
@@ -644,13 +706,7 @@ impl Cluster {
                         Self::step_shard(sh, next);
                     }
                 }
-                Stepping::Parallel => {
-                    std::thread::scope(|scope| {
-                        for sh in self.shards.iter_mut().filter(|s| s.alive) {
-                            scope.spawn(move || Self::step_shard(sh, next));
-                        }
-                    });
-                }
+                Stepping::Parallel => Self::step_groups(&mut self.shards, next, self.cores),
             }
             self.now = next;
             self.drain_pending();
@@ -699,20 +755,21 @@ mod tests {
     use super::*;
     use cras_media::StreamProfile;
 
-    fn small_cluster(stepping: Stepping) -> Cluster {
+    fn small_cluster() -> Cluster {
         let mut base = SysConfig {
             seed: 0xC1_05_7E,
             ..SysConfig::default()
         };
         base.server.volumes = 2;
         let mut cfg = ClusterConfig::new(3, base);
-        cfg.stepping = stepping;
         cfg.hot_titles = 2;
         Cluster::new(cfg)
     }
 
-    fn drive(stepping: Stepping) -> (Vec<String>, u64, u64) {
-        let mut cl = small_cluster(stepping);
+    /// Runs a fixed open sequence on [`small_cluster`] after `tweak`.
+    fn drive(tweak: impl FnOnce(&mut Cluster)) -> (Vec<String>, u64, u64) {
+        let mut cl = small_cluster();
+        tweak(&mut cl);
         for (rank, name) in ["a.mov", "b.mov", "c.mov", "d.mov"].iter().enumerate() {
             cl.add_title(name, &StreamProfile::mpeg1(), 30.0, rank);
         }
@@ -730,7 +787,7 @@ mod tests {
 
     #[test]
     fn hot_titles_get_more_replicas_than_tail() {
-        let mut cl = small_cluster(Stepping::Lockstep);
+        let mut cl = small_cluster();
         let hot = cl.add_title("hot.mov", &StreamProfile::mpeg1(), 10.0, 0);
         let cold = cl.add_title("cold.mov", &StreamProfile::mpeg1(), 10.0, 99);
         assert_eq!(hot.len(), 2);
@@ -742,31 +799,44 @@ mod tests {
 
     #[test]
     fn parallel_stepping_matches_lockstep_byte_for_byte() {
-        let (a, opened_a, shown_a) = drive(Stepping::Lockstep);
-        let (b, opened_b, shown_b) = drive(Stepping::Parallel);
+        assert_eq!(small_cluster().cfg.stepping, Stepping::Parallel);
+        let (a, opened_a, shown_a) = drive(|cl| cl.cfg.stepping = Stepping::Lockstep);
+        let (b, opened_b, shown_b) = drive(|_| {});
         assert_eq!(opened_a, opened_b);
         assert_eq!(shown_a, shown_b);
         assert_eq!(a, b, "per-shard canonical metrics diverged");
+        // Whatever this host's core count, cover both more shards than
+        // threads (2 groups for 3 shards) and one thread per shard.
+        for cores in [2, 3] {
+            let (c, ..) = drive(|cl| cl.cores = cores);
+            assert_eq!(a, c, "diverged at {cores} stepping threads");
+        }
     }
 
     #[test]
     fn replay_is_deterministic() {
-        assert_eq!(drive(Stepping::Lockstep), drive(Stepping::Lockstep));
+        assert_eq!(drive(|_| {}), drive(|_| {}));
     }
 
     #[test]
     fn shard_kill_reroutes_replicated_titles() {
-        let mut cl = small_cluster(Stepping::Lockstep);
+        let mut cl = small_cluster();
         cl.add_title("hot.mov", &StreamProfile::mpeg1(), 60.0, 0);
         let sid = cl.open("hot.mov").expect("admitted");
         cl.run_for(Duration::from_secs(2));
         let victim = cl.session(sid).unwrap().shard;
-        let report = cl.kill_shard(victim);
+        let report = cl.kill_shard(victim).expect("victim is live");
         assert_eq!(report.orphaned, 1);
         assert_eq!(report.rerouted, 1);
         let s = cl.session(sid).unwrap();
         assert!(s.rerouted && !s.lost);
         assert_ne!(s.shard, victim);
+        let survivor = s.shard;
+        // Killing the same shard again, or one that does not exist, is
+        // a typed error that changes nothing.
+        assert_eq!(cl.kill_shard(victim), Err(KillError::AlreadyDead(victim)));
+        assert_eq!(cl.kill_shard(3), Err(KillError::UnknownShard(3)));
+        assert_eq!(cl.session(sid).unwrap().shard, survivor);
         // The survivor actually serves it: frames advance after the kill.
         cl.run_for(Duration::from_secs(4));
         let shown = cl.session_stats(sid).map(|st| st.frames_shown);
@@ -776,12 +846,12 @@ mod tests {
 
     #[test]
     fn shard_kill_loses_unreplicated_titles() {
-        let mut cl = small_cluster(Stepping::Lockstep);
+        let mut cl = small_cluster();
         cl.add_title("cold.mov", &StreamProfile::mpeg1(), 60.0, 50);
         let sid = cl.open("cold.mov").expect("admitted");
         cl.run_for(Duration::from_secs(1));
         let victim = cl.session(sid).unwrap().shard;
-        let report = cl.kill_shard(victim);
+        let report = cl.kill_shard(victim).expect("victim is live");
         assert_eq!(report.lost_no_replica, 1);
         assert!(cl.session(sid).unwrap().lost);
         assert!(cl.session_stats(sid).is_none());
@@ -792,7 +862,7 @@ mod tests {
 
     #[test]
     fn prefix_holder_attracts_same_title_opens() {
-        let mut cl = small_cluster(Stepping::Lockstep);
+        let mut cl = small_cluster();
         cl.cfg.base.server.cache_budget = 64 << 20;
         cl.cfg.base.server.prefix_secs = Duration::from_secs(10);
         cl.cfg.base.server.hot_set = 4;
@@ -822,7 +892,7 @@ mod tests {
         use cras_disk::{Completed, DiskRequest, ServiceBreakdown, VolumeId};
         use cras_sys::DiskTag;
 
-        let mut cl = small_cluster(Stepping::Lockstep);
+        let mut cl = small_cluster();
         cl.add_title("hot.mov", &StreamProfile::mpeg1(), 30.0, 0);
         let before = {
             let info = cl.titles.get("hot.mov").unwrap();
@@ -919,6 +989,35 @@ mod tests {
     }
 
     #[test]
+    fn closing_a_queued_open_keeps_the_retry_queue_balanced() {
+        let mut base = SysConfig {
+            seed: 0x9EA,
+            ..SysConfig::default()
+        };
+        base.server.volumes = 2;
+        let mut cfg = ClusterConfig::new(3, base);
+        cfg.hot_titles = 2;
+        cfg.stream_cap = Some(1);
+        cfg.retry_window = Duration::from_secs(5);
+        let mut cl = Cluster::new(cfg);
+        cl.add_title("q.mov", &StreamProfile::mpeg1(), 30.0, 0);
+        let _a = cl.open("q.mov").expect("admitted");
+        let _b = cl.open("q.mov").expect("admitted");
+        let c = cl.open("q.mov").expect("queued");
+        let d = cl.open("q.mov").expect("queued");
+        assert!(cl.session(c).unwrap().queued && cl.session(d).unwrap().queued);
+        cl.close(c);
+        cl.run_for(Duration::from_secs(1));
+        let r = cl.retry_stats();
+        assert_eq!((r.queued, r.cancelled, cl.pending_opens()), (2, 1, 1));
+        assert_eq!(
+            r.queued,
+            r.admitted + r.expired + r.purged + r.cancelled + cl.pending_opens() as u64
+        );
+        assert!(cl.session(c).is_none());
+    }
+
+    #[test]
     fn queued_open_expires_after_retry_window() {
         let mut base = SysConfig {
             seed: 0x9E8,
@@ -968,7 +1067,7 @@ mod tests {
 
     #[test]
     fn routing_balances_toward_least_loaded_replica() {
-        let mut cl = small_cluster(Stepping::Lockstep);
+        let mut cl = small_cluster();
         cl.add_title("hot.mov", &StreamProfile::mpeg1(), 30.0, 0);
         let mut by_shard = BTreeMap::new();
         for _ in 0..4 {

@@ -12,7 +12,9 @@
 //!   shards, stable under shard addition/removal.
 //! * [`gateway`] — [`Cluster`]: placement, least-loaded replica
 //!   routing, whole-shard kill + failover, and barrier-synchronous
-//!   lockstep or parallel stepping.
+//!   stepping, by default on every core (the calling thread steps one
+//!   shard group, scoped workers the rest) with serial lockstep as the
+//!   reference.
 //!
 //! The Zipf popularity model and the online open-count estimator behind
 //! popularity-weighted replication are re-exported from
@@ -29,7 +31,7 @@ pub use cras_core::cachepolicy::{
     head_share, zipf_cdf, zipf_rank, zipf_weight, PopularityEstimator,
 };
 pub use gateway::{
-    Cluster, ClusterConfig, FailoverReport, OpenError, RetryStats, Session, SessionId, Shard,
-    Stepping, TitleInfo,
+    Cluster, ClusterConfig, FailoverReport, KillError, OpenError, RetryStats, Session, SessionId,
+    Shard, Stepping, TitleInfo,
 };
 pub use ring::{title_point, Ring};

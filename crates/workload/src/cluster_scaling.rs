@@ -73,7 +73,8 @@ pub struct ClusterParams {
     /// Base seed: arrivals, per-shard systems and placement all derive
     /// from it.
     pub seed: u64,
-    /// Lockstep or one-thread-per-shard stepping.
+    /// Shard groups on every core (the default) or the serial
+    /// lockstep reference.
     pub stepping: Stepping,
 }
 
@@ -88,7 +89,7 @@ impl ClusterParams {
             stagger: Duration::from_millis(150),
             measure: Duration::from_secs(60),
             seed: 0x5CA1E,
-            stepping: Stepping::Lockstep,
+            stepping: Stepping::Parallel,
         }
     }
 }
@@ -202,7 +203,7 @@ pub fn run_one(p: &ClusterParams, requested: usize) -> (ClusterOutcome, Vec<Stri
     for (i, &rank) in ranks.iter().enumerate() {
         if i == kill_at {
             let victim = busiest_shard(&cl);
-            failover = cl.kill_shard(victim);
+            failover = cl.kill_shard(victim).expect("the busiest shard is live");
         }
         match cl.open(&title_name(rank)) {
             Ok(_) => admitted += 1,
@@ -373,7 +374,7 @@ mod tests {
             stagger: Duration::from_millis(400),
             measure: Duration::from_secs(12),
             seed: 0x5CA1F,
-            stepping: Stepping::Lockstep,
+            stepping: ClusterParams::standard().stepping,
         }
     }
 
@@ -409,8 +410,9 @@ mod tests {
     #[test]
     fn parallel_stepping_matches_lockstep() {
         let mut pp = small();
+        assert_eq!(pp.stepping, Stepping::Parallel);
         let (a, ca) = run_one(&pp, 60);
-        pp.stepping = Stepping::Parallel;
+        pp.stepping = Stepping::Lockstep;
         let (b, cb) = run_one(&pp, 60);
         assert_eq!(a, b);
         assert_eq!(ca, cb, "per-shard canonical metrics diverged");

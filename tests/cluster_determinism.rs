@@ -1,8 +1,9 @@
 //! Deterministic replay for the cluster subsystem: running the same
 //! cluster experiment twice must produce byte-identical
-//! `Metrics::canonical_json` on every shard, and the parallel stepping
-//! mode (one thread per live shard between barriers) must be
-//! indistinguishable from lockstep on the same seed. The gateway only
+//! `Metrics::canonical_json` on every shard, and the default stepping
+//! (live shards split into one group per core between barriers, the
+//! calling thread stepping one group) must be indistinguishable from
+//! the serial lockstep reference on the same seed. The gateway only
 //! acts at barriers and shards share no state between them, so any
 //! divergence here means a real ordering bug leaked in.
 
@@ -38,9 +39,10 @@ fn cluster_experiment_replays_byte_identical() {
 
 #[test]
 fn parallel_stepping_replays_lockstep_byte_identical() {
-    let lock = small();
-    let mut par = small();
-    par.stepping = Stepping::Parallel;
+    let par = small();
+    assert_eq!(par.stepping, Stepping::Parallel, "parallel is the default");
+    let mut lock = small();
+    lock.stepping = Stepping::Lockstep;
     let (out_l, json_l) = run_one(&lock, 48);
     let (out_p, json_p) = run_one(&par, 48);
     assert_eq!(out_l, out_p, "parallel outcome differs from lockstep");
@@ -54,15 +56,19 @@ fn parallel_stepping_replays_lockstep_byte_identical() {
 
 /// Same property at the gateway level, without the workload harness in
 /// the loop: identical open/close/kill sequences on a raw `Cluster`
-/// replay byte-for-byte in both stepping modes.
+/// replay byte-for-byte under the default stepping and lockstep. Three
+/// and four shards put more live shards than threads on a small host,
+/// and the mid-run kill removes a member from a stepping group.
 #[test]
 fn raw_gateway_replays_byte_identical() {
-    let run = |stepping: Stepping| {
+    let run = |shards: usize, stepping: Option<Stepping>| {
         let mut base = SysConfig::default();
         base.server.volumes = 2;
         base.seed = 0xD0_0D;
-        let mut cfg = ClusterConfig::new(3, base);
-        cfg.stepping = stepping;
+        let mut cfg = ClusterConfig::new(shards, base);
+        if let Some(stepping) = stepping {
+            cfg.stepping = stepping;
+        }
         let mut cl = Cluster::new(cfg);
         for rank in 0..12usize {
             cl.add_title(
@@ -80,20 +86,22 @@ fn raw_gateway_replays_byte_identical() {
             cl.run_for(Duration::from_millis(500));
         }
         // Kill the shard serving the most sessions (first on ties).
-        let mut counts = [0usize; 3];
+        let mut counts = vec![0usize; shards];
         for (_, s) in cl.sessions() {
             counts[s.shard as usize] += 1;
         }
-        let victim = (0..3u32)
-            .max_by_key(|&s| (counts[s as usize], 3 - s))
-            .unwrap();
-        cl.kill_shard(victim);
+        let n = shards as u32;
+        let victim = (0..n).max_by_key(|&s| (counts[s as usize], n - s)).unwrap();
+        cl.kill_shard(victim).expect("victim is live");
         cl.run_for(Duration::from_secs(8));
         for sid in sessions {
             cl.close(sid);
         }
         cl.canonical_metrics()
     };
-    assert_eq!(run(Stepping::Lockstep), run(Stepping::Lockstep));
-    assert_eq!(run(Stepping::Lockstep), run(Stepping::Parallel));
+    for shards in [3, 4] {
+        let lockstep = run(shards, Some(Stepping::Lockstep));
+        assert_eq!(lockstep, run(shards, Some(Stepping::Lockstep)));
+        assert_eq!(lockstep, run(shards, None), "{shards} shards diverged");
+    }
 }
