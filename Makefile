@@ -1,6 +1,6 @@
 # Convenience targets for the CRAS reproduction.
 
-.PHONY: all build test bench figures figures-quick examples clippy fmt clean
+.PHONY: all build test bench figures figures-quick fingerprints examples clippy fmt clean
 
 all: build
 
@@ -20,6 +20,19 @@ figures:
 
 figures-quick:
 	cargo run -p cras-bench --release --bin all -- --quick
+
+# Run every perfbench workload on seeds 1 and 7 and diff each run's
+# fingerprint and event count against tests/perfbench_fingerprints.txt.
+fingerprints:
+	@mkdir -p target
+	@for s in 1 7; do for w in catalog_storm net_fanout degraded_rebuild; do \
+	  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+	    --workload $$w --seed $$s --seconds 1 --trace 0 > target/perfbench-run.txt 2> target/perfbench-run.err \
+	    || { cat target/perfbench-run.err; echo "perfbench $$w seed $$s failed"; exit 1; }; \
+	  sed -n 's/^workload \([a-z_]*\) seed \([0-9]*\) .* fingerprint \([0-9a-f]*\), \([0-9]*\) events$$/\1 \2 \3 \4/p' \
+	    target/perfbench-run.txt; \
+	done; done > target/perfbench-fingerprints.txt
+	grep -v '^#' tests/perfbench_fingerprints.txt | diff -u - target/perfbench-fingerprints.txt
 
 examples:
 	cargo run --release --example quickstart

@@ -15,8 +15,10 @@
 //!
 //! The buffer is a ring: chunks sit in a `VecDeque` in ascending
 //! timestamp order. The server fills it in media order, so a put is a
-//! push at the back, the discard pops from the front, and a lookup by
-//! media time is a binary search.
+//! push at the back and the discard pops from the front. A client reads
+//! in playback order, so a lookup by media time first tries the chunk
+//! after its last hit (by chunk index) and binary-searches only when
+//! that chunk does not hold the time.
 
 use std::collections::VecDeque;
 
@@ -85,6 +87,9 @@ pub struct TimeDrivenBuffer {
     bytes: u64,
     jitter: Duration,
     stats: BufferStats,
+    /// Chunk index after the last successful get: where playback
+    /// order looks next.
+    next_hint: u32,
 }
 
 impl TimeDrivenBuffer {
@@ -102,6 +107,7 @@ impl TimeDrivenBuffer {
             bytes: 0,
             jitter,
             stats: BufferStats::default(),
+            next_hint: 0,
         }
     }
 
@@ -188,8 +194,9 @@ impl TimeDrivenBuffer {
     /// communication with the server.
     pub fn get(&mut self, media_time: Duration) -> Option<BufferedChunk> {
         let found = self.peek(media_time).copied();
-        if found.is_some() {
+        if let Some(hit) = found {
             self.stats.hits += 1;
+            self.next_hint = hit.index.wrapping_add(1);
         } else {
             self.stats.misses += 1;
         }
@@ -198,10 +205,25 @@ impl TimeDrivenBuffer {
 
     /// Read-only probe used by tests and occupancy metrics.
     pub fn peek(&self, media_time: Duration) -> Option<&BufferedChunk> {
-        let at = self.entries.partition_point(|e| e.timestamp <= media_time);
-        at.checked_sub(1)
+        self.hinted(media_time)
+            .or_else(|| {
+                let at = self.entries.partition_point(|e| e.timestamp <= media_time);
+                at.checked_sub(1)
+            })
             .map(|i| &self.entries[i])
             .filter(|e| media_time < e.timestamp + e.duration)
+    }
+
+    /// The hinted slot, when it is the last entry with `timestamp ≤
+    /// media_time` (what the binary search would find).
+    fn hinted(&self, media_time: Duration) -> Option<usize> {
+        let g = self.next_hint.checked_sub(self.entries.front()?.index)? as usize;
+        let here = self.entries.get(g)?.timestamp <= media_time;
+        let next = self
+            .entries
+            .get(g + 1)
+            .is_none_or(|e| media_time < e.timestamp);
+        (here && next).then_some(g)
     }
 
     /// The earliest buffered timestamp.
@@ -427,7 +449,7 @@ mod tests {
 
     #[test]
     fn ring_matches_the_map_buffer() {
-        let (mut refused, mut late) = (0, 0);
+        let (mut refused, mut late, mut hinted, mut searched) = (0, 0, 0, 0);
         for seed in 0..50 {
             let mut rng = cras_sim::Rng::new(seed);
             let (cap, jitter) = (rng.range_inclusive(2_000, 20_000), ms(rng.below(200)));
@@ -439,12 +461,13 @@ mod tests {
                 jitter,
                 stats: BufferStats::default(),
             };
-            // 40 ms chunks; `next` is the in-order fill position and
-            // `now` the media clock trailing it.
-            let (mut next, mut now) = (0u64, 0u64);
+            // 40 ms chunks; `next` is the in-order fill position, `now`
+            // the media clock trailing it and `play` the chunk a client
+            // reading in playback order asks for next.
+            let (mut next, mut now, mut play) = (0u64, 0u64, 0u64);
             for op in 0..2_000 {
                 let ctx = format!("seed {seed} op {op}");
-                match rng.below(10) {
+                match rng.below(13) {
                     0..=3 => {
                         let i = if rng.chance(0.8) {
                             next += 1;
@@ -476,9 +499,24 @@ mod tests {
                         ring.discard_obsolete(ms(now));
                         map.discard_obsolete(ms(now));
                     }
+                    9..=11 => {
+                        // Playback order: the next chunk, sometimes two
+                        // skipped (stride 3), anywhere in its 40 ms.
+                        play = play.max(now / 40);
+                        let t = ms(play * 40 + rng.below(40));
+                        let hit = ring.hinted(t).is_some();
+                        let got = ring.get(t);
+                        assert_eq!(got, map.get(t), "{ctx}: playback get");
+                        hinted += u32::from(hit);
+                        searched += u32::from(!hit && got.is_some());
+                        play += if rng.chance(0.1) { 3 } else { 1 };
+                    }
                     _ if rng.chance(0.05) => {
+                        // A seek: the buffer empties and playback jumps
+                        // to where the server refills.
                         ring.clear();
                         map.clear();
+                        play = next;
                     }
                     _ => {}
                 }
@@ -497,7 +535,10 @@ mod tests {
                 );
             }
         }
-        assert!(refused > 0 && late > 0, "refused {refused}, late {late}");
+        assert!(
+            refused > 0 && late > 0 && hinted > 0 && searched > 0,
+            "refused {refused}, late {late}, hinted {hinted}, searched {searched}"
+        );
     }
 
     #[test]

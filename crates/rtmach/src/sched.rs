@@ -13,15 +13,17 @@
 //! share their level in quantum-sized slices, which is exactly what
 //! produces the large delay jitter the paper measures under round-robin.
 //!
-//! The ready queue is ordered by effective priority, highest first, then
-//! by a per-thread rank: a thread entering the queue normally (woken from
-//! blocked, more work after a burst, quantum expiry) ranks behind every
-//! other, and a preempted thread ranks ahead of every other, so it
-//! resumes before its equal-priority peers. Each burst carries a `Copy`
-//! tag of the caller's type, handed back in [`BurstDone`].
+//! The ready queue has the Mach run-queue shape: one FIFO per priority
+//! level plus a bitmap of the non-empty levels, so dispatch takes the
+//! front of the highest set bit. A thread entering the queue normally
+//! (woken from blocked, more work after a burst, quantum expiry) goes to
+//! the back of its level, and a preempted thread to the front, so it
+//! resumes before its equal-priority peers. Each level is kept in
+//! ascending per-thread rank, which a priority-inheritance boost keeps
+//! when it moves a ready thread to another level. Each burst carries a
+//! `Copy` tag of the caller's type, handed back in [`BurstDone`].
 
-use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use cras_sim::{Duration, Instant};
 
@@ -91,13 +93,69 @@ pub struct CpuStats {
     pub preemptions: u64,
 }
 
-/// A ready-queue key: highest effective priority first, then lowest
-/// rank.
-type ReadyKey = (Reverse<u8>, i64);
+/// Ready threads in dispatch order: per priority level a FIFO of
+/// `(rank, thread)` in ascending rank, and a bitmap of the non-empty
+/// levels.
+struct RunQueue {
+    levels: Box<[VecDeque<(i64, ThreadId)>; 256]>,
+    nonempty: [u64; 4],
+}
 
-impl<T> ThreadRec<T> {
-    fn ready_key(&self) -> ReadyKey {
-        (Reverse(self.effective_prio()), self.rank)
+impl RunQueue {
+    fn new() -> RunQueue {
+        RunQueue {
+            levels: Box::new(std::array::from_fn(|_| VecDeque::new())),
+            nonempty: [0; 4],
+        }
+    }
+
+    /// Queues `tid` at `prio`, at the back (`rank` above every queued
+    /// rank) or at the front (`rank` below every queued rank).
+    fn push(&mut self, prio: u8, rank: i64, tid: ThreadId, front: bool) {
+        let level = &mut self.levels[prio as usize];
+        if front {
+            level.push_front((rank, tid));
+        } else {
+            level.push_back((rank, tid));
+        }
+        self.nonempty[prio as usize / 64] |= 1 << (prio % 64);
+    }
+
+    /// Queues `tid` at `prio` in its rank's place.
+    fn insert(&mut self, prio: u8, rank: i64, tid: ThreadId) {
+        let level = &mut self.levels[prio as usize];
+        let at = level.partition_point(|&(r, _)| r < rank);
+        level.insert(at, (rank, tid));
+        self.nonempty[prio as usize / 64] |= 1 << (prio % 64);
+    }
+
+    /// Removes the thread queued at `prio` under `rank`.
+    fn remove(&mut self, prio: u8, rank: i64) {
+        let level = &mut self.levels[prio as usize];
+        let at = level.partition_point(|&(r, _)| r < rank);
+        debug_assert_eq!(level[at].0, rank, "ready thread not at its rank");
+        level.remove(at);
+        if level.is_empty() {
+            self.nonempty[prio as usize / 64] &= !(1 << (prio % 64));
+        }
+    }
+
+    /// Takes the front thread of the highest non-empty level.
+    fn pop(&mut self) -> Option<ThreadId> {
+        let word = (0..4).rev().find(|&w| self.nonempty[w] != 0)?;
+        let prio = word * 64 + 63 - self.nonempty[word].leading_zeros() as usize;
+        let level = &mut self.levels[prio];
+        let (_, tid) = level.pop_front().expect("bitmap marks a non-empty level");
+        if level.is_empty() {
+            self.nonempty[word] &= !(1 << (prio % 64));
+        }
+        Some(tid)
+    }
+
+    /// Every ready thread in dispatch order.
+    #[cfg(test)]
+    fn order(&self) -> impl Iterator<Item = ThreadId> + '_ {
+        self.levels.iter().rev().flatten().map(|&(_, tid)| tid)
     }
 }
 
@@ -105,7 +163,7 @@ impl<T> ThreadRec<T> {
 pub struct Cpu<T> {
     threads: Vec<ThreadRec<T>>,
     /// Ready threads in dispatch order.
-    ready: BTreeMap<ReadyKey, ThreadId>,
+    ready: RunQueue,
     /// Rank of the last thread queued ahead of all others (preempted).
     front: i64,
     /// Rank of the last thread queued behind all others.
@@ -126,7 +184,7 @@ impl<T: Copy> Cpu<T> {
     pub fn new() -> Cpu<T> {
         Cpu {
             threads: Vec::new(),
-            ready: BTreeMap::new(),
+            ready: RunQueue::new(),
             front: 0,
             back: 0,
             current: None,
@@ -190,9 +248,9 @@ impl<T: Copy> Cpu<T> {
             t.boost = boost;
             return None;
         }
-        self.ready.remove(&t.ready_key());
+        self.ready.remove(t.effective_prio(), t.rank);
         t.boost = boost;
-        self.ready.insert(t.ready_key(), tid);
+        self.ready.insert(t.effective_prio(), t.rank, tid);
         // Re-evaluate only if the boosted thread would now outrank the
         // running thread.
         if let Some(cur) = self.current {
@@ -303,7 +361,7 @@ impl<T: Copy> Cpu<T> {
         let t = &mut self.threads[tid.0 as usize];
         t.state = ThreadState::Ready;
         t.rank = rank;
-        self.ready.insert(t.ready_key(), tid);
+        self.ready.push(t.effective_prio(), rank, tid, front);
     }
 
     fn preempt_and_dispatch(&mut self, now: Instant) -> Resched {
@@ -322,7 +380,7 @@ impl<T: Copy> Cpu<T> {
 
     fn dispatch(&mut self, now: Instant) -> Resched {
         debug_assert!(self.current.is_none());
-        let (_, tid) = self.ready.pop_first()?;
+        let tid = self.ready.pop()?;
         let t = &mut self.threads[tid.0 as usize];
         t.state = ThreadState::Running;
         let burst = t.work.front().expect("ready thread without work");
@@ -538,6 +596,42 @@ mod tests {
     }
 
     #[test]
+    fn boost_moves_a_ready_thread_to_its_rank_in_the_new_level() {
+        let mut cpu = Cpu::new();
+        let hi = cpu.create("hi", fp(20));
+        let a = cpu.create("a", fp(9));
+        let w = cpu.create("w", fp(1));
+        let b = cpu.create("b", fp(9));
+        let c = cpu.create("c", fp(1));
+        assert!(cpu.wake(hi, ms(10), 0, at(0)).is_some());
+        for tid in [a, w, b, c] {
+            assert!(cpu.wake(tid, ms(1), 0, at(1)).is_none());
+        }
+        let order = |cpu: &Cpu<u64>| cpu.ready.order().collect::<Vec<_>>();
+        assert_eq!(order(&cpu), vec![a, b, w, c]);
+        // Raised to level 9, `w` lands between `a` and `b`, which were
+        // queued before and after it; no preemption below `hi`.
+        assert!(cpu.set_boost(w, Some(9), at(2)).is_none());
+        assert_eq!(order(&cpu), vec![a, w, b, c]);
+        // Cleared, it goes back ahead of `c` at its own level.
+        assert!(cpu.set_boost(w, None, at(3)).is_none());
+        assert_eq!(order(&cpu), vec![a, b, w, c]);
+    }
+
+    #[test]
+    fn dispatch_takes_the_highest_level_across_bitmap_words() {
+        let mut cpu = Cpu::new();
+        let prios = [0u8, 64, 63, 255, 128, 127];
+        let tids: Vec<ThreadId> = prios.iter().map(|&p| cpu.create("t", fp(p))).collect();
+        let wakes = tids.iter().map(|&t| (0, t, 1, 0)).collect();
+        let order: Vec<u8> = drive(&mut cpu, wakes)
+            .iter()
+            .map(|d| prios[d.1 .0 as usize])
+            .collect();
+        assert_eq!(order, vec![255, 128, 127, 64, 63, 0]);
+    }
+
+    #[test]
     fn busy_time_accounts_everything() {
         let mut cpu = Cpu::new();
         let a = cpu.create("a", fp(5));
@@ -608,7 +702,7 @@ mod tests {
         assert_eq!(t2, at(15));
     }
 
-    /// The scheduler as it was before the ordered ready queue: a `Vec`
+    /// The scheduler with a plain ready list: a `Vec`
     /// of ready ids, a stable scan for the highest effective priority,
     /// `Vec::remove` of the winner, and `insert(0, …)` for a preempted
     /// thread. The differential test below checks [`Cpu`] against it.
@@ -781,10 +875,10 @@ mod tests {
                 "{ctx}: thread {i} bursts"
             );
         }
-        let ready_order: Vec<ThreadId> = cpu.ready.values().copied().collect();
+        let ready_order: Vec<ThreadId> = cpu.ready.order().collect();
         let mut list_order = list.ready.clone();
         // The list's dispatch order: a stable sort by descending priority.
-        list_order.sort_by_key(|t| Reverse(list.threads[t.0 as usize].effective_prio()));
+        list_order.sort_by_key(|t| std::cmp::Reverse(list.threads[t.0 as usize].effective_prio()));
         assert_eq!(ready_order, list_order, "{ctx}: ready order");
     }
 

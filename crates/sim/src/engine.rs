@@ -9,6 +9,13 @@
 //!
 //! Ties are broken by insertion order (FIFO among same-timestamp events), so
 //! runs are fully deterministic.
+//!
+//! The queue is a binary heap plus a held head: an event scheduled strictly
+//! earlier than every queued one waits in a slot outside the heap, and a
+//! pop takes it from there. A dispatcher that schedules its follow-up a
+//! moment ahead (a CPU slice a few microseconds out) mostly never touches
+//! the heap. An event at an equal time never takes the slot, since it
+//! sorts after the queued ones by insertion order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -62,6 +69,8 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 pub struct Engine<E> {
     now: Instant,
+    /// An event that sorts before every queued one, held outside the heap.
+    head: Option<Scheduled<E>>,
     queue: BinaryHeap<Scheduled<E>>,
     seq: u64,
     dispatched: u64,
@@ -78,6 +87,7 @@ impl<E> Engine<E> {
     pub fn new() -> Engine<E> {
         Engine {
             now: Instant::ZERO,
+            head: None,
             queue: BinaryHeap::new(),
             seq: 0,
             dispatched: 0,
@@ -96,7 +106,7 @@ impl<E> Engine<E> {
 
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + usize::from(self.head.is_some())
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -112,11 +122,22 @@ impl<E> Engine<E> {
             self.now
         );
         self.seq += 1;
-        self.queue.push(Scheduled {
+        let event = Scheduled {
             at,
             seq: self.seq,
             payload,
-        });
+        };
+        let first = match &self.head {
+            Some(head) => at < head.at,
+            None => self.queue.peek().is_none_or(|q| at < q.at),
+        };
+        if first {
+            if let Some(old) = self.head.replace(event) {
+                self.queue.push(old);
+            }
+        } else {
+            self.queue.push(event);
+        }
     }
 
     /// Schedules `payload` to fire `after` from now.
@@ -135,7 +156,7 @@ impl<E> Engine<E> {
     ///
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        let head = self.queue.pop()?;
+        let head = self.head.take().or_else(|| self.queue.pop())?;
         debug_assert!(head.at >= self.now, "event queue went backwards");
         self.now = head.at;
         self.dispatched += 1;
@@ -180,7 +201,7 @@ impl<E> Engine<E> {
 
     /// Peeks at the time of the earliest pending event without firing it.
     pub fn peek_time(&self) -> Option<Instant> {
-        self.queue.peek().map(|s| s.at)
+        self.head.as_ref().or(self.queue.peek()).map(|s| s.at)
     }
 
     /// Runs events through a dispatcher closure until the queue drains or
@@ -337,6 +358,143 @@ mod tests {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_after(ms(1), 1);
         e.advance_to(Instant::ZERO + ms(50));
+    }
+
+    /// The engine as it was before the held head: every event goes
+    /// through the heap. The differential test below checks [`Engine`]
+    /// against it.
+    struct HeapEngine<E> {
+        now: Instant,
+        queue: BinaryHeap<Scheduled<E>>,
+        seq: u64,
+        dispatched: u64,
+    }
+
+    impl<E> HeapEngine<E> {
+        fn schedule(&mut self, at: Instant, payload: E) {
+            assert!(at >= self.now);
+            self.seq += 1;
+            self.queue.push(Scheduled {
+                at,
+                seq: self.seq,
+                payload,
+            });
+        }
+
+        fn pop(&mut self) -> Option<(Instant, E)> {
+            let head = self.queue.pop()?;
+            self.now = head.at;
+            self.dispatched += 1;
+            Some((head.at, head.payload))
+        }
+
+        fn peek_time(&self) -> Option<Instant> {
+            self.queue.peek().map(|s| s.at)
+        }
+
+        fn pop_batch(&mut self, buf: &mut Vec<E>) -> Option<Instant> {
+            let (at, first) = self.pop()?;
+            buf.push(first);
+            while self.peek_time() == Some(at) {
+                buf.push(self.pop().expect("peeked above").1);
+            }
+            Some(at)
+        }
+
+        fn run_until<F: FnMut(&mut HeapEngine<E>, Instant, E)>(
+            &mut self,
+            until: Instant,
+            mut f: F,
+        ) {
+            while self.peek_time().is_some_and(|at| at <= until) {
+                let (t, payload) = self.pop().expect("peeked above");
+                f(self, t, payload);
+            }
+            if self.now < until && self.peek_time().is_none() {
+                self.now = until;
+            }
+        }
+    }
+
+    #[test]
+    fn held_head_matches_the_heap_only_engine() {
+        use crate::rng::Rng;
+        let us = Duration::from_micros;
+        // A follow-up a dispatcher schedules for event `p`: often none,
+        // else at the same instant or a few microseconds later.
+        let follow_up = |p: u64| (!p.is_multiple_of(3)).then(|| (us(p % 4), p * 10 + 1));
+        let (mut held, mut displaced, mut batches) = (0u64, 0u64, 0u64);
+        for seed in 0..50 {
+            let mut rng = Rng::new(seed);
+            let mut e: Engine<u64> = Engine::new();
+            let mut r: HeapEngine<u64> = HeapEngine {
+                now: Instant::ZERO,
+                queue: BinaryHeap::new(),
+                seq: 0,
+                dispatched: 0,
+            };
+            let mut next = 0u64;
+            for op in 0..2_000 {
+                let ctx = format!("seed {seed} op {op}");
+                match rng.below(12) {
+                    // Few distinct times, so equal-`at` ties are common.
+                    0..=3 => {
+                        next += 1;
+                        let at = e.now() + us(rng.below(6));
+                        held += u64::from(e.peek_time().is_none_or(|q| at < q));
+                        displaced += u64::from(e.head.as_ref().is_some_and(|h| at < h.at));
+                        e.schedule(at, next);
+                        r.schedule(at, next);
+                    }
+                    4 => {
+                        next += 1;
+                        let now = r.now;
+                        e.schedule_now(next);
+                        r.schedule(now, next);
+                    }
+                    5..=7 => assert_eq!(e.pop(), r.pop(), "{ctx}: pop"),
+                    8 => {
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        assert_eq!(e.pop_batch(&mut a), r.pop_batch(&mut b), "{ctx}");
+                        assert_eq!(a, b, "{ctx}: batch");
+                        batches += u64::from(a.len() > 1);
+                    }
+                    9 => {
+                        let mut t = e.now() + us(rng.below(4));
+                        if let Some(at) = e.peek_time() {
+                            t = t.min(at);
+                        }
+                        e.advance_to(t);
+                        r.now = t;
+                    }
+                    _ => {
+                        let until = e.now() + us(rng.below(5));
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        e.run_until(until, |e, t, p| {
+                            a.push((t, p));
+                            if let Some((after, q)) = follow_up(p) {
+                                e.schedule_after(after, q);
+                            }
+                        });
+                        r.run_until(until, |r, t, p| {
+                            b.push((t, p));
+                            if let Some((after, q)) = follow_up(p) {
+                                r.schedule(t + after, q);
+                            }
+                        });
+                        assert_eq!(a, b, "{ctx}: run_until");
+                    }
+                }
+                assert_eq!(e.peek_time(), r.peek_time(), "{ctx}: peek_time");
+                assert_eq!(e.pending(), r.queue.len(), "{ctx}: pending");
+                assert_eq!(e.dispatched(), r.dispatched, "{ctx}: dispatched");
+                assert_eq!(e.now(), r.now, "{ctx}: now");
+            }
+        }
+        assert!(
+            held > 0 && displaced > 0 && batches > 0,
+            "held {held}, displaced {displaced}, batches {batches}"
+        );
     }
 
     #[test]
