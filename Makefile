@@ -1,6 +1,6 @@
 # Convenience targets for the CRAS reproduction.
 
-.PHONY: all build test bench figures figures-quick fingerprints examples clippy fmt clean
+.PHONY: all build test bench figures figures-quick fingerprints unused-pub examples clippy fmt clean
 
 all: build
 
@@ -33,6 +33,17 @@ fingerprints:
 	    target/perfbench-run.txt; \
 	done; done > target/perfbench-fingerprints.txt
 	grep -v '^#' tests/perfbench_fingerprints.txt | diff -u - target/perfbench-fingerprints.txt
+
+# List every `pub fn` defined under crates/ whose name appears nowhere in
+# crates/, src/, tests/, examples/ or perfbench/ except on a line that
+# defines it; print nothing and succeed when there is none.
+unused-pub:
+	@unused=$$(grep -rhoE --include='*.rs' --exclude-dir=target 'pub fn [A-Za-z_][A-Za-z0-9_]*' crates \
+	  | sed 's/^pub fn //' | sort -u | while read -r f; do \
+	    grep -rwh --include='*.rs' --exclude-dir=target "$$f" crates src tests examples perfbench \
+	      | grep -vqE "pub fn $$f\b" || echo "unused pub fn: $$f"; \
+	  done); \
+	if [ -n "$$unused" ]; then echo "$$unused"; exit 1; fi
 
 examples:
 	cargo run --release --example quickstart

@@ -323,8 +323,7 @@ fn main() {
     }
 
     let (cat_p, cat_counts) = wl::catalog_scaling::bench_shape(quick);
-    let cat_bound = wl::catalog_scaling::spindle_bound(&cat_p);
-    let (cat_t, cat_f, cat_outs) = wl::catalog_scaling::sweep(&cat_p, &cat_counts);
+    let (cat_t, cat_f, cat_bound, cat_outs) = wl::catalog_scaling::sweep(&cat_p, &cat_counts);
     let cat_json = wl::catalog_scaling::points_json(cat_bound, &cat_outs);
     em.emit("catalog_scaling", &cat_t.render(), &cat_json);
     println!("{}", cat_f.render());

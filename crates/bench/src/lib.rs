@@ -4,9 +4,8 @@
 //! (`cargo run -p cras-bench --release --bin all`): it prints the
 //! paper-style rows/series, writes JSON under `results/` and, on a full
 //! run, the committed `BENCH_<name>.json` baselines at the repo root.
-//! `sim_speed` measures simulator throughput and `report` summarizes
-//! `results/`. Micro-benchmarks live in `benches/` on the in-tree
-//! [`timer`] harness.
+//! `report` summarizes `results/`. Micro-benchmarks live in `benches/`
+//! on the in-tree [`timer`] harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,8 +18,8 @@ use std::path::Path;
 
 /// Every deterministic artifact `all` emits, in emission order. Each
 /// has a committed `BENCH_<name>.json` baseline that `--check` holds
-/// the fresh run to byte for byte. The two wall-clock artifacts,
-/// `workloads` and `sim_speed`, are not listed.
+/// the fresh run to byte for byte. The wall-clock artifact,
+/// `workloads`, is not listed.
 #[rustfmt::skip]
 pub const ARTIFACTS: [&str; 34] = [
     "table4", "table3", "fig12", "capacity", "ablate",
@@ -200,7 +199,7 @@ mod tests {
             .expect("read repo root")
             .filter_map(|e| e.ok()?.file_name().into_string().ok())
             .filter_map(|f| Some(f.strip_prefix("BENCH_")?.strip_suffix(".json")?.to_string()))
-            .filter(|n| n != "workloads" && n != "sim_speed")
+            .filter(|n| n != "workloads")
             .collect();
         let listed: BTreeSet<String> = unique.iter().map(|n| n.to_string()).collect();
         assert_eq!(

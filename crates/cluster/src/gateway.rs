@@ -38,6 +38,9 @@ use cras_sys::{ClientId, ShardLoad, SysConfig, System};
 
 use crate::ring::{mix, Ring};
 
+/// Virtual nodes per shard on the placement ring.
+const VNODES: usize = 64;
+
 /// How the gateway steps its shards between barriers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stepping {
@@ -65,8 +68,6 @@ pub struct ClusterConfig {
     pub replicas: usize,
     /// How many of the hottest catalog ranks count as hot.
     pub hot_titles: usize,
-    /// Virtual nodes per shard on the placement ring.
-    pub vnodes: usize,
     /// Per-shard stream ceiling enforced by routing (`None` = only the
     /// shards' own admission tests gate opens). A shard's disk admission
     /// bounds spindle time and the cache bounds memory, but neither
@@ -74,8 +75,6 @@ pub struct ClusterConfig {
     /// request scheduler starves and every stream degrades at once. The
     /// gateway turns that cliff into a rejection instead.
     pub stream_cap: Option<usize>,
-    /// Synchronization quantum between shard barriers.
-    pub barrier: Duration,
     /// Shard groups on every core (the default) or the serial
     /// lockstep reference.
     pub stepping: Stepping,
@@ -89,17 +88,15 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A `shards`-wide cluster over `base`, with 2-way hot replication,
-    /// a 32-title hot set, one admission interval per barrier, and
-    /// parallel stepping.
+    /// a 32-title hot set and parallel stepping. Shards synchronize
+    /// once per admission interval, `base.server.interval`.
     pub fn new(shards: usize, base: SysConfig) -> ClusterConfig {
         ClusterConfig {
             shards,
             base,
             replicas: 2,
             hot_titles: 32,
-            vnodes: 64,
             stream_cap: None,
-            barrier: base.server.interval,
             stepping: Stepping::Parallel,
             retry_window: Duration::ZERO,
         }
@@ -285,7 +282,7 @@ impl Cluster {
             })
             .collect();
         Cluster {
-            ring: Ring::new(0..cfg.shards as u32, cfg.vnodes),
+            ring: Ring::new(0..cfg.shards as u32, VNODES),
             cfg,
             shards,
             titles: BTreeMap::new(),
@@ -699,7 +696,7 @@ impl Cluster {
     /// parallel stepping cannot change any shard's event sequence.
     pub fn run_until(&mut self, t: Instant) {
         while self.now < t {
-            let next = t.min(self.now + self.cfg.barrier);
+            let next = t.min(self.now + self.cfg.base.server.interval);
             match self.cfg.stepping {
                 Stepping::Lockstep => {
                     for sh in self.shards.iter_mut().filter(|s| s.alive) {

@@ -80,14 +80,6 @@ impl Ring {
         self.points.retain(|&(_, s)| s != shard);
     }
 
-    /// Number of distinct shards on the ring.
-    pub fn shard_count(&self) -> usize {
-        let mut ids: Vec<u32> = self.points.iter().map(|&(_, s)| s).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
     /// The `k` distinct shards holding `title`, primary first: the walk
     /// starts at the first point clockwise of the title's hash and skips
     /// points of shards already chosen. Returns fewer than `k` when the

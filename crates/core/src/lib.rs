@@ -67,7 +67,7 @@ pub use placement::{
 };
 pub use server::{
     Admit, CrasServer, IntervalReport, OpenReq, ReadId, ReadReq, ServerConfig, ServerStats,
-    VolumeLoad,
+    VolumeLoad, JITTER,
 };
 pub use stream::{CacheState, DiskRun, ParityState, Stream, StreamId, VolumeRun};
 pub use tdbuffer::{BufferStats, BufferedChunk, TimeDrivenBuffer};

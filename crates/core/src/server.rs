@@ -57,6 +57,29 @@ use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer};
 /// total buffer space) of physical memory."
 pub const SERVER_FIXED_BYTES: u64 = 250 * 1024;
 
+/// The time-driven buffer's jitter allowance `J`: a chunk stays
+/// retrievable until `J` past its timestamp, and a player that polls
+/// for a chunk later than that drops the frame.
+pub const JITTER: Duration = Duration::from_millis(100);
+
+/// Intervals a started stream's clock waits before it runs: classic
+/// double buffering, the paper's 1 s initial delay at `T` = 0.5 s.
+const INITIAL_DELAY_INTERVALS: u64 = 2;
+
+/// Per-stream cap on outstanding pre-fetch batches. When a stream
+/// already has this many batches in flight (the disk is behind), the
+/// scheduler skips issuing more for it this interval — bounding the
+/// backlog when the server is run past its admitted load, as the
+/// Figure 6 sweep deliberately does.
+const MAX_OUTSTANDING_BATCHES: usize = 2;
+
+/// Hysteresis margin for the read-steering decision, bytes: the fan-out
+/// is chosen only when its projected bottleneck undercuts the direct
+/// read's by more than this. Keeps an evenly loaded system on the cheap
+/// direct path (reconstruction is strictly more total work) and stops
+/// flapping near the break-even point.
+const STEER_MARGIN_BYTES: f64 = 64.0 * 1024.0;
+
 /// Server configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
@@ -64,21 +87,8 @@ pub struct ServerConfig {
     pub interval: Duration,
     /// Memory budget for stream buffers (the admission test's limit).
     pub buffer_budget: u64,
-    /// The time-driven buffer's jitter allowance `J`.
-    pub jitter: Duration,
-    /// Maximum bytes per disk command.
-    pub max_read_bytes: u64,
     /// Overhead model for admission.
     pub model: AdmissionModel,
-    /// Initial delay in intervals before a started stream's clock runs
-    /// (2 = classic double buffering; the paper's 1 s at `T` = 0.5 s).
-    pub initial_delay_intervals: u32,
-    /// Per-stream cap on outstanding pre-fetch batches. When a stream
-    /// already has this many batches in flight (the disk is behind), the
-    /// scheduler skips issuing more for it this interval — bounding the
-    /// backlog when the server is run past its admitted load, as the
-    /// Figure 6 sweep deliberately does.
-    pub max_outstanding_batches: usize,
     /// Number of disk volumes the server schedules across (1 = the
     /// paper's configuration).
     pub volumes: usize,
@@ -114,12 +124,6 @@ pub struct ServerConfig {
     /// commands, `2/g` shares) already covers the fan-out, so steering
     /// can never oversubscribe a volume.
     pub steer_reads: bool,
-    /// Hysteresis margin for the steering decision, bytes: the fan-out
-    /// is chosen only when its projected bottleneck undercuts the
-    /// direct read's by more than this. Keeps an evenly loaded system
-    /// on the cheap direct path (reconstruction is strictly more total
-    /// work) and stops flapping near the break-even point.
-    pub steer_margin_bytes: u64,
 }
 
 impl Default for ServerConfig {
@@ -127,11 +131,7 @@ impl Default for ServerConfig {
         ServerConfig {
             interval: Duration::from_millis(500),
             buffer_budget: 8 << 20,
-            jitter: Duration::from_millis(100),
-            max_read_bytes: MAX_READ_BYTES,
             model: AdmissionModel::Paper,
-            initial_delay_intervals: 2,
-            max_outstanding_batches: 2,
             volumes: 1,
             placement: PlacementPolicy::RoundRobin,
             cache_budget: 0,
@@ -141,7 +141,6 @@ impl Default for ServerConfig {
             join_window: Duration::ZERO,
             cache_evict: EvictPolicy::OldestFirst,
             steer_reads: true,
-            steer_margin_bytes: 64 * 1024,
         }
     }
 }
@@ -729,15 +728,6 @@ impl CrasServer {
         &self.admissions[0]
     }
 
-    /// The admission evaluator of one volume.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range id.
-    pub fn admission_for(&self, vol: VolumeId) -> &Admission {
-        &self.admissions[vol.index()]
-    }
-
     /// The interval cache.
     pub fn cache(&self) -> &IntervalCache {
         &self.cache
@@ -1024,7 +1014,7 @@ impl CrasServer {
                 params,
                 shares,
                 clock: LogicalClock::new(),
-                buffer: TimeDrivenBuffer::new(buffer_bytes, self.cfg.jitter),
+                buffer: TimeDrivenBuffer::new(buffer_bytes, JITTER),
                 prefetch_cursor: Duration::ZERO,
                 cache_state: feed,
             },
@@ -1213,10 +1203,10 @@ impl CrasServer {
         self.cache.prefix_resident(name, table, Duration::ZERO, end)
     }
 
-    /// The start delay of a stream's clock: the configured number of
-    /// intervals.
-    fn initial_delay(&self) -> Duration {
-        self.cfg.interval * self.cfg.initial_delay_intervals as u64
+    /// The start delay of a stream's clock: `INITIAL_DELAY_INTERVALS`
+    /// intervals. A UFS player waits the same delay for comparability.
+    pub fn initial_delay(&self) -> Duration {
+        self.cfg.interval * INITIAL_DELAY_INTERVALS
     }
 
     /// The feed transition: every change of a stream's [`CacheState`]
@@ -1600,7 +1590,6 @@ impl CrasServer {
         // full shares.
         self.admit_with(Some((id, base)), None)?;
         let need = base.buffer(t);
-        let jitter = self.cfg.jitter;
         let s = self.stream_mut(id);
         s.params = base;
         s.clock.set_rate(now, rate);
@@ -1608,7 +1597,7 @@ impl CrasServer {
         // higher rate, shrinking keeps the wired memory equal to what the
         // admission test accounted for.
         if need != s.buffer.capacity() {
-            s.buffer = TimeDrivenBuffer::new(need, jitter);
+            s.buffer = TimeDrivenBuffer::new(need, JITTER);
         }
         self.feed(id, FeedEvent::Rerate, now);
         Ok(())
@@ -1890,7 +1879,7 @@ impl CrasServer {
         let ext_bytes: Vec<f64> = (0..self.cfg.volumes)
             .map(|v| {
                 let ext = self.ext_load[v];
-                ext.queued as f64 * self.cfg.max_read_bytes as f64
+                ext.queued as f64 * MAX_READ_BYTES as f64
                     + ext.lag.max(0.0) * self.admissions[v].disk_params().transfer_rate
             })
             .collect();
@@ -1899,8 +1888,7 @@ impl CrasServer {
         let mut next = self.streams.first_key();
         while let Some(sid) = next {
             next = self.streams.next_key(sid);
-            if self.outstanding.get(&sid).copied().unwrap_or(0) >= self.cfg.max_outstanding_batches
-            {
+            if self.outstanding.get(&sid).copied().unwrap_or(0) >= MAX_OUTSTANDING_BATCHES {
                 // The disk is behind for this stream; do not pile on.
                 continue;
             }
@@ -1986,10 +1974,8 @@ impl CrasServer {
             0 => &s.extents,
             _ => s.mirror.as_ref().expect("mirror chosen above"),
         };
-        let mut runs = Stream::split_runs_tagged(
-            Stream::runs_in(map, byte_lo, byte_hi),
-            self.cfg.max_read_bytes,
-        );
+        let mut runs =
+            Stream::split_runs_tagged(Stream::runs_in(map, byte_lo, byte_hi), MAX_READ_BYTES);
         // Parity degraded mode: a run landing on a failed band volume is
         // replaced *at plan time* by the g-1 surviving data+parity reads
         // of its stripes, which join this interval's per-spindle batches
@@ -2033,7 +2019,6 @@ impl CrasServer {
             // margin. Fan-out bytes join `planned` in the caller, so
             // later streams in this tick see their cost.
             if self.cfg.steer_reads {
-                let margin = self.cfg.steer_margin_bytes.max(1) as f64;
                 let mut kept = Vec::with_capacity(runs.len());
                 for (logical, r) in runs {
                     let bytes = r.nblocks as u64 * 512;
@@ -2057,7 +2042,7 @@ impl CrasServer {
                             .filter(|(_, b)| **b > 0)
                             .map(|(v, b)| load(v) + *b as f64)
                             .fold(0.0f64, f64::max);
-                        (peak + margin < direct_peak).then_some(rs)
+                        (peak + STEER_MARGIN_BYTES < direct_peak).then_some(rs)
                     });
                     match fanout {
                         Some(rs) => {
@@ -2070,7 +2055,7 @@ impl CrasServer {
                 }
                 runs = kept;
             }
-            recon = Stream::split_runs(recon, self.cfg.max_read_bytes);
+            recon = Stream::split_runs(recon, MAX_READ_BYTES);
         }
         rep.degraded_streams += usize::from(degraded);
         rep.steered_streams += usize::from(steered);
@@ -2229,7 +2214,7 @@ impl CrasServer {
                     &self.failed,
                 )
                 .map(|rs| {
-                    Stream::split_runs(rs, self.cfg.max_read_bytes)
+                    Stream::split_runs(rs, MAX_READ_BYTES)
                         .into_iter()
                         .map(|r| (None, r))
                         .collect()
@@ -2243,7 +2228,7 @@ impl CrasServer {
                 .map(|m| {
                     Stream::split_runs_tagged(
                         Stream::runs_in(m, info.byte_lo, info.byte_hi),
-                        self.cfg.max_read_bytes,
+                        MAX_READ_BYTES,
                     )
                     .into_iter()
                     .map(|(logical, r)| (Some(logical), r))

@@ -82,15 +82,6 @@ impl DiskStats {
     pub fn total_bytes(&self) -> u64 {
         self.bytes.0 + self.bytes.1
     }
-
-    /// Utilization over an observation window.
-    pub fn utilization(&self, window: Duration) -> f64 {
-        if window.is_zero() {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / window.as_secs_f64()
-        }
-    }
 }
 
 struct Inflight<T> {
@@ -179,11 +170,6 @@ impl<T> DiskDevice<T> {
         self.normal_queue = DiskQueue::new(policy);
     }
 
-    /// The queue policy in use.
-    pub fn queue_policy(&self) -> QueuePolicy {
-        self.rt_queue.policy()
-    }
-
     /// The installed injector, if any (for its counters).
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
         self.faults.as_ref()
@@ -208,11 +194,6 @@ impl<T> DiskDevice<T> {
     /// The disk geometry.
     pub fn geometry(&self) -> &DiskGeometry {
         &self.geom
-    }
-
-    /// The seek model in use.
-    pub fn seek_model(&self) -> &SeekModel {
-        &self.seek
     }
 
     /// The timing configuration.

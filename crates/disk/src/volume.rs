@@ -86,38 +86,6 @@ impl<T> VolumeSet<T> {
         VolumeSet::new((0..n).map(|_| DiskDevice::st32550n()).collect())
     }
 
-    /// A heterogeneous set: the first `fast` volumes are ST32550N
-    /// mechanics with platter density scaled by `factor` (see
-    /// [`DiskGeometry::scaled`](crate::geometry::DiskGeometry::scaled)),
-    /// the rest are the stock calibrated disk. Mixing spindle
-    /// generations in one array is exactly the case the per-volume
-    /// admission test must handle: each volume is admitted against its
-    /// own calibrated bandwidth, not a fleet-wide average.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero, `fast > n`, or `factor` is not a valid
-    /// scale for [`DiskGeometry::scaled`](crate::geometry::DiskGeometry::scaled).
-    pub fn st32550n_mixed(n: usize, fast: usize, factor: f64) -> VolumeSet<T> {
-        assert!(n > 0, "a volume set needs at least one disk");
-        assert!(fast <= n, "fast volume count exceeds set size");
-        VolumeSet::new(
-            (0..n)
-                .map(|v| {
-                    if v < fast {
-                        crate::device::DiskDevice::new(
-                            crate::geometry::DiskGeometry::st32550n().scaled(factor),
-                            crate::seek::SeekModel::st32550n_measured(),
-                            crate::DiskTimings::st32550n(),
-                        )
-                    } else {
-                        DiskDevice::st32550n()
-                    }
-                })
-                .collect(),
-        )
-    }
-
     /// Number of volumes.
     pub fn len(&self) -> usize {
         self.disks.len()
@@ -210,11 +178,6 @@ impl<T> VolumeSet<T> {
     /// Whether a volume is marked down.
     pub fn is_down(&self, vol: VolumeId) -> bool {
         self.volume(vol).is_down()
-    }
-
-    /// Number of volumes not marked down.
-    pub fn live_count(&self) -> usize {
-        self.disks.iter().filter(|d| !d.is_down()).count()
     }
 
     /// Swaps in a replacement device for `vol` (a fresh spindle after a
@@ -414,23 +377,5 @@ mod tests {
         let mut set = VolumeSet::new(vec![small()]);
         set.submit(VolumeId(0), Instant::ZERO, DiskRequest::read(0, 1, 1));
         set.replace_volume(VolumeId(0), small());
-    }
-
-    #[test]
-    fn mixed_set_puts_fast_spindles_first() {
-        let set: VolumeSet<u32> = VolumeSet::st32550n_mixed(3, 1, 1.5);
-        let fast = set.volume(VolumeId(0)).geometry().avg_transfer_rate();
-        let slow = set.volume(VolumeId(1)).geometry().avg_transfer_rate();
-        assert!((fast / slow - 1.5).abs() < 0.01, "ratio {}", fast / slow);
-        assert_eq!(
-            set.volume(VolumeId(1)).geometry().zones,
-            set.volume(VolumeId(2)).geometry().zones
-        );
-        // fast = 0 degenerates to the homogeneous preset.
-        let plain: VolumeSet<u32> = VolumeSet::st32550n_mixed(2, 0, 2.0);
-        assert_eq!(
-            plain.volume(VolumeId(0)).geometry().zones,
-            DiskGeometry::st32550n().zones
-        );
     }
 }

@@ -411,16 +411,6 @@ impl NetDelivery {
         self.sessions.get(&client).is_some_and(|s| s.paused)
     }
 
-    /// Total bytes waiting in all link send queues.
-    pub fn queued_bytes_total(&self) -> u64 {
-        self.links.iter().map(|l| l.queued_bytes()).sum()
-    }
-
-    /// Total late frames across sessions.
-    pub fn late_frames_total(&self) -> u64 {
-        self.sessions.values().map(|s| s.stats.late_frames).sum()
-    }
-
     /// Deterministic JSON rendering of link and session counters
     /// (playout logs excluded — compare those via
     /// [`NetDelivery::session`] directly). Same canonical-form rules as

@@ -1,37 +1,30 @@
 //! `cras-rtmach` — the Real-Time Mach substrate.
 //!
 //! CRAS is a user-level server whose predictability comes from the
-//! microkernel underneath: preemptive fixed-priority scheduling, periodic
-//! threads with deadline notification, and priority-inversion management.
-//! This crate models exactly those mechanisms on one simulated CPU:
+//! microkernel underneath: preemptive fixed-priority scheduling and
+//! priority-inversion management. This crate models exactly those
+//! mechanisms on one simulated CPU:
 //!
 //! * [`sched`] — the event-driven preemptive scheduler
 //!   ([`sched::Cpu`]) with fixed-priority and round-robin policies
 //!   (Figure 10 contrasts the two).
-//! * [`periodic`] — periodic-thread release/deadline bookkeeping used by
-//!   CRAS's request-scheduler and deadline-manager threads.
 //! * [`sync`] — mutexes with and without priority inheritance (the Unix
 //!   server's missing inheritance is the paper's explanation for UFS's
 //!   collapse under background load).
-//! * [`rm`] — rate-monotonic priority assignment and schedulability
-//!   analysis (the policy Real-Time Mach uses for periodic threads).
-//! * [`port`] — Mach-style bounded message ports (deadline notification,
-//!   client requests).
 //! * [`thread`] — thread ids, policies and states.
+//!
+//! CRAS's periodic request scheduler is a self-re-arming timer in the
+//! orchestrator (`cras-sys`); its interval overruns — the paper's
+//! deadline warnings — are counted in the system's metrics and written
+//! to its trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod periodic;
-pub mod port;
-pub mod rm;
 pub mod sched;
 pub mod sync;
 pub mod thread;
 
-pub use periodic::{DeadlineVerdict, PeriodicSpec, PeriodicState};
-pub use port::{FullPolicy, Message, Port, SendOutcome};
-pub use rm::{is_schedulable, liu_layland_bound, response_times, rm_priorities, Task};
 pub use sched::{BurstDone, Cpu, CpuStats, Resched, SliceOutcome, SliceToken};
 pub use sync::{Acquire, InheritancePolicy, MutexSim, Release};
 pub use thread::{SchedPolicy, ThreadId, ThreadState};

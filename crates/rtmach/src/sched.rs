@@ -231,11 +231,6 @@ impl<T: Copy> Cpu<T> {
         self.current.map(|c| c.tid)
     }
 
-    /// Whether the CPU is idle.
-    pub fn is_idle(&self) -> bool {
-        self.current.is_none()
-    }
-
     /// Sets (or clears) a priority-inheritance boost on a thread.
     ///
     /// A ready thread moves to its new priority's place in the ready

@@ -1,7 +1,7 @@
 //! The effect vocabulary of the pure transition core.
 //!
 //! Event handlers on [`crate::system::SysState`] never touch the engine,
-//! the disks, the CPU or the deadline port directly — they push
+//! the disks or the CPU directly — they push
 //! [`Action`] values describing the side effects they want, and the thin
 //! executor half of [`crate::system::System`] applies them in push order
 //! against the real substrates. This is the PHASM shape,
@@ -55,12 +55,6 @@ pub enum Action {
         burst: Duration,
         /// Completion tag.
         tag: CpuTag,
-    },
-    /// Post one deadline-overrun warning (interval `index`) to the
-    /// deadline notification port.
-    DeadlineWarn {
-        /// The overrun interval's index.
-        index: u64,
     },
     /// Append a record to the post-mortem trace ring. Transitions only
     /// emit this while tracing is enabled, preserving the lazy-format

@@ -4,7 +4,7 @@
 //! * [`system`] — [`system::SysState`], the pure transition core
 //!   (`(State, Event) → (State', Actions)`), and [`system::System`],
 //!   the thin executor that pops events and applies the emitted
-//!   [`action::Action`]s against engine, disks, CPU and ports.
+//!   [`action::Action`]s against engine, disks and CPU.
 //! * [`action`] — the effect vocabulary transitions emit.
 //! * [`journal`] — the durable transition journal crash recovery
 //!   replays.

@@ -188,9 +188,9 @@ pub struct Metrics {
     pub net_parks: u64,
 }
 
-/// A shard's load and health snapshot, exported for cluster-level
-/// routing: the gateway compares these across a title's replicas and
-/// sends the open to the least-loaded live one.
+/// A shard's load snapshot, exported for cluster-level routing: the
+/// gateway compares these across a title's replicas and sends the open
+/// to the least-loaded live one.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShardLoad {
     /// Streams currently admitted (open, reservation held).
@@ -204,24 +204,6 @@ pub struct ShardLoad {
     /// finishing. 0.0 when every volume keeps up. A direct measurement
     /// of overload, where the stream count is only a proxy for it.
     pub recent_lag: f64,
-    /// Bytes waiting in the shard's delivery link send queues (0
-    /// without a delivery subsystem).
-    pub uplink_queued_bytes: u64,
-    /// Frames that missed their playout deadline across the shard's
-    /// delivery sessions (0 without a delivery subsystem).
-    pub uplink_late_frames: u64,
-    /// Volumes configured in this shard.
-    pub volumes: usize,
-    /// Volumes currently failed and not yet rebuilt.
-    pub volumes_down: usize,
-}
-
-impl ShardLoad {
-    /// Whether every volume is down — the whole-shard-failure state a
-    /// gateway treats as shard death.
-    pub fn all_down(&self) -> bool {
-        self.volumes > 0 && self.volumes_down == self.volumes
-    }
 }
 
 /// Per-volume fault/health report assembled from the disk substrate.

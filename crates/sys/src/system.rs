@@ -6,15 +6,15 @@
 //!
 //! * [`SysState`] is the pure transition core. Its event handlers mutate
 //!   only component state and push the side effects they want — disk
-//!   submits, timer arms, CPU wakes, deadline warnings, trace and
-//!   journal records — onto an [`Action`] buffer. They never touch the
-//!   engine, the disks, the CPU or the ports.
+//!   submits, timer arms, CPU wakes, trace and journal records — onto
+//!   an [`Action`] buffer. They never touch the engine, the disks or
+//!   the CPU.
 //! * [`System`] is the thin executor: it owns the executable substrates
-//!   (engine, volume set, CPU, deadline port), pops events, calls the
-//!   matching transition, and applies the emitted actions *in push
-//!   order*. Push order equals the old inline call order and every
-//!   action lands at the same virtual instant the handler ran, so the
-//!   split is behavior-preserving by construction.
+//!   (engine, volume set, CPU), pops events, calls the matching
+//!   transition, and applies the emitted actions *in push order*. Push
+//!   order equals the old inline call order and every action lands at
+//!   the same virtual instant the handler ran, so the split is
+//!   behavior-preserving by construction.
 //!
 //! Every figure in the paper is a run of this system under a different
 //! configuration. The storage backend is a [`VolumeSet`]: §4's "several
@@ -25,11 +25,11 @@ use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use cras_core::{
     AdmissionError, Admit, CacheState, CrasServer, OpenReq, ReadId, ReadReq, StreamId, VolumeLoad,
+    JITTER,
 };
 use cras_disk::{Completed, DiskDevice, DiskRequest, VolumeId, VolumeSet};
 use cras_media::{Movie, StreamProfile};
 use cras_net::{LinkParams, NetDelivery, NetEffect, NetFaults, SessionCfg};
-use cras_rtmach::port::{FullPolicy, Port};
 use cras_rtmach::{Cpu, SchedPolicy, ThreadId};
 use cras_sim::trace::Trace;
 use cras_sim::{Duration, Engine, IdTable, Instant, Rng};
@@ -57,6 +57,33 @@ const REBUILD_RATE_FLOOR: f64 = 0.25;
 /// Completed per-volume interval records the read-steering load signal
 /// averages its completion-lag estimate over (per volume).
 const STEER_LAG_WINDOW: usize = 4;
+
+/// CPU the CRAS request scheduler spends on one interval pass, before
+/// its per-stream charge (a representative P5-100 figure, like the other
+/// costs here; only their order of magnitude matters to the results,
+/// and the Figure 10 contrast is robust to them).
+const CRAS_TICK_BASE: Duration = Duration::from_micros(300);
+
+/// CPU the CRAS request scheduler spends per active stream and pass.
+const CRAS_TICK_PER_STREAM: Duration = Duration::from_micros(40);
+
+/// Length of one CPU-hog busy burst (hogs re-arm forever).
+const HOG_BURST: Duration = Duration::from_millis(50);
+
+/// Minimum cycle time of a background reader: the syscall + user-copy
+/// cost of one 64 KB `read()` on the simulated hardware. Keeps a
+/// fully-cached `cat` from spinning in zero simulated time.
+const BG_MIN_CYCLE: Duration = Duration::from_millis(1);
+
+/// Poll interval when a player finds its frame unbuffered.
+const PLAYER_POLL: Duration = Duration::from_millis(5);
+
+/// Stall added to a disk operation that takes an injected transient
+/// retry (see `SysConfig::disk_fault_prob`).
+const DISK_FAULT_PENALTY: Duration = Duration::from_millis(25);
+
+/// Size of one rebuild copy chunk in bytes.
+const REBUILD_CHUNK_BYTES: u64 = 256 * 1024;
 
 /// Owner of a Unix-server request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,8 +155,8 @@ impl std::error::Error for AttachError {}
 /// Event handlers on this type implement
 /// `(State, Event) → (State', Actions)`: they mutate only this state and
 /// push the side effects they want onto an [`Action`] buffer. The
-/// [`System`] executor applies those actions against the engine, disks,
-/// CPU and ports in push order. [`System`] derefs to this type, so all
+/// [`System`] executor applies those actions against the engine, disks
+/// and CPU in push order. [`System`] derefs to this type, so all
 /// component state reads (`sys.players`, `sys.metrics`, …) keep working
 /// unchanged.
 pub struct SysState {
@@ -218,10 +245,6 @@ pub struct System {
     /// The CPU; each burst carries the [`CpuTag`] that routes its
     /// completion.
     pub cpu: Cpu<CpuTag>,
-    /// The deadline notification port: one message per interval overrun,
-    /// consumed by the deadline-manager role (bounded; losing an old
-    /// warning is acceptable, as in Real-Time Mach).
-    pub deadline_port: Port<u64>,
     /// The pure transition core.
     state: SysState,
     /// The durable transition journal.
@@ -252,26 +275,19 @@ impl System {
     /// per volume, calibrated CRAS.
     ///
     /// Disk parameters for the admission test come from running the
-    /// Appendix A calibration against a scratch copy of each distinct
-    /// disk model — CRAS only ever sees what a real system could
-    /// measure. A homogeneous array (`cfg.fast_volumes == 0`) needs one
-    /// calibration; a mixed array calibrates the fast model separately
-    /// so per-volume admission weighs each spindle's real bandwidth.
+    /// Appendix A calibration against a scratch ST32550N — CRAS only
+    /// ever sees what a real system could measure.
     pub fn new(cfg: SysConfig) -> System {
         assert!(cfg.server.volumes >= 1, "system needs at least one volume");
-        assert!(
-            (cfg.fast_volumes as usize) <= cfg.server.volumes,
-            "fast_volumes exceeds the volume count"
-        );
         let mut rng = Rng::new(cfg.seed);
         let nvol = cfg.server.volumes;
         let mut devices: Vec<DiskDevice<DiskTag>> = Vec::with_capacity(nvol);
         for v in 0..nvol as u64 {
-            let mut disk: DiskDevice<DiskTag> = Self::base_device(&cfg, v as u32);
+            let mut disk: DiskDevice<DiskTag> = DiskDevice::st32550n();
             if cfg.disk_fault_prob > 0.0 {
                 disk.set_fault_injector(Some(cras_disk::FaultInjector::new(
                     cfg.disk_fault_prob,
-                    cfg.disk_fault_penalty,
+                    DISK_FAULT_PENALTY,
                     cfg.seed ^ 0xFA17 ^ (v << 32),
                 )));
             }
@@ -286,22 +302,7 @@ impl System {
                 Ufs::format_volume(&geom, MkfsParams::tuned(&geom), rng.fork().next_u64(), v)
             })
             .collect();
-        let cras = if cfg.fast_volumes == 0 {
-            CrasServer::new(cal.params, cfg.server)
-        } else {
-            let mut fast_scratch: DiskDevice<u8> = Self::base_device(&cfg, 0);
-            let fast = cras_disk::calibrate::calibrate(&mut fast_scratch, 64 * 1024).params;
-            let per_volume = (0..nvol as u32)
-                .map(|v| {
-                    if v < cfg.fast_volumes {
-                        fast
-                    } else {
-                        cal.params
-                    }
-                })
-                .collect();
-            CrasServer::new_per_volume(per_volume, cfg.server)
-        };
+        let cras = CrasServer::new(cal.params, cfg.server);
         let mut cpu = Cpu::new();
         let cras_tid = cpu.create("cras-sched", Self::policy_for(&cfg, prio::CRAS));
         let hog_tids = (0..cfg.hogs)
@@ -311,7 +312,6 @@ impl System {
             engine: Engine::new(),
             disks,
             cpu,
-            deadline_port: Port::new(64, FullPolicy::DropOldest),
             state: SysState {
                 cfg,
                 userver: UnixServer::new(),
@@ -345,21 +345,6 @@ impl System {
         }
     }
 
-    /// The uncalibrated disk model behind volume `v`: the leading
-    /// `cfg.fast_volumes` spindles are ST32550N mechanics with platter
-    /// density scaled by `cfg.fast_factor`, the rest are stock.
-    fn base_device<T>(cfg: &SysConfig, v: u32) -> DiskDevice<T> {
-        if v < cfg.fast_volumes {
-            DiskDevice::new(
-                cras_disk::DiskGeometry::st32550n().scaled(cfg.fast_factor),
-                cras_disk::SeekModel::st32550n_measured(),
-                cras_disk::DiskTimings::st32550n(),
-            )
-        } else {
-            DiskDevice::st32550n()
-        }
-    }
-
     fn policy_for(cfg: &SysConfig, fixed_prio: u8) -> SchedPolicy {
         match cfg.sched {
             SchedMode::FixedPriority => SchedPolicy::FixedPriority { prio: fixed_prio },
@@ -380,11 +365,6 @@ impl System {
         self.disks.volume(VolumeId(0))
     }
 
-    /// Mutable volume-0 disk.
-    pub fn disk_mut(&mut self) -> &mut DiskDevice<DiskTag> {
-        self.disks.volume_mut(VolumeId(0))
-    }
-
     /// The transition journal accumulated so far.
     pub fn journal(&self) -> &Journal {
         &self.journal
@@ -399,11 +379,6 @@ impl SysState {
     /// deliberately not part of [`SysConfig`].
     pub fn set_issue_mode(&mut self, mode: IssueMode) {
         self.issue = mode;
-    }
-
-    /// The current batch-issue mode.
-    pub fn issue_mode(&self) -> IssueMode {
-        self.issue
     }
 
     /// Number of volumes.
@@ -424,11 +399,6 @@ impl SysState {
     /// The file system on volume `vol`.
     pub fn ufs_on(&self, vol: u32) -> &Ufs {
         &self.fs[vol as usize]
-    }
-
-    /// Mutable file system on volume `vol`.
-    pub fn ufs_on_mut(&mut self, vol: u32) -> &mut Ufs {
-        &mut self.fs[vol as usize]
     }
 
     /// Where a movie's data lives (if it was recorded through
@@ -517,9 +487,8 @@ impl System {
 
     /// Starts the configured CPU hogs.
     pub fn start_hogs(&mut self) {
-        let burst = self.state.cfg.costs.hog_burst;
         for (i, tid) in self.state.hog_tids.clone().into_iter().enumerate() {
-            self.exec_wake_cpu(tid, burst, CpuTag::Hog(i as u32));
+            self.exec_wake_cpu(tid, HOG_BURST, CpuTag::Hog(i as u32));
         }
     }
 
@@ -749,11 +718,7 @@ impl System {
         let mode = self.players.get(&client.0).expect("no such player").mode;
         let start = match mode {
             PlayerMode::Cras { stream } => self.cras.start(stream, now),
-            PlayerMode::Ufs { .. } => {
-                let delay =
-                    self.cfg.server.interval * self.cfg.server.initial_delay_intervals as u64;
-                now + delay
-            }
+            PlayerMode::Ufs { .. } => now + self.cras.initial_delay(),
         };
         self.players
             .get_mut(&client.0)
@@ -956,14 +921,10 @@ impl System {
     }
 
     /// Snapshot of this shard's admitted load, spare interval capacity
-    /// and volume health, consumed by cluster-level routing: the gateway
-    /// sends each open to the live replica with the fewest admitted
-    /// streams, breaking ties toward the most recent slack.
+    /// and completion lag, consumed by cluster-level routing: the
+    /// gateway sends each open to the live replica with the least lag,
+    /// then the fewest admitted streams, then the most recent slack.
     pub fn load_signal(&self) -> ShardLoad {
-        let volumes = self.cfg.server.volumes;
-        let volumes_down = (0..volumes as u32)
-            .filter(|&v| self.cras.volume_failed(VolumeId(v)))
-            .count();
         ShardLoad {
             streams: self.cras.stream_count(),
             recent_slack: self
@@ -971,13 +932,9 @@ impl System {
                 .recent_slack(self.cfg.server.interval, REBUILD_SLACK_WINDOW),
             recent_lag: self
                 .metrics
-                .recent_volume_lag(volumes, STEER_LAG_WINDOW)
+                .recent_volume_lag(self.cfg.server.volumes, STEER_LAG_WINDOW)
                 .into_iter()
                 .fold(0.0, f64::max),
-            uplink_queued_bytes: self.net.queued_bytes_total(),
-            uplink_late_frames: self.net.late_frames_total(),
-            volumes,
-            volumes_down,
         }
     }
 
@@ -1021,10 +978,8 @@ impl System {
         {
             return Err(AttachError::PeersDown);
         }
-        // The replacement must match the failed slot's disk model, or a
-        // fast volume would silently degrade to stock mechanics.
         self.disks
-            .try_replace_volume(VolumeId(vol), Self::base_device(&self.cfg, vol))
+            .try_replace_volume(VolumeId(vol), DiskDevice::st32550n())
             .map_err(|_| AttachError::DeviceBusy)?;
         let cfg = self.state.cfg;
         if cfg.disk_fault_prob > 0.0 {
@@ -1033,14 +988,14 @@ impl System {
                 .volume_mut(VolumeId(vol))
                 .set_fault_injector(Some(cras_disk::FaultInjector::new(
                     cfg.disk_fault_prob,
-                    cfg.disk_fault_penalty,
+                    DISK_FAULT_PENALTY,
                     cfg.seed ^ 0xFA17 ^ ((vol as u64) << 32) ^ 0x5EB1,
                 )));
         }
         let chunks = self
             .placements
             .values()
-            .flat_map(|p| p.rebuild_chunks(&self.fs, vol, self.cfg.rebuild_chunk))
+            .flat_map(|p| p.rebuild_chunks(&self.fs, vol, REBUILD_CHUNK_BYTES))
             .collect();
         let now = self.now();
         self.metrics.rebuild_started_at = Some(now);
@@ -1295,11 +1250,7 @@ impl System {
                 self.state.cras.seek(stream, now, ts);
                 self.state.cras.start(stream, now)
             }
-            PlayerMode::Ufs { .. } => {
-                let delay = self.state.cfg.server.interval
-                    * self.state.cfg.server.initial_delay_intervals as u64;
-                now + delay
-            }
+            PlayerMode::Ufs { .. } => now + self.state.cras.initial_delay(),
         };
         let new_start = begin - ts.mul_f64(time_scale);
         {
@@ -1412,9 +1363,6 @@ impl System {
                     if let Some((at, tok)) = self.cpu.wake(tid, burst, tag, now) {
                         self.engine.schedule(at, Event::CpuSlice(tok));
                     }
-                }
-                Action::DeadlineWarn { index } => {
-                    self.deadline_port.send(now, index);
                 }
                 Action::Trace { component, message } => {
                     self.state.trace.log(now, component, message);
@@ -1566,8 +1514,7 @@ impl SysState {
         // interval pass happens; under round robin this is where delay
         // creeps in (Figure 10).
         let streams = self.cras.stream_count() as u64;
-        let burst = self.cfg.costs.cras_tick_base
-            + Duration::from_nanos(self.cfg.costs.cras_tick_per_stream.as_nanos() * streams.max(1));
+        let burst = CRAS_TICK_BASE + CRAS_TICK_PER_STREAM * streams.max(1);
         self.wake_cpu(self.cras_tid, burst, CpuTag::CrasSched, acts);
         let next = now + self.cfg.server.interval;
         acts.push(Action::Schedule {
@@ -1584,8 +1531,8 @@ impl SysState {
             CpuTag::CrasSched => {
                 let rep = self.cras.interval_tick(now);
                 if rep.overran {
-                    // The paper's recovery action is a warning message.
-                    acts.push(Action::DeadlineWarn { index: rep.index });
+                    // The paper's recovery action is a warning message;
+                    // `Metrics::overruns` counts it below.
                     self.trace_with("deadline", acts, || {
                         format!("interval {} overran", rep.index)
                     });
@@ -1669,11 +1616,9 @@ impl SysState {
                 self.on_frame_decoded(client, frame, now, acts);
             }
             CpuTag::Hog(i) => {
-                let burst = self.cfg.costs.hog_burst;
                 let tid = self.hog_tids[i as usize];
-                self.wake_cpu(tid, burst, CpuTag::Hog(i), acts);
+                self.wake_cpu(tid, HOG_BURST, CpuTag::Hog(i), acts);
             }
-            CpuTag::UfsServe => {}
         }
     }
 
@@ -1918,10 +1863,9 @@ impl SysState {
                             }
                         }
                         UOwner::Bg { client, bytes } => {
-                            let min_cycle = self.cfg.costs.bg_cycle;
                             if let Some(bg) = self.bgs.get_mut(&client.0) {
                                 bg.complete(bytes);
-                                let at = now + bg.pause.max(min_cycle);
+                                let at = now + bg.pause.max(BG_MIN_CYCLE);
                                 acts.push(Action::Schedule {
                                     at,
                                     ev: Event::BgKick(client),
@@ -1978,12 +1922,10 @@ impl SysState {
                     }
                     None => {
                         let media_now = self.cras.media_time(stream, now);
-                        let jitter = self.cfg.server.jitter;
-                        let poll = self.cfg.poll;
                         let p = self.players.get_mut(&client.0).expect("exists");
                         p.stats.polls += 1;
                         p.polls_this_frame += 1;
-                        let expired = media_now > chunk.timestamp + jitter;
+                        let expired = media_now > chunk.timestamp + JITTER;
                         if expired || p.polls_this_frame > 1000 {
                             if let Some(_due) = p.frame_dropped(now) {
                                 let due = p.due(p.next_frame).max(now);
@@ -1997,7 +1939,7 @@ impl SysState {
                             });
                         } else {
                             acts.push(Action::Schedule {
-                                at: now + poll,
+                                at: now + PLAYER_POLL,
                                 ev: Event::PlayerPoll(client),
                             });
                         }

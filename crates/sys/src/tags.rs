@@ -128,6 +128,4 @@ pub enum CpuTag {
     },
     /// A CPU hog finished one busy burst (it immediately re-arms).
     Hog(u32),
-    /// The Unix server spent CPU processing one request.
-    UfsServe,
 }

@@ -134,11 +134,6 @@ impl Allocator {
         self.groups.iter().map(|g| g.nfree as u64).sum()
     }
 
-    /// Free blocks in one group.
-    pub fn group_free(&self, g: u32) -> u32 {
-        self.groups[g as usize].nfree
-    }
-
     /// Whether a specific block is free.
     pub fn is_free(&self, b: FsBlock) -> bool {
         let g = self.layout.group_of(b);

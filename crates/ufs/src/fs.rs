@@ -508,11 +508,6 @@ impl Ufs {
         self.cache.insert(block);
     }
 
-    /// Empties the buffer cache (e.g. between experiment runs).
-    pub fn drop_caches(&mut self) {
-        self.cache.clear();
-    }
-
     /// Fragmentation report for a file.
     pub fn fragmentation(&self, ino: Ino) -> FragReport {
         let extents = self.extent_map(ino);

@@ -29,16 +29,14 @@
 
 use std::collections::BTreeSet;
 
-use cras_cluster::{zipf_cdf, zipf_rank, Cluster, ClusterConfig, RetryStats};
+use cras_cluster::{Cluster, ClusterConfig, RetryStats};
 use cras_core::EvictPolicy;
 use cras_media::StreamProfile;
-use cras_sim::{Duration, Rng};
+use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
-
-/// Zipf exponent of the request distribution.
-const THETA: f64 = 1.0;
+use crate::runner::{title_name, zipf_arrivals, ZIPF_THETA};
 
 /// How long a rejected open waits in the gateway retry queue.
 const RETRY_WINDOW: Duration = Duration::from_secs(2);
@@ -100,11 +98,9 @@ pub struct CatalogOutcome {
     /// queued open that expired/purged).
     pub rejected: usize,
     /// Peak, over arrival-time samples, of streams holding disk
-    /// reservations across live shards — the spindle-bound quantity.
+    /// reservations across live shards — the spindle-bound quantity
+    /// ([`spindle_bound`] is the fixed bound it must respect).
     pub peak_disk_streams: usize,
-    /// Cold-title calibration: disk streams one shard admits times the
-    /// shard count. The fixed bound `peak_disk_streams` must respect.
-    pub spindle_bound: usize,
     /// Streams admitted deferred against a resident prefix.
     pub prefix_admitted: u64,
     /// Deferred streams whose prefix drained (each then re-entered
@@ -149,19 +145,6 @@ fn system_config(p: &CatalogParams) -> SysConfig {
     // software-decoding them (see cluster_scaling for the arithmetic).
     cfg.costs.decode = Duration::from_micros(5);
     cfg
-}
-
-/// The arrival sequence: a pure function of the seed.
-fn arrival_ranks(p: &CatalogParams, requested: usize) -> Vec<usize> {
-    let cdf = zipf_cdf(p.titles, THETA);
-    let mut rng = Rng::new(p.seed ^ 0x7A1F);
-    (0..requested)
-        .map(|_| zipf_rank(&cdf, rng.f64_range(0.0, 1.0)))
-        .collect()
-}
-
-fn title_name(rank: usize) -> String {
-    format!("t{rank:04}.mov")
 }
 
 /// Measures the fixed spindle bound: how many cold distinct titles one
@@ -211,7 +194,7 @@ fn depart_finished(cl: &mut Cluster, shown: &mut u64, dropped: &mut u64) -> usiz
 /// Runs one sweep point. Returns the outcome and the per-shard
 /// canonical metrics (the deterministic-replay unit).
 pub fn run_one(p: &CatalogParams, requested: usize) -> (CatalogOutcome, Vec<String>) {
-    let ranks = arrival_ranks(p, requested);
+    let ranks = zipf_arrivals(p.titles, p.seed, requested);
     let distinct: BTreeSet<usize> = ranks.iter().copied().collect();
     let profile = StreamProfile::mpeg1();
 
@@ -281,7 +264,6 @@ pub fn run_one(p: &CatalogParams, requested: usize) -> (CatalogOutcome, Vec<Stri
         admitted,
         rejected: refused + expired + still_queued,
         peak_disk_streams: peak_disk,
-        spindle_bound: spindle_bound(p),
         prefix_admitted,
         deferred_drained,
         joined,
@@ -350,13 +332,19 @@ pub fn points_json(bound: usize, outs: &[CatalogOutcome]) -> String {
     json
 }
 
-/// Sweeps the viewer count over the fixed hardware shape.
-pub fn sweep(p: &CatalogParams, viewer_counts: &[usize]) -> (KvTable, Figure, Vec<CatalogOutcome>) {
+/// Sweeps the viewer count over the fixed hardware shape. Returns the
+/// table, the figure, the [`spindle_bound`] (calibrated once for the
+/// whole sweep) and one outcome per viewer count.
+pub fn sweep(
+    p: &CatalogParams,
+    viewer_counts: &[usize],
+) -> (KvTable, Figure, usize, Vec<CatalogOutcome>) {
+    let bound = spindle_bound(p);
     let outs: Vec<CatalogOutcome> = viewer_counts.iter().map(|&n| run_one(p, n).0).collect();
     let mut t = KvTable::new(
         "catalog_scaling",
         &format!(
-            "{} shards x {} volumes fixed, {}-title Zipf({THETA}) catalog, \
+            "{} shards x {} volumes fixed, {}-title Zipf({ZIPF_THETA}) catalog, \
              prefix residency + batched joins + retry queue on",
             p.shards, p.volumes, p.titles
         ),
@@ -371,7 +359,7 @@ pub fn sweep(p: &CatalogParams, viewer_counts: &[usize]) -> (KvTable, Figure, Ve
                 o.admitted,
                 o.rejected,
                 o.peak_disk_streams,
-                o.spindle_bound,
+                bound,
                 o.prefix_admitted,
                 o.joined,
                 o.cache_admitted,
@@ -397,10 +385,9 @@ pub fn sweep(p: &CatalogParams, viewer_counts: &[usize]) -> (KvTable, Figure, Ve
         f.series_mut("admitted-viewers").push(x, o.admitted as f64);
         f.series_mut("peak-disk-streams")
             .push(x, o.peak_disk_streams as f64);
-        f.series_mut("spindle-bound")
-            .push(x, o.spindle_bound as f64);
+        f.series_mut("spindle-bound").push(x, bound as f64);
     }
-    (t, f, outs)
+    (t, f, bound, outs)
 }
 
 #[cfg(test)]
@@ -427,10 +414,11 @@ mod tests {
     fn viewers_ride_memory_disk_stays_bounded() {
         let p = small();
         let (o, _) = run_one(&p, 60);
+        let bound = spindle_bound(&p);
         assert!(o.admitted as f64 >= 0.9 * o.requested as f64, "{o:?}");
         assert!(
-            o.peak_disk_streams as f64 <= 1.2 * o.spindle_bound as f64,
-            "disk streams past the spindle bound: {o:?}"
+            o.peak_disk_streams as f64 <= 1.2 * bound as f64,
+            "disk streams past the spindle bound {bound}: {o:?}"
         );
         // The §16 mechanisms actually carried load.
         assert!(

@@ -28,19 +28,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cras_cluster::{zipf_cdf, zipf_rank, Cluster, ClusterConfig, FailoverReport, Stepping};
+use cras_cluster::{Cluster, ClusterConfig, FailoverReport, Stepping};
 use cras_disk::DiskGeometry;
 use cras_media::StreamProfile;
-use cras_sim::{Duration, Rng};
+use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
+use crate::runner::{title_name, zipf_arrivals, ZIPF_THETA};
 
 /// Catalog ranks that count as hot and get replicated to two shards.
 const HOT_TITLES: usize = 32;
-
-/// Zipf exponent of the request distribution.
-const THETA: f64 = 1.0;
 
 /// Fraction of raw volume capacity the baseline dares to fill (block
 /// and inode metadata take the rest).
@@ -49,12 +47,15 @@ const FILL: f64 = 0.90;
 /// Per-title filesystem overhead allowance on top of media bytes.
 const OVERHEAD: f64 = 1.05;
 
-/// Per-shard stream ceiling the gateway enforces. At 100 us/frame of
-/// per-stream consumption cost plus the 40 us/stream scheduler charge,
-/// a shard's CPU saturates near 1 / (30 fps x 100 us + 40 us) ≈ 320
-/// streams; past that the request scheduler starves and every stream
-/// degrades at once. 180 leaves the disk, cache and control planes
-/// comfortable headroom.
+/// Per-shard stream ceiling the gateway enforces, set by hand from the
+/// CPU cost model. Each stream costs 30 fps x 100 us of consumption
+/// (`shard_config`'s `decode`) per second, and the request scheduler
+/// charges `CRAS_TICK_PER_STREAM` (40 us) per stream and 0.5 s pass on
+/// top of `CRAS_TICK_BASE` (300 us; both constants in `cras-sys`'s
+/// `system.rs`). A shard's CPU therefore saturates near
+/// 1 / (30 x 100 us + 2 x 40 us) ≈ 325 streams; past that the request
+/// scheduler starves and every stream degrades at once. 180 leaves the
+/// disk, cache and control planes comfortable headroom.
 const STREAM_CAP: usize = 180;
 
 /// Fixed experiment shape; the viewer count is swept separately.
@@ -161,25 +162,11 @@ fn shard_config(p: &ClusterParams) -> SysConfig {
     cfg
 }
 
-/// The arrival sequence: a pure function of the seed, so the cluster
-/// run, the baseline run and every replay see identical viewers.
-fn arrival_ranks(p: &ClusterParams, requested: usize) -> Vec<usize> {
-    let cdf = zipf_cdf(p.titles, THETA);
-    let mut rng = Rng::new(p.seed ^ 0x7A1F);
-    (0..requested)
-        .map(|_| zipf_rank(&cdf, rng.f64_range(0.0, 1.0)))
-        .collect()
-}
-
-fn title_name(rank: usize) -> String {
-    format!("t{rank:04}.mov")
-}
-
 /// Runs the cluster scenario at one viewer count and its one-shard
 /// baseline. Returns the outcome and the per-shard canonical metrics
 /// (the deterministic-replay unit).
 pub fn run_one(p: &ClusterParams, requested: usize) -> (ClusterOutcome, Vec<String>) {
-    let ranks = arrival_ranks(p, requested);
+    let ranks = zipf_arrivals(p.titles, p.seed, requested);
     let distinct: BTreeSet<usize> = ranks.iter().copied().collect();
     let movie_secs = p.stagger.as_secs_f64() * requested as f64 + p.measure.as_secs_f64() + 30.0;
     let profile = StreamProfile::mpeg1();
@@ -317,7 +304,7 @@ pub fn sweep(p: &ClusterParams, viewer_counts: &[usize]) -> (KvTable, Figure, Ve
     let mut t = KvTable::new(
         "cluster_scaling",
         &format!(
-            "{} shards x {} volumes, {}-title Zipf({THETA}) catalog, busiest shard killed mid-run",
+            "{} shards x {} volumes, {}-title Zipf({ZIPF_THETA}) catalog, busiest shard killed mid-run",
             p.shards, p.volumes, p.titles
         ),
     );

@@ -42,7 +42,6 @@ pub fn sweep(
         let mut cfg = SysConfig::default();
         cfg.seed = seed;
         cfg.disk_fault_prob = prob;
-        cfg.disk_fault_penalty = Duration::from_millis(25);
         cfg.server.buffer_budget = 64 << 20;
         let mut sys = System::new(cfg);
         let movies: Vec<_> = (0..streams)

@@ -1,9 +1,31 @@
 //! Shared experiment plumbing: building a populated system and running
-//! one playback scenario to completion.
+//! one playback scenario to completion, and the Zipf viewer arrivals
+//! the cluster experiments share.
 
+use cras_cluster::{zipf_cdf, zipf_rank};
 use cras_media::{Movie, StreamProfile};
-use cras_sim::{Duration, Instant};
+use cras_sim::{Duration, Instant, Rng};
 use cras_sys::{ClientId, SchedMode, SysConfig, System};
+
+/// Zipf exponent of the cluster experiments' request distribution.
+pub const ZIPF_THETA: f64 = 1.0;
+
+/// `requested` viewer arrivals over a `titles`-rank catalog, each the
+/// rank of the title that viewer opens (0 = hottest), drawn from
+/// Zipf([`ZIPF_THETA`]). A pure function of `seed`, so a cluster run,
+/// its baseline and every replay see identical viewers.
+pub fn zipf_arrivals(titles: usize, seed: u64, requested: usize) -> Vec<usize> {
+    let cdf = zipf_cdf(titles, ZIPF_THETA);
+    let mut rng = Rng::new(seed ^ 0x7A1F);
+    (0..requested)
+        .map(|_| zipf_rank(&cdf, rng.f64_range(0.0, 1.0)))
+        .collect()
+}
+
+/// The file name of the catalog title at `rank`.
+pub fn title_name(rank: usize) -> String {
+    format!("t{rank:04}.mov")
+}
 
 /// Which storage system serves the players.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

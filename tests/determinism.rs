@@ -129,3 +129,68 @@ fn calibration_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// Events dispatched while `sys` runs 30 simulated seconds, setup
+/// (recording, admission) excluded.
+fn events_in_30s(mut sys: System) -> u64 {
+    let before = sys.engine.dispatched();
+    sys.run_for(Duration::from_secs(30));
+    sys.engine.dispatched() - before
+}
+
+/// Healthy multi-volume load: 4 volumes, round-robin whole-movie
+/// placement, 8 MPEG-1 players on 35 s titles plus one background
+/// reader.
+fn capacity_scaling_scenario() -> System {
+    let mut cfg = SysConfig::default();
+    cfg.seed = 0x51ED;
+    cfg.server.volumes = 4;
+    let mut sys = System::new(cfg);
+    let noise = sys.record_movie("noise.mov", StreamProfile::mpeg1(), 35.0);
+    let mut clients = Vec::new();
+    for i in 0..8 {
+        let m = sys.record_movie(&format!("m{i}.mov"), StreamProfile::mpeg1(), 35.0);
+        if let Ok(c) = sys.add_cras_player(&m, 1) {
+            clients.push(c);
+        }
+    }
+    sys.add_bg_reader(&noise);
+    sys.start_bg();
+    for c in clients {
+        sys.start_playback(c);
+    }
+    sys
+}
+
+/// Degraded load: a 4-volume parity band loses one spindle right away,
+/// so the whole window runs degraded reads beside the reconstruction
+/// rebuild.
+fn parity_failover_scenario() -> System {
+    let mut cfg = SysConfig::default();
+    cfg.seed = 0xFA11;
+    cfg.server.volumes = 4;
+    cfg.server.placement = PlacementPolicy::Parity { group: 4 };
+    let mut sys = System::new(cfg);
+    let mut clients = Vec::new();
+    for i in 0..8 {
+        let m = sys.record_movie(&format!("p{i}.mov"), StreamProfile::mpeg1(), 35.0);
+        if let Ok(c) = sys.add_cras_player(&m, 1) {
+            clients.push(c);
+        }
+    }
+    for c in clients {
+        sys.start_playback(c);
+    }
+    sys.fail_volume(1);
+    sys.attach_replacement(1);
+    sys
+}
+
+/// The exact event counts of two fixed scenarios. Any change means the
+/// simulation took a different path; a change that only makes events
+/// cheaper leaves both counts as they are.
+#[test]
+fn fixed_scenarios_dispatch_exact_event_counts() {
+    assert_eq!(events_in_30s(capacity_scaling_scenario()), 17_352);
+    assert_eq!(events_in_30s(parity_failover_scenario()), 17_261);
+}
