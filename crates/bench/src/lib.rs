@@ -119,9 +119,15 @@ fn numeric_tokens(json: &str) -> Vec<&str> {
 pub enum Gate {
     /// Simulated results: byte for byte.
     Exact,
-    /// Wall-clock timings: every numeric field within ±20%.
+    /// Wall-clock step timings (`{"steps":[{"name","wall_secs"}…],
+    /// "total_wall_secs"}`): the total and every step whose baseline
+    /// took at least 0.1 s within ±20%; shorter steps, where a
+    /// millisecond of jitter is a large fraction, are listed as info.
     Timing,
 }
+
+/// The shortest baseline step time the [`Gate::Timing`] band applies to.
+const BANDED_SECS: f64 = 0.1;
 
 /// Compares a freshly generated artifact against the committed
 /// `BENCH_<name>.json` baseline and prints one `OK` or `DIFF` line.
@@ -140,44 +146,91 @@ pub fn check_bench(name: &str, json_now: &str, quick: bool, gate: Gate) -> bool 
 
 /// The verdict behind [`check_bench`], on the baseline file's contents.
 fn compare(baseline: Option<&str>, now: &str, quick: bool, gate: Gate) -> Result<String, String> {
-    const TOLERANCE: f64 = 0.20;
     let baseline = baseline.ok_or("no committed baseline")?;
     let base = baseline
         .strip_prefix(&format!("{{\"quick\":{quick},\"data\":"))
         .and_then(|rest| rest.strip_suffix('}'))
         .ok_or("baseline was generated in a different sweep mode")?;
-    if gate == Gate::Exact && base == now {
-        return Ok("byte-identical".into());
+    match gate {
+        Gate::Timing => compare_timing(base, now),
+        Gate::Exact if base == now => Ok("byte-identical".into()),
+        Gate::Exact => {
+            let (b, n) = (numeric_tokens(base), numeric_tokens(now));
+            Err(match b.iter().zip(&n).position(|(x, y)| x != y) {
+                Some(i) => format!("numeric field #{i}: baseline {} vs now {}", b[i], n[i]),
+                None if b.len() != n.len() => {
+                    format!("{} numeric fields vs baseline {}", n.len(), b.len())
+                }
+                None => "non-numeric content differs".into(),
+            })
+        }
     }
-    let (b, n) = (numeric_tokens(base), numeric_tokens(now));
-    if gate == Gate::Exact {
-        return Err(match b.iter().zip(&n).position(|(x, y)| x != y) {
-            Some(i) => format!("numeric field #{i}: baseline {} vs now {}", b[i], n[i]),
-            None if b.len() != n.len() => {
-                format!("{} numeric fields vs baseline {}", n.len(), b.len())
+}
+
+/// The [`Gate::Timing`] verdict on a step-timing artifact's payloads.
+/// The first line holds the verdict; a second `INFO:` line lists the
+/// steps too short to band, baseline -> now.
+fn compare_timing(base: &str, now: &str) -> Result<String, String> {
+    const TOLERANCE: f64 = 0.20;
+    let (b, n) = (timing_fields(base)?, timing_fields(now)?);
+    if !b.iter().map(|f| &f.0).eq(n.iter().map(|f| &f.0)) {
+        return Err("artifact shape changed (step list differs from the baseline)".into());
+    }
+    let (mut worst, mut worst_at, mut banded, mut info) = (0.0f64, "", 0, Vec::new());
+    for (i, ((name, was), (_, is))) in b.iter().zip(&n).enumerate() {
+        // The last field is the total, which is always banded.
+        if *was >= BANDED_SECS || i == b.len() - 1 {
+            let drift = (is - was).abs() / was.max(1e-9);
+            if drift >= worst {
+                (worst, worst_at) = (drift, name);
             }
-            None => "non-numeric content differs".into(),
-        });
+            banded += 1;
+        } else {
+            info.push(format!("{name} {was:.3}->{is:.3}"));
+        }
     }
-    if b.len() != n.len() {
-        return Err(format!(
-            "artifact shape changed ({} numeric fields vs baseline {})",
-            n.len(),
-            b.len()
-        ));
+    let mut msg = format!(
+        "worst drift {:+.1}% ({worst_at}) over {banded} fields (steps of at least {BANDED_SECS} s, and the total)",
+        worst * 100.0
+    );
+    let outside = worst > TOLERANCE;
+    if outside {
+        msg += &format!(" — outside +/-{:.0}%", TOLERANCE * 100.0);
     }
-    let parse = |t: &str| t.parse::<f64>().unwrap_or(f64::NAN);
-    let worst = b
-        .iter()
-        .zip(&n)
-        .map(|(b, n)| (parse(n) - parse(b)).abs() / parse(b).abs().max(1e-9))
-        .fold(0.0f64, f64::max);
-    let drift = format!("worst field drift {:+.1}%", worst * 100.0);
-    if worst > TOLERANCE {
-        Err(format!("{drift} — outside +/-{:.0}%", TOLERANCE * 100.0))
+    if !info.is_empty() {
+        msg += &format!(
+            "\nINFO: {} steps under {BANDED_SECS} s, not banded (s): {}",
+            info.len(),
+            info.join(", ")
+        );
+    }
+    if outside {
+        Err(msg)
     } else {
-        Ok(drift)
+        Ok(msg)
     }
+}
+
+/// A step-timing payload as `(name, wall seconds)` per step, in order,
+/// then `("total", total_wall_secs)`.
+fn timing_fields(json: &str) -> Result<Vec<(String, f64)>, String> {
+    let bad = || "not a step-timing artifact".to_string();
+    let v = cras_sim::json::parse(json).map_err(|e| format!("unparsable timing artifact: {e}"))?;
+    let mut out = Vec::new();
+    for step in v.get("steps").and_then(|s| s.as_array()).ok_or_else(bad)? {
+        let name = step.get("name").and_then(|n| n.as_str()).ok_or_else(bad)?;
+        let secs = step
+            .get("wall_secs")
+            .and_then(|w| w.as_f64())
+            .ok_or_else(bad)?;
+        out.push((name.to_string(), secs));
+    }
+    let total = v
+        .get("total_wall_secs")
+        .and_then(|t| t.as_f64())
+        .ok_or_else(bad)?;
+    out.push(("total".into(), total));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -252,11 +305,38 @@ mod tests {
         assert_eq!(err, Err("non-numeric content differs".into()));
     }
 
+    /// A step-timing payload: steps `a` and `b`, then the total.
+    fn timings(a: f64, b: f64, total: f64) -> String {
+        format!(
+            r#"{{"steps":[{{"name":"a","wall_secs":{a}}},{{"name":"b","wall_secs":{b}}}],"total_wall_secs":{total}}}"#
+        )
+    }
+
     #[test]
     fn timing_gate_tolerates_twenty_percent() {
-        let base = wrap(r#"{"wall_secs":1.0}"#, false);
-        assert!(compare(Some(&base), r#"{"wall_secs":1.15}"#, false, Gate::Timing).is_ok());
-        assert!(compare(Some(&base), r#"{"wall_secs":1.3}"#, false, Gate::Timing).is_err());
+        let base = wrap(&timings(1.0, 0.5, 1.5), false);
+        let timing = |now: String| compare(Some(&base), &now, false, Gate::Timing);
+        assert!(timing(timings(1.15, 0.5, 1.5)).is_ok());
+        assert!(timing(timings(1.3, 0.5, 1.5)).is_err());
+        assert!(
+            timing(timings(1.0, 0.5, 1.9)).is_err(),
+            "the total is banded"
+        );
+    }
+
+    #[test]
+    fn timing_gate_lists_steps_under_a_tenth_of_a_second_as_info() {
+        let base = wrap(&timings(1.0, 0.002, 0.05), false);
+        let timing = |now: String| compare(Some(&base), &now, false, Gate::Timing);
+        // Step `b` tripled, but its baseline is under 0.1 s: info only.
+        let msg = timing(timings(1.1, 0.006, 0.05)).unwrap();
+        assert!(msg.contains("over 2 fields"), "{msg}");
+        assert!(msg.contains("\nINFO: 1 steps under 0.1 s") && msg.contains("b 0.002->0.006"));
+        // The total is banded even when it is short.
+        assert!(timing(timings(1.0, 0.002, 0.07)).is_err());
+        // A renamed or added step is a shape change.
+        let renamed = timings(1.0, 0.002, 0.05).replace("\"b\"", "\"c\"");
+        assert!(timing(renamed).unwrap_err().contains("shape changed"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 /// Per-benchmark time budget after warm-up.
 const BUDGET: Duration = Duration::from_millis(200);
 
-/// Runs `f` repeatedly for about [`BUDGET`] and prints the mean
+/// Runs `f` repeatedly for about 200 ms (`BUDGET`) and prints the mean
 /// iteration time as one aligned row.
 pub fn bench<F: FnMut()>(name: &str, mut f: F) {
     f(); // Warm-up (also surfaces panics before timing starts).

@@ -63,7 +63,8 @@ pub use clock::LogicalClock;
 pub use deploy::DeployMode;
 pub use fifo::FifoBuffer;
 pub use placement::{
-    on_volume, volume_shares, ParityGeometry, PlacementPolicy, VolumeExtent, PARITY_STRIPE_BYTES,
+    assert_tiles, on_volume, volume_shares, ParityGeometry, PlacementPolicy, VolumeExtent,
+    PARITY_STRIPE_BYTES,
 };
 pub use server::{
     Admit, CrasServer, IntervalReport, OpenReq, ReadId, ReadReq, ServerConfig, ServerStats,

@@ -277,9 +277,55 @@ pub fn volume_shares(extents: &[VolumeExtent], volumes: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Asserts that `map` tiles its file's logical bytes `[0, end)` in
+/// order: the first extent starts at offset 0 and each next one starts
+/// where the previous one ends. Returns `end` (0 for an empty map).
+///
+/// [`Stream::runs_in`](crate::Stream::runs_in) binary-searches a map and
+/// bounds a range by its last extent's end, which is exact only for a
+/// tiling map; maps are checked once, where they enter the server
+/// ([`CrasServer::open`](crate::CrasServer::open)) or a rebuild plan.
+///
+/// # Panics
+///
+/// Panics, naming `what` and the offending extent, if the map has a gap
+/// or an overlap.
+pub fn assert_tiles(map: &[VolumeExtent], what: &str) -> u64 {
+    let mut end = 0u64;
+    for (i, ve) in map.iter().enumerate() {
+        assert!(
+            ve.extent.file_offset == end,
+            "{what} extent map does not tile its file: extent {i} starts at {}, expected {end}",
+            ve.extent.file_offset
+        );
+        end += ve.extent.bytes();
+    }
+    end
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tiling_maps_pass_and_report_their_end() {
+        assert_eq!(assert_tiles(&[], "empty"), 0);
+        let ves = on_volume(VolumeId(0), vec![ext(0, 100, 16), ext(8192, 900, 4)]);
+        assert_eq!(assert_tiles(&ves, "t"), 8192 + 2048);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not tile its file: extent 1 starts at 9000")]
+    fn a_gap_in_a_map_panics() {
+        let ves = on_volume(VolumeId(0), vec![ext(0, 100, 16), ext(9000, 900, 4)]);
+        assert_tiles(&ves, "t");
+    }
+
+    #[test]
+    #[should_panic(expected = "extent 0 starts at 512")]
+    fn a_map_not_starting_at_zero_panics() {
+        assert_tiles(&on_volume(VolumeId(0), vec![ext(512, 100, 16)]), "t");
+    }
 
     fn ext(file_offset: u64, disk_block: u64, nblocks: u32) -> Extent {
         Extent {

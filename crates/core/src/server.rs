@@ -49,7 +49,7 @@ use crate::admission::{
 use crate::cache::{EvictPolicy, IntervalCache};
 use crate::cachepolicy::CacheManager;
 use crate::clock::LogicalClock;
-use crate::placement::{on_volume, PlacementPolicy, VolumeExtent};
+use crate::placement::{assert_tiles, on_volume, PlacementPolicy, VolumeExtent};
 use crate::stream::{CacheState, ParityState, Stream, StreamId, VolumeRun};
 use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer};
 
@@ -969,7 +969,20 @@ impl CrasServer {
     /// admitted healthy still meet deadlines degraded.
     ///
     /// An [`Admit::Unchecked`] open always succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an extent map (the primary, the mirror or any parity
+    /// file's) does not tile its file's bytes in order
+    /// ([`assert_tiles`]); the planner's lookups rely on it.
     pub fn open(&mut self, req: OpenReq) -> Result<StreamId, AdmissionError> {
+        assert_tiles(&req.extents, "primary");
+        if let Some(m) = &req.mirror {
+            assert_tiles(m, "mirror");
+        }
+        for map in req.parity.iter().flat_map(|p| &p.parity_maps) {
+            assert_tiles(map, "parity");
+        }
         let params = StreamParams::new(req.table.worst_rate(), req.table.max_chunk_size() as f64);
         let shares = Stream::rate_shares(
             &req.extents,
@@ -2321,6 +2334,73 @@ mod tests {
             .unwrap();
         let err = srv.open(OpenReq::single("b", t, e));
         assert!(matches!(err, Err(AdmissionError::OutOfMemory { .. })));
+    }
+
+    /// `map` with its last extent moved one block further into the
+    /// file: the same bytes mapped, but with a one-block hole before the
+    /// last extent (a single extent is split in two first).
+    fn with_a_gap(mut map: Vec<VolumeExtent>) -> Vec<VolumeExtent> {
+        if map.len() == 1 {
+            let e = &mut map[0].extent;
+            let half = e.nblocks / 2;
+            let tail = Extent {
+                file_offset: e.file_offset + half as u64 * 512,
+                disk_block: e.disk_block + half as u64,
+                nblocks: e.nblocks - half,
+            };
+            e.nblocks = half;
+            let volume = map[0].volume;
+            map.push(VolumeExtent {
+                volume,
+                extent: tail,
+            });
+        }
+        map.last_mut().unwrap().extent.file_offset += 512;
+        map
+    }
+
+    #[test]
+    #[should_panic(expected = "primary extent map does not tile its file")]
+    fn open_rejects_a_primary_map_with_a_gap() {
+        let (t, e) = movie_table(10.0);
+        let e = with_a_gap(on_volume(VolumeId(0), e));
+        let _ = server().open(OpenReq::new("m", t, e));
+    }
+
+    #[test]
+    #[should_panic(expected = "mirror extent map does not tile its file")]
+    fn open_rejects_a_mirror_map_with_a_gap() {
+        let (t, e) = movie_table(10.0);
+        let mirror = with_a_gap(on_volume(VolumeId(1), e.clone()));
+        let req = OpenReq::new("m", t, on_volume(VolumeId(0), e)).with_mirror(mirror);
+        let _ = multi_server(2, 64 << 20).open(req);
+    }
+
+    #[test]
+    #[should_panic(expected = "parity extent map does not tile its file")]
+    fn open_rejects_a_parity_map_with_a_gap() {
+        let (t, extents, mut ps) = parity_movie(4, 0, 10.0, 3);
+        let v = ps.parity_maps.iter().position(|m| !m.is_empty()).unwrap();
+        ps.parity_maps[v] = with_a_gap(std::mem::take(&mut ps.parity_maps[v]));
+        let req = OpenReq::new("m", t, extents).with_parity(ps);
+        let _ = multi_server(4, 64 << 20).open(req);
+    }
+
+    #[test]
+    fn open_accepts_the_same_maps_without_the_gap() {
+        // The rejections above come from the hole, not from the maps:
+        // the same maps without it open. The hole keeps the mapped byte
+        // count, so a bound on the summed extent bytes would miss it.
+        let (t, e) = movie_table(10.0);
+        let mirror = on_volume(VolumeId(1), e.clone());
+        let req = OpenReq::new("m", t, on_volume(VolumeId(0), e)).with_mirror(mirror);
+        assert!(multi_server(2, 64 << 20).open(req).is_ok());
+        let (t, extents, ps) = parity_movie(4, 0, 10.0, 3);
+        let req = OpenReq::new("m", t, extents).with_parity(ps);
+        assert!(multi_server(4, 64 << 20).open(req).is_ok());
+        let gapped = with_a_gap(on_volume(VolumeId(0), movie_table(10.0).1));
+        let mapped: u64 = gapped.iter().map(|ve| ve.extent.bytes()).sum();
+        assert_eq!(mapped, movie_table(10.0).1[0].bytes());
     }
 
     #[test]

@@ -225,20 +225,32 @@ impl Stream {
     /// let a failed read be re-mapped through another replica of the
     /// same logical bytes.
     ///
+    /// The map must tile its file's bytes `[0, end)` in order
+    /// ([`assert_tiles`](crate::placement::assert_tiles), checked where
+    /// maps enter the server): the first overlapping extent is found by
+    /// binary search and the walk stops at the first extent starting at
+    /// or past `hi`, so a call costs `O(log n + extents touched)`.
+    ///
     /// # Panics
     ///
     /// Panics if the range is empty or extends past the mapped file.
     pub fn runs_in(extents: &[VolumeExtent], lo: u64, hi: u64) -> Vec<(u64, VolumeRun)> {
         assert!(lo < hi, "empty byte range");
-        let mapped: u64 = extents.iter().map(|e| e.extent.bytes()).sum();
+        let mapped = extents
+            .last()
+            .map_or(0, |e| e.extent.file_offset + e.extent.bytes());
         assert!(
             hi <= mapped,
             "byte range beyond extent map: {hi} > {mapped}"
         );
+        let first = extents.partition_point(|ve| ve.extent.file_offset + ve.extent.bytes() <= lo);
         let mut runs: Vec<(u64, VolumeRun)> = Vec::new();
-        for ve in extents {
+        for ve in &extents[first..] {
             let e = &ve.extent;
             let e_lo = e.file_offset;
+            if e_lo >= hi {
+                break;
+            }
             let e_hi = e.file_offset + e.bytes();
             let a = lo.max(e_lo);
             let b = hi.min(e_hi);
@@ -426,7 +438,7 @@ impl Stream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::on_volume;
+    use crate::placement::{assert_tiles, on_volume};
     use cras_media::StreamProfile;
     use cras_sim::Rng;
     use cras_ufs::Extent;
@@ -800,6 +812,121 @@ mod tests {
         let other = (0..4).find(|&v| VolumeId(v) != fail).unwrap();
         failed[other as usize] = true;
         assert!(Stream::parity_recon_runs(&extents, &ps, 0, 4096, fail, &failed).is_none());
+    }
+
+    /// `runs_in` as it was before the binary search: sum every extent
+    /// for the bound, then walk every extent for the overlap. The
+    /// differential test below checks [`Stream::runs_in`] against it.
+    fn linear_runs_in(extents: &[VolumeExtent], lo: u64, hi: u64) -> Vec<(u64, VolumeRun)> {
+        assert!(lo < hi, "empty byte range");
+        let mapped: u64 = extents.iter().map(|e| e.extent.bytes()).sum();
+        assert!(hi <= mapped, "byte range beyond extent map");
+        let mut runs: Vec<(u64, VolumeRun)> = Vec::new();
+        for ve in extents {
+            let e = &ve.extent;
+            let (e_lo, e_hi) = (e.file_offset, e.file_offset + e.bytes());
+            let (a, b) = (lo.max(e_lo), hi.min(e_hi));
+            if a >= b {
+                continue;
+            }
+            let rel_lo = (a - e_lo) / 512;
+            let rel_hi = (b - e_lo).div_ceil(512);
+            let block = e.disk_block + rel_lo;
+            let nblocks = (rel_hi - rel_lo) as u32;
+            match runs.last_mut() {
+                Some((_, last))
+                    if last.volume == ve.volume && last.block + last.nblocks as u64 == block =>
+                {
+                    last.nblocks += nblocks;
+                }
+                _ => runs.push((
+                    e_lo + rel_lo * 512,
+                    VolumeRun {
+                        volume: ve.volume,
+                        block,
+                        nblocks,
+                    },
+                )),
+            }
+        }
+        runs
+    }
+
+    /// A random map tiling `[0, end)`: 1–40 extents of 1–64 blocks on
+    /// up to four volumes, some physically adjacent to their
+    /// predecessor (so runs merge) and some on a fresh spindle or block.
+    fn random_tiling_map(rng: &mut Rng) -> Vec<VolumeExtent> {
+        let mut map: Vec<VolumeExtent> = Vec::new();
+        let mut end = 0u64;
+        for _ in 0..rng.range_inclusive(1, 40) {
+            let nblocks = rng.range_inclusive(1, 64) as u32;
+            let (volume, disk_block) = match map.last() {
+                Some(p) if rng.chance(0.3) => {
+                    (p.volume, p.extent.disk_block + p.extent.nblocks as u64)
+                }
+                _ => (VolumeId(rng.below(4) as u32), rng.below(10_000)),
+            };
+            map.push(VolumeExtent {
+                volume,
+                extent: ext(end, disk_block, nblocks),
+            });
+            end += nblocks as u64 * 512;
+        }
+        map
+    }
+
+    #[test]
+    fn binary_searched_runs_match_the_linear_scan() {
+        let mut rng = Rng::new(0xE47E);
+        let (mut tail, mut merged, mut multi) = (0u64, 0u64, 0u64);
+        for trial in 0..400 {
+            let map = random_tiling_map(&mut rng);
+            let end = assert_tiles(&map, "random");
+            let last_lo = map.last().unwrap().extent.file_offset;
+            for probe in 0..20 {
+                // Every fourth range ends in the tail extent, often at
+                // the very end of the map.
+                let hi = if probe % 4 == 0 {
+                    if rng.chance(0.5) {
+                        end
+                    } else {
+                        rng.range_inclusive(last_lo + 1, end)
+                    }
+                } else {
+                    rng.range_inclusive(1, end)
+                };
+                let lo = rng.below(hi);
+                let got = Stream::runs_in(&map, lo, hi);
+                assert_eq!(
+                    got,
+                    linear_runs_in(&map, lo, hi),
+                    "trial {trial}: {lo}..{hi}"
+                );
+                tail += u64::from(hi > last_lo);
+                multi += u64::from(got.len() > 1);
+                let touched = map
+                    .iter()
+                    .filter(|ve| {
+                        ve.extent.file_offset < hi && lo < ve.extent.file_offset + ve.extent.bytes()
+                    })
+                    .count();
+                merged += u64::from(touched > got.len());
+            }
+        }
+        assert!(
+            tail > 0 && merged > 0 && multi > 0,
+            "tail {tail}, merged {merged}, multi {multi}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond extent map")]
+    fn a_range_past_a_multi_volume_map_panics() {
+        let mut rng = Rng::new(0xE47F);
+        let map = random_tiling_map(&mut rng);
+        let end = assert_tiles(&map, "random");
+        let last_lo = map.last().unwrap().extent.file_offset;
+        Stream::runs_in(&map, last_lo, end + 1);
     }
 
     #[test]

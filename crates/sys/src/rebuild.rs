@@ -14,7 +14,7 @@
 //! system scales it by observed interval slack, so an idle array
 //! rebuilds at the configured cap while a loaded one backs off below it.
 
-use cras_core::{ParityState, Stream, VolumeExtent};
+use cras_core::{assert_tiles, ParityState, Stream, VolumeExtent};
 use cras_disk::VolumeId;
 use cras_sim::{Duration, Instant};
 
@@ -59,12 +59,19 @@ impl RebuildChunk {
 /// replica, possibly fragmented differently). Chunks are at most
 /// `chunk_bytes` long and follow the destination map's logical order, so
 /// both the read and the write side stay close to sequential.
+///
+/// # Panics
+///
+/// Panics on a chunk under one block or a map that does not tile its
+/// file ([`assert_tiles`]).
 pub fn plan_chunks(
     src_map: &[VolumeExtent],
     dst_map: &[VolumeExtent],
     chunk_bytes: u64,
 ) -> Vec<RebuildChunk> {
     assert!(chunk_bytes >= 512, "rebuild chunk under one block");
+    assert_tiles(src_map, "rebuild source");
+    assert_tiles(dst_map, "rebuild destination");
     let mut chunks = Vec::new();
     for e in dst_map {
         let e_lo = e.extent.file_offset;
@@ -103,7 +110,8 @@ pub fn plan_chunks(
 ///
 /// Panics if a needed source lands on `vol` itself — impossible under
 /// the rotating layout (a row never places two units on one volume),
-/// so it would mean the maps disagree with the geometry.
+/// so it would mean the maps disagree with the geometry — or if a map
+/// does not tile its file ([`assert_tiles`]).
 pub fn plan_parity_recon(
     extents: &[VolumeExtent],
     parity: &ParityState,
@@ -111,6 +119,12 @@ pub fn plan_parity_recon(
     dst_parity: &[VolumeExtent],
     vol: u32,
 ) -> Vec<RebuildChunk> {
+    assert_tiles(extents, "data");
+    for map in &parity.parity_maps {
+        assert_tiles(map, "parity");
+    }
+    assert_tiles(dst_data, "rebuild data");
+    assert_tiles(dst_parity, "rebuild parity");
     let geom = parity.geom;
     let g = geom.group as u64;
     let sb = geom.stripe_bytes;

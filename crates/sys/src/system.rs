@@ -232,8 +232,9 @@ pub struct SysState {
 ///
 /// [`System`] derefs to [`SysState`], so component state remains
 /// reachable as before (`sys.players`, `sys.cras`, …). The executor half
-/// is [`System::handle`]: pop an event, run the pure transition, apply
-/// the emitted [`Action`]s in push order. Durable control decisions
+/// is the private `System::handle`, driven by [`System::run_until`]: pop
+/// an event, run the pure transition, apply the emitted [`Action`]s in
+/// push order. Durable control decisions
 /// (recordings, admissions, starts/stops, volume failures, rebuild
 /// lifecycle) additionally land in the transition [`Journal`], which
 /// [`System::recover`] replays after a crash.
@@ -2246,7 +2247,7 @@ impl SysState {
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
-    use cras_core::{ParityGeometry, PlacementPolicy, VolumeExtent};
+    use cras_core::{assert_tiles, ParityGeometry, PlacementPolicy, VolumeExtent};
     use cras_media::StreamProfile;
 
     fn sys(cfg: SysConfig) -> System {
@@ -2447,15 +2448,14 @@ mod tests {
         assert!(rt1 > 0, "volume 1 idle");
     }
 
-    /// Asserts a resolved map covers the movie's logical bytes `[0, total)`
-    /// in order with no gap, and returns the volumes it reads.
+    /// Asserts a resolved map tiles the movie's logical bytes
+    /// `[0, total)` in order with no gap or overlap, and returns the
+    /// volumes it reads.
     fn covered_volumes(map: &[VolumeExtent], total: u64) -> BTreeSet<u32> {
-        let mut cursor = 0u64;
-        for ve in map {
-            assert_eq!(ve.extent.file_offset, cursor, "gap in logical bytes");
-            cursor += ve.extent.nblocks as u64 * 512;
-        }
-        assert!(cursor >= total, "extents cover the movie");
+        assert!(
+            assert_tiles(map, "resolved") >= total,
+            "extents cover the movie"
+        );
         map.iter().map(|ve| ve.volume.0).collect()
     }
 
@@ -2495,10 +2495,7 @@ mod tests {
             assert_eq!(parity_state.is_some(), policy == parity, "{policy:?}");
             if let Some(ps) = parity_state {
                 for v in 0..4u32 {
-                    let mapped: u64 = ps.parity_maps[v as usize]
-                        .iter()
-                        .map(|e| e.extent.bytes())
-                        .sum();
+                    let mapped = assert_tiles(&ps.parity_maps[v as usize], "resolved parity");
                     assert!(
                         mapped >= ps.geom.parity_bytes_on(v),
                         "volume {v} parity file too small"
