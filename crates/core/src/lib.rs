@@ -27,7 +27,6 @@
 //!   deadline warnings.
 //! * [`writer`] — the §4 constant-rate *writing* extension.
 //! * [`deploy`] — the Figure 5 deployment configurations.
-//! * [`api`] — the Table 2 `crs_*` client interface, verbatim.
 //! * [`fifo`] — the traditional FIFO buffer kept as the §2.4 ablation
 //!   baseline.
 //!
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod api;
 pub mod cache;
 pub mod cachepolicy;
 pub mod clock;
@@ -54,7 +52,6 @@ pub mod writer;
 pub use admission::{
     Admission, AdmissionError, AdmissionModel, Load, StreamParams, MAX_READ_BYTES,
 };
-pub use api::{crs_close, crs_get, crs_open, crs_seek, crs_start, crs_stop, CrsSession};
 pub use cache::{CacheStats, EvictPolicy, IntervalCache};
 pub use cachepolicy::{
     head_share, zipf_cdf, zipf_rank, zipf_weight, CacheManager, PopularityEstimator,
@@ -72,4 +69,4 @@ pub use server::{
 };
 pub use stream::{CacheState, DiskRun, ParityState, Stream, StreamId, VolumeRun};
 pub use tdbuffer::{BufferStats, BufferedChunk, TimeDrivenBuffer};
-pub use writer::{ParityEncoder, ParityUnit, Recorder, WriteId, WriteReq};
+pub use writer::{Recorder, WriteId, WriteReq};

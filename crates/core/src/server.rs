@@ -593,9 +593,9 @@ impl Charge<'_> {
 /// The CRAS server.
 pub struct CrasServer {
     cfg: ServerConfig,
-    /// One admission evaluator per volume, each over that spindle's own
-    /// calibrated parameters (identical entries for a homogeneous set).
-    admissions: Vec<Admission>,
+    /// The admission evaluator; every volume's rate test runs against
+    /// it, since all spindles share one calibration.
+    admission: Admission,
     /// The interval cache (inert when `cfg.cache_budget == 0`).
     cache: IntervalCache,
     /// The popularity-aware cache manager (DESIGN §16): ranks titles by
@@ -664,28 +664,11 @@ impl CrasServer {
     ///
     /// Panics if the configuration names zero volumes.
     pub fn new(disk: DiskParams, cfg: ServerConfig) -> CrasServer {
-        CrasServer::new_per_volume(vec![disk; cfg.volumes.max(1)], cfg)
-    }
-
-    /// Creates a server over per-volume measured disk parameters
-    /// (heterogeneous spindles): volume `v`'s admission test runs
-    /// against `disks[v]`, so a faster spindle admits more of the
-    /// streams placed on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration names zero volumes or `disks` does
-    /// not hold exactly one entry per volume.
-    pub fn new_per_volume(disks: Vec<DiskParams>, cfg: ServerConfig) -> CrasServer {
         assert!(cfg.volumes >= 1, "server needs at least one volume");
-        assert_eq!(disks.len(), cfg.volumes, "need one DiskParams per volume");
         let mut cache = IntervalCache::new(cfg.cache_budget, cfg.max_cache_gap);
         cache.set_policy(cfg.cache_evict);
         CrasServer {
-            admissions: disks
-                .into_iter()
-                .map(|d| Admission::new(d, cfg.model))
-                .collect(),
+            admission: Admission::new(disk, cfg.model),
             cache,
             manager: CacheManager::new(cfg.hot_set, cfg.prefix_secs),
             joins: BTreeMap::new(),
@@ -722,10 +705,9 @@ impl CrasServer {
         self.cfg.volumes
     }
 
-    /// The admission evaluator of volume 0 (the only one for a
-    /// homogeneous or single-disk server).
+    /// The admission evaluator, shared by every volume.
     pub fn admission(&self) -> &Admission {
-        &self.admissions[0]
+        &self.admission
     }
 
     /// The interval cache.
@@ -940,7 +922,7 @@ impl CrasServer {
                 }
             }
             if load.n > 0 {
-                self.admissions[v].admit_load(t, &load, u64::MAX)?;
+                self.admission.admit_load(t, &load, u64::MAX)?;
             }
         }
         let needed: u64 = charges.map(|c| c.params.buffer(t)).sum();
@@ -1684,8 +1666,7 @@ impl CrasServer {
         let t = self.cfg.interval.as_secs_f64();
         rep.per_volume_calculated = active
             .iter()
-            .enumerate()
-            .map(|(v, load)| self.admissions[v].io_time(t, load))
+            .map(|load| self.admission.io_time(t, load))
             .collect();
         // The slowest spindle bounds the interval.
         rep.calculated_io_time = bottleneck_time(&rep.per_volume_calculated);
@@ -1893,7 +1874,7 @@ impl CrasServer {
             .map(|v| {
                 let ext = self.ext_load[v];
                 ext.queued as f64 * MAX_READ_BYTES as f64
-                    + ext.lag.max(0.0) * self.admissions[v].disk_params().transfer_rate
+                    + ext.lag.max(0.0) * self.admission.disk_params().transfer_rate
             })
             .collect();
         // Walk the stream ids in order without collecting them: planning
@@ -3770,40 +3751,6 @@ mod tests {
         assert_eq!(srv.cache().stats().joined_streams, 0);
     }
 
-    #[test]
-    fn faster_volume_admits_more_streams() {
-        // Heterogeneous spindles: each volume is tested against its own
-        // calibrated parameters, so the fast disk admits more streams.
-        let slow_disk = DiskParams::paper_table4();
-        let fast_disk = DiskParams {
-            transfer_rate: 2.0 * slow_disk.transfer_rate,
-            ..slow_disk
-        };
-        let mut cfg = ServerConfig::default();
-        cfg.volumes = 2;
-        cfg.buffer_budget = 1 << 40;
-        let mut srv = CrasServer::new_per_volume(vec![slow_disk, fast_disk], cfg);
-        let fill = |srv: &mut CrasServer, v: u32| {
-            let mut ids = Vec::new();
-            loop {
-                let (t, e) = movie_on(v, 10.0);
-                match srv.open(OpenReq::new("h", t, e)) {
-                    Ok(id) => ids.push(id),
-                    Err(_) => break,
-                }
-            }
-            let n = ids.len();
-            for id in ids {
-                srv.close(id);
-            }
-            n
-        };
-        let slow = fill(&mut srv, 0);
-        let fast = fill(&mut srv, 1);
-        assert!(slow > 0);
-        assert!(fast > slow, "slow disk {slow}, fast disk {fast}");
-    }
-
     /// A movie laid out in rotating-parity groups on the band starting
     /// at `base`: synthetic but geometry-faithful extent maps (data file
     /// then parity file per volume, contiguous on disk).
@@ -4219,11 +4166,11 @@ mod tests {
                 }
             }
             if !scaled.is_empty() {
-                srv.admissions[v].admit(t, &scaled, u64::MAX)?;
+                srv.admission.admit(t, &scaled, u64::MAX)?;
             }
         }
         let all: Vec<StreamParams> = entries.iter().map(|e| e.0).collect();
-        let needed = srv.admissions[0].buffer_total(t, &all);
+        let needed = srv.admission.buffer_total(t, &all);
         if needed > srv.cfg.buffer_budget {
             return Err(AdmissionError::OutOfMemory {
                 needed,

@@ -10,116 +10,18 @@
 //! [`Recorder`] admission-tests write sessions with the same formulas,
 //! stages chunks produced by the application, and drains them to
 //! pre-allocated extents once per interval as real-time writes.
-//!
-//! [`ParityEncoder`] is the deploy-time companion for parity-placed
-//! movies ([`PlacementPolicy::Parity`](crate::PlacementPolicy::Parity)):
-//! fed the movie's bytes in logical order — exactly the order a
-//! recording session produces them — it XOR-accumulates each stripe row
-//! and emits the row's parity unit, addressed to the rotating parity
-//! volume and its offset in that volume's parity file, whenever a row
-//! completes. Parity is generated once at mkfs/deploy time; the read
-//! path never pays a read-modify-write.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use cras_disk::calibrate::DiskParams;
 use cras_disk::geometry::BlockNo;
-use cras_disk::{xor_into, VolumeId};
 use cras_media::ChunkTable;
 use cras_sim::{Duration, Instant};
 use cras_ufs::Extent;
 
 use crate::admission::{Admission, AdmissionError, AdmissionModel, StreamParams, MAX_READ_BYTES};
-use crate::placement::ParityGeometry;
 use crate::server::ServerConfig;
 use crate::stream::{DiskRun, StreamId};
-
-/// One parity unit produced by [`ParityEncoder`]: the XOR of a stripe
-/// row's data units, addressed to its home in the rotating layout.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParityUnit {
-    /// Stripe row this unit protects.
-    pub row: u64,
-    /// Band volume the unit belongs on.
-    pub volume: VolumeId,
-    /// Byte offset within that volume's parity file.
-    pub file_offset: u64,
-    /// The unit's bytes (always a full stripe unit, zero-padded past
-    /// the movie tail).
-    pub bytes: Vec<u8>,
-}
-
-/// Streaming deploy-time parity generator (see the module docs).
-#[derive(Clone, Debug)]
-pub struct ParityEncoder {
-    geom: ParityGeometry,
-    /// Logical bytes consumed so far.
-    fed: u64,
-    /// XOR accumulator of the current row's units.
-    acc: Vec<u8>,
-}
-
-impl ParityEncoder {
-    /// An encoder for one movie's layout.
-    pub fn new(geom: ParityGeometry) -> ParityEncoder {
-        ParityEncoder {
-            geom,
-            fed: 0,
-            acc: vec![0; geom.stripe_bytes as usize],
-        }
-    }
-
-    fn emit(&mut self, row: u64) -> ParityUnit {
-        ParityUnit {
-            row,
-            volume: self.geom.parity_volume(row),
-            file_offset: self.geom.parity_file_index(row) * self.geom.stripe_bytes,
-            bytes: std::mem::replace(&mut self.acc, vec![0; self.geom.stripe_bytes as usize]),
-        }
-    }
-
-    /// Feeds the next `data` bytes of the movie (any chunking); returns
-    /// the parity units of every stripe row that completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fed past the geometry's `total_bytes`.
-    pub fn feed(&mut self, mut data: &[u8]) -> Vec<ParityUnit> {
-        let sb = self.geom.stripe_bytes;
-        let row_bytes = sb * (self.geom.group as u64 - 1);
-        assert!(
-            self.fed + data.len() as u64 <= self.geom.total_bytes,
-            "fed past the movie length"
-        );
-        let mut out = Vec::new();
-        while !data.is_empty() {
-            let in_unit = (self.fed % sb) as usize;
-            let take = data.len().min(sb as usize - in_unit);
-            xor_into(&mut self.acc[in_unit..in_unit + take], &data[..take]);
-            self.fed += take as u64;
-            data = &data[take..];
-            if self.fed.is_multiple_of(row_bytes) {
-                out.push(self.emit(self.fed / row_bytes - 1));
-            }
-        }
-        out
-    }
-
-    /// Flushes the final partial row's parity unit, if any. The movie
-    /// must have been fed in full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `total_bytes` bytes were fed.
-    pub fn finish(&mut self) -> Option<ParityUnit> {
-        assert_eq!(self.fed, self.geom.total_bytes, "movie not fully fed");
-        let row_bytes = self.geom.stripe_bytes * (self.geom.group as u64 - 1);
-        if self.fed == 0 || self.fed.is_multiple_of(row_bytes) {
-            return None;
-        }
-        Some(self.emit(self.fed / row_bytes))
-    }
-}
 
 /// Identifies one disk write issued by the recorder.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -458,57 +360,5 @@ mod tests {
         let reqs = r.interval_tick(at(0));
         assert!(reqs.len() >= 4);
         assert!(reqs.iter().all(|w| w.nblocks as u64 * 512 <= 256 * 1024));
-    }
-
-    #[test]
-    fn parity_encoder_matches_direct_xor_for_any_feed_chunking() {
-        use crate::placement::ParityGeometry;
-        let mut rng = cras_sim::Rng::new(0xEC0DE);
-        for trial in 0..20 {
-            let group = rng.range_inclusive(2, 5) as u32;
-            let sb = 8192u64; // Small stripe keeps the test fast.
-            let total = rng.range_inclusive(1, 6 * (group as u64 - 1)) * sb
-                - if rng.chance(0.5) {
-                    rng.below(sb - 1) + 1
-                } else {
-                    0
-                };
-            let movie: Vec<u8> = (0..total).map(|_| rng.below(256) as u8).collect();
-            let geom = ParityGeometry::new(0, group, sb, total);
-            // Feed in random-sized pieces, as a recording session would.
-            let mut enc = ParityEncoder::new(geom);
-            let mut units = Vec::new();
-            let mut off = 0usize;
-            while off < movie.len() {
-                let take = (rng.below(3 * sb) as usize + 1).min(movie.len() - off);
-                units.extend(enc.feed(&movie[off..off + take]));
-                off += take;
-            }
-            units.extend(enc.finish());
-            assert_eq!(
-                units.len() as u64,
-                geom.rows(),
-                "trial {trial}: one unit per row"
-            );
-            for u in &units {
-                let refs: Vec<&[u8]> = (0..group as u64 - 1)
-                    .filter_map(|j| {
-                        let k = u.row * (group as u64 - 1) + j;
-                        if k * sb >= total {
-                            return None;
-                        }
-                        Some(&movie[(k * sb) as usize..(k * sb + geom.unit_len(k)) as usize])
-                    })
-                    .collect();
-                assert_eq!(
-                    u.bytes,
-                    cras_disk::parity_of(&refs, sb as usize),
-                    "trial {trial} row {}",
-                    u.row
-                );
-                assert_eq!(u.volume, geom.parity_volume(u.row));
-                assert_eq!(u.file_offset, geom.parity_file_index(u.row) * sb);
-            }
-        }
     }
 }

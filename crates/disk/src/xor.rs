@@ -8,10 +8,9 @@
 //! units simply contribute nothing beyond their own length.
 //!
 //! The simulation core is data-free (it moves byte *counts*, not bytes),
-//! so this codec is the byte-level ground truth: the deploy-time encoder
-//! ([`crate::xor::parity_of`] via `cras-core`'s `ParityEncoder`) and the
-//! degraded-read/rebuild paths are all exercised against it in tests to
-//! show reconstruction is byte-identical.
+//! so this codec is the byte-level ground truth: the degraded-read and
+//! rebuild paths are exercised against it ([`parity_of`] and
+//! [`reconstruct`]) in tests to show reconstruction is byte-identical.
 
 /// XOR `unit` into `acc`. `unit` may be shorter than `acc` (implicit
 /// zero padding); it must not be longer.

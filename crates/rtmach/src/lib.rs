@@ -1,17 +1,18 @@
 //! `cras-rtmach` — the Real-Time Mach substrate.
 //!
 //! CRAS is a user-level server whose predictability comes from the
-//! microkernel underneath: preemptive fixed-priority scheduling and
-//! priority-inversion management. This crate models exactly those
-//! mechanisms on one simulated CPU:
+//! microkernel underneath: preemptive fixed-priority scheduling. This
+//! crate models that mechanism on one simulated CPU:
 //!
 //! * [`sched`] — the event-driven preemptive scheduler
 //!   ([`sched::Cpu`]) with fixed-priority and round-robin policies
 //!   (Figure 10 contrasts the two).
-//! * [`sync`] — mutexes with and without priority inheritance (the Unix
-//!   server's missing inheritance is the paper's explanation for UFS's
-//!   collapse under background load).
 //! * [`thread`] — thread ids, policies and states.
+//!
+//! The priority inversion that collapses UFS under background load is
+//! not a mutex: it is the Unix server's serialized request queue, which
+//! makes a real-time reader wait behind background requests. That queue
+//! is modeled in `cras-ufs`.
 //!
 //! CRAS's periodic request scheduler is a self-re-arming timer in the
 //! orchestrator (`cras-sys`); its interval overruns — the paper's
@@ -22,9 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod sched;
-pub mod sync;
 pub mod thread;
 
 pub use sched::{BurstDone, Cpu, CpuStats, Resched, SliceOutcome, SliceToken};
-pub use sync::{Acquire, InheritancePolicy, MutexSim, Release};
 pub use thread::{SchedPolicy, ThreadId, ThreadState};

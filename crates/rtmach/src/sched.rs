@@ -7,8 +7,8 @@
 //! schedule; stale tokens (invalidated by preemption) are ignored, which
 //! is the standard trick for preemption in discrete-event models.
 //!
-//! Fixed-priority threads preempt anything with lower effective priority
-//! the instant they wake — this is what lets CRAS's request-scheduler
+//! Fixed-priority threads preempt anything with lower priority the
+//! instant they wake — this is what lets CRAS's request-scheduler
 //! thread meet its interval deadlines in Figure 10. Round-robin threads
 //! share their level in quantum-sized slices, which is exactly what
 //! produces the large delay jitter the paper measures under round-robin.
@@ -18,10 +18,9 @@
 //! front of the highest set bit. A thread entering the queue normally
 //! (woken from blocked, more work after a burst, quantum expiry) goes to
 //! the back of its level, and a preempted thread to the front, so it
-//! resumes before its equal-priority peers. Each level is kept in
-//! ascending per-thread rank, which a priority-inheritance boost keeps
-//! when it moves a ready thread to another level. Each burst carries a
-//! `Copy` tag of the caller's type, handed back in [`BurstDone`].
+//! resumes before its equal-priority peers. A thread's level is its
+//! policy's fixed priority. Each burst carries a `Copy` tag of the
+//! caller's type, handed back in [`BurstDone`].
 
 use std::collections::VecDeque;
 
@@ -93,11 +92,10 @@ pub struct CpuStats {
     pub preemptions: u64,
 }
 
-/// Ready threads in dispatch order: per priority level a FIFO of
-/// `(rank, thread)` in ascending rank, and a bitmap of the non-empty
-/// levels.
+/// Ready threads in dispatch order: a FIFO per priority level and a
+/// bitmap of the non-empty levels.
 struct RunQueue {
-    levels: Box<[VecDeque<(i64, ThreadId)>; 256]>,
+    levels: Box<[VecDeque<ThreadId>; 256]>,
     nonempty: [u64; 4],
 }
 
@@ -109,35 +107,16 @@ impl RunQueue {
         }
     }
 
-    /// Queues `tid` at `prio`, at the back (`rank` above every queued
-    /// rank) or at the front (`rank` below every queued rank).
-    fn push(&mut self, prio: u8, rank: i64, tid: ThreadId, front: bool) {
+    /// Queues `tid` at `prio`: at the front of its level when `front`,
+    /// else at the back.
+    fn push(&mut self, prio: u8, tid: ThreadId, front: bool) {
         let level = &mut self.levels[prio as usize];
         if front {
-            level.push_front((rank, tid));
+            level.push_front(tid);
         } else {
-            level.push_back((rank, tid));
+            level.push_back(tid);
         }
         self.nonempty[prio as usize / 64] |= 1 << (prio % 64);
-    }
-
-    /// Queues `tid` at `prio` in its rank's place.
-    fn insert(&mut self, prio: u8, rank: i64, tid: ThreadId) {
-        let level = &mut self.levels[prio as usize];
-        let at = level.partition_point(|&(r, _)| r < rank);
-        level.insert(at, (rank, tid));
-        self.nonempty[prio as usize / 64] |= 1 << (prio % 64);
-    }
-
-    /// Removes the thread queued at `prio` under `rank`.
-    fn remove(&mut self, prio: u8, rank: i64) {
-        let level = &mut self.levels[prio as usize];
-        let at = level.partition_point(|&(r, _)| r < rank);
-        debug_assert_eq!(level[at].0, rank, "ready thread not at its rank");
-        level.remove(at);
-        if level.is_empty() {
-            self.nonempty[prio as usize / 64] &= !(1 << (prio % 64));
-        }
     }
 
     /// Takes the front thread of the highest non-empty level.
@@ -145,7 +124,7 @@ impl RunQueue {
         let word = (0..4).rev().find(|&w| self.nonempty[w] != 0)?;
         let prio = word * 64 + 63 - self.nonempty[word].leading_zeros() as usize;
         let level = &mut self.levels[prio];
-        let (_, tid) = level.pop_front().expect("bitmap marks a non-empty level");
+        let tid = level.pop_front().expect("bitmap marks a non-empty level");
         if level.is_empty() {
             self.nonempty[word] &= !(1 << (prio % 64));
         }
@@ -155,7 +134,7 @@ impl RunQueue {
     /// Every ready thread in dispatch order.
     #[cfg(test)]
     fn order(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        self.levels.iter().rev().flatten().map(|&(_, tid)| tid)
+        self.levels.iter().rev().flatten().copied()
     }
 }
 
@@ -164,10 +143,6 @@ pub struct Cpu<T> {
     threads: Vec<ThreadRec<T>>,
     /// Ready threads in dispatch order.
     ready: RunQueue,
-    /// Rank of the last thread queued ahead of all others (preempted).
-    front: i64,
-    /// Rank of the last thread queued behind all others.
-    back: i64,
     current: Option<Current>,
     next_token: u64,
     stats: CpuStats,
@@ -185,8 +160,6 @@ impl<T: Copy> Cpu<T> {
         Cpu {
             threads: Vec::new(),
             ready: RunQueue::new(),
-            front: 0,
-            back: 0,
             current: None,
             next_token: 0,
             stats: CpuStats::default(),
@@ -231,33 +204,6 @@ impl<T: Copy> Cpu<T> {
         self.current.map(|c| c.tid)
     }
 
-    /// Sets (or clears) a priority-inheritance boost on a thread.
-    ///
-    /// A ready thread moves to its new priority's place in the ready
-    /// queue, keeping its rank. A raised boost on a *ready* thread can
-    /// preempt the running thread; the caller must treat the returned
-    /// [`Resched`] like any other.
-    pub fn set_boost(&mut self, tid: ThreadId, boost: Option<u8>, now: Instant) -> Resched {
-        let t = &mut self.threads[tid.0 as usize];
-        if t.state != ThreadState::Ready {
-            t.boost = boost;
-            return None;
-        }
-        self.ready.remove(t.effective_prio(), t.rank);
-        t.boost = boost;
-        self.ready.insert(t.effective_prio(), t.rank, tid);
-        // Re-evaluate only if the boosted thread would now outrank the
-        // running thread.
-        if let Some(cur) = self.current {
-            let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
-            let new_prio = self.threads[tid.0 as usize].effective_prio();
-            if new_prio > cur_prio {
-                return self.preempt_and_dispatch(now);
-            }
-        }
-        None
-    }
-
     /// Gives `tid` a burst of `work` CPU time tagged `tag`. The thread
     /// becomes ready (bursts queue FIFO if it already has work).
     ///
@@ -284,8 +230,8 @@ impl<T: Copy> Cpu<T> {
         match self.current {
             None => self.dispatch(now),
             Some(cur) => {
-                let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
-                let new_prio = self.threads[tid.0 as usize].effective_prio();
+                let cur_prio = self.threads[cur.tid.0 as usize].policy.prio();
+                let new_prio = self.threads[tid.0 as usize].policy.prio();
                 if new_prio > cur_prio && now < cur.ends {
                     self.preempt_and_dispatch(now)
                 } else {
@@ -346,17 +292,9 @@ impl<T: Copy> Cpu<T> {
     /// Puts a thread in the ready queue: ahead of every other thread when
     /// `front` (a preempted thread), else behind every other.
     fn enqueue(&mut self, tid: ThreadId, front: bool) {
-        let rank = if front {
-            self.front -= 1;
-            self.front
-        } else {
-            self.back += 1;
-            self.back
-        };
         let t = &mut self.threads[tid.0 as usize];
         t.state = ThreadState::Ready;
-        t.rank = rank;
-        self.ready.push(t.effective_prio(), rank, tid, front);
+        self.ready.push(t.policy.prio(), tid, front);
     }
 
     fn preempt_and_dispatch(&mut self, now: Instant) -> Resched {
@@ -573,47 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn boost_triggers_preemption() {
-        let mut cpu = Cpu::new();
-        let running = cpu.create("running", fp(5));
-        let waiter = cpu.create("waiter", fp(1));
-        let r1 = cpu.wake(running, ms(100), 1, at(0)).unwrap();
-        assert!(cpu.wake(waiter, ms(10), 2, at(1)).is_none());
-        // Boost the low-priority waiter above the runner.
-        let r2 = cpu.set_boost(waiter, Some(9), at(2));
-        let (t2, tok2) = r2.expect("boost should preempt");
-        assert_eq!(cpu.running(), Some(waiter));
-        let out = cpu.slice_end(tok2, t2);
-        assert_eq!(out.completed.unwrap().tid, waiter);
-        // Original token is stale.
-        let stale = cpu.slice_end(r1.1, r1.0);
-        assert!(stale.completed.is_none());
-    }
-
-    #[test]
-    fn boost_moves_a_ready_thread_to_its_rank_in_the_new_level() {
-        let mut cpu = Cpu::new();
-        let hi = cpu.create("hi", fp(20));
-        let a = cpu.create("a", fp(9));
-        let w = cpu.create("w", fp(1));
-        let b = cpu.create("b", fp(9));
-        let c = cpu.create("c", fp(1));
-        assert!(cpu.wake(hi, ms(10), 0, at(0)).is_some());
-        for tid in [a, w, b, c] {
-            assert!(cpu.wake(tid, ms(1), 0, at(1)).is_none());
-        }
-        let order = |cpu: &Cpu<u64>| cpu.ready.order().collect::<Vec<_>>();
-        assert_eq!(order(&cpu), vec![a, b, w, c]);
-        // Raised to level 9, `w` lands between `a` and `b`, which were
-        // queued before and after it; no preemption below `hi`.
-        assert!(cpu.set_boost(w, Some(9), at(2)).is_none());
-        assert_eq!(order(&cpu), vec![a, w, b, c]);
-        // Cleared, it goes back ahead of `c` at its own level.
-        assert!(cpu.set_boost(w, None, at(3)).is_none());
-        assert_eq!(order(&cpu), vec![a, b, w, c]);
-    }
-
-    #[test]
     fn dispatch_takes_the_highest_level_across_bitmap_words() {
         let mut cpu = Cpu::new();
         let prios = [0u8, 64, 63, 255, 128, 127];
@@ -698,7 +595,7 @@ mod tests {
     }
 
     /// The scheduler with a plain ready list: a `Vec`
-    /// of ready ids, a stable scan for the highest effective priority,
+    /// of ready ids, a stable scan for the highest priority,
     /// `Vec::remove` of the winner, and `insert(0, …)` for a preempted
     /// thread. The differential test below checks [`Cpu`] against it.
     struct ListCpu {
@@ -726,20 +623,6 @@ mod tests {
             tid
         }
 
-        fn set_boost(&mut self, tid: ThreadId, boost: Option<u8>, now: Instant) -> Resched {
-            self.threads[tid.0 as usize].boost = boost;
-            if self.threads[tid.0 as usize].state == ThreadState::Ready {
-                if let Some(cur) = self.current {
-                    let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
-                    let new_prio = self.threads[tid.0 as usize].effective_prio();
-                    if new_prio > cur_prio {
-                        return self.preempt_and_dispatch(now);
-                    }
-                }
-            }
-            None
-        }
-
         fn wake(&mut self, tid: ThreadId, work: Duration, tag: u64, now: Instant) -> Resched {
             let t = &mut self.threads[tid.0 as usize];
             t.work.push_back(Burst {
@@ -756,8 +639,8 @@ mod tests {
             match self.current {
                 None => self.dispatch(now),
                 Some(cur) => {
-                    let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
-                    let new_prio = self.threads[tid.0 as usize].effective_prio();
+                    let cur_prio = self.threads[cur.tid.0 as usize].policy.prio();
+                    let new_prio = self.threads[tid.0 as usize].policy.prio();
                     if new_prio > cur_prio && now < cur.ends {
                         self.preempt_and_dispatch(now)
                     } else {
@@ -825,9 +708,9 @@ mod tests {
                 return None;
             }
             let mut best_idx = 0;
-            let mut best_prio = self.threads[self.ready[0].0 as usize].effective_prio();
+            let mut best_prio = self.threads[self.ready[0].0 as usize].policy.prio();
             for (i, &tid) in self.ready.iter().enumerate().skip(1) {
-                let p = self.threads[tid.0 as usize].effective_prio();
+                let p = self.threads[tid.0 as usize].policy.prio();
                 if p > best_prio {
                     best_prio = p;
                     best_idx = i;
@@ -873,7 +756,7 @@ mod tests {
         let ready_order: Vec<ThreadId> = cpu.ready.order().collect();
         let mut list_order = list.ready.clone();
         // The list's dispatch order: a stable sort by descending priority.
-        list_order.sort_by_key(|t| std::cmp::Reverse(list.threads[t.0 as usize].effective_prio()));
+        list_order.sort_by_key(|t| std::cmp::Reverse(list.threads[t.0 as usize].policy.prio()));
         assert_eq!(ready_order, list_order, "{ctx}: ready order");
     }
 
@@ -929,24 +812,10 @@ mod tests {
                         now += ms(rng.below(5));
                     }
                     let tid = ThreadId(rng.below(n as u64) as u32);
-                    let (a, b) = if roll < 8 {
-                        tag += 1;
-                        let work = Duration::from_micros(1 + rng.below(30_000));
-                        (
-                            cpu.wake(tid, work, tag, now),
-                            list.wake(tid, work, tag, now),
-                        )
-                    } else {
-                        // Raise, lower (possibly under the base) or clear.
-                        let boost = match rng.below(3) {
-                            0 => None,
-                            _ => Some(rng.below(14) as u8),
-                        };
-                        (
-                            cpu.set_boost(tid, boost, now),
-                            list.set_boost(tid, boost, now),
-                        )
-                    };
+                    tag += 1;
+                    let work = Duration::from_micros(1 + rng.below(30_000));
+                    let a = cpu.wake(tid, work, tag, now);
+                    let b = list.wake(tid, work, tag, now);
                     assert_eq!(a, b, "{ctx}: resched");
                     events.extend(a);
                 }

@@ -89,13 +89,7 @@ pub enum ThreadState {
 pub(crate) struct ThreadRec<T> {
     pub name: String,
     pub policy: SchedPolicy,
-    /// Priority-inheritance boost; effective priority is
-    /// `max(policy.prio(), boost)`.
-    pub boost: Option<u8>,
     pub state: ThreadState,
-    /// Place among equal-priority ready threads (lower goes first); set
-    /// each time the thread enters the ready queue.
-    pub rank: i64,
     pub work: VecDeque<Burst<T>>,
     pub total_cpu: Duration,
     pub bursts_completed: u64,
@@ -106,19 +100,10 @@ impl<T> ThreadRec<T> {
         ThreadRec {
             name,
             policy,
-            boost: None,
             state: ThreadState::Blocked,
-            rank: 0,
             work: VecDeque::new(),
             total_cpu: Duration::ZERO,
             bursts_completed: 0,
-        }
-    }
-
-    pub fn effective_prio(&self) -> u8 {
-        match self.boost {
-            Some(b) => b.max(self.policy.prio()),
-            None => self.policy.prio(),
         }
     }
 }
@@ -138,17 +123,5 @@ mod tests {
         };
         assert_eq!(rr.prio(), 5);
         assert_eq!(rr.quantum(), Some(Duration::from_millis(100)));
-    }
-
-    #[test]
-    fn boost_raises_but_never_lowers() {
-        let mut t = ThreadRec::<u64>::new("t".into(), SchedPolicy::FixedPriority { prio: 10 });
-        assert_eq!(t.effective_prio(), 10);
-        t.boost = Some(20);
-        assert_eq!(t.effective_prio(), 20);
-        t.boost = Some(3);
-        assert_eq!(t.effective_prio(), 10);
-        t.boost = None;
-        assert_eq!(t.effective_prio(), 10);
     }
 }

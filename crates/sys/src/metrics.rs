@@ -125,6 +125,61 @@ impl IntervalWall {
     }
 }
 
+/// A record that counts its interval's reads as they settle:
+/// [`IntervalIo`] per volume, [`IntervalWall`] across volumes.
+trait Settling {
+    /// `(remaining, total_reqs, last_done, service_sum)`.
+    fn counts(&mut self) -> (&mut usize, &mut usize, &mut Instant, &mut f64);
+}
+
+impl Settling for IntervalIo {
+    fn counts(&mut self) -> (&mut usize, &mut usize, &mut Instant, &mut f64) {
+        (
+            &mut self.remaining,
+            &mut self.total_reqs,
+            &mut self.last_done,
+            &mut self.service_sum,
+        )
+    }
+}
+
+impl Settling for IntervalWall {
+    fn counts(&mut self) -> (&mut usize, &mut usize, &mut Instant, &mut f64) {
+        (
+            &mut self.remaining,
+            &mut self.total_reqs,
+            &mut self.last_done,
+            &mut self.service_sum,
+        )
+    }
+}
+
+/// Settles read `rid` on the record `index` maps it to, if any: charges
+/// its service time and completion, and hands its slot to `retries`
+/// (empty for a completion or a lost read). The read leaves `index`, so
+/// the index holds exactly the reads still outstanding.
+fn settle<R: Settling>(
+    records: &mut [R],
+    index: &mut HashMap<u64, usize>,
+    rid: ReadId,
+    done: &Completed<DiskTag>,
+    retries: &[ReadId],
+) {
+    let Some(idx) = index.remove(&rid.0) else {
+        return;
+    };
+    let (remaining, total_reqs, last_done, service_sum) = records[idx].counts();
+    *service_sum += done.breakdown.total().as_secs_f64();
+    if done.finished_at > *last_done {
+        *last_done = done.finished_at;
+    }
+    *remaining = *remaining - 1 + retries.len();
+    *total_reqs += retries.len();
+    for r in retries {
+        index.insert(r.0, idx);
+    }
+}
+
 /// System-wide measurement state.
 #[derive(Default, Debug)]
 pub struct Metrics {
@@ -136,7 +191,10 @@ pub struct Metrics {
     pub cras_read_bytes: u64,
     /// Total disk service time consumed by CRAS reads.
     pub cras_read_busy: Duration,
-    /// Bytes completed for CRAS real-time writes.
+    /// Bytes completed for CRAS real-time writes. Always 0: no path
+    /// submits a CRAS write (the recorder runs standalone, outside the
+    /// system). Kept because the canonical JSON and the benchmark's
+    /// `disk.cras_write_mb` read it.
     pub cras_write_bytes: u64,
     /// Deadline overruns reported by the server.
     pub overruns: u64,
@@ -310,28 +368,8 @@ impl Metrics {
     pub fn on_cras_read_done(&mut self, rid: ReadId, done: &Completed<DiskTag>) {
         self.cras_read_bytes += done.req.bytes();
         self.cras_read_busy += done.breakdown.total();
-        if let Some(&idx) = self.read_interval.get(&rid.0) {
-            let rec = &mut self.intervals[idx];
-            rec.remaining -= 1;
-            if done.finished_at > rec.last_done {
-                rec.last_done = done.finished_at;
-            }
-            rec.service_sum += done.breakdown.total().as_secs_f64();
-            if rec.remaining == 0 {
-                self.read_interval.retain(|_, v| *v != idx);
-            }
-        }
-        if let Some(&idx) = self.read_wall.get(&rid.0) {
-            let w = &mut self.walls[idx];
-            w.remaining -= 1;
-            if done.finished_at > w.last_done {
-                w.last_done = done.finished_at;
-            }
-            w.service_sum += done.breakdown.total().as_secs_f64();
-            if w.remaining == 0 {
-                self.read_wall.retain(|_, v| *v != idx);
-            }
-        }
+        settle(&mut self.intervals, &mut self.read_interval, rid, done, &[]);
+        settle(&mut self.walls, &mut self.read_wall, rid, done, &[]);
     }
 
     /// Records a CRAS read that came back failed and was replaced by
@@ -351,38 +389,14 @@ impl Metrics {
         } else {
             self.degraded_reads += 1;
         }
-        if let Some(idx) = self.read_interval.remove(&rid.0) {
-            let rec = &mut self.intervals[idx];
-            rec.service_sum += done.breakdown.total().as_secs_f64();
-            if done.finished_at > rec.last_done {
-                rec.last_done = done.finished_at;
-            }
-            rec.remaining -= 1;
-            rec.remaining += retries.len();
-            rec.total_reqs += retries.len();
-            for r in retries {
-                self.read_interval.insert(r.0, idx);
-            }
-            if rec.remaining == 0 {
-                self.read_interval.retain(|_, v| *v != idx);
-            }
-        }
-        if let Some(idx) = self.read_wall.remove(&rid.0) {
-            let w = &mut self.walls[idx];
-            w.service_sum += done.breakdown.total().as_secs_f64();
-            if done.finished_at > w.last_done {
-                w.last_done = done.finished_at;
-            }
-            w.remaining -= 1;
-            w.remaining += retries.len();
-            w.total_reqs += retries.len();
-            for r in retries {
-                self.read_wall.insert(r.0, idx);
-            }
-            if w.remaining == 0 {
-                self.read_wall.retain(|_, v| *v != idx);
-            }
-        }
+        settle(
+            &mut self.intervals,
+            &mut self.read_interval,
+            rid,
+            done,
+            retries,
+        );
+        settle(&mut self.walls, &mut self.read_wall, rid, done, retries);
     }
 
     /// Average spare fraction of the interval over the last `window`
@@ -818,6 +832,41 @@ mod tests {
         assert_eq!(m.lost_reads, 1);
         assert_eq!(m.intervals()[0].remaining, 0);
         assert_eq!(m.admission_ratios(0).len(), 1);
+    }
+
+    #[test]
+    fn settled_reads_leave_both_read_indexes() {
+        let mut m = Metrics::new();
+        // Read 2 fails and hands its slot to retry 9, which fails again
+        // and hands it to 10; reads 1 and 3 complete plainly.
+        m.on_interval(&report(&[1, 2, 3], 0.1), Instant::ZERO);
+        let mut err = completed(5, 1);
+        err.failed = true;
+        m.on_cras_read_done(ReadId(1), &completed(10, 4));
+        m.on_cras_read_failed(ReadId(2), &err, &[ReadId(9)]);
+        m.on_cras_read_failed(ReadId(9), &err, &[ReadId(10)]);
+        let outstanding = |m: &Metrics| {
+            let mut ids: Vec<u64> = m.read_interval.keys().copied().collect();
+            ids.sort_unstable();
+            let mut wall: Vec<u64> = m.read_wall.keys().copied().collect();
+            wall.sort_unstable();
+            assert_eq!(ids, wall, "both indexes hold the same reads");
+            ids
+        };
+        assert_eq!(outstanding(&m), vec![3, 10]);
+        m.on_cras_read_done(ReadId(3), &completed(20, 4));
+        m.on_cras_read_done(ReadId(10), &completed(30, 4));
+        assert!(outstanding(&m).is_empty());
+        assert_eq!(m.intervals()[0].remaining, 0);
+        assert_eq!(m.intervals()[0].total_reqs, 5);
+        assert_eq!(m.interval_walls()[0].total_reqs, 5);
+        // 4 + 1 + 1 + 4 + 4 ms of service over 100 ms calculated.
+        assert!((m.admission_ratios(0)[0] - 0.14).abs() < 1e-9);
+        // A read the index does not know (a second report of a settled
+        // one) changes nothing.
+        m.on_cras_read_done(ReadId(1), &completed(40, 4));
+        assert_eq!(m.intervals()[0].remaining, 0);
+        assert!((m.interval_walls()[0].span().unwrap() - 0.03).abs() < 1e-9);
     }
 
     #[test]

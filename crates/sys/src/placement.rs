@@ -95,7 +95,7 @@ pub(crate) type Layout = (
 /// * Parity: band volume `v` of the band [`CrasServer::place_next_band`]
 ///   picks gets a data-unit file (`{name}.pd{v}`) and a parity file
 ///   (`{name}.pp{v}`). The simulation is data-free, so no XOR is computed
-///   here ([`cras_core::ParityEncoder`] covers the §4 recording path).
+///   here or anywhere else for a placed movie.
 ///
 /// The returned movie's `ino` is the first data file. Placement is a
 /// pure function of the rng state and the cursor, so replaying the same

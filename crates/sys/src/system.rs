@@ -1668,9 +1668,6 @@ impl SysState {
                 self.cras.io_done(rid);
                 self.on_serial_read_settled(rid, &[], acts);
             }
-            DiskTag::CrasWrite(_) => {
-                self.metrics.cras_write_bytes += done.req.bytes();
-            }
             DiskTag::RebuildRead(gen, idx) => {
                 // A completion whose generation does not match the live
                 // rebuild belongs to an aborted one; its index would be

@@ -1,6 +1,6 @@
 //! Global event and routing-tag types of the orchestrated system.
 
-use cras_core::{ReadId, WriteId};
+use cras_core::ReadId;
 use cras_rtmach::SliceToken;
 use cras_ufs::fs::FetchRun;
 
@@ -92,8 +92,6 @@ impl Event {
 pub enum DiskTag {
     /// A CRAS real-time stream read.
     Cras(ReadId),
-    /// A CRAS recorder real-time write.
-    CrasWrite(WriteId),
     /// A synchronous clustered UFS fetch on behalf of the Unix server
     /// (volume, run).
     UfsFetch(u32, FetchRun),

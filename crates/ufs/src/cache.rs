@@ -237,7 +237,7 @@ mod tests {
     impl BufferCache {
         /// The cached blocks, least recently used first, walked along
         /// the list's `newer` links and checked against its `older` ones.
-        fn recency(&self) -> Vec<FsBlock> {
+        pub(crate) fn recency(&self) -> Vec<FsBlock> {
             let (mut out, mut prev, mut at) = (Vec::new(), NIL, self.oldest);
             while at != NIL {
                 let n = &self.nodes[at as usize];

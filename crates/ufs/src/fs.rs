@@ -407,17 +407,24 @@ impl Ufs {
         let last = (offset + len - 1) / BSIZE as u64;
         let mut plan = ReadPlan::default();
         let mut fetch_blocks: Vec<FsBlock> = Vec::new();
+        // A table block maps a contiguous range of file blocks, so it
+        // repeats only on consecutive paths: planning it once means
+        // skipping the ones already on the previous block's path. Every
+        // use still counts in the cache's LRU order.
+        let mut prev_meta: Vec<FsBlock> = Vec::new();
         for fb in first..=last {
             let path = self.inodes[ino as usize]
                 .bmap(fb)
                 .expect("mapped block within size");
-            for m in &path.meta {
-                if self.cache.lookup(*m) {
-                    if !plan.cached.contains(m) {
-                        plan.cached.push(*m);
-                    }
-                } else if !fetch_blocks.contains(m) {
-                    fetch_blocks.push(*m);
+            for &m in &path.meta {
+                let hit = self.cache.lookup(m);
+                if prev_meta.contains(&m) {
+                    continue;
+                }
+                if hit {
+                    plan.cached.push(m);
+                } else {
+                    fetch_blocks.push(m);
                 }
             }
             if self.cache.lookup(path.data) {
@@ -425,25 +432,27 @@ impl Ufs {
             } else {
                 fetch_blocks.push(path.data);
             }
+            prev_meta = path.meta;
         }
         plan.fetch = merge_runs(&fetch_blocks, self.params.maxcontig);
         // Clustered read-ahead (4.4BSD style): when the read reaches the
         // edge of the cached region — the *next* file block is uncached —
         // schedule a whole window of blocks in one go, rather than a
         // sliding one-block-at-a-time window that degenerates into tiny
-        // disk commands.
+        // disk commands. Read-ahead blocks are data past `last`, so none
+        // is already in `fetch_blocks`.
         let nblocks = self.inodes[ino as usize].nblocks();
         let mut ra_blocks: Vec<FsBlock> = Vec::new();
         let next = last + 1;
         let trigger = next < nblocks
             && self.inodes[ino as usize]
                 .bmap(next)
-                .map(|p| !self.cache.peek(p.data) && !fetch_blocks.contains(&p.data))
+                .map(|p| !self.cache.peek(p.data))
                 .unwrap_or(false);
         if trigger {
             for fb in next..(next + self.params.read_ahead as u64).min(nblocks) {
                 if let Some(path) = self.inodes[ino as usize].bmap(fb) {
-                    if !self.cache.peek(path.data) && !fetch_blocks.contains(&path.data) {
+                    if !self.cache.peek(path.data) {
                         ra_blocks.push(path.data);
                     }
                 }
@@ -678,6 +687,143 @@ mod tests {
         let plan = fs.plan_read(ino, off, BSIZE as u64);
         assert_eq!(plan.fetch_blocks(), 2, "indirect table + data");
         const NDIRECT_BYTES: u64 = 12 * BSIZE as u64;
+    }
+
+    /// `plan_read` as it was before it de-duplicated table blocks
+    /// against the previous block's path: `Vec::contains` scans over
+    /// everything planned so far. The differential test below checks
+    /// [`Ufs::plan_read`] against it.
+    fn plan_read_scan(fs: &mut Ufs, ino: Ino, offset: u64, len: u64) -> ReadPlan {
+        let first = offset / BSIZE as u64;
+        let last = (offset + len - 1) / BSIZE as u64;
+        let mut plan = ReadPlan::default();
+        let mut fetch_blocks: Vec<FsBlock> = Vec::new();
+        for fb in first..=last {
+            let path = fs.inodes[ino as usize].bmap(fb).unwrap();
+            for m in &path.meta {
+                if fs.cache.lookup(*m) {
+                    if !plan.cached.contains(m) {
+                        plan.cached.push(*m);
+                    }
+                } else if !fetch_blocks.contains(m) {
+                    fetch_blocks.push(*m);
+                }
+            }
+            if fs.cache.lookup(path.data) {
+                plan.cached.push(path.data);
+            } else {
+                fetch_blocks.push(path.data);
+            }
+        }
+        plan.fetch = merge_runs(&fetch_blocks, fs.params.maxcontig);
+        let nblocks = fs.inodes[ino as usize].nblocks();
+        let mut ra_blocks: Vec<FsBlock> = Vec::new();
+        let next = last + 1;
+        let trigger = next < nblocks
+            && fs.inodes[ino as usize]
+                .bmap(next)
+                .map(|p| !fs.cache.peek(p.data) && !fetch_blocks.contains(&p.data))
+                .unwrap_or(false);
+        if trigger {
+            for fb in next..(next + fs.params.read_ahead as u64).min(nblocks) {
+                if let Some(path) = fs.inodes[ino as usize].bmap(fb) {
+                    if !fs.cache.peek(path.data) && !fetch_blocks.contains(&path.data) {
+                        ra_blocks.push(path.data);
+                    }
+                }
+            }
+        }
+        plan.read_ahead = merge_runs(&ra_blocks, fs.params.maxcontig);
+        plan
+    }
+
+    #[test]
+    fn plan_read_matches_the_contains_scan() {
+        use crate::layout::{NDIRECT, NINDIR};
+        use cras_sim::Rng;
+        const B: u64 = BSIZE as u64;
+        // Where the block map changes shape: direct → single indirect →
+        // double indirect, and the double-indirect region's first and
+        // second table.
+        let edges = [
+            NDIRECT as u64 * B,
+            (NDIRECT + NINDIR) as u64 * B,
+            (NDIRECT + 2 * NINDIR) as u64 * B,
+        ];
+        let (mut meta_hits, mut meta_fetches, mut read_aheads) = (0u64, 0u64, 0u64);
+        for seed in 0..12 {
+            let mut rng = Rng::new(seed);
+            let sizes = [
+                1 + rng.below(edges[0]),
+                edges[0] + rng.below(edges[1] - edges[0]),
+                edges[2] + 1 + rng.below(4 * MB),
+            ];
+            // Two identically built file systems: one planned each way.
+            let build = || {
+                let mut fs = tuned_fs();
+                for (i, &size) in sizes.iter().enumerate() {
+                    let ino = fs.create(&format!("f{i}")).unwrap();
+                    fs.append(ino, size).unwrap();
+                }
+                fs
+            };
+            let (mut fs, mut reference) = (build(), build());
+            let inos: Vec<Ino> = (0..3)
+                .map(|i| fs.lookup(&format!("f{i}")).unwrap())
+                .collect();
+            let metas: Vec<BTreeSet<FsBlock>> = inos
+                .iter()
+                .map(|&i| fs.inodes[i as usize].meta_blocks().into_iter().collect())
+                .collect();
+            for op in 0..300 {
+                let ctx = format!("seed {seed} op {op}");
+                let f = rng.below(3) as usize;
+                let size = sizes[f];
+                // Half the reads start near a map edge of the file.
+                let offset = match rng.below(2) {
+                    0 => {
+                        let edge = edges[rng.below(3) as usize].min(size - 1);
+                        edge.saturating_sub(rng.below(MB / 2))
+                    }
+                    _ => rng.below(size),
+                };
+                let len = 1 + rng.below((2 * MB).min(size - offset));
+                let plan = fs.plan_read(inos[f], offset, len);
+                let want = plan_read_scan(&mut reference, inos[f], offset, len);
+                assert_eq!(plan.fetch, want.fetch, "{ctx}: fetch");
+                assert_eq!(plan.cached, want.cached, "{ctx}: cached");
+                assert_eq!(plan.read_ahead, want.read_ahead, "{ctx}: read-ahead");
+                let is_meta = |b: &FsBlock| metas[f].contains(b);
+                meta_hits += plan.cached.iter().filter(|b| is_meta(b)).count() as u64;
+                meta_fetches += plan
+                    .fetch
+                    .iter()
+                    .flat_map(|r| r.blocks())
+                    .filter(|b| is_meta(b))
+                    .count() as u64;
+                read_aheads += plan.read_ahead.len() as u64;
+                // Most fetched and read-ahead runs arrive, evicting older
+                // blocks from the 256-block cache.
+                for r in plan.fetch.iter().chain(&plan.read_ahead) {
+                    if rng.chance(0.8) {
+                        for b in r.blocks() {
+                            fs.mark_cached(b);
+                            reference.mark_cached(b);
+                        }
+                    }
+                }
+                assert_eq!(
+                    fs.cache.recency(),
+                    reference.cache.recency(),
+                    "{ctx}: LRU order"
+                );
+                assert_eq!(fs.cache.hit_stats(), reference.cache.hit_stats(), "{ctx}");
+            }
+        }
+        assert!(
+            meta_hits > 0 && meta_fetches > 0 && read_aheads > 0,
+            "meta hits {meta_hits}, meta fetches {meta_fetches}, read-aheads {read_aheads}"
+        );
     }
 
     #[test]

@@ -11,14 +11,13 @@
 //!   placement policy.
 //! * [`inode`] — direct/single/double-indirect block maps.
 //! * [`cache`] — the LRU buffer cache (bypassed by CRAS).
-//! * [`fs`] — namespace, append/remove, extent maps, cache-aware read
-//!   planning ([`fs::Ufs`]).
+//! * [`fs`] — the flat name map, append/remove, extent maps,
+//!   cache-aware read planning ([`fs::Ufs`]).
 //! * [`server`] — the serialized Lites-style server queue whose
 //!   head-of-line blocking produces the priority inversions the paper
 //!   measures (Figures 6–7).
 //! * [`check`](mod@check) — an `fsck`-style consistency checker used heavily by the
 //!   property tests.
-//! * [`namespace`] — a hierarchical path layer over the flat inode table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +28,6 @@ pub mod check;
 pub mod fs;
 pub mod inode;
 pub mod layout;
-pub mod namespace;
 pub mod server;
 
 pub use alloc::{Allocator, CylGroup, Placed};
@@ -38,5 +36,4 @@ pub use check::{check, CheckError, CheckReport};
 pub use fs::{Extent, FragReport, FsError, ReadPlan, Ufs};
 pub use inode::{BmapPath, Inode};
 pub use layout::{FsBlock, FsLayout, Ino, MkfsParams, BSIZE, NDIRECT, NINDIR, SECT_PER_FSBLOCK};
-pub use namespace::{Namespace, NsError};
 pub use server::{FsReq, Step, UnixServer};

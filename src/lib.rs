@@ -11,7 +11,8 @@
 //! * [`ufs`] — the FFS-like Unix file system baseline.
 //! * [`media`] — chunk tables, stream profiles, movie recording.
 //! * [`core`] — CRAS itself: admission control, interval scheduler,
-//!   time-driven shared buffers, the `crs_*` API.
+//!   time-driven shared buffers; `CrasServer` has one method per
+//!   Table 2 `crs_*` call.
 //! * [`net`] — the NPS-style delivery subsystem (paced links, playout
 //!   sessions, multicast fan-out, loss/retransmit).
 //! * [`sys`] — the orchestrated system (disk + CPU + UFS + CRAS +
