@@ -697,14 +697,11 @@ impl Cluster {
     pub fn run_until(&mut self, t: Instant) {
         while self.now < t {
             let next = t.min(self.now + self.cfg.base.server.interval);
-            match self.cfg.stepping {
-                Stepping::Lockstep => {
-                    for sh in self.shards.iter_mut().filter(|s| s.alive) {
-                        Self::step_shard(sh, next);
-                    }
-                }
-                Stepping::Parallel => Self::step_groups(&mut self.shards, next, self.cores),
-            }
+            let cores = match self.cfg.stepping {
+                Stepping::Lockstep => 1,
+                Stepping::Parallel => self.cores,
+            };
+            Self::step_groups(&mut self.shards, next, cores);
             self.now = next;
             self.drain_pending();
             if self.now >= self.resume_at {

@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cras_sim::{Duration, Instant};
+use cras_sim::{Duration, IdTable, Instant};
 
 use crate::faults::{NetFault, NetFaultInjector, NetFaults};
 use crate::link::{LinkParams, PacedLink};
@@ -117,7 +117,8 @@ struct Packet {
 #[derive(Clone, Debug, Default)]
 pub struct NetDelivery {
     links: Vec<PacedLink>,
-    sessions: BTreeMap<u32, Session>,
+    /// Sessions by client id (the sys layer's dense `ClientId`s).
+    sessions: IdTable<Session>,
     /// Multicast groups: leader client → member clients (leader not
     /// included).
     groups: BTreeMap<u32, BTreeSet<u32>>,
@@ -243,21 +244,18 @@ impl NetDelivery {
         now: Instant,
         out: &mut Vec<NetEffect>,
     ) {
-        if !self.sessions.contains_key(&client) {
-            return;
-        }
         let suppressed = self.multicast && self.member_of.contains_key(&client);
-        let (ord, link_id, claimed_early) = {
-            let s = self.sessions.get_mut(&client).expect("checked above");
-            let ord = s.register(frame, bytes, ts, now);
-            if suppressed {
-                s.stats.frames_suppressed += 1;
-            } else {
-                s.stats.frames_sent += 1;
-            }
-            (ord, s.link, s.early.remove(&frame))
+        let Some(s) = self.sessions.get_mut(&client) else {
+            return;
         };
-        if claimed_early {
+        let (ord, early) = s.register(frame, bytes, ts, now);
+        if suppressed {
+            s.stats.frames_suppressed += 1;
+        } else {
+            s.stats.frames_sent += 1;
+        }
+        let (link_id, deadline) = (s.link, s.deadline(ts));
+        if early {
             // The group packet landed before this member's decode
             // registered the frame; credit the arrival now.
             self.note_arrival(client, ord, now, out);
@@ -269,7 +267,6 @@ impl NetDelivery {
                     members.extend(g.iter().copied());
                 }
             }
-            let deadline = self.sessions[&client].deadline(ts);
             if members.len() > 1 {
                 self.links[link_id as usize].stats.multicast_saved_bytes +=
                     bytes * (members.len() as u64 - 1);
@@ -307,26 +304,18 @@ impl NetDelivery {
         };
         p.remaining_arrivals -= 1;
         let frame = p.frame;
-        let members = p.members.clone();
-        if p.remaining_arrivals == 0 {
-            self.packets.remove(&pkt);
-        }
+        let members = if p.remaining_arrivals == 0 {
+            self.packets.remove(&pkt).expect("looked up above").members
+        } else {
+            p.members.clone()
+        };
         for m in members {
-            let ord = {
-                let Some(s) = self.sessions.get_mut(&m) else {
-                    continue;
-                };
-                match s.ord_of_frame.get(&frame) {
-                    Some(&o) => o,
-                    None => {
-                        // Decode has not registered the frame on this
-                        // member yet (group packets can outrun the CPU).
-                        s.early.insert(frame);
-                        continue;
-                    }
-                }
-            };
-            self.note_arrival(m, ord, now, out);
+            // `None` for a frame already played, or one the member's
+            // decode has not registered yet (group packets can outrun
+            // the CPU).
+            if let Some(ord) = self.sessions.get_mut(&m).and_then(|s| s.arrival(frame)) {
+                self.note_arrival(m, ord, now, out);
+            }
         }
     }
 
@@ -334,20 +323,13 @@ impl NetDelivery {
     /// retransmission unless a copy arrived (or playout passed) in the
     /// meantime.
     pub fn on_nak(&mut self, client: u32, ord: u32, now: Instant, out: &mut Vec<NetEffect>) {
-        let (frame, bytes, link_id, deadline) = {
-            let Some(s) = self.sessions.get_mut(&client) else {
-                return;
-            };
-            let Some(f) = s.sent.get(&ord) else {
-                return;
-            };
-            if f.arrived {
-                return;
-            }
-            s.stats.retransmits += 1;
-            let deadline = s.deadline(f.ts);
-            (f.frame, f.bytes, s.link, deadline)
+        let Some(s) = self.sessions.get_mut(&client) else {
+            return;
         };
+        let Some(f) = s.retransmit(ord) else {
+            return;
+        };
+        let (frame, bytes, link_id, deadline) = (f.frame, f.bytes, s.link, s.deadline(f.ts));
         let pkt = self.next_pkt;
         self.next_pkt += 1;
         self.packets.insert(
@@ -374,18 +356,7 @@ impl NetDelivery {
             return; // stale event from a superseded chain
         }
         s.chain_armed = false;
-        let f = s.sent.remove(&s.cursor).expect("armed playout lost frame");
-        s.naked.remove(&s.cursor);
-        let late = !f.arrived;
-        if late {
-            s.stats.late_frames += 1;
-        } else {
-            s.buffered -= f.bytes;
-            s.stats.frames_played += 1;
-            s.stats.bytes_played += f.bytes;
-        }
-        s.stats.playout_log.push((f.frame, now.as_nanos(), late));
-        s.cursor += 1;
+        s.play(now);
         if s.paused && s.buffered <= s.cfg.low_watermark && !s.retry_armed {
             s.retry_armed = true;
             out.push(NetEffect::Resume { session: client });
@@ -476,48 +447,21 @@ impl NetDelivery {
         s
     }
 
-    /// Credits an arrival of ordinal `ord` on `client`, running the
-    /// dup/lateness/NAK/park bookkeeping.
+    /// Credits an arrival of ordinal `ord` (waiting to play) on
+    /// `client`, running the dup/lateness/NAK/park bookkeeping. A NAK
+    /// takes one propagation delay to reach the server.
     fn note_arrival(&mut self, client: u32, ord: u32, now: Instant, out: &mut Vec<NetEffect>) {
-        let latency = {
-            let s = &self.sessions[&client];
-            self.links[s.link as usize].params.latency
-        };
         let s = self.sessions.get_mut(&client).expect("caller checked");
-        let Some(f) = s.sent.get_mut(&ord) else {
-            // Playout already passed this ordinal (a straggler copy or
-            // a retransmission that lost the race).
-            s.stats.discarded_late += 1;
-            return;
-        };
-        if f.arrived {
-            s.stats.dup_arrivals += 1;
-            return;
-        }
-        f.arrived = true;
-        let bytes = f.bytes;
-        let ts = f.ts;
-        s.buffered += bytes;
-        s.stats.max_buffered = s.stats.max_buffered.max(s.buffered);
-        let deadline = s.deadline(ts);
-        if now > deadline {
-            s.stats.arrived_late += 1;
-            s.stats.lateness_ns += now.since(deadline).as_nanos();
-        }
-        // An arrival above unarrived ordinals exposes a gap: NAK each
-        // missing ordinal once. The NAK takes one propagation delay to
-        // reach the server.
-        let gaps: Vec<u32> = (s.cursor..ord)
-            .filter(|o| s.sent.get(o).is_some_and(|g| !g.arrived) && !s.naked.contains(o))
-            .collect();
-        for o in gaps {
-            s.naked.insert(o);
-            s.stats.naks_sent += 1;
+        let at = now + self.links[s.link as usize].params.latency;
+        let first = s.credit(ord, now, |o| {
             out.push(NetEffect::Nak {
-                at: now + latency,
+                at,
                 session: client,
                 ord: o,
-            });
+            })
+        });
+        if !first {
+            return;
         }
         if s.buffered > s.cfg.high_watermark && !s.paused {
             s.paused = true;
@@ -573,7 +517,7 @@ fn arm(s: &mut Session, now: Instant, out: &mut Vec<NetEffect>) {
     if s.chain_armed {
         return;
     }
-    if let Some(f) = s.sent.get(&s.cursor) {
+    if let Some(f) = s.head() {
         let at = now.max(s.deadline(f.ts));
         s.chain_armed = true;
         out.push(NetEffect::Playout {
@@ -581,7 +525,7 @@ fn arm(s: &mut Session, now: Instant, out: &mut Vec<NetEffect>) {
             session: s.id,
             ord: s.cursor,
         });
-    } else if s.cursor == s.next_ord && s.buffered == 0 {
+    } else if s.buffered == 0 {
         s.anchor = None;
     }
 }
@@ -838,6 +782,69 @@ mod tests {
         assert_eq!(s.stats.frames_played, 5);
         assert_eq!(s.stats.dup_arrivals, 5);
         assert_eq!(s.stats.bytes_played, 5 * 6_250);
+    }
+
+    #[test]
+    fn arrivals_after_playout_are_discarded_late() {
+        let mut nd = NetDelivery::new();
+        let link = nd.add_link(LinkParams::fast_lan());
+        // Every copy lands 600 ms after transmission, past the 500 ms
+        // playout delay: each frame is declared late at its deadline,
+        // and its copy then finds the frame already played.
+        nd.set_link_faults(
+            link,
+            Some(NetFaults {
+                drop_prob: 0.0,
+                dup_prob: 0.0,
+                delay_prob: 1.0,
+                delay: Duration::from_millis(600),
+                seed: 5,
+            }),
+        );
+        nd.attach(1, link, SessionCfg::default());
+        run(&mut nd, frame_sends(1, 6, 6_250, 33));
+        let st = &nd.session(1).unwrap().stats;
+        assert_eq!(st.frames_sent, 6);
+        assert_eq!(st.late_frames, 6);
+        assert_eq!(st.discarded_late, 6);
+        assert_eq!(st.frames_played + st.dup_arrivals + st.naks_sent, 0);
+    }
+
+    #[test]
+    fn group_packet_for_a_frame_the_member_skips_moves_no_counter() {
+        let mut nd = NetDelivery::new();
+        let link = nd.add_link(LinkParams::fast_lan());
+        nd.set_multicast(true);
+        nd.attach(1, link, SessionCfg::default());
+        nd.attach(2, link, SessionCfg::default());
+        nd.sync_membership(2, Some(1));
+        // The member decodes 40 ms ahead of the leader and skips frame
+        // 2, so the leader's frame-2 packet reaches it after its own
+        // frame 3 registered: a frame it never registers, inside the
+        // range it holds.
+        let send = |client, lead_ms, frame: u32| {
+            let ts = Duration::from_millis(frame as u64 * 33);
+            let bytes = 6_250;
+            let ev = Ev::Send {
+                client,
+                frame,
+                bytes,
+                ts,
+            };
+            (at_ms(frame as u64 * 33 + lead_ms), ev)
+        };
+        let leader = (0..5).map(|f| send(1, 40, f));
+        let member = [0, 1, 3, 4].map(|f| send(2, 0, f));
+        run(&mut nd, leader.chain(member).collect());
+        let m = &nd.session(2).unwrap().stats;
+        assert_eq!(m.frames_suppressed, 4);
+        assert_eq!(m.frames_played, 4);
+        assert_eq!(m.bytes_played, 4 * 6_250);
+        assert_eq!(
+            m.late_frames + m.arrived_late + m.discarded_late + m.dup_arrivals + m.naks_sent,
+            0
+        );
+        assert_eq!(nd.session(1).unwrap().stats.frames_played, 5);
     }
 
     #[test]

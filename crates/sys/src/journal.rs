@@ -90,12 +90,6 @@ pub enum JournalRecord {
         /// The restored volume.
         vol: u32,
     },
-    /// An experiment-driver checkpoint marker (the `Event::Checkpoint`
-    /// arm writes these).
-    Checkpoint {
-        /// Caller-chosen sequence number.
-        seq: u32,
-    },
     /// A delivery link was added (DESIGN §18). Replay re-creates the
     /// links in order, so indices survive recovery. Fault injectors are
     /// harness-level and deliberately not journaled, like the disk

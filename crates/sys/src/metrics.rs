@@ -333,13 +333,7 @@ impl Metrics {
         for r in &rep.reqs {
             self.read_wall.insert(r.id.0, wall_idx);
         }
-        let mut start = 0;
-        while start < rep.reqs.len() {
-            let vol = rep.reqs[start].volume;
-            let mut end = start;
-            while end < rep.reqs.len() && rep.reqs[end].volume == vol {
-                end += 1;
-            }
+        for (vol, batch) in rep.volume_batches() {
             let calculated = rep
                 .per_volume_calculated
                 .get(vol.index())
@@ -351,16 +345,15 @@ impl Metrics {
                 volume: vol.0,
                 issued_at: now,
                 calculated,
-                total_reqs: end - start,
-                remaining: end - start,
+                total_reqs: batch.len(),
+                remaining: batch.len(),
                 last_done: now,
                 service_sum: 0.0,
             });
-            for r in &rep.reqs[start..end] {
+            for r in batch {
                 self.read_interval.insert(r.id.0, idx);
             }
             self.walls[wall_idx].volumes += 1;
-            start = end;
         }
     }
 

@@ -1130,7 +1130,6 @@ impl System {
                     failed.remove(vol);
                     rebuilding.remove(vol);
                 }
-                JournalRecord::Checkpoint { .. } => {}
                 JournalRecord::NetLink {
                     bandwidth,
                     latency_ns,
@@ -1329,7 +1328,6 @@ impl System {
             Event::BgWrite(c) => self.state.on_bg_write(c, now, &mut acts),
             Event::Sync => self.state.on_sync(now, &mut acts),
             Event::RebuildStep(gen) => self.state.on_rebuild_step(gen, now, &mut acts),
-            Event::Checkpoint(seq) => self.state.on_checkpoint(seq, &mut acts),
             Event::NetLinkFree(link) => self.state.on_net_link_free(link, now, &mut acts),
             Event::NetArrive { link, pkt } => self.state.on_net_arrive(link, pkt, now, &mut acts),
             Event::NetNak(c, ord) => self.state.on_net_nak(c, ord, now, &mut acts),
@@ -1467,12 +1465,6 @@ impl SysState {
                 message: f(),
             });
         }
-    }
-
-    /// The `Event::Checkpoint` transition: stamp the marker into the
-    /// journal.
-    fn on_checkpoint(&mut self, seq: u32, acts: &mut Vec<Action>) {
-        acts.push(Action::Journal(JournalRecord::Checkpoint { seq }));
     }
 
     /// [`IssueMode::SerialVolumes`] only: releases the next staged

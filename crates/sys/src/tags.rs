@@ -32,9 +32,6 @@ pub enum Event {
     /// from an aborted rebuild (the replacement volume failed again)
     /// cannot drive a newer rebuild's chunk cursor.
     RebuildStep(u64),
-    /// Experiment-driver checkpoint marker; the handler stamps a
-    /// [`crate::journal::JournalRecord::Checkpoint`] into the journal.
-    Checkpoint(u32),
     /// A delivery link's transmitter finished serializing a packet.
     NetLinkFree(u32),
     /// A copy of delivery packet `pkt` reaches the clients on `link`.
@@ -74,7 +71,6 @@ impl Event {
             Event::BgWrite(c) => (6, c.0 as u64),
             Event::Sync => (7, 0),
             Event::RebuildStep(gen) => (8, gen),
-            Event::Checkpoint(seq) => (9, seq as u64),
             Event::NetLinkFree(link) => (10, link as u64),
             // Packet ids are globally unique; a duplicated delivery is
             // two *identical* events, so swapping them is a no-op and
