@@ -2,7 +2,7 @@
 //! deterministic front door.
 //!
 //! Each shard is a complete CRAS server — its own volume set, interval
-//! cache, admission control and transition journal. The gateway owns
+//! cache and admission control. The gateway owns
 //! placement and routing policy only; it never reaches into a shard's
 //! event loop:
 //!
@@ -305,11 +305,6 @@ impl Cluster {
     /// All shards, dead ones included.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
-    }
-
-    /// Live shard count.
-    pub fn alive_count(&self) -> usize {
-        self.shards.iter().filter(|s| s.alive).count()
     }
 
     /// The online popularity estimator (fed by every open request).
@@ -835,7 +830,7 @@ mod tests {
         cl.run_for(Duration::from_secs(4));
         let shown = cl.session_stats(sid).map(|st| st.frames_shown);
         assert!(shown.unwrap_or(0) > 0, "rerouted session never played");
-        assert_eq!(cl.alive_count(), 2);
+        assert_eq!(cl.shards().iter().filter(|s| s.alive).count(), 2);
     }
 
     #[test]

@@ -271,7 +271,8 @@ impl Admission {
     /// Only exact under [`AdmissionModel::Paper`], where `O_total` does
     /// not depend on `T`; under the ablation model use
     /// [`Admission::admit`] with a concrete interval.
-    pub fn min_interval(&self, streams: &[StreamParams]) -> Result<f64, AdmissionError> {
+    #[cfg(test)]
+    fn min_interval(&self, streams: &[StreamParams]) -> Result<f64, AdmissionError> {
         let d = self.params.transfer_rate;
         // Paper-model O_total is interval-independent; fold at T = 0.
         let load = Load::of(0.0, streams);

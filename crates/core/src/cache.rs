@@ -261,7 +261,8 @@ impl IntervalCache {
     }
 
     /// Number of resident chunks.
-    pub fn frame_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn frame_count(&self) -> usize {
         let runs = self.movies.values().flat_map(|m| &m.runs);
         runs.map(|run| run.rows.len()).sum()
     }

@@ -155,13 +155,6 @@ pub enum Admit {
     /// No test and no popularity observation — the Figure 6 sweep
     /// measures achieved throughput past the admitted load.
     Unchecked,
-    /// Crash-recovery replay of a deferred admission. The cache is
-    /// empty after a restart, so the prefix-residency test cannot
-    /// re-pass: the stream is installed in [`CacheState::Prefix`] with
-    /// zero disk shares (buffer memory still checked), and its first
-    /// serve miss walks the ordinary drain path. Parity movies have no
-    /// deferred open and take the [`Admit::Checked`] ladder.
-    Deferred,
 }
 
 /// A `crs_open` request: the control-file chunk table and the extent
@@ -204,7 +197,8 @@ impl OpenReq {
     }
 
     /// The request with a mirror replica map.
-    pub fn with_mirror(self, mirror: Vec<VolumeExtent>) -> OpenReq {
+    #[cfg(test)]
+    fn with_mirror(self, mirror: Vec<VolumeExtent>) -> OpenReq {
         OpenReq {
             mirror: Some(mirror),
             ..self
@@ -212,7 +206,8 @@ impl OpenReq {
     }
 
     /// The request with a rotating-parity state.
-    pub fn with_parity(self, parity: ParityState) -> OpenReq {
+    #[cfg(test)]
+    fn with_parity(self, parity: ParityState) -> OpenReq {
         OpenReq {
             parity: Some(parity),
             ..self
@@ -298,9 +293,8 @@ pub struct IntervalReport {
     /// cache (they issued zero disk commands this tick).
     pub cache_served_streams: usize,
     /// Deferred-admission streams whose prefix drained this tick and
-    /// whose disk share was reserved now (reserve-at-drain). The
-    /// orchestrator journals these so crash recovery re-admits them as
-    /// ordinary disk streams.
+    /// whose disk share was reserved now (reserve-at-drain); counted
+    /// by the orchestrator's metrics.
     pub deferred_reserved: Vec<u32>,
     /// Titles whose streams were parked (clock stopped) by a failed
     /// cache/deferred re-admission since the previous tick — the
@@ -426,17 +420,14 @@ fn serve_interval(
     Some(served)
 }
 
-/// A point-in-time report on one stream (diagnostics / experiments).
+/// A point-in-time report on one stream, read by the tests.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug)]
-pub struct StreamReport {
+struct StreamReport {
     /// Whether the logical clock is running.
     pub running: bool,
-    /// Clock rate multiplier.
-    pub rate: f64,
     /// Media time up to which pre-fetches have been issued.
     pub prefetch_cursor: Duration,
-    /// Buffer capacity in bytes.
-    pub buffer_capacity: u64,
     /// Current buffer occupancy in bytes.
     pub buffer_bytes: u64,
     /// Buffer counters (puts/hits/misses/discards/max occupancy).
@@ -716,7 +707,8 @@ impl CrasServer {
     }
 
     /// The popularity-aware cache manager.
-    pub fn cache_manager(&self) -> &CacheManager {
+    #[cfg(test)]
+    fn cache_manager(&self) -> &CacheManager {
         &self.manager
     }
 
@@ -974,21 +966,7 @@ impl CrasServer {
         );
         let feed = match req.admit {
             Admit::Unchecked => CacheState::Disk,
-            // Parity movies have no deferred path: their replay takes
-            // the ordinary ladder.
-            Admit::Deferred if req.parity.is_none() => {
-                self.admit_with(
-                    None,
-                    Some(Charge {
-                        params,
-                        shares: &[],
-                        reads: 1,
-                    }),
-                )?;
-                self.manager.observe_open(&req.name, &mut self.cache);
-                CacheState::Prefix
-            }
-            _ => self.admit_checked(&req, params, &shares)?,
+            Admit::Checked => self.admit_checked(&req, params, &shares)?,
         };
         let id = StreamId(self.next_stream);
         self.next_stream += 1;
@@ -1529,15 +1507,13 @@ impl CrasServer {
     /// Retries admission for a parked stream (the client's `crs_start`
     /// after a rebuffer): if the spindles or the cache can feed it now,
     /// the clock restarts from the frozen position after the standard
-    /// initial delay. Returns `(begin, disk)` on success — `disk` is
-    /// true when a real disk share was reserved (the caller should
-    /// journal the promotion like any reserve-at-drain) — and `None`
-    /// when the stream is still unservable or was not parked.
-    pub fn resume(&mut self, id: StreamId, now: Instant) -> Option<(Instant, bool)> {
+    /// initial delay. Returns the restarted clock's begin on success
+    /// and `None` when the stream is still unservable or was not
+    /// parked.
+    pub fn resume(&mut self, id: StreamId, now: Instant) -> Option<Instant> {
         self.streams.get(&id.0)?;
-        let rung = self.feed(id, FeedEvent::Resume, now)?;
-        let begin = self.stream(id).clock.anchor().expect("clock restarted");
-        Some((begin, rung == Rung::Disk))
+        self.feed(id, FeedEvent::Resume, now)?;
+        Some(self.stream(id).clock.anchor().expect("clock restarted"))
     }
 
     /// `crs_stop`: stops the logical clock; pre-fetching ceases at the
@@ -1610,13 +1586,12 @@ impl CrasServer {
     /// # Panics
     ///
     /// Panics if the stream does not exist.
-    pub fn stream_report(&self, id: StreamId) -> StreamReport {
+    #[cfg(test)]
+    fn stream_report(&self, id: StreamId) -> StreamReport {
         let s = self.stream(id);
         StreamReport {
             running: s.clock.is_running(),
-            rate: s.clock.rate(),
             prefetch_cursor: s.prefetch_cursor,
-            buffer_capacity: s.buffer.capacity(),
             buffer_bytes: s.buffer.bytes(),
             buffer: s.buffer.stats(),
         }
@@ -1801,7 +1776,7 @@ impl CrasServer {
         }
         // Reserve-at-drain: each drained deferred stream claims its disk
         // share now. Falling back to the cache window (or parking) keeps
-        // it off the spindles; only real disk reservations are journaled.
+        // it off the spindles; only real disk reservations are reported.
         for &sid in drained.iter() {
             if self.feed(StreamId(sid), FeedEvent::Miss, now) == Some(Rung::Disk) {
                 rep.deferred_reserved.push(sid);
@@ -3635,8 +3610,8 @@ mod tests {
             }
             assert!(!rep.overran);
         }
-        // The prefix drained into a real disk reservation, journaled via
-        // the report, and the viewer kept playing from disk.
+        // The prefix drained into a real disk reservation, named in the
+        // report, and the viewer kept playing from disk.
         assert!(reserved_tick.is_some());
         assert!(matches!(srv.cache_state_of(viewer), CacheState::Disk));
         assert_eq!(srv.cache().stats().deferred_drained_streams, 1);
@@ -4037,84 +4012,19 @@ mod tests {
     }
 
     #[test]
-    fn admit_modes_keep_unchecked_and_parity_deferred_semantics() {
-        let single = |admit| {
-            let (t, e) = movie_table(10.0);
-            OpenReq::single("m", t, e).with_admit(admit)
-        };
-        let parity = |admit| {
-            let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-            OpenReq::new("p", t, e).with_parity(ps).with_admit(admit)
-        };
-        // (case, server, fill it with checked opens first, failed
-        // volumes, request, outcome, opens the estimator records)
-        type Case<'a> = (
-            &'a str,
-            CrasServer,
-            bool,
-            &'a [u32],
-            OpenReq,
-            Result<CacheState, AdmissionError>,
-            u64,
-        );
-        let cases: Vec<Case> = vec![
-            (
-                "unchecked past the bound installs unobserved",
-                multi_server(1, 300_000),
-                true,
-                &[],
-                single(Admit::Unchecked),
-                Ok(CacheState::Disk),
-                0,
-            ),
-            (
-                "deferred whole movie installs as a prefix",
-                server(),
-                false,
-                &[],
-                single(Admit::Deferred),
-                Ok(CacheState::Prefix),
-                1,
-            ),
-            (
-                "deferred parity movie takes the checked ladder",
-                multi_server(4, 1 << 30),
-                false,
-                &[],
-                parity(Admit::Deferred),
-                Ok(CacheState::Disk),
-                1,
-            ),
-            (
-                "deferred parity movie is refused with two band volumes down",
-                multi_server(4, 1 << 30),
-                false,
-                &[1, 2],
-                parity(Admit::Deferred),
-                Err(AdmissionError::VolumeFailed),
-                0,
-            ),
-        ];
-        for (case, mut srv, fill, failed, req, want, observed) in cases {
-            if fill {
-                while srv.open(req.clone().with_admit(Admit::Checked)).is_ok() {}
-            }
-            for &v in failed {
-                srv.set_volume_failed(VolumeId(v), true);
-            }
-            let name = req.name.clone();
-            let before = srv.cache_manager().popularity().count(&name);
-            let streams = srv.stream_count();
-            let got = srv.open(req).map(|id| srv.cache_state_of(id));
-            assert_eq!(got, want, "{case}");
-            let count = srv.cache_manager().popularity().count(&name);
-            assert_eq!(count, before + observed, "{case}");
-            assert_eq!(
-                srv.stream_count(),
-                streams + usize::from(got.is_ok()),
-                "{case}"
-            );
-        }
+    fn unchecked_open_past_the_bound_installs_unobserved() {
+        let (t, e) = movie_table(10.0);
+        let req = OpenReq::single("m", t, e);
+        let mut srv = multi_server(1, 300_000);
+        while srv.open(req.clone()).is_ok() {}
+        let before = srv.cache_manager().popularity().count("m");
+        let streams = srv.stream_count();
+        let got = srv
+            .open(req.with_admit(Admit::Unchecked))
+            .map(|id| srv.cache_state_of(id));
+        assert_eq!(got, Ok(CacheState::Disk));
+        assert_eq!(srv.cache_manager().popularity().count("m"), before);
+        assert_eq!(srv.stream_count(), streams + 1);
     }
 
     /// The admission decision as the server made it before the fold:

@@ -227,12 +227,14 @@ impl TimeDrivenBuffer {
     }
 
     /// The earliest buffered timestamp.
-    pub fn first_timestamp(&self) -> Option<Duration> {
+    #[cfg(test)]
+    pub(crate) fn first_timestamp(&self) -> Option<Duration> {
         self.entries.front().map(|e| e.timestamp)
     }
 
     /// The latest buffered timestamp (the paper's `T_read_ahead` frontier).
-    pub fn last_timestamp(&self) -> Option<Duration> {
+    #[cfg(test)]
+    pub(crate) fn last_timestamp(&self) -> Option<Duration> {
         self.entries.back().map(|e| e.timestamp)
     }
 

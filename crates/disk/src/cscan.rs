@@ -87,7 +87,8 @@ impl<T> CScanQueue<T> {
     }
 
     /// Peeks at the cylinder the next pop would service.
-    pub fn peek_next_cyl(&self, head_cyl: u32) -> Option<u32> {
+    #[cfg(test)]
+    fn peek_next_cyl(&self, head_cyl: u32) -> Option<u32> {
         if self.entries.is_empty() {
             return None;
         }

@@ -73,11 +73,6 @@ pub struct DiskStats {
 }
 
 impl DiskStats {
-    /// Total completed operations.
-    pub fn total_ops(&self) -> u64 {
-        self.ops.0 + self.ops.1
-    }
-
     /// Total bytes across both classes.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.0 + self.bytes.1
@@ -146,7 +141,8 @@ impl<T> DiskDevice<T> {
     }
 
     /// Whether the volume is marked down.
-    pub fn is_down(&self) -> bool {
+    #[cfg(test)]
+    fn is_down(&self) -> bool {
         self.down
     }
 
@@ -173,12 +169,6 @@ impl<T> DiskDevice<T> {
     /// The installed injector, if any (for its counters).
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
         self.faults.as_ref()
-    }
-
-    /// Mutable access to the installed injector (for scheduling faults
-    /// on an already-installed carrier).
-    pub fn fault_injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.faults.as_mut()
     }
 
     /// The calibrated ST32550N device used by the paper's evaluation, with
@@ -217,7 +207,8 @@ impl<T> DiskDevice<T> {
     }
 
     /// Queue depths `(real-time, normal)`, excluding the in-flight op.
-    pub fn queue_depths(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn queue_depths(&self) -> (usize, usize) {
         (self.rt_queue.len(), self.normal_queue.len())
     }
 
@@ -366,11 +357,6 @@ impl<T> DiskDevice<T> {
             .pop_next(self.head_cyl)
             .or_else(|| self.normal_queue.pop_next(self.head_cyl))?;
         let req = pending.item;
-        if let Some(f) = &self.faults {
-            if f.volume_down(now) {
-                self.down = true;
-            }
-        }
         let (breakdown, failed) = if self.down {
             // A dead volume answers each command with a fast error; the
             // head never moves and no media time is spent.
@@ -594,25 +580,9 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_volume_failure_via_injector() {
-        let mut d = small_dev();
-        let mut f = FaultInjector::none(1);
-        f.fail_volume_at(Instant::ZERO + Duration::from_secs(1));
-        d.set_fault_injector(Some(f));
-        let fin = d.submit(Instant::ZERO, DiskRequest::read(0, 8, 1)).unwrap();
-        let (done, _) = d.complete(fin);
-        assert!(!done.failed, "before the schedule fires");
-        let late = Instant::ZERO + Duration::from_secs(2);
-        let fin = d.submit(late, DiskRequest::read(0, 8, 2)).unwrap();
-        let (done, _) = d.complete(fin);
-        assert!(done.failed, "after the schedule fires");
-        assert!(d.is_down());
-    }
-
-    #[test]
     fn media_error_fails_one_op_only() {
         let mut d = small_dev();
-        let mut f = FaultInjector::none(1);
+        let mut f = FaultInjector::new(0.0, Duration::ZERO, 1);
         f.fail_at(2);
         d.set_fault_injector(Some(f));
         let mut now = Instant::ZERO;

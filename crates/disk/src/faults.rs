@@ -1,27 +1,22 @@
-//! Fault injection: transient slowdowns, per-operation media errors, and
-//! permanent volume failures.
+//! Fault injection: transient slowdowns and per-operation media errors.
 //!
 //! Real drives occasionally retry a read (thermal recalibration, ECC
 //! retries, bad-sector remapping) and stall the operation for tens of
 //! milliseconds. The paper's deadline-manager thread exists exactly for
 //! such events ("executes the recovery action from a missed deadline");
 //! injecting them exercises that path and the time-driven buffer's
-//! tolerance. Beyond transient stalls, the redundancy subsystem needs two
-//! harder failure modes:
-//!
-//! * **media errors** — a specific operation exhausts its retries and
-//!   returns failure ([`FaultInjector::fail_at`]);
-//! * **volume loss** — the whole spindle drops off the bus at a scheduled
-//!   time ([`FaultInjector::fail_volume_at`]); every operation from then
-//!   on fails until a replacement volume is attached.
+//! tolerance. A **media error** is a harder failure: a specific operation
+//! exhausts its retries and returns failure ([`FaultInjector::fail_at`]).
+//! Whole-volume loss is not injected here; it is an explicit
+//! `fail_volume` on the device's volume set.
 //!
 //! All faults are deterministic: a seeded PRNG decides transient stalls,
-//! and the permanent-failure schedule is explicit, so runs reproduce bit
-//! for bit.
+//! and media errors are scheduled by operation ordinal, so runs reproduce
+//! bit for bit.
 
 use std::collections::BTreeSet;
 
-use cras_sim::{Duration, Instant, Rng};
+use cras_sim::{Duration, Rng};
 
 /// What the injector decided for one operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,8 +50,6 @@ pub struct FaultInjector {
     /// return a media error.
     fail_ops: BTreeSet<u64>,
     media_errors: u64,
-    /// When the whole volume fails permanently.
-    volume_fail_at: Option<Instant>,
 }
 
 impl FaultInjector {
@@ -75,37 +68,13 @@ impl FaultInjector {
             ops_seen: 0,
             fail_ops: BTreeSet::new(),
             media_errors: 0,
-            volume_fail_at: None,
         }
-    }
-
-    /// A typical retry profile: 1% of operations stall ~25 ms (three
-    /// revolutions plus recalibration).
-    pub fn typical(seed: u64) -> FaultInjector {
-        FaultInjector::new(0.01, Duration::from_millis(25), seed)
-    }
-
-    /// An injector with no transient stalls — a carrier for the
-    /// deterministic permanent-failure schedule only.
-    pub fn none(seed: u64) -> FaultInjector {
-        FaultInjector::new(0.0, Duration::ZERO, seed)
     }
 
     /// Schedules a media error on the `op_n`-th operation this injector
     /// sees (1-based). Idempotent per ordinal.
     pub fn fail_at(&mut self, op_n: u64) {
         self.fail_ops.insert(op_n);
-    }
-
-    /// Schedules permanent volume failure at time `t`. Every operation
-    /// started at or after `t` fails until the volume is replaced.
-    pub fn fail_volume_at(&mut self, t: Instant) {
-        self.volume_fail_at = Some(t);
-    }
-
-    /// Whether the permanent-failure schedule has fired by `now`.
-    pub fn volume_down(&self, now: Instant) -> bool {
-        self.volume_fail_at.is_some_and(|t| now >= t)
     }
 
     /// Decides the fault outcome of the next operation.
@@ -201,7 +170,7 @@ mod tests {
 
     #[test]
     fn scheduled_media_error_fires_once() {
-        let mut f = FaultInjector::none(7);
+        let mut f = FaultInjector::new(0.0, Duration::ZERO, 7);
         f.fail_at(3);
         let outcomes: Vec<Fault> = (0..5).map(|_| f.next_op()).collect();
         assert!(!outcomes[0].media_error && !outcomes[1].media_error);
@@ -219,15 +188,5 @@ mod tests {
         let o = f.next_op();
         assert!(o.media_error);
         assert_eq!(o.delay, Duration::from_millis(25));
-    }
-
-    #[test]
-    fn volume_failure_schedule() {
-        let mut f = FaultInjector::none(1);
-        assert!(!f.volume_down(Instant::ZERO));
-        f.fail_volume_at(Instant::ZERO + Duration::from_secs(5));
-        assert!(!f.volume_down(Instant::ZERO + Duration::from_secs(4)));
-        assert!(f.volume_down(Instant::ZERO + Duration::from_secs(5)));
-        assert!(f.volume_down(Instant::ZERO + Duration::from_secs(6)));
     }
 }

@@ -110,7 +110,8 @@ impl DiskGeometry {
     }
 
     /// Blocks (sectors) in one cylinder at `cyl`.
-    pub fn blocks_per_cylinder(&self, cyl: u32) -> u64 {
+    #[cfg(test)]
+    fn blocks_per_cylinder(&self, cyl: u32) -> u64 {
         self.sectors_per_track(cyl) as u64 * self.heads as u64
     }
 
@@ -137,17 +138,6 @@ impl DiskGeometry {
     pub fn transfer_rate_at(&self, cyl: u32) -> f64 {
         let track_bytes = self.sectors_per_track(cyl) as f64 * BLOCK_SIZE as f64;
         track_bytes / self.rotation_secs()
-    }
-
-    /// Capacity-weighted average media transfer rate in bytes/second.
-    pub fn avg_transfer_rate(&self) -> f64 {
-        let total: u64 = self.total_blocks();
-        let mut acc = 0.0;
-        for z in &self.zones {
-            let z_blocks = z.cyls as u64 * z.sectors_per_track as u64 * self.heads as u64;
-            acc += self.transfer_rate_at(z.first_cyl) * z_blocks as f64 / total as f64;
-        }
-        acc
     }
 
     /// Maps a block number to its cylinder.
@@ -190,13 +180,6 @@ impl DiskGeometry {
         let sector = within_cyl % spt;
         sector as f64 / spt as f64
     }
-
-    /// Cylinder distance between two blocks.
-    pub fn cyl_distance(&self, a: BlockNo, b: BlockNo) -> u32 {
-        let ca = self.cylinder_of(a);
-        let cb = self.cylinder_of(b);
-        ca.abs_diff(cb)
-    }
 }
 
 #[cfg(test)]
@@ -215,13 +198,6 @@ mod tests {
     fn st32550n_rotation_is_8_33ms() {
         let g = DiskGeometry::st32550n();
         assert!((g.rotation_secs() - 0.008333).abs() < 1e-5);
-    }
-
-    #[test]
-    fn st32550n_avg_rate_near_6_5_mbs() {
-        let g = DiskGeometry::st32550n();
-        let mbs = g.avg_transfer_rate() / 1e6;
-        assert!((6.2..7.3).contains(&mbs), "avg rate {mbs} MB/s");
     }
 
     #[test]
@@ -271,16 +247,6 @@ mod tests {
         assert_eq!(g.angle_of(1), 0.25);
         assert_eq!(g.angle_of(3), 0.75);
         assert_eq!(g.angle_of(4), 0.0); // Next cylinder starts over.
-    }
-
-    #[test]
-    fn cyl_distance_symmetric() {
-        let g = DiskGeometry::st32550n();
-        let a = g.first_block_of(10);
-        let b = g.first_block_of(200);
-        assert_eq!(g.cyl_distance(a, b), 190);
-        assert_eq!(g.cyl_distance(b, a), 190);
-        assert_eq!(g.cyl_distance(a, a), 0);
     }
 
     #[test]

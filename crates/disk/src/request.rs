@@ -136,11 +136,6 @@ pub struct Completed<T> {
 }
 
 impl<T> Completed<T> {
-    /// Time spent queued before service began.
-    pub fn queue_delay(&self) -> Duration {
-        self.started_at.since(self.submitted_at)
-    }
-
     /// Total latency from submission to completion.
     pub fn latency(&self) -> Duration {
         self.finished_at.since(self.submitted_at)
@@ -188,7 +183,6 @@ mod tests {
             breakdown: ServiceBreakdown::default(),
             failed: false,
         };
-        assert_eq!(c.queue_delay(), Duration::from_nanos(200));
         assert_eq!(c.latency(), Duration::from_nanos(800));
     }
 }

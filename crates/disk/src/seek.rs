@@ -137,7 +137,8 @@ impl SeekModel {
 
     /// Evaluates the paper's derived parameters for a linear model over a
     /// disk with `n_cyl` cylinders: `(T_seek_min, T_seek_max)` in seconds.
-    pub fn min_max_secs(&self, n_cyl: u32) -> (f64, f64) {
+    #[cfg(test)]
+    fn min_max_secs(&self, n_cyl: u32) -> (f64, f64) {
         match *self {
             SeekModel::Linear { alpha, beta } => (beta, alpha * n_cyl as f64 + beta),
             SeekModel::Measured { .. } => {

@@ -13,7 +13,7 @@
 
 use cras_sim::Instant;
 
-use crate::device::{DiskDevice, DiskStats};
+use crate::device::DiskDevice;
 use crate::request::{Completed, DiskRequest};
 
 /// Identifies one disk within a [`VolumeSet`].
@@ -152,11 +152,6 @@ impl<T> VolumeSet<T> {
         self.volume_mut(vol).complete(now)
     }
 
-    /// True if any volume is servicing an operation.
-    pub fn any_busy(&self) -> bool {
-        self.disks.iter().any(|d| d.is_busy())
-    }
-
     /// Per-volume outstanding command counts (queued in either class
     /// plus any in-flight operation), indexed by volume id — the
     /// device-side half of the read-steering load signal
@@ -173,11 +168,6 @@ impl<T> VolumeSet<T> {
     /// Panics on an out-of-range id.
     pub fn fail_volume(&mut self, vol: VolumeId) {
         self.volume_mut(vol).set_down(true);
-    }
-
-    /// Whether a volume is marked down.
-    pub fn is_down(&self, vol: VolumeId) -> bool {
-        self.volume(vol).is_down()
     }
 
     /// Swaps in a replacement device for `vol` (a fresh spindle after a
@@ -197,35 +187,6 @@ impl<T> VolumeSet<T> {
         }
         self.disks[vol.index()] = device;
         Ok(())
-    }
-
-    /// Panicking wrapper of [`VolumeSet::try_replace_volume`] for callers
-    /// that have already drained the volume.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the old device still has an operation in flight.
-    pub fn replace_volume(&mut self, vol: VolumeId, device: DiskDevice<T>) {
-        if let Err(e) = self.try_replace_volume(vol, device) {
-            panic!("cannot replace {vol}: {e}");
-        }
-    }
-
-    /// Statistics summed across all volumes.
-    pub fn total_stats(&self) -> DiskStats {
-        let mut total = DiskStats::default();
-        for d in &self.disks {
-            let s = d.stats();
-            total.ops.0 += s.ops.0;
-            total.ops.1 += s.ops.1;
-            total.bytes.0 += s.bytes.0;
-            total.bytes.1 += s.bytes.1;
-            total.busy += s.busy;
-            total.seek_time += s.seek_time;
-            total.rotation_time += s.rotation_time;
-            total.transfer_time += s.transfer_time;
-        }
-        total
     }
 }
 
@@ -258,7 +219,7 @@ mod tests {
         let (done0, _) = set.complete(VolumeId(0), f0.unwrap());
         let (done1, _) = set.complete(VolumeId(1), f1.unwrap());
         assert_eq!((done0.req.tag, done1.req.tag), (10, 11));
-        assert!(!set.any_busy());
+        assert!(!set.volume(VolumeId(0)).is_busy() && !set.volume(VolumeId(1)).is_busy());
     }
 
     #[test]
@@ -277,19 +238,6 @@ mod tests {
         assert!(!set.volume(VolumeId(1)).is_busy());
         let (_, next) = set.complete(VolumeId(0), f0);
         assert!(next.is_some(), "queued op starts on its own volume");
-    }
-
-    #[test]
-    fn total_stats_sum_across_volumes() {
-        let mut set = VolumeSet::new(vec![small(), small()]);
-        let t0 = Instant::ZERO;
-        for v in [VolumeId(0), VolumeId(1)] {
-            let fin = set.submit(v, t0, DiskRequest::rt_read(0, 16, 1)).unwrap();
-            set.complete(v, fin);
-        }
-        let total = set.total_stats();
-        assert_eq!(total.ops, (2, 0));
-        assert_eq!(total.bytes.0, 2 * 16 * 512);
     }
 
     #[test]
@@ -368,14 +316,6 @@ mod tests {
         );
         set.complete(VolumeId(0), fin);
         assert_eq!(set.try_replace_volume(VolumeId(0), small()), Ok(()));
-        assert_eq!(set.volume(VolumeId(0)).stats().total_ops(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot replace vol0")]
-    fn replace_volume_panics_while_busy() {
-        let mut set = VolumeSet::new(vec![small()]);
-        set.submit(VolumeId(0), Instant::ZERO, DiskRequest::read(0, 1, 1));
-        set.replace_volume(VolumeId(0), small());
+        assert_eq!(set.volume(VolumeId(0)).stats().ops, (0, 0));
     }
 }

@@ -140,16 +140,6 @@ impl ChunkTable {
         self.worst_rate
     }
 
-    /// Index of the chunk whose `[timestamp, end)` interval contains the
-    /// media time `t`, or `None` past the end.
-    pub fn chunk_at(&self, t: Duration) -> Option<u32> {
-        if self.chunks.is_empty() || t >= self.total_duration() {
-            return None;
-        }
-        let idx = self.chunks.partition_point(|c| c.end_timestamp() <= t);
-        Some(idx as u32)
-    }
-
     /// The chunks whose timestamps fall in `[from, to)` — what CRAS must
     /// pre-fetch for one interval.
     pub fn chunks_in(&self, from: Duration, to: Duration) -> &[Chunk] {
@@ -199,16 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_at_finds_interval() {
-        let t = cbr_table(10, 100, 1);
-        assert_eq!(t.chunk_at(Duration::ZERO), Some(0));
-        assert_eq!(t.chunk_at(ms(99)), Some(0));
-        assert_eq!(t.chunk_at(ms(100)), Some(1));
-        assert_eq!(t.chunk_at(ms(950)), Some(9));
-        assert_eq!(t.chunk_at(ms(1000)), None);
-    }
-
-    #[test]
     fn chunks_in_window() {
         let t = cbr_table(10, 100, 1);
         let w = t.chunks_in(ms(200), ms(500));
@@ -226,7 +206,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.total_duration(), Duration::ZERO);
         assert_eq!(t.avg_rate(), 0.0);
-        assert_eq!(t.chunk_at(Duration::ZERO), None);
         assert_eq!(t.max_chunk_size(), 0);
     }
 

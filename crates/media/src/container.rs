@@ -4,9 +4,9 @@
 //! from the continuous media data file." The paper plays QuickTime
 //! movies, whose `moov` atom carries per-sample size (`stsz`) and
 //! duration (`stts`) tables. This module serializes a [`ChunkTable`] into
-//! an atom-structured byte stream and parses it back, so control files
-//! can be stored in the UFS next to their media files and opened the way
-//! QtPlay opens a movie.
+//! an atom-structured byte stream, so a control file of the right size
+//! can be stored in the UFS next to its media file. The parser lives in
+//! the tests, where it checks the writer round trip.
 //!
 //! Layout (all integers big-endian, atom = `u32 size | 4-byte type`):
 //!
@@ -17,41 +17,7 @@
 //! └── stsz  u32 sizes, one per chunk (or a single fixed size)
 //! ```
 
-use cras_sim::Duration;
-
 use crate::chunk::ChunkTable;
-
-/// Container parse errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ContainerError {
-    /// Input ended inside an atom.
-    Truncated,
-    /// An atom's size field is impossible.
-    BadAtomSize,
-    /// The root is not a `crsm` atom.
-    NotAContainer,
-    /// A required atom is missing.
-    MissingAtom(&'static str),
-    /// Version unsupported.
-    BadVersion(u8),
-    /// Table lengths disagree.
-    Inconsistent,
-}
-
-impl std::fmt::Display for ContainerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ContainerError::Truncated => write!(f, "truncated container"),
-            ContainerError::BadAtomSize => write!(f, "bad atom size"),
-            ContainerError::NotAContainer => write!(f, "not a crsm container"),
-            ContainerError::MissingAtom(a) => write!(f, "missing {a} atom"),
-            ContainerError::BadVersion(v) => write!(f, "unsupported version {v}"),
-            ContainerError::Inconsistent => write!(f, "inconsistent tables"),
-        }
-    }
-}
-
-impl std::error::Error for ContainerError {}
 
 const VERSION: u8 = 1;
 
@@ -111,103 +77,121 @@ pub fn encode(table: &ChunkTable) -> Vec<u8> {
     out
 }
 
-struct Atom<'a> {
-    kind: [u8; 4],
-    body: &'a [u8],
-}
-
-fn parse_atoms(mut data: &[u8]) -> Result<Vec<Atom<'_>>, ContainerError> {
-    let mut out = Vec::new();
-    while !data.is_empty() {
-        if data.len() < 8 {
-            return Err(ContainerError::Truncated);
-        }
-        let size = u32::from_be_bytes([data[0], data[1], data[2], data[3]]) as usize;
-        if size < 8 || size > data.len() {
-            return Err(ContainerError::BadAtomSize);
-        }
-        let kind = [data[4], data[5], data[6], data[7]];
-        out.push(Atom {
-            kind,
-            body: &data[8..size],
-        });
-        data = &data[size..];
-    }
-    Ok(out)
-}
-
-fn be_u32(b: &[u8]) -> Result<u32, ContainerError> {
-    b.get(..4)
-        .map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
-        .ok_or(ContainerError::Truncated)
-}
-
-fn be_u64(b: &[u8]) -> Result<u64, ContainerError> {
-    b.get(..8)
-        .map(|s| u64::from_be_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-        .ok_or(ContainerError::Truncated)
-}
-
-/// Parses `crsm` container bytes back into a chunk table.
-pub fn decode(data: &[u8]) -> Result<ChunkTable, ContainerError> {
-    let roots = parse_atoms(data)?;
-    let root = roots
-        .iter()
-        .find(|a| &a.kind == b"crsm")
-        .ok_or(ContainerError::NotAContainer)?;
-    let atoms = parse_atoms(root.body)?;
-    let find = |kind: &'static [u8; 4], name: &'static str| {
-        atoms
-            .iter()
-            .find(|a| &a.kind == kind)
-            .map(|a| a.body)
-            .ok_or(ContainerError::MissingAtom(name))
-    };
-    let shdr = find(b"shdr", "shdr")?;
-    let version = *shdr.first().ok_or(ContainerError::Truncated)?;
-    if version != VERSION {
-        return Err(ContainerError::BadVersion(version));
-    }
-    let count = be_u32(&shdr[1..])? as usize;
-
-    // Durations.
-    let stts = find(b"stts", "stts")?;
-    let nruns = be_u32(stts)? as usize;
-    let mut durations: Vec<Duration> = Vec::with_capacity(count);
-    let mut off = 4;
-    for _ in 0..nruns {
-        let n = be_u32(&stts[off..])?;
-        let d = be_u64(&stts[off + 4..])?;
-        off += 12;
-        for _ in 0..n {
-            durations.push(Duration::from_nanos(d));
-        }
-    }
-    if durations.len() != count {
-        return Err(ContainerError::Inconsistent);
-    }
-
-    // Sizes.
-    let stsz = find(b"stsz", "stsz")?;
-    let fixed = be_u32(stsz)?;
-    let mut sizes: Vec<u32> = Vec::with_capacity(count);
-    if fixed != 0 {
-        sizes.resize(count, fixed);
-    } else {
-        let mut off = 4;
-        for _ in 0..count {
-            sizes.push(be_u32(&stsz[off..])?);
-            off += 4;
-        }
-    }
-
-    let items: Vec<(Duration, u32)> = durations.into_iter().zip(sizes).collect();
-    Ok(ChunkTable::from_durations_sizes(&items))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cras_sim::Duration;
+
+    /// Container parse errors.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum ContainerError {
+        /// Input ended inside an atom.
+        Truncated,
+        /// An atom's size field is impossible.
+        BadAtomSize,
+        /// The root is not a `crsm` atom.
+        NotAContainer,
+        /// A required atom is missing.
+        MissingAtom(&'static str),
+        /// Version unsupported.
+        BadVersion(u8),
+        /// Table lengths disagree.
+        Inconsistent,
+    }
+
+    struct Atom<'a> {
+        kind: [u8; 4],
+        body: &'a [u8],
+    }
+
+    fn parse_atoms(mut data: &[u8]) -> Result<Vec<Atom<'_>>, ContainerError> {
+        let mut out = Vec::new();
+        while !data.is_empty() {
+            if data.len() < 8 {
+                return Err(ContainerError::Truncated);
+            }
+            let size = u32::from_be_bytes([data[0], data[1], data[2], data[3]]) as usize;
+            if size < 8 || size > data.len() {
+                return Err(ContainerError::BadAtomSize);
+            }
+            let kind = [data[4], data[5], data[6], data[7]];
+            out.push(Atom {
+                kind,
+                body: &data[8..size],
+            });
+            data = &data[size..];
+        }
+        Ok(out)
+    }
+
+    fn be_u32(b: &[u8]) -> Result<u32, ContainerError> {
+        b.get(..4)
+            .map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
+            .ok_or(ContainerError::Truncated)
+    }
+
+    fn be_u64(b: &[u8]) -> Result<u64, ContainerError> {
+        b.get(..8)
+            .map(|s| u64::from_be_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
+            .ok_or(ContainerError::Truncated)
+    }
+
+    /// Parses `crsm` container bytes back into a chunk table.
+    fn decode(data: &[u8]) -> Result<ChunkTable, ContainerError> {
+        let roots = parse_atoms(data)?;
+        let root = roots
+            .iter()
+            .find(|a| &a.kind == b"crsm")
+            .ok_or(ContainerError::NotAContainer)?;
+        let atoms = parse_atoms(root.body)?;
+        let find = |kind: &'static [u8; 4], name: &'static str| {
+            atoms
+                .iter()
+                .find(|a| &a.kind == kind)
+                .map(|a| a.body)
+                .ok_or(ContainerError::MissingAtom(name))
+        };
+        let shdr = find(b"shdr", "shdr")?;
+        let version = *shdr.first().ok_or(ContainerError::Truncated)?;
+        if version != VERSION {
+            return Err(ContainerError::BadVersion(version));
+        }
+        let count = be_u32(&shdr[1..])? as usize;
+
+        // Durations.
+        let stts = find(b"stts", "stts")?;
+        let nruns = be_u32(stts)? as usize;
+        let mut durations: Vec<Duration> = Vec::with_capacity(count);
+        let mut off = 4;
+        for _ in 0..nruns {
+            let n = be_u32(&stts[off..])?;
+            let d = be_u64(&stts[off + 4..])?;
+            off += 12;
+            for _ in 0..n {
+                durations.push(Duration::from_nanos(d));
+            }
+        }
+        if durations.len() != count {
+            return Err(ContainerError::Inconsistent);
+        }
+
+        // Sizes.
+        let stsz = find(b"stsz", "stsz")?;
+        let fixed = be_u32(stsz)?;
+        let mut sizes: Vec<u32> = Vec::with_capacity(count);
+        if fixed != 0 {
+            sizes.resize(count, fixed);
+        } else {
+            let mut off = 4;
+            for _ in 0..count {
+                sizes.push(be_u32(&stsz[off..])?);
+                off += 4;
+            }
+        }
+
+        let items: Vec<(Duration, u32)> = durations.into_iter().zip(sizes).collect();
+        Ok(ChunkTable::from_durations_sizes(&items))
+    }
     use crate::movie::generate_chunks;
     use crate::rates::StreamProfile;
     use cras_sim::Rng;

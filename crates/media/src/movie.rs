@@ -90,28 +90,6 @@ pub fn record_movie(
     })
 }
 
-/// Opens a movie "the QtPlay way": parse its control file and pair it
-/// with the media file. The caller provides the control bytes (the
-/// simulation stores layout, not contents, so the encoded table travels
-/// with the open call in tests and examples).
-pub fn open_movie(
-    fs: &Ufs,
-    name: &str,
-    control_bytes: &[u8],
-    profile: StreamProfile,
-) -> Result<Movie, crate::container::ContainerError> {
-    let table = crate::container::decode(control_bytes)?;
-    let ino = fs
-        .lookup(name)
-        .map_err(|_| crate::container::ContainerError::MissingAtom("media file"))?;
-    Ok(Movie {
-        name: name.to_string(),
-        ino,
-        table,
-        profile,
-    })
-}
-
 /// Records `n` movies named `{prefix}{i}` with the same profile/length.
 pub fn record_library(
     fs: &mut Ufs,
@@ -183,39 +161,6 @@ mod tests {
         record_movie(&mut fs, "x", StreamProfile::mpeg1(), 1.0, &mut rng).unwrap();
         let e = record_movie(&mut fs, "x", StreamProfile::mpeg1(), 1.0, &mut rng);
         assert!(matches!(e, Err(FsError::Exists)));
-    }
-
-    #[test]
-    fn open_movie_roundtrips_through_the_control_file() {
-        let mut fs = fs();
-        let mut rng = Rng::new(7);
-        let m = record_movie(
-            &mut fs,
-            "r.mov",
-            StreamProfile::jpeg_vbr(187_500.0),
-            8.0,
-            &mut rng,
-        )
-        .unwrap();
-        // The .ctl file exists beside the media file.
-        let ctl_ino = fs.lookup("r.mov.ctl").unwrap();
-        let ctl_bytes = crate::container::encode(&m.table);
-        assert_eq!(fs.file_size(ctl_ino), ctl_bytes.len() as u64);
-        // QtPlay-style open: parse control bytes, resolve the media file.
-        let opened = open_movie(&fs, "r.mov", &ctl_bytes, m.profile).unwrap();
-        assert_eq!(opened.ino, m.ino);
-        assert_eq!(opened.table, m.table);
-    }
-
-    #[test]
-    fn open_movie_rejects_missing_media() {
-        let fs = fs();
-        let table = {
-            let mut rng = Rng::new(8);
-            generate_chunks(&StreamProfile::mpeg1(), 1.0, &mut rng)
-        };
-        let bytes = crate::container::encode(&table);
-        assert!(open_movie(&fs, "ghost.mov", &bytes, StreamProfile::mpeg1()).is_err());
     }
 
     #[test]

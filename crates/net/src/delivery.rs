@@ -153,11 +153,6 @@ impl NetDelivery {
         self.multicast = on;
     }
 
-    /// Whether multicast fan-out is enabled.
-    pub fn is_multicast(&self) -> bool {
-        self.multicast
-    }
-
     /// Number of links.
     pub fn link_count(&self) -> usize {
         self.links.len()

@@ -185,7 +185,8 @@ impl<T: Copy> Cpu<T> {
 
     /// Total CPU time consumed by a thread so far (not counting the
     /// currently running slice).
-    pub fn runtime(&self, tid: ThreadId) -> Duration {
+    #[cfg(test)]
+    fn runtime(&self, tid: ThreadId) -> Duration {
         self.threads[tid.0 as usize].total_cpu
     }
 
@@ -392,7 +393,7 @@ mod tests {
                 let (t, tok) = events.remove(0);
                 let out = cpu.slice_end(tok, t);
                 if let Some(b) = out.completed {
-                    done.push((t.since(Instant::ZERO).as_millis(), b.tid, b.tag));
+                    done.push((t.since(Instant::ZERO).as_nanos() / 1_000_000, b.tid, b.tag));
                 }
                 if let Some(r) = out.resched {
                     events.push(r);
@@ -805,7 +806,9 @@ mod tests {
                             0 => t,
                             1 => now,
                             _ => {
-                                now + Duration::from_micros(rng.below(t.since(now).as_micros() + 1))
+                                now + Duration::from_micros(
+                                    rng.below(t.since(now).as_nanos() / 1_000 + 1),
+                                )
                             }
                         };
                     } else {

@@ -18,13 +18,6 @@ impl ThreadId {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// Builds an id from a raw index. Only meaningful for ids previously
-    /// obtained from the same [`crate::sched::Cpu`]; exists so other
-    /// crates can store placeholder ids in tests.
-    pub fn from_raw(index: u32) -> ThreadId {
-        ThreadId(index)
-    }
 }
 
 /// Scheduling policy of a thread.

@@ -184,8 +184,9 @@ impl<E> Engine<E> {
     }
 
     /// Advances the virtual clock to `t` without dispatching anything.
-    /// Used by crash recovery to fast-forward a freshly built system to
-    /// the crash instant before resuming journaled streams.
+    /// The cluster gateway uses it to bring a shard whose queue ran dry
+    /// up to the barrier, so every live shard stands at the same
+    /// instant.
     ///
     /// # Panics
     ///

@@ -125,11 +125,6 @@ impl<T> IdTable<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> + Clone + '_ {
         self.slots.iter().flatten()
     }
-
-    /// Live values in ascending id order, mutably.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
-        self.slots.iter_mut().flatten()
-    }
 }
 
 impl<T> Index<&u32> for IdTable<T> {
@@ -202,10 +197,7 @@ mod tests {
         for (id, v) in t.iter_mut() {
             *v += id;
         }
-        for v in t.values_mut() {
-            *v += 1;
-        }
-        assert_eq!(t.values().copied().collect::<Vec<_>>(), [12, 78, 100]);
+        assert_eq!(t.values().copied().collect::<Vec<_>>(), [11, 77, 99]);
     }
 
     #[test]

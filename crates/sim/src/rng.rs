@@ -106,13 +106,6 @@ impl Rng {
         self.f64() < p
     }
 
-    /// Sample from an exponential distribution with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        // Avoid ln(0).
-        let u = 1.0 - self.f64();
-        -mean * u.ln()
-    }
-
     /// Sample from a normal distribution (Box–Muller, one sample per call).
     pub fn normal(&mut self, mean: f64, stddev: f64) -> f64 {
         let u1 = 1.0 - self.f64();
@@ -205,14 +198,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| r.f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean={mean}");
-    }
-
-    #[test]
-    fn exponential_mean_is_plausible() {
-        let mut r = Rng::new(6);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.2, "mean={mean}");
     }
 
     #[test]

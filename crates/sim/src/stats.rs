@@ -88,26 +88,6 @@ impl OnlineStats {
             self.max
         }
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A full-sample reservoir for exact percentiles (fine for the sizes the
@@ -245,12 +225,6 @@ impl Histogram {
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
-
-    /// The midpoint value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
 }
 
 /// A `(time, value)` trace, e.g. per-frame delay over a run (Fig 7/10).
@@ -299,20 +273,6 @@ impl TimeSeries {
             s.add(v);
         }
         s
-    }
-
-    /// Downsamples to at most `n` evenly spaced points (for printing).
-    pub fn downsample(&self, n: usize) -> Vec<(Instant, f64)> {
-        if n == 0 || self.points.is_empty() {
-            return Vec::new();
-        }
-        if self.points.len() <= n {
-            return self.points.clone();
-        }
-        let step = self.points.len() as f64 / n as f64;
-        (0..n)
-            .map(|i| self.points[(i as f64 * step) as usize])
-            .collect()
     }
 }
 
@@ -406,27 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 13 % 31) as f64).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn samples_percentiles() {
         let mut s = Samples::new();
         for i in (1..=100).rev() {
@@ -458,11 +397,10 @@ mod tests {
         assert_eq!(h.bins()[9], 1);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn time_series_summary_and_downsample() {
+    fn time_series_summary() {
         let mut ts = TimeSeries::new();
         for i in 0..100u64 {
             ts.push(Instant::from_nanos(i * 1000), i as f64);
@@ -470,9 +408,6 @@ mod tests {
         assert_eq!(ts.len(), 100);
         let s = ts.summary();
         assert!((s.mean() - 49.5).abs() < 1e-9);
-        let d = ts.downsample(10);
-        assert_eq!(d.len(), 10);
-        assert_eq!(d[0].1, 0.0);
     }
 
     #[test]

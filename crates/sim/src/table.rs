@@ -94,20 +94,6 @@ impl Table {
     }
 }
 
-/// Formats a float with a fixed number of decimals (helper for rows).
-pub fn fnum(x: f64, decimals: usize) -> String {
-    format!("{x:.decimals$}")
-}
-
-/// Renders an `(x, y)` series as one aligned line per point, with a title.
-pub fn render_series(title: &str, xlabel: &str, ylabel: &str, points: &[(f64, f64)]) -> String {
-    let mut t = Table::new(&[xlabel, ylabel]);
-    for &(x, y) in points {
-        t.row(&[&fnum(x, 3), &fnum(y, 6)]);
-    }
-    format!("# {title}\n{}", t.render())
-}
-
 /// Renders a crude ASCII sparkline of `values` scaled into `width` columns
 /// and 8 vertical levels — handy for eyeballing delay traces in a terminal.
 pub fn sparkline(values: &[f64]) -> String {
@@ -152,13 +138,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("extra"));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn series_rendering() {
-        let s = render_series("fig", "n", "mbps", &[(1.0, 0.1875), (2.0, 0.375)]);
-        assert!(s.starts_with("# fig"));
-        assert!(s.contains("0.375000"));
     }
 
     #[test]

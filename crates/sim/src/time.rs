@@ -60,25 +60,9 @@ impl Duration {
         Duration((s * NANOS_PER_SEC as f64).round() as u64)
     }
 
-    /// Creates a duration from fractional milliseconds (clamping like
-    /// [`Duration::from_secs_f64`]).
-    pub fn from_millis_f64(ms: f64) -> Duration {
-        Duration::from_secs_f64(ms / 1_000.0)
-    }
-
     /// Returns the duration as integer nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the duration as integer microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / NANOS_PER_MICRO
-    }
-
-    /// Returns the duration as integer milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / NANOS_PER_MILLI
     }
 
     /// Returns the duration as fractional seconds.
@@ -348,7 +332,6 @@ mod tests {
         assert_eq!(Duration::from_millis(1), Duration::from_micros(1_000));
         assert_eq!(Duration::from_secs(1), Duration::from_millis(1_000));
         assert_eq!(Duration::from_secs_f64(0.5), Duration::from_millis(500));
-        assert_eq!(Duration::from_millis_f64(8.33).as_micros(), 8_330);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! executor half of [`crate::system::System`] applies them in push order
 //! against the real substrates. This is the PHASM shape,
 //! `(State, Event) → (State', Actions)`: transitions become replayable
-//! and order-auditable, which is what the transition journal, the crash
-//! recovery path and the same-tick interleaving fuzzer are built on.
+//! and order-auditable, which is what the same-tick interleaving fuzzer
+//! is built on.
 //!
 //! Apply order equals push order, and every deferred effect lands at the
 //! same virtual instant the handler ran, so the executor reproduces the
@@ -18,7 +18,6 @@ use cras_disk::{DiskRequest, VolumeId};
 use cras_rtmach::ThreadId;
 use cras_sim::{Duration, Instant};
 
-use crate::journal::JournalRecord;
 use crate::tags::{CpuTag, DiskTag, Event};
 
 /// One deferred side effect emitted by a state transition.
@@ -65,6 +64,4 @@ pub enum Action {
         /// Rendered message.
         message: String,
     },
-    /// Append a durable record to the transition journal.
-    Journal(JournalRecord),
 }

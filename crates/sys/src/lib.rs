@@ -6,8 +6,6 @@
 //!   the thin executor that pops events and applies the emitted
 //!   [`action::Action`]s against engine, disks and CPU.
 //! * [`action`] — the effect vocabulary transitions emit.
-//! * [`journal`] — the durable transition journal crash recovery
-//!   replays.
 //! * [`player`] — QtPlay-like clients measuring per-frame delay.
 //! * [`bgload`] — the `cat` background readers.
 //! * [`config`] — scheduling mode, CPU cost model, priorities.
@@ -28,7 +26,6 @@
 pub mod action;
 pub mod bgload;
 pub mod config;
-pub mod journal;
 pub mod metrics;
 mod placement;
 pub mod player;
@@ -39,8 +36,7 @@ pub mod tags;
 pub use action::Action;
 pub use bgload::BgReader;
 pub use config::{prio, CpuCosts, IssueMode, SchedMode, SysConfig};
-pub use journal::{Journal, JournalRecord};
-pub use metrics::{IntervalIo, IntervalWall, Metrics, ShardLoad, VolumeHealth};
+pub use metrics::{IntervalIo, IntervalWall, Metrics, ShardLoad};
 pub use placement::MoviePlacement;
 pub use player::{Player, PlayerMode, PlayerStats};
 pub use rebuild::{plan_chunks, plan_parity_recon, RebuildChunk, RebuildManager, SrcRead};

@@ -264,21 +264,6 @@ pub struct ShardLoad {
     pub recent_lag: f64,
 }
 
-/// Per-volume fault/health report assembled from the disk substrate.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct VolumeHealth {
-    /// Volume id.
-    pub volume: u32,
-    /// Operations the fault injector has seen (0 without an injector).
-    pub ops_seen: u64,
-    /// Transient retry stalls injected.
-    pub transient_faults: u64,
-    /// Media errors injected (each fails one operation).
-    pub media_errors: u64,
-    /// Whether the volume is currently down.
-    pub down: bool,
-}
-
 impl Metrics {
     /// Creates empty metrics.
     pub fn new() -> Metrics {

@@ -155,16 +155,6 @@ impl Player {
         (s.mean(), s.max())
     }
 
-    /// Fraction of consumed frame slots that were actually shown.
-    pub fn goodput(&self) -> f64 {
-        let total = self.stats.frames_shown + self.stats.frames_dropped;
-        if total == 0 {
-            0.0
-        } else {
-            self.stats.frames_shown as f64 / total as f64
-        }
-    }
-
     /// Average consumption rate over a window (bytes/second).
     pub fn throughput(&self, window: Duration) -> f64 {
         if window.is_zero() {
@@ -179,6 +169,7 @@ impl Player {
 mod tests {
     use super::*;
     use cras_media::StreamProfile;
+    use cras_rtmach::{Cpu, SchedPolicy};
     use cras_sim::Rng;
 
     fn table() -> ChunkTable {
@@ -192,7 +183,7 @@ mod tests {
             PlayerMode::Ufs { ino: 0, vol: 0 },
             table(),
             stride,
-            ThreadId::from_raw(0),
+            Cpu::<()>::new().create("player", SchedPolicy::FixedPriority { prio: 1 }),
         )
     }
 
@@ -240,12 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn goodput_counts_drops() {
+    fn shown_and_dropped_frames_are_counted() {
         let mut p = player(1);
         p.playback_start = Instant::ZERO;
         p.frame_shown(0, Instant::ZERO);
         p.frame_dropped(Instant::from_secs_f64(0.1));
-        assert!((p.goodput() - 0.5).abs() < 1e-9);
+        assert_eq!((p.stats.frames_shown, p.stats.frames_dropped), (1, 1));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * [`SysState`] is the pure transition core. Its event handlers mutate
 //!   only component state and push the side effects they want — disk
-//!   submits, timer arms, CPU wakes, trace and journal records — onto
-//!   an [`Action`] buffer. They never touch the engine, the disks or
+//!   submits, timer arms, CPU wakes and trace records — onto an
+//!   [`Action`] buffer. They never touch the engine, the disks or
 //!   the CPU.
 //! * [`System`] is the thin executor: it owns the executable substrates
 //!   (engine, volume set, CPU), pops events, calls the matching
@@ -21,7 +21,7 @@
 //! disk devices" variation. With one volume the system is byte-identical
 //! to the single-disk original.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use cras_core::{
     AdmissionError, Admit, CacheState, CrasServer, OpenReq, ReadId, ReadReq, StreamId, VolumeLoad,
@@ -39,8 +39,7 @@ use cras_ufs::{FsReq, Ino, MkfsParams, Step, Ufs, UnixServer, SECT_PER_FSBLOCK};
 use crate::action::Action;
 use crate::bgload::{BgReader, BgWriter};
 use crate::config::{prio, IssueMode, SchedMode, SysConfig};
-use crate::journal::{Journal, JournalRecord};
-use crate::metrics::{Metrics, ShardLoad, VolumeHealth};
+use crate::metrics::{Metrics, ShardLoad};
 use crate::placement::{self, file_extents, MoviePlacement};
 use crate::player::{Player, PlayerMode};
 use crate::rebuild::RebuildManager;
@@ -234,10 +233,7 @@ pub struct SysState {
 /// reachable as before (`sys.players`, `sys.cras`, …). The executor half
 /// is the private `System::handle`, driven by [`System::run_until`]: pop
 /// an event, run the pure transition, apply the emitted [`Action`]s in
-/// push order. Durable control decisions
-/// (recordings, admissions, starts/stops, volume failures, rebuild
-/// lifecycle) additionally land in the transition [`Journal`], which
-/// [`System::recover`] replays after a crash.
+/// push order.
 pub struct System {
     /// The event queue and virtual clock.
     pub engine: Engine<Event>,
@@ -248,8 +244,6 @@ pub struct System {
     pub cpu: Cpu<CpuTag>,
     /// The pure transition core.
     state: SysState,
-    /// The durable transition journal.
-    journal: Journal,
     /// Reused action buffer (drained after every transition).
     actions: Vec<Action>,
     /// Reused per-spindle load snapshot, refilled at every scheduler
@@ -340,7 +334,6 @@ impl System {
                 serial_batches: VecDeque::new(),
                 serial_outstanding: HashSet::new(),
             },
-            journal: Journal::new(),
             actions: Vec::new(),
             loads: Vec::new(),
         }
@@ -364,11 +357,6 @@ impl System {
     /// The volume-0 disk (single-disk compatibility accessor).
     pub fn disk(&self) -> &DiskDevice<DiskTag> {
         self.disks.volume(VolumeId(0))
-    }
-
-    /// The transition journal accumulated so far.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
     }
 }
 
@@ -403,17 +391,19 @@ impl SysState {
     }
 
     /// Where a movie's data lives (if it was recorded through
-    /// [`System::record_movie`]).
+    /// [`SysState::record_movie`]).
     pub fn placement(&self, name: &str) -> Option<&MoviePlacement> {
         self.placements.get(name)
     }
 
-    /// Records a movie into the file system. The public entry point is
-    /// [`System::record_movie`], which journals the recording so crash
-    /// recovery can replay it; placement is a pure function of the
-    /// config seed and the record order, so replaying the journal
-    /// reproduces it exactly.
-    fn record_movie(&mut self, name: &str, profile: StreamProfile, secs: f64) -> Movie {
+    /// Records a movie into the file system (setup phase; consumes no
+    /// simulated time) under the configured placement policy:
+    /// round-robin puts the whole movie on the next volume in rotation,
+    /// striped spreads it over every volume in stripe units, mirrored
+    /// writes it to a primary and a mirror volume, and parity lays it out
+    /// in rotating-parity rows across the next band. Placement is a pure
+    /// function of the config seed and the record order.
+    pub fn record_movie(&mut self, name: &str, profile: StreamProfile, secs: f64) -> Movie {
         let (placement, movie) = placement::record(
             self.cfg.server.placement,
             &mut self.cras,
@@ -444,11 +434,7 @@ impl SysState {
     /// Opens a CRAS stream for `movie`: the admission half of
     /// [`System::add_cras_player`]. With admission enforcement off, a
     /// checked open the test refuses is installed unchecked instead.
-    fn open_cras_stream(
-        &mut self,
-        movie: &Movie,
-        admit: Admit,
-    ) -> Result<StreamId, AdmissionError> {
+    fn open_cras_stream(&mut self, movie: &Movie) -> Result<StreamId, AdmissionError> {
         let (extents, mirror, parity) = match self.placements.get(&movie.name) {
             Some(p) => p.resolve(&self.fs, movie.ino),
             // Movies created directly through `ufs_mut()` (tests,
@@ -461,11 +447,9 @@ impl SysState {
             extents,
             mirror,
             parity,
-            admit,
+            admit: Admit::Checked,
         };
-        // A parity movie's deferred open takes the checked ladder.
-        let checked = admit == Admit::Checked || req.parity.is_some();
-        if self.cfg.enforce_admission || !checked {
+        if self.cfg.enforce_admission {
             return self.cras.open(req);
         }
         self.cras.open(req.clone()).or_else(|_| {
@@ -502,59 +486,15 @@ impl System {
         }
     }
 
-    /// Records a movie into the file system (setup phase; consumes no
-    /// simulated time) under the configured placement policy:
-    /// round-robin puts the whole movie on the next volume in rotation,
-    /// striped spreads it over every volume in stripe units, mirrored
-    /// writes it to a primary and a mirror volume, and parity lays it out
-    /// in rotating-parity rows across the next band. The recording is
-    /// journaled: replaying the journal against the same config seed
-    /// reproduces the placement exactly.
-    pub fn record_movie(&mut self, name: &str, profile: StreamProfile, secs: f64) -> Movie {
-        let movie = self.state.record_movie(name, profile, secs);
-        self.journal.append(
-            self.engine.now(),
-            JournalRecord::Recorded {
-                name: name.to_string(),
-                profile,
-                secs,
-            },
-        );
-        movie
-    }
-
-    /// Adds a player that consumes a movie through CRAS (`crs_open`).
-    /// The admission is journaled so crash recovery can re-open it; a
-    /// deferred (prefix-resident) admission gets its own record so the
-    /// replay uses the deferred path — the cache is empty after a crash
-    /// and the ordinary test could spuriously reject the stream.
+    /// Adds a player that consumes a movie through CRAS (`crs_open`):
+    /// admits the stream, allocates the client and creates its decode
+    /// thread.
     pub fn add_cras_player(
         &mut self,
         movie: &Movie,
         stride: u32,
     ) -> Result<ClientId, AdmissionError> {
-        let stream = self.state.open_cras_stream(movie, Admit::Checked)?;
-        Ok(self.install_cras_player(movie, stride, stream))
-    }
-
-    /// Recovery replay of a journaled deferred admission: re-opens the
-    /// stream with zero disk shares (buffer memory still checked), in
-    /// [`CacheState::Prefix`]. Parity-placed movies have no deferred
-    /// open; they fall back to the ordinary admission test.
-    fn add_cras_player_deferred(
-        &mut self,
-        movie: &Movie,
-        stride: u32,
-    ) -> Result<ClientId, AdmissionError> {
-        let stream = self.state.open_cras_stream(movie, Admit::Deferred)?;
-        Ok(self.install_cras_player(movie, stride, stream))
-    }
-
-    /// Player bookkeeping shared by the ordinary and deferred admission
-    /// paths: allocates the client, creates its decode thread, and
-    /// journals the admission under the record matching the stream's
-    /// cache state.
-    fn install_cras_player(&mut self, movie: &Movie, stride: u32, stream: StreamId) -> ClientId {
+        let stream = self.state.open_cras_stream(movie)?;
         let id = self.state.alloc_client();
         let tid = self.cpu.create(
             &format!("player{}", id.0),
@@ -571,26 +511,10 @@ impl System {
             ),
         );
         self.state.stream_clients.insert(stream.0, id);
-        let rec = if matches!(self.state.cras.cache_state_of(stream), CacheState::Prefix) {
-            JournalRecord::DeferredAdmitted {
-                client: id.0,
-                movie: movie.name.clone(),
-                stride,
-            }
-        } else {
-            JournalRecord::Admitted {
-                client: id.0,
-                movie: movie.name.clone(),
-                stride,
-            }
-        };
-        self.journal.append(self.engine.now(), rec);
-        id
+        Ok(id)
     }
 
     /// Adds a player that reads the movie through the Unix file system.
-    /// Not journaled: UFS playback holds no CRAS reservation, so there
-    /// is nothing durable to recover.
     pub fn add_ufs_player(&mut self, movie: &Movie, stride: u32) -> ClientId {
         let vol = self.state.movie_volume(movie);
         let id = self.state.alloc_client();
@@ -735,43 +659,14 @@ impl System {
             .due(0)
             .max(now);
         self.engine.schedule(due0, Event::PlayerFrame(client));
-        self.journal.append(
-            now,
-            JournalRecord::Started {
-                client: client.0,
-                playback_start: start,
-            },
-        );
         start
     }
 
-    /// Stops a player: CRAS players `crs_stop` their stream, releasing
-    /// its reservation; the player is marked done. Journaled, so crash
-    /// recovery does not resurrect the stream.
-    pub fn stop_playback(&mut self, client: ClientId) {
-        let now = self.now();
-        let Some(mode) = self.state.players.get(&client.0).map(|p| p.mode) else {
-            return;
-        };
-        if let PlayerMode::Cras { stream } = mode {
-            self.state.cras.stop(stream, now);
-        }
-        if let Some(p) = self.state.players.get_mut(&client.0) {
-            p.done = true;
-        }
-        self.journal
-            .append(now, JournalRecord::Stopped { client: client.0 });
-    }
-
     /// Ends a viewer session for good: CRAS players `crs_close` their
-    /// stream, which releases the admission shares *and* the stream
-    /// slot (unlike [`System::stop_playback`], after which the stopped
-    /// stream still occupies the table and counts against any
-    /// stream-count cap). The player record stays for its stats but is
-    /// marked done, so queued poll/decode events retire harmlessly.
-    /// Journaled as a stop, so crash recovery skips the stream.
+    /// stream, which releases the admission shares and the stream
+    /// slot. The player record stays for its stats but is marked done,
+    /// so queued poll/decode events retire harmlessly.
     pub fn close_playback(&mut self, client: ClientId) {
-        let now = self.now();
         let Some(mode) = self.state.players.get(&client.0).map(|p| p.mode) else {
             return;
         };
@@ -781,16 +676,13 @@ impl System {
         if let Some(p) = self.state.players.get_mut(&client.0) {
             p.done = true;
         }
-        self.journal
-            .append(now, JournalRecord::Stopped { client: client.0 });
     }
 
     /// Retries admission for a parked (rebuffering) viewer: the stream
     /// re-runs the feed ladder (disk share, then cache window) and, on
     /// success, playback resumes from the frozen position after the
-    /// standard initial delay. A resumed disk share is journaled like
-    /// any reserve-at-drain promotion. Returns whether the viewer
-    /// resumed; a viewer that is not paused (or is done) returns false.
+    /// standard initial delay. Returns whether the viewer resumed; a
+    /// viewer that is not paused (or is done) returns false.
     pub fn retry_parked(&mut self, client: ClientId) -> bool {
         let now = self.now();
         let mut acts = std::mem::take(&mut self.actions);
@@ -802,50 +694,24 @@ impl System {
 
     // ----- delivery subsystem setup (DESIGN §18) -----------------------
 
-    /// Adds a delivery link and returns its index. Journaled, so crash
-    /// recovery re-creates links in order and indices stay stable.
+    /// Adds a delivery link and returns its index.
     pub fn net_add_link(&mut self, params: LinkParams) -> u32 {
-        let id = self.state.net.add_link(params);
-        self.journal.append(
-            self.now(),
-            JournalRecord::NetLink {
-                bandwidth: params.bandwidth,
-                latency_ns: params.latency.as_nanos(),
-                per_packet_ns: params.per_packet.as_nanos(),
-            },
-        );
-        id
+        self.state.net.add_link(params)
     }
 
     /// Attaches a delivery session for `client` on `link`: every frame
     /// the client decodes from here on travels the paced link into a
-    /// bounded playout buffer. Journaled for recovery.
+    /// bounded playout buffer.
     pub fn net_attach(&mut self, client: ClientId, link: u32, cfg: SessionCfg) {
         self.state.net.attach(client.0, link, cfg);
-        self.journal.append(
-            self.now(),
-            JournalRecord::NetSession {
-                client: client.0,
-                link,
-                playout_delay_ns: cfg.playout_delay.as_nanos(),
-                high_watermark: cfg.high_watermark,
-                low_watermark: cfg.low_watermark,
-                drain_scale: cfg.drain_scale,
-            },
-        );
     }
 
     /// Switches multicast fan-out for joined groups on or off.
-    /// Journaled for recovery.
     pub fn net_set_multicast(&mut self, on: bool) {
         self.state.net.set_multicast(on);
-        self.journal
-            .append(self.now(), JournalRecord::NetMulticast { on });
     }
 
     /// Installs (or clears) a deterministic fault injector on a link.
-    /// Harness-level and deliberately *not* journaled, like the disk
-    /// fault injectors.
     pub fn net_set_link_faults(&mut self, link: u32, faults: Option<NetFaults>) {
         self.state.net.set_link_faults(link, faults);
     }
@@ -899,8 +765,6 @@ impl System {
         }
         self.trace
             .log_with(now, "volume", || format!("volume {vol} failed"));
-        self.journal
-            .append(now, JournalRecord::VolumeFailed { vol });
         // Conservatively abort any rebuild in progress: the dead spindle
         // may be the copy's source, and a rebuild onto it is moot.
         self.rebuild = None;
@@ -908,8 +772,7 @@ impl System {
 
     /// Declares a whole-shard failure now: every volume fails fast at
     /// once, as when the machine hosting this shard loses power. Each
-    /// spindle goes through [`System::fail_volume`] individually, so the
-    /// journal records the full sequence and crash recovery replays it.
+    /// spindle goes through [`System::fail_volume`] individually.
     /// A cluster gateway uses this as the shard-kill fault and stops
     /// stepping the shard afterwards; recovery of the shard follows the
     /// normal attach-replacement path one volume at a time.
@@ -944,22 +807,10 @@ impl System {
     /// there. The volume rejoins admission (and read steering) only once
     /// the rebuild completes.
     ///
-    /// # Panics
-    ///
-    /// Panics where [`System::try_attach_replacement`] would return an
-    /// error — use that when the failed device may still be draining its
-    /// fast-error completions through the event loop.
-    pub fn attach_replacement(&mut self, vol: u32) {
-        if let Err(e) = self.try_attach_replacement(vol) {
-            panic!("cannot attach replacement for volume {vol}: {e}");
-        }
-    }
-
-    /// Fallible variant of [`System::attach_replacement`]: refuses (and
-    /// leaves the system untouched) instead of panicking when the volume
-    /// is not failed, a rebuild is already running, or the failed device
-    /// still has an operation in flight. The last case is a real race,
-    /// not misuse: a down volume fails its in-flight operation *fast*,
+    /// Refuses, and leaves the system untouched, when the volume is not
+    /// failed, a rebuild is already running, another volume is down, or
+    /// the failed device still has an operation in flight. The last case
+    /// is a real race, not misuse: a down volume fails its in-flight operation *fast*,
     /// but the completion still travels through the event queue, so an
     /// attach issued from outside the event loop can land first — retry
     /// after letting the system run.
@@ -1011,266 +862,8 @@ impl System {
         ));
         self.trace
             .log_with(now, "rebuild", || format!("rebuilding volume {vol}"));
-        self.journal
-            .append(now, JournalRecord::RebuildStarted { vol });
         self.engine.schedule_now(Event::RebuildStep(gen));
         Ok(())
-    }
-
-    /// Per-volume fault/health snapshot from the disk substrate.
-    pub fn volume_health(&self) -> Vec<VolumeHealth> {
-        (0..self.volumes() as u32)
-            .map(|v| {
-                let d = self.disks.volume(VolumeId(v));
-                let (ops_seen, transient_faults, media_errors) = d
-                    .fault_injector()
-                    .map(|f| (f.ops_seen(), f.injected(), f.media_errors()))
-                    .unwrap_or((0, 0, 0));
-                VolumeHealth {
-                    volume: v,
-                    ops_seen,
-                    transient_faults,
-                    media_errors,
-                    down: d.is_down(),
-                }
-            })
-            .collect()
-    }
-
-    // ----- crash recovery ---------------------------------------------
-
-    /// Reconstructs a system after a crash from its transition journal.
-    ///
-    /// `cfg` must equal the crashed instance's config: placement is a
-    /// pure function of the config seed and the record order, so
-    /// replaying the journal's recordings reproduces the on-disk layout
-    /// exactly. The replay then fast-forwards the clock to `resume_at`
-    /// (the crash instant), re-fails failed volumes, re-admits the
-    /// surviving admissions (admitted minus stopped) in journal order,
-    /// resumes every started stream at its first undelivered frame with
-    /// a fresh initial delay — zero frames dropped — and restarts an
-    /// interrupted rebuild from scratch onto a fresh replacement.
-    ///
-    /// Returns the recovered system and the old→new client-id map (ids
-    /// are reassigned densely during replay).
-    ///
-    /// Soft state is regenerated, not recovered: stream buffers refill
-    /// during the fresh initial delay and per-frame statistics restart
-    /// at the resume point. Background readers/writers and CPU hogs are
-    /// experiment load, not durable decisions, and are not journaled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a journaled admission no longer passes the admission
-    /// test on replay (only possible when `cfg` differs from the
-    /// crashed instance's) or a journaled rebuild cannot re-attach.
-    pub fn recover(
-        cfg: SysConfig,
-        journal: &Journal,
-        resume_at: Instant,
-    ) -> (System, BTreeMap<u32, u32>) {
-        let mut sys = System::new(cfg);
-        let mut movies: BTreeMap<String, Movie> = BTreeMap::new();
-        let mut admitted: Vec<(u32, String, u32)> = Vec::new();
-        let mut deferred: BTreeSet<u32> = BTreeSet::new();
-        let mut started: BTreeMap<u32, Instant> = BTreeMap::new();
-        let mut stopped: BTreeSet<u32> = BTreeSet::new();
-        let mut failed: BTreeSet<u32> = BTreeSet::new();
-        let mut rebuilding: BTreeSet<u32> = BTreeSet::new();
-        let mut net_links: Vec<LinkParams> = Vec::new();
-        let mut net_multicast: Option<bool> = None;
-        let mut net_sessions: Vec<(u32, u32, SessionCfg)> = Vec::new();
-        for (_, rec) in journal.entries() {
-            match rec {
-                JournalRecord::Recorded {
-                    name,
-                    profile,
-                    secs,
-                } => {
-                    let m = sys.record_movie(name, *profile, *secs);
-                    movies.insert(name.clone(), m);
-                }
-                JournalRecord::Admitted {
-                    client,
-                    movie,
-                    stride,
-                } => {
-                    admitted.push((*client, movie.clone(), *stride));
-                }
-                JournalRecord::DeferredAdmitted {
-                    client,
-                    movie,
-                    stride,
-                } => {
-                    admitted.push((*client, movie.clone(), *stride));
-                    deferred.insert(*client);
-                }
-                JournalRecord::DiskShareReserved { client } => {
-                    // The prefix drained before the crash: the stream
-                    // recovers as an ordinary disk admission.
-                    deferred.remove(client);
-                }
-                JournalRecord::Started {
-                    client,
-                    playback_start,
-                } => {
-                    started.insert(*client, *playback_start);
-                }
-                JournalRecord::Stopped { client } => {
-                    stopped.insert(*client);
-                }
-                JournalRecord::VolumeFailed { vol } => {
-                    failed.insert(*vol);
-                    rebuilding.remove(vol);
-                }
-                JournalRecord::RebuildStarted { vol } => {
-                    rebuilding.insert(*vol);
-                }
-                JournalRecord::RebuildFinished { vol } => {
-                    failed.remove(vol);
-                    rebuilding.remove(vol);
-                }
-                JournalRecord::NetLink {
-                    bandwidth,
-                    latency_ns,
-                    per_packet_ns,
-                } => net_links.push(LinkParams {
-                    bandwidth: *bandwidth,
-                    latency: Duration::from_nanos(*latency_ns),
-                    per_packet: Duration::from_nanos(*per_packet_ns),
-                }),
-                JournalRecord::NetMulticast { on } => net_multicast = Some(*on),
-                JournalRecord::NetSession {
-                    client,
-                    link,
-                    playout_delay_ns,
-                    high_watermark,
-                    low_watermark,
-                    drain_scale,
-                } => net_sessions.push((
-                    *client,
-                    *link,
-                    SessionCfg {
-                        playout_delay: Duration::from_nanos(*playout_delay_ns),
-                        high_watermark: *high_watermark,
-                        low_watermark: *low_watermark,
-                        drain_scale: *drain_scale,
-                    },
-                )),
-            }
-        }
-        // Restart at the crash instant: recording consumes no simulated
-        // time, so the queue is empty and the clock can jump.
-        sys.engine.advance_to(resume_at);
-        for vol in &failed {
-            sys.fail_volume(*vol);
-        }
-        let mut remap: BTreeMap<u32, u32> = BTreeMap::new();
-        for (old_id, movie, stride) in &admitted {
-            if stopped.contains(old_id) {
-                continue;
-            }
-            let m = movies
-                .get(movie)
-                .expect("journal order: recorded before admitted");
-            let new_id = if deferred.contains(old_id) {
-                sys.add_cras_player_deferred(m, *stride)
-                    .expect("recovery deferred re-admission failed; config mismatch?")
-            } else {
-                sys.add_cras_player(m, *stride)
-                    .expect("recovery re-admission failed; config mismatch?")
-            };
-            remap.insert(*old_id, new_id.0);
-        }
-        for (&old_id, &new_id) in &remap {
-            if let Some(&old_start) = started.get(&old_id) {
-                sys.resume_playback(ClientId(new_id), old_start, resume_at);
-            }
-        }
-        for vol in &rebuilding {
-            if failed.contains(vol) {
-                sys.try_attach_replacement(*vol)
-                    .expect("recovery rebuild re-attach failed");
-            }
-        }
-        // Delivery subsystem: links come back in journal order (indices
-        // stable); surviving streams get fresh sessions under their new
-        // client ids — a fresh session, like a fresh stream clock, means
-        // the client rebuffers from the resume point with zero carried
-        // counters.
-        for params in net_links {
-            sys.net_add_link(params);
-        }
-        if let Some(on) = net_multicast {
-            sys.net_set_multicast(on);
-        }
-        for (old_id, link, cfg) in net_sessions {
-            if let Some(&new_id) = remap.get(&old_id) {
-                sys.net_attach(ClientId(new_id), link, cfg);
-            }
-        }
-        (sys, remap)
-    }
-
-    /// Re-anchors a recovered player at the first frame the crashed run
-    /// had not yet delivered. The stream seeks to that frame's media
-    /// timestamp and restarts with a fresh initial delay;
-    /// `playback_start` is set so `due(k*)` equals the new delivery
-    /// anchor, keeping the frame cadence exact from there on. A player
-    /// whose every frame was already due before `resume_at` is marked
-    /// done instead.
-    pub fn resume_playback(&mut self, client: ClientId, old_start: Instant, resume_at: Instant) {
-        let (time_scale, mode, target) = {
-            let Some(p) = self.state.players.get(&client.0) else {
-                return;
-            };
-            let mut k = 0u32;
-            let mut target = None;
-            while let Some(ch) = p.table.get(k) {
-                if old_start + ch.timestamp.mul_f64(p.time_scale) > resume_at {
-                    target = Some((k, ch.timestamp));
-                    break;
-                }
-                k += p.stride;
-            }
-            (p.time_scale, p.mode, target)
-        };
-        let Some((k, ts)) = target else {
-            // Every frame was already due: the stream finished before
-            // the crash; nothing to resume.
-            if let Some(p) = self.state.players.get_mut(&client.0) {
-                p.done = true;
-            }
-            return;
-        };
-        self.activate_cras();
-        let now = self.now();
-        let begin = match mode {
-            PlayerMode::Cras { stream } => {
-                self.state.cras.seek(stream, now, ts);
-                self.state.cras.start(stream, now)
-            }
-            PlayerMode::Ufs { .. } => now + self.state.cras.initial_delay(),
-        };
-        let new_start = begin - ts.mul_f64(time_scale);
-        {
-            let p = self
-                .state
-                .players
-                .get_mut(&client.0)
-                .expect("checked above");
-            p.playback_start = new_start;
-            p.next_frame = k;
-        }
-        self.engine
-            .schedule(begin.max(now), Event::PlayerFrame(client));
-        self.journal.append(
-            now,
-            JournalRecord::Started {
-                client: client.0,
-                playback_start: new_start,
-            },
-        );
     }
 
     // ----- event dispatch (the executor) ------------------------------
@@ -1318,8 +911,7 @@ impl System {
                 if let Some(at) = next {
                     self.engine.schedule(at, Event::DiskDone(vol));
                 }
-                let vol_down = self.disks.is_down(VolumeId(vol));
-                self.state.on_disk_done(vol, done, vol_down, now, &mut acts);
+                self.state.on_disk_done(done, now, &mut acts);
             }
             Event::PlayerFrame(c) | Event::PlayerPoll(c) => {
                 self.state.on_player_tick(c, now, &mut acts)
@@ -1365,9 +957,6 @@ impl System {
                 }
                 Action::Trace { component, message } => {
                     self.state.trace.log(now, component, message);
-                }
-                Action::Journal(rec) => {
-                    self.journal.append(now, rec);
                 }
             }
         }
@@ -1435,9 +1024,6 @@ impl SysState {
                 rb.copied_bytes()
             )
         });
-        acts.push(Action::Journal(JournalRecord::RebuildFinished {
-            vol: rb.volume(),
-        }));
     }
 
     /// Emits a CPU wake: the executor hands the burst, tagged, to the
@@ -1558,19 +1144,11 @@ impl SysState {
                 // A parked stream's viewer pauses (rebuffers) instead
                 // of burning its poll budget against a frozen clock;
                 // the gateway may retry admission for it later via
-                // `System::resume_playback`.
+                // `System::retry_parked`.
                 for sid in &rep.parked_streams {
                     let client = self.stream_clients.get(sid).map(|c| c.0);
                     if let Some(p) = client.and_then(|c| self.players.get_mut(&c)) {
                         p.paused = true;
-                    }
-                }
-                // A drained deferred stream now holds a real disk share:
-                // journal the promotion so crash recovery re-admits it
-                // as an ordinary disk stream from here on.
-                for sid in &rep.deferred_reserved {
-                    if let Some(&ClientId(client)) = self.stream_clients.get(sid) {
-                        acts.push(Action::Journal(JournalRecord::DiskShareReserved { client }));
                     }
                 }
                 match self.issue {
@@ -1616,32 +1194,13 @@ impl SysState {
     }
 
     /// The transition for a disk completion. The executor has already
-    /// popped `done` from the volume and chained the next `DiskDone`;
-    /// `vol_down` is the device's down state at completion time.
-    fn on_disk_done(
-        &mut self,
-        vol: u32,
-        done: Completed<DiskTag>,
-        vol_down: bool,
-        now: Instant,
-        acts: &mut Vec<Action>,
-    ) {
+    /// popped `done` from the volume and chained the next `DiskDone`.
+    fn on_disk_done(&mut self, done: Completed<DiskTag>, now: Instant, acts: &mut Vec<Action>) {
         match done.req.tag {
             DiskTag::Cras(rid) if done.failed => {
-                // Failure detection lives in the I/O-done manager: a
-                // fast-error from a down volume takes the spindle out of
-                // admission and steering; the failed read is re-issued
+                // A fast error from a failed volume: the read is re-issued
                 // against the surviving replica (degraded read) or, with
                 // no replica, its batch is dropped.
-                let v = VolumeId(vol);
-                if vol_down && !self.cras.volume_failed(v) {
-                    self.cras.set_volume_failed(v, true);
-                    if self.metrics.volume_failed_at.is_none() {
-                        self.metrics.volume_failed_at = Some(now);
-                    }
-                    self.trace_with("volume", acts, || format!("volume {vol} error detected"));
-                    acts.push(Action::Journal(JournalRecord::VolumeFailed { vol }));
-                }
                 let retries = self.cras.io_failed(rid);
                 let ids: Vec<ReadId> = retries.iter().map(|r| r.id).collect();
                 self.metrics.on_cras_read_failed(rid, &done, &ids);
@@ -1879,7 +1438,7 @@ impl SysState {
         };
         if player.done || player.paused {
             // A paused (rebuffering) viewer absorbs queued frame/poll
-            // events without rescheduling; `resume_playback` restarts
+            // events without rescheduling; `retry_parked` restarts
             // the schedule with a fresh event.
             return;
         }
@@ -1887,7 +1446,7 @@ impl SysState {
         let Some(chunk) = player.table.get(k).copied() else {
             // A queued PlayerFrame event can outlive the frame table it
             // indexes (a shard-down race against re-admission): retire
-            // the player as a journal-visible drop instead of panicking
+            // the player as a traced drop instead of panicking
             // inside the event loop.
             self.trace_with("player", acts, || {
                 format!("client {} frame {k} out of range; player retired", client.0)
@@ -2136,8 +1695,7 @@ impl SysState {
     /// Restarts a paused CRAS viewer through the server's feed ladder
     /// ([`CrasServer::resume`]); a viewer that is not paused, or is
     /// done, stays as it is. On success the player unpauses, its
-    /// next frame is scheduled at the restarted clock's begin, a disk
-    /// share is journaled like any reserve-at-drain promotion, and the
+    /// next frame is scheduled at the restarted clock's begin, and the
     /// resume is counted. Returns whether the viewer resumed.
     fn resume_player(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) -> bool {
         let Some(p) = self
@@ -2150,7 +1708,7 @@ impl SysState {
         let PlayerMode::Cras { stream } = p.mode else {
             return false;
         };
-        let Some((begin, disk)) = self.cras.resume(stream, now) else {
+        let Some(begin) = self.cras.resume(stream, now) else {
             return false;
         };
         p.paused = false;
@@ -2159,11 +1717,6 @@ impl SysState {
             at: begin,
             ev: Event::PlayerFrame(client),
         });
-        if disk {
-            acts.push(Action::Journal(JournalRecord::DiskShareReserved {
-                client: client.0,
-            }));
-        }
         self.metrics.resumed_streams += 1;
         true
     }
@@ -2236,6 +1789,8 @@ impl SysState {
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use cras_core::{assert_tiles, ParityGeometry, PlacementPolicy, VolumeExtent};
     use cras_media::StreamProfile;
 
@@ -2360,6 +1915,47 @@ mod tests {
         assert!(rendered.contains("reads"), "trace: {rendered}");
         // No drops in this scenario => no player drop records.
         assert!(!rendered.contains("dropped frame"));
+    }
+
+    #[test]
+    fn close_playback_frees_the_share_and_retires_queued_events() {
+        let mut s = sys(SysConfig::default());
+        let movie = s.record_movie("m", StreamProfile::mpeg1(), 12.0);
+        let mut clients = Vec::new();
+        while let Ok(c) = s.add_cras_player(&movie, 1) {
+            clients.push(c);
+            assert!(clients.len() < 100, "admission never refused");
+        }
+        assert!(clients.len() >= 2, "too few streams admitted");
+        for &c in &clients {
+            s.start_playback(c);
+        }
+        s.run_for(Duration::from_secs(3));
+        let victim = clients[0];
+        let shown = s.players[&victim.0].stats.frames_shown;
+        assert!(shown > 0, "the victim never played");
+        assert!(!s.players[&victim.0].done);
+        // Mid-playback, the victim's next PlayerFrame (or PlayerPoll) is
+        // still queued when its stream closes.
+        s.close_playback(victim);
+        let late = s
+            .add_cras_player(&movie, 1)
+            .expect("the closed stream's share admits the next open");
+        s.start_playback(late);
+        s.run_for(Duration::from_secs(15));
+        let v = &s.players[&victim.0];
+        assert!(v.done);
+        // A decode already on the CPU at the close still completes as
+        // shown; no frame is fetched after it.
+        assert!(
+            v.stats.frames_shown <= shown + 1,
+            "a closed player kept showing frames"
+        );
+        for c in clients[1..].iter().chain([&late]) {
+            let p = &s.players[&c.0];
+            assert!(p.done, "client {} never finished", c.0);
+            assert_eq!(p.stats.frames_dropped, 0, "client {} dropped frames", c.0);
+        }
     }
 
     #[test]
@@ -2562,7 +2158,7 @@ mod tests {
         s.fail_volume(m);
         // Let the dead volume's error queue drain before attaching.
         s.run_for(Duration::from_secs(1));
-        s.attach_replacement(m);
+        s.try_attach_replacement(m).expect("attach replacement");
         assert!(s.rebuild_active());
         s.run_for(Duration::from_secs(25));
         assert!(!s.rebuild_active(), "rebuild should have completed");
@@ -2576,38 +2172,9 @@ mod tests {
             t.as_secs_f64()
         );
         assert!(!s.cras.volume_failed(VolumeId(m)), "capacity not restored");
-        assert!(!s.volume_health()[m as usize].down);
         let pl = &s.players[&c.0];
         assert_eq!(pl.stats.frames_dropped, 0, "rebuild traffic dropped frames");
         assert_eq!(s.metrics.overruns, 0, "rebuild caused deadline misses");
-    }
-
-    #[test]
-    fn injector_scheduled_failure_is_detected_by_io_done() {
-        // The volume dies via the fault injector's schedule, not via an
-        // explicit call: the I/O-done manager must notice the failed read
-        // and take the spindle out of steering on its own.
-        let mut s = sys(mirrored_cfg(4));
-        let movie = s.record_movie("m", StreamProfile::mpeg1(), 10.0);
-        let (p, _) = mirrored_placement(&s, "m");
-        s.disks
-            .volume_mut(VolumeId(p))
-            .set_fault_injector(Some(cras_disk::FaultInjector::none(7)));
-        let t_fail = Instant::ZERO + Duration::from_secs(4);
-        if let Some(f) = s.disks.volume_mut(VolumeId(p)).fault_injector_mut() {
-            f.fail_volume_at(t_fail);
-        }
-        let c = s.add_cras_player(&movie, 1).unwrap();
-        s.start_playback(c);
-        s.run_for(Duration::from_secs(15));
-        assert!(s.cras.volume_failed(VolumeId(p)), "failure not detected");
-        assert!(s.metrics.degraded_reads > 0, "no degraded reads recorded");
-        let pl = &s.players[&c.0];
-        assert!(pl.done);
-        assert_eq!(pl.stats.frames_dropped, 0);
-        let health = s.volume_health();
-        assert!(health[p as usize].down);
-        assert!(health[p as usize].ops_seen > 0);
     }
 
     #[test]
@@ -2661,7 +2228,7 @@ mod tests {
             let (_, m) = mirrored_placement(&s, "m");
             s.fail_volume(m);
             s.run_for(Duration::from_secs(1));
-            s.attach_replacement(m);
+            s.try_attach_replacement(m).expect("attach replacement");
             if refail {
                 s.run_for(Duration::from_millis(1500));
                 assert!(s.rebuild_active(), "rebuild finished too early");
@@ -2790,7 +2357,8 @@ mod tests {
             s.run_for(Duration::from_secs(2));
             s.fail_volume(victim);
             s.run_for(Duration::from_secs(1));
-            s.attach_replacement(victim);
+            s.try_attach_replacement(victim)
+                .expect("attach replacement");
             assert!(s.rebuild_active());
             s.run_for(Duration::from_secs(40));
             assert!(!s.rebuild_active(), "rebuild should have completed");
@@ -2816,7 +2384,7 @@ mod tests {
         s.run_for(Duration::from_secs(2));
         s.fail_volume(2);
         s.run_for(Duration::from_secs(1));
-        s.attach_replacement(2);
+        s.try_attach_replacement(2).expect("attach replacement");
         s.run_for(Duration::from_secs(60));
         assert!(!s.rebuild_active(), "rebuild should have completed");
         let t = s.metrics.rebuild_time().expect("rebuild finished");

@@ -78,7 +78,8 @@ impl BufferCache {
     }
 
     /// Hit/miss counters `(hits, misses)` from [`BufferCache::lookup`].
-    pub fn hit_stats(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn hit_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 

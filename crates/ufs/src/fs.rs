@@ -133,11 +133,6 @@ pub struct ReadPlan {
 }
 
 impl ReadPlan {
-    /// Whether the read needs any disk I/O.
-    pub fn is_fully_cached(&self) -> bool {
-        self.fetch.is_empty()
-    }
-
     /// Total blocks to fetch synchronously.
     pub fn fetch_blocks(&self) -> u64 {
         self.fetch.iter().map(|r| r.len as u64).sum()
@@ -507,8 +502,8 @@ impl Ufs {
 
     /// Frees a block behind the inode's back — corruption injection for
     /// the consistency checker's tests only.
-    #[doc(hidden)]
-    pub fn free_block_for_tests(&mut self, b: FsBlock) {
+    #[cfg(test)]
+    pub(crate) fn free_block_for_tests(&mut self, b: FsBlock) {
         self.alloc.free_block(b);
     }
 
@@ -674,7 +669,7 @@ mod tests {
             }
         }
         let plan2 = fs.plan_read(ino, 0, BSIZE as u64);
-        assert!(plan2.is_fully_cached());
+        assert!(plan2.fetch.is_empty());
         assert_eq!(plan2.cached.len(), 1);
     }
 

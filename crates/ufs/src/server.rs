@@ -73,11 +73,6 @@ impl<T> UnixServer<T> {
         self.current.is_some()
     }
 
-    /// Queued requests (excluding the one in service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Deepest queue observed.
     pub fn max_queue(&self) -> usize {
         self.max_queue
@@ -195,7 +190,7 @@ mod tests {
         // High-priority caller's request still queues FIFO.
         assert!(s.submit(req(2, vec![20])).is_none());
         assert!(s.submit(req(3, vec![])).is_none());
-        assert_eq!(s.queue_len(), 2);
+        assert_eq!(s.queue.len(), 2);
         match s.fetch_done() {
             Step::Done(r) => assert_eq!(r.tag, 1),
             other => panic!("unexpected {other:?}"),

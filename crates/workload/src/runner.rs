@@ -73,7 +73,8 @@ pub struct Scenario {
 
 impl Scenario {
     /// A single-stream CRAS baseline scenario.
-    pub fn simple(storage: Storage) -> Scenario {
+    #[cfg(test)]
+    fn simple(storage: Storage) -> Scenario {
         Scenario {
             storage,
             streams: 1,

@@ -71,7 +71,8 @@ fn run_mixed(seed: u64) -> String {
         panic!("expected mirrored placement");
     };
     sys.fail_volume(primary);
-    sys.attach_replacement(primary);
+    sys.try_attach_replacement(primary)
+        .expect("attach replacement");
     sys.run_for(Duration::from_secs(8));
     assert!(sys.players[&c.0].done, "mirrored player hung");
     out.push_str(&sys.metrics.canonical_json());
@@ -182,7 +183,7 @@ fn parity_failover_scenario() -> System {
         sys.start_playback(c);
     }
     sys.fail_volume(1);
-    sys.attach_replacement(1);
+    sys.try_attach_replacement(1).expect("attach replacement");
     sys
 }
 

@@ -247,7 +247,8 @@ fn disk_conserves_requests() {
             completions.iter().all(|&c| c == 1),
             "case {case}: {completions:?}"
         );
-        assert_eq!(dev.stats().total_ops() as usize, reqs.len(), "case {case}");
+        let (rt, normal) = dev.stats().ops;
+        assert_eq!((rt + normal) as usize, reqs.len(), "case {case}");
     }
 }
 
@@ -551,10 +552,10 @@ fn degraded_capacity_monotone_and_restored() {
             loop {
                 let p = live[n % live.len()];
                 let m = live[(n + 1) % live.len()];
-                let open = srv.open(
-                    OpenReq::new(&format!("s{n}"), table.clone(), rep(p, 0))
-                        .with_mirror(rep(m, 1_000_000)),
-                );
+                let open = srv.open(OpenReq {
+                    mirror: Some(rep(m, 1_000_000)),
+                    ..OpenReq::new(&format!("s{n}"), table.clone(), rep(p, 0))
+                });
                 match open {
                     Ok(_) => n += 1,
                     Err(_) => break,
@@ -619,7 +620,8 @@ fn rebuild_restores_exact_admit_count() {
         let (mut control, cm) = build();
         let (mut sys, sm) = build();
         sys.fail_volume(victim);
-        sys.attach_replacement(victim);
+        sys.try_attach_replacement(victim)
+            .expect("attach replacement");
         let mut guard = 0;
         while sys.rebuild_active() && guard < 600 {
             sys.run_for(Duration::from_secs(1));
