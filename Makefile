@@ -34,9 +34,10 @@ fingerprints:
 	done; done > target/perfbench-fingerprints.txt
 	grep -v '^#' tests/perfbench_fingerprints.txt | diff -u - target/perfbench-fingerprints.txt
 
-# List every `pub fn` under crates/ that no non-test code calls and that
-# is not on the script's commented allow-list; print nothing and succeed
-# when there is none.
+# List every `pub` item (fn, const fn, struct, enum, type, const, static,
+# trait) under crates/ that no non-test code names and that is not on the
+# script's commented allow-list; print nothing and succeed when there is
+# none.
 unused-pub:
 	@sh scripts/unused-pub.sh
 

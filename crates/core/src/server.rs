@@ -2146,8 +2146,8 @@ impl CrasServer {
         Some(result)
     }
 
-    /// Degraded-read fallback: a read came back failed (media error or
-    /// volume down). A mirrored stream re-maps the same logical bytes
+    /// Degraded-read fallback: a read came back failed (its volume is
+    /// down). A mirrored stream re-maps the same logical bytes
     /// through a surviving replica; a parity stream replaces the read
     /// with the `g-1` surviving data+parity reads of the stripes it
     /// covered (the XOR of those buffers reconstructs the lost bytes).

@@ -140,12 +140,6 @@ impl<T> DiskDevice<T> {
         }
     }
 
-    /// Whether the volume is marked down.
-    #[cfg(test)]
-    fn is_down(&self) -> bool {
-        self.down
-    }
-
     /// Installs a transient-fault injector (None disables injection).
     pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
         self.faults = injector;
@@ -357,29 +351,25 @@ impl<T> DiskDevice<T> {
             .pop_next(self.head_cyl)
             .or_else(|| self.normal_queue.pop_next(self.head_cyl))?;
         let req = pending.item;
-        let (breakdown, failed) = if self.down {
+        let breakdown = if self.down {
             // A dead volume answers each command with a fast error; the
             // head never moves and no media time is spent.
-            let b = ServiceBreakdown {
+            ServiceBreakdown {
                 command: ERROR_LATENCY,
                 seek: Duration::ZERO,
                 rotation: Duration::ZERO,
                 transfer: Duration::ZERO,
-            };
-            (b, true)
+            }
         } else {
             let mut b = self.service_breakdown(now, self.head_cyl, req.block, req.nblocks);
-            let mut failed = false;
             if let Some(f) = &mut self.faults {
                 // Retry stalls show up as extra rotational/positioning
-                // time; a media error pays them and then fails.
-                let fault = f.next_op();
-                b.rotation += fault.delay;
-                failed = fault.media_error;
+                // time.
+                b.rotation += f.next_op();
             }
             let end_block = req.block + req.nblocks as u64 - 1;
             self.head_cyl = self.geom.cylinder_of(end_block);
-            (b, failed)
+            b
         };
         let finishes_at = now + breakdown.total();
         self.stats.busy += breakdown.total();
@@ -393,7 +383,7 @@ impl<T> DiskDevice<T> {
             started_at: now,
             finishes_at,
             breakdown,
-            failed,
+            failed: self.down,
         });
         Some(finishes_at)
     }
@@ -577,25 +567,6 @@ mod tests {
         // error.
         let (done, _) = d.complete(fin);
         assert!(done.failed);
-    }
-
-    #[test]
-    fn media_error_fails_one_op_only() {
-        let mut d = small_dev();
-        let mut f = FaultInjector::new(0.0, Duration::ZERO, 1);
-        f.fail_at(2);
-        d.set_fault_injector(Some(f));
-        let mut now = Instant::ZERO;
-        let mut failures = Vec::new();
-        for i in 0..3 {
-            let fin = d.submit(now, DiskRequest::read(0, 8, i)).unwrap();
-            now = fin;
-            let (done, _) = d.complete(now);
-            failures.push(done.failed);
-        }
-        assert_eq!(failures, vec![false, true, false]);
-        assert!(!d.is_down(), "a media error does not down the volume");
-        assert_eq!(d.fault_injector().unwrap().media_errors(), 1);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod xor;
 
 pub use calibrate::{Calibration, DiskParams};
 pub use device::{DiskDevice, DiskStats, DiskTimings, ERROR_LATENCY};
-pub use faults::{Fault, FaultInjector};
+pub use faults::FaultInjector;
 pub use geometry::{BlockNo, DiskGeometry, Zone, BLOCK_SIZE};
 pub use policy::{modeled_travel, DiskQueue, QueuePolicy, SweepCursor};
 pub use request::{Completed, DiskRequest, IoClass, IoKind, ServiceBreakdown};

@@ -130,7 +130,7 @@ pub struct Completed<T> {
     pub finished_at: Instant,
     /// Phase timing.
     pub breakdown: ServiceBreakdown,
-    /// The operation failed (media error or volume down); no data was
+    /// The operation failed (its volume is down); no data was
     /// transferred.
     pub failed: bool,
 }

@@ -24,8 +24,8 @@
 //!
 //! Like `cras-core`, the crate is I/O- and engine-free: every method
 //! takes `now` and pushes [`delivery::NetEffect`] values describing the
-//! timers and control transfers it wants. `cras-sys` maps those onto
-//! its §14 action/event seam, so the interleaving fuzzer covers network
+//! timers and control transfers it wants. `cras-sys` schedules those
+//! as ordinary events, so the interleaving fuzzer covers network
 //! delivery like any other subsystem.
 
 #![forbid(unsafe_code)]

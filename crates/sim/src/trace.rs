@@ -63,11 +63,6 @@ impl Trace {
         self.enabled = on;
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a message (no-op while disabled).
     pub fn log(&mut self, at: Instant, component: &'static str, message: impl Into<String>) {
         if !self.enabled {

@@ -86,12 +86,6 @@ pub struct SysConfig {
     /// Probability that a disk operation takes a transient retry stall
     /// (fault injection; 0 disables).
     pub disk_fault_prob: f64,
-    /// Rebuild copy rate in bytes per second. The rebuild manager paces
-    /// its normal-priority copy chunks so their long-run throughput never
-    /// exceeds this; the real-time queue's strict priority already keeps
-    /// admitted streams safe, the rate bounds how much *normal-queue*
-    /// bandwidth (UFS traffic) the rebuild may take.
-    pub rebuild_rate: f64,
 }
 
 impl Default for SysConfig {
@@ -104,7 +98,6 @@ impl Default for SysConfig {
             hogs: 0,
             enforce_admission: true,
             disk_fault_prob: 0.0,
-            rebuild_rate: 4.0 * 1024.0 * 1024.0,
         }
     }
 }

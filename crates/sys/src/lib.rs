@@ -1,11 +1,10 @@
 //! `cras-sys` — the orchestrator: one discrete-event loop binding every
 //! substrate into the system the paper evaluates.
 //!
-//! * [`system`] — [`system::SysState`], the pure transition core
-//!   (`(State, Event) → (State', Actions)`), and [`system::System`],
-//!   the thin executor that pops events and applies the emitted
-//!   [`action::Action`]s against engine, disks and CPU.
-//! * [`action`] — the effect vocabulary transitions emit.
+//! * [`system`] — [`system::SysState`], every component state machine
+//!   and the event handlers, and [`system::System`], which owns the
+//!   engine, disks and CPU, pops events and lends those substrates to
+//!   the handler it calls.
 //! * [`player`] — QtPlay-like clients measuring per-frame delay.
 //! * [`bgload`] — the `cat` background readers.
 //! * [`config`] — scheduling mode, CPU cost model, priorities.
@@ -23,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod action;
 pub mod bgload;
 pub mod config;
 pub mod metrics;
@@ -33,7 +31,6 @@ pub mod rebuild;
 pub mod system;
 pub mod tags;
 
-pub use action::Action;
 pub use bgload::BgReader;
 pub use config::{prio, CpuCosts, IssueMode, SchedMode, SysConfig};
 pub use metrics::{IntervalIo, IntervalWall, Metrics, ShardLoad};

@@ -6,13 +6,13 @@
 //! The rebuild runs entirely through the *normal-priority* disk queue —
 //! the dual-queue driver's strict real-time priority is what lets a
 //! rebuild share spindles with admitted streams without threatening
-//! their guarantees. The configured rate additionally bounds how much
+//! their guarantees. The pacing rate additionally bounds how much
 //! normal-queue bandwidth (Unix-server traffic) the rebuild may consume:
 //! one chunk is outstanding at a time, and each completed chunk earns
 //! `bytes / rate` of pacing budget before the next may start. The rate
 //! may be retuned between chunks ([`RebuildManager::set_rate`]) — the
 //! system scales it by observed interval slack, so an idle array
-//! rebuilds at the configured cap while a loaded one backs off below it.
+//! rebuilds at the cap while a loaded one backs off below it.
 
 use cras_core::{assert_tiles, ParityState, Stream, VolumeExtent};
 use cras_disk::VolumeId;

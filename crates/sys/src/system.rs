@@ -1,20 +1,18 @@
 //! The orchestrated system: one event loop binding the disk volumes, the
 //! CPU, the Unix server, CRAS and the client applications.
 //!
-//! The module is split along the PHASM seam
-//! `(State, Event) → (State', Actions)`:
+//! The module has two halves:
 //!
-//! * [`SysState`] is the pure transition core. Its event handlers mutate
-//!   only component state and push the side effects they want — disk
-//!   submits, timer arms, CPU wakes and trace records — onto an
-//!   [`Action`] buffer. They never touch the engine, the disks or
-//!   the CPU.
-//! * [`System`] is the thin executor: it owns the executable substrates
-//!   (engine, volume set, CPU), pops events, calls the matching
-//!   transition, and applies the emitted actions *in push order*. Push
-//!   order equals the old inline call order and every action lands at
-//!   the same virtual instant the handler ran, so the split is
-//!   behavior-preserving by construction.
+//! * [`SysState`] holds every component state machine and the event
+//!   handlers. A handler drives the substrates through the one borrowed
+//!   executor it is given, the private `Fx`: it submits disk requests,
+//!   wakes CPU threads and arms timers, and each call that starts
+//!   substrate work also schedules the event that completes it. Like
+//!   CRAS's request scheduler and I/O-done manager, a handler hands
+//!   requests straight to the driver and re-arms its own timer.
+//! * [`System`] owns the substrates (engine, volume set, CPU), pops
+//!   events, completes the substrate side of each one (slice end, disk
+//!   completion) and lends the substrates to the matching handler.
 //!
 //! Every figure in the paper is a run of this system under a different
 //! configuration. The storage backend is a [`VolumeSet`]: §4's "several
@@ -36,7 +34,6 @@ use cras_sim::{Duration, Engine, IdTable, Instant, Rng};
 use cras_ufs::layout::fsblock_to_disk;
 use cras_ufs::{FsReq, Ino, MkfsParams, Step, Ufs, UnixServer, SECT_PER_FSBLOCK};
 
-use crate::action::Action;
 use crate::bgload::{BgReader, BgWriter};
 use crate::config::{prio, IssueMode, SchedMode, SysConfig};
 use crate::metrics::{Metrics, ShardLoad};
@@ -45,11 +42,18 @@ use crate::player::{Player, PlayerMode};
 use crate::rebuild::RebuildManager;
 use crate::tags::{ClientId, CpuTag, DiskTag, Event};
 
+/// Rebuild copy rate cap in bytes per second (4 MiB/s). The rebuild
+/// manager paces its normal-priority copy chunks so their long-run
+/// throughput never exceeds this; the real-time queue's strict priority
+/// already keeps admitted streams safe, the rate bounds how much
+/// normal-queue bandwidth (UFS traffic) the rebuild may take.
+const REBUILD_RATE: f64 = 4.0 * 1024.0 * 1024.0;
+
 /// Completed interval walls the load-aware rebuild pacing averages its
 /// slack estimate over.
 const REBUILD_SLACK_WINDOW: usize = 8;
 
-/// Fraction of the configured rebuild rate the load-aware pacing never
+/// Fraction of `REBUILD_RATE` the load-aware pacing never
 /// drops below, so a saturated system still makes rebuild progress.
 const REBUILD_RATE_FLOOR: f64 = 0.25;
 
@@ -148,16 +152,15 @@ impl std::fmt::Display for AttachError {
 
 impl std::error::Error for AttachError {}
 
-/// The pure transition core: every component state machine of the
-/// server, none of the executable substrates.
+/// Every component state machine of the server, none of the
+/// substrates (engine, disks, CPU).
 ///
-/// Event handlers on this type implement
-/// `(State, Event) → (State', Actions)`: they mutate only this state and
-/// push the side effects they want onto an [`Action`] buffer. The
-/// [`System`] executor applies those actions against the engine, disks
-/// and CPU in push order. [`System`] derefs to this type, so all
-/// component state reads (`sys.players`, `sys.metrics`, …) keep working
-/// unchanged.
+/// Event handlers on this type mutate this state and drive the
+/// substrates through the executor [`System`] lends them for the event.
+/// Keeping the substrates in [`System`] splits the borrow: a handler
+/// holds `&mut SysState` and the executor at once. [`System`] derefs to
+/// this type, so component state reads (`sys.players`, `sys.metrics`, …)
+/// go through it.
 pub struct SysState {
     /// Configuration it was built with.
     pub cfg: SysConfig,
@@ -186,9 +189,8 @@ pub struct SysState {
     /// unchanged.
     pub net: NetDelivery,
     /// Post-mortem event trace (disabled by default; enable with
-    /// `sys.trace.set_enabled(true)`). The ring is part of the state;
-    /// handlers emit [`Action::Trace`] records (only while enabled) and
-    /// the executor appends them.
+    /// `sys.trace.set_enabled(true)`). Handlers log to it with
+    /// `Trace::log_with`, which formats a message only while enabled.
     pub trace: Trace,
     /// Reused delivery-effect buffer (drained after every net step).
     net_fx: Vec<NetEffect>,
@@ -226,14 +228,12 @@ pub struct SysState {
     serial_outstanding: HashSet<u64>,
 }
 
-/// The assembled system: the [`SysState`] transition core plus the thin
-/// executor owning the executable substrates.
+/// The assembled system: the [`SysState`] component state plus the
+/// substrates its handlers drive.
 ///
-/// [`System`] derefs to [`SysState`], so component state remains
-/// reachable as before (`sys.players`, `sys.cras`, …). The executor half
-/// is the private `System::handle`, driven by [`System::run_until`]: pop
-/// an event, run the pure transition, apply the emitted [`Action`]s in
-/// push order.
+/// [`System`] derefs to [`SysState`], so component state is reachable
+/// directly (`sys.players`, `sys.cras`, …). [`System::run_until`] pops
+/// each event and hands it, with the substrates, to its handler.
 pub struct System {
     /// The event queue and virtual clock.
     pub engine: Engine<Event>,
@@ -242,10 +242,8 @@ pub struct System {
     /// The CPU; each burst carries the [`CpuTag`] that routes its
     /// completion.
     pub cpu: Cpu<CpuTag>,
-    /// The pure transition core.
+    /// The component state and its handlers.
     state: SysState,
-    /// Reused action buffer (drained after every transition).
-    actions: Vec<Action>,
     /// Reused per-spindle load snapshot, refilled at every scheduler
     /// tick.
     loads: Vec<VolumeLoad>,
@@ -334,7 +332,6 @@ impl System {
                 serial_batches: VecDeque::new(),
                 serial_outstanding: HashSet::new(),
             },
-            actions: Vec::new(),
             loads: Vec::new(),
         }
     }
@@ -472,17 +469,9 @@ impl System {
 
     /// Starts the configured CPU hogs.
     pub fn start_hogs(&mut self) {
-        for (i, tid) in self.state.hog_tids.clone().into_iter().enumerate() {
-            self.exec_wake_cpu(tid, HOG_BURST, CpuTag::Hog(i as u32));
-        }
-    }
-
-    /// Control-plane CPU wake (setup paths outside the event loop).
-    /// Handlers never call this — they emit [`Action::WakeCpu`] instead.
-    fn exec_wake_cpu(&mut self, tid: ThreadId, burst: Duration, tag: CpuTag) {
-        let now = self.engine.now();
-        if let Some((at, tok)) = self.cpu.wake(tid, burst, tag, now) {
-            self.engine.schedule(at, Event::CpuSlice(tok));
+        let (state, mut fx) = self.split();
+        for (i, &tid) in state.hog_tids.iter().enumerate() {
+            fx.wake(tid, HOG_BURST, CpuTag::Hog(i as u32));
         }
     }
 
@@ -684,12 +673,8 @@ impl System {
     /// standard initial delay. Returns whether the viewer resumed; a
     /// viewer that is not paused (or is done) returns false.
     pub fn retry_parked(&mut self, client: ClientId) -> bool {
-        let now = self.now();
-        let mut acts = std::mem::take(&mut self.actions);
-        let resumed = self.state.resume_player(client, now, &mut acts);
-        self.apply(&mut acts, now);
-        self.actions = acts;
-        resumed
+        let (state, mut fx) = self.split();
+        state.resume_player(client, &mut fx)
     }
 
     // ----- delivery subsystem setup (DESIGN §18) -----------------------
@@ -853,119 +838,138 @@ impl System {
         self.metrics.rebuild_started_at = Some(now);
         self.rebuild_gen += 1;
         let gen = self.rebuild_gen;
-        self.rebuild = Some(RebuildManager::new(
-            vol,
-            gen,
-            chunks,
-            self.cfg.rebuild_rate,
-            now,
-        ));
+        self.rebuild = Some(RebuildManager::new(vol, gen, chunks, REBUILD_RATE, now));
         self.trace
             .log_with(now, "rebuild", || format!("rebuilding volume {vol}"));
         self.engine.schedule_now(Event::RebuildStep(gen));
         Ok(())
     }
 
-    // ----- event dispatch (the executor) ------------------------------
+    // ----- event dispatch -----------------------------------------------
 
     /// Pops one event's worth of work: completes the substrate
     /// interaction the event carries (CPU slice end, disk completion),
-    /// runs the matching pure transition on [`SysState`], then applies
-    /// the emitted actions in push order.
+    /// then runs the matching handler on [`SysState`] with the
+    /// substrates lent to it as an [`Fx`].
     fn handle(&mut self, ev: Event, now: Instant) {
-        debug_assert!(self.actions.is_empty());
-        let mut acts = std::mem::take(&mut self.actions);
+        let System {
+            engine,
+            disks,
+            cpu,
+            state,
+            loads,
+        } = self;
+        let fx = &mut Fx {
+            now,
+            engine,
+            disks,
+            cpu,
+        };
         match ev {
-            Event::CrasTick => self.state.on_cras_tick(now, &mut acts),
+            Event::CrasTick => state.on_cras_tick(fx),
             Event::CpuSlice(tok) => {
-                let out = self.cpu.slice_end(tok, now);
+                let out = fx.cpu.slice_end(tok, now);
                 if let Some((at, t)) = out.resched {
-                    self.engine.schedule(at, Event::CpuSlice(t));
+                    fx.schedule(at, Event::CpuSlice(t));
                 }
                 if let Some(done) = out.completed {
                     // A scheduler tick consumes the per-spindle load
                     // snapshot (device queue depths + recent completion
-                    // lag) for coded-read steering. Substrate state is
-                    // executor-owned, so it is sampled here — like disk
-                    // completions — and handed to the pure transition
-                    // through the server's setter.
+                    // lag) for coded-read steering, sampled here — like
+                    // disk completions — and handed to the server
+                    // through its setter.
                     if matches!(done.tag, CpuTag::CrasSched) {
-                        let lags = self
-                            .state
+                        let lags = state
                             .metrics
-                            .recent_volume_lag(self.disks.len(), STEER_LAG_WINDOW);
-                        self.loads.clear();
-                        self.loads.extend(
-                            self.disks
+                            .recent_volume_lag(fx.disks.len(), STEER_LAG_WINDOW);
+                        loads.clear();
+                        loads.extend(
+                            fx.disks
                                 .outstanding_depths()
                                 .zip(lags)
                                 .map(|(queued, lag)| VolumeLoad { queued, lag }),
                         );
-                        self.state.cras.set_volume_loads(&self.loads);
+                        state.cras.set_volume_loads(loads);
                     }
-                    self.state.on_cpu_done(done.tag, now, &mut acts);
+                    state.on_cpu_done(done.tag, fx);
                 }
             }
             Event::DiskDone(vol) => {
-                let (done, next) = self.disks.complete(VolumeId(vol), now);
+                let (done, next) = fx.disks.complete(VolumeId(vol), now);
                 if let Some(at) = next {
-                    self.engine.schedule(at, Event::DiskDone(vol));
+                    fx.schedule(at, Event::DiskDone(vol));
                 }
-                self.state.on_disk_done(done, now, &mut acts);
+                state.on_disk_done(done, fx);
             }
-            Event::PlayerFrame(c) | Event::PlayerPoll(c) => {
-                self.state.on_player_tick(c, now, &mut acts)
-            }
-            Event::BgKick(c) => self.state.on_bg_kick(c, now, &mut acts),
-            Event::BgWrite(c) => self.state.on_bg_write(c, now, &mut acts),
-            Event::Sync => self.state.on_sync(now, &mut acts),
-            Event::RebuildStep(gen) => self.state.on_rebuild_step(gen, now, &mut acts),
-            Event::NetLinkFree(link) => self.state.on_net_link_free(link, now, &mut acts),
-            Event::NetArrive { link, pkt } => self.state.on_net_arrive(link, pkt, now, &mut acts),
-            Event::NetNak(c, ord) => self.state.on_net_nak(c, ord, now, &mut acts),
-            Event::NetPlayout(c, ord) => self.state.on_net_playout(c, ord, now, &mut acts),
-            Event::NetRetry(c) => self.state.net_resume(c, now, &mut acts),
+            Event::PlayerFrame(c) | Event::PlayerPoll(c) => state.on_player_tick(c, fx),
+            Event::BgKick(c) => state.on_bg_kick(c, fx),
+            Event::BgWrite(c) => state.on_bg_write(c, fx),
+            Event::Sync => state.on_sync(fx),
+            Event::RebuildStep(gen) => state.on_rebuild_step(gen, fx),
+            Event::NetLinkFree(link) => state.on_net_link_free(link, fx),
+            Event::NetArrive { link, pkt } => state.on_net_arrive(link, pkt, fx),
+            Event::NetNak(c, ord) => state.on_net_nak(c, ord, fx),
+            Event::NetPlayout(c, ord) => state.on_net_playout(c, ord, fx),
+            Event::NetRetry(c) => state.net_resume(c, fx),
         }
-        self.apply(&mut acts, now);
-        self.actions = acts;
     }
 
-    /// Applies emitted actions in push order. Every action lands at the
-    /// virtual instant the transition ran, so the insertion sequence
-    /// into the engine queue is exactly what the old inline handlers
-    /// produced.
-    fn apply(&mut self, acts: &mut Vec<Action>, now: Instant) {
-        for act in acts.drain(..) {
-            match act {
-                Action::SubmitDisk { vol, req } => {
-                    if let Some(at) = self.disks.submit(VolumeId(vol), now, req) {
-                        self.engine.schedule(at, Event::DiskDone(vol));
-                    }
-                }
-                Action::SubmitBatch { vol, reqs } => {
-                    if let Some(at) = self.disks.submit_batch(vol, now, reqs) {
-                        self.engine.schedule(at, Event::DiskDone(vol.0));
-                    }
-                }
-                Action::Schedule { at, ev } => {
-                    self.engine.schedule(at, ev);
-                }
-                Action::WakeCpu { tid, burst, tag } => {
-                    if let Some((at, tok)) = self.cpu.wake(tid, burst, tag, now) {
-                        self.engine.schedule(at, Event::CpuSlice(tok));
-                    }
-                }
-                Action::Trace { component, message } => {
-                    self.state.trace.log(now, component, message);
-                }
-            }
+    /// Lends the substrates at the current instant to the [`SysState`]
+    /// half, for entry points outside the event loop.
+    fn split(&mut self) -> (&mut SysState, Fx<'_>) {
+        let fx = Fx {
+            now: self.engine.now(),
+            engine: &mut self.engine,
+            disks: &mut self.disks,
+            cpu: &mut self.cpu,
+        };
+        (&mut self.state, fx)
+    }
+}
+
+/// The substrates a [`SysState`] handler drives, lent for one event at
+/// the instant `now` it runs. Each method that starts substrate work
+/// also schedules the event that will complete it.
+struct Fx<'a> {
+    now: Instant,
+    engine: &'a mut Engine<Event>,
+    disks: &'a mut VolumeSet<DiskTag>,
+    cpu: &'a mut Cpu<CpuTag>,
+}
+
+impl Fx<'_> {
+    /// Arms a timer: `ev` fires at `at`.
+    fn schedule(&mut self, at: Instant, ev: Event) {
+        self.engine.schedule(at, ev);
+    }
+
+    /// Submits one disk request to volume `vol`.
+    fn submit(&mut self, vol: u32, req: DiskRequest<DiskTag>) {
+        if let Some(at) = self.disks.submit(VolumeId(vol), self.now, req) {
+            self.engine.schedule(at, Event::DiskDone(vol));
+        }
+    }
+
+    /// Submits a whole per-spindle interval batch to `vol` (C-SCAN
+    /// ordered by the device).
+    fn submit_batch(&mut self, vol: VolumeId, reqs: Vec<DiskRequest<DiskTag>>) {
+        if let Some(at) = self.disks.submit_batch(vol, self.now, reqs) {
+            self.engine.schedule(at, Event::DiskDone(vol.0));
+        }
+    }
+
+    /// Wakes CPU thread `tid` with a `burst` of work; the CPU hands
+    /// `tag` back when the burst completes.
+    fn wake(&mut self, tid: ThreadId, burst: Duration, tag: CpuTag) {
+        if let Some((at, tok)) = self.cpu.wake(tid, burst, tag, self.now) {
+            self.engine.schedule(at, Event::CpuSlice(tok));
         }
     }
 }
 
 impl SysState {
-    fn on_rebuild_step(&mut self, gen: u64, now: Instant, acts: &mut Vec<Action>) {
-        // Load-aware pacing: scale the configured rate cap by the spare
+    fn on_rebuild_step(&mut self, gen: u64, fx: &mut Fx) {
+        // Load-aware pacing: scale the rate cap by the spare
         // fraction the recent intervals actually left on the table, so a
         // lightly loaded array rebuilds near the cap while a busy one
         // backs off. The floor keeps a saturated system from starving
@@ -973,7 +977,7 @@ impl SysState {
         let slack = self
             .metrics
             .recent_slack(self.cfg.server.interval, REBUILD_SLACK_WINDOW);
-        let rate = self.cfg.rebuild_rate * slack.max(REBUILD_RATE_FLOOR);
+        let rate = REBUILD_RATE * slack.max(REBUILD_RATE_FLOOR);
         let Some(rb) = &mut self.rebuild else {
             return;
         };
@@ -991,33 +995,31 @@ impl SysState {
                 if c.srcs.is_empty() {
                     // Nothing survives to read (the parity of an
                     // all-absent tail row is zeros): write directly.
-                    self.submit_disk(
+                    fx.submit(
                         c.dst_vol,
                         DiskRequest::write(c.dst_block, c.nblocks, DiskTag::RebuildWrite(gen, idx)),
-                        acts,
                     );
                 } else {
                     for s in &c.srcs {
-                        self.submit_disk(
+                        fx.submit(
                             s.vol,
                             DiskRequest::read(s.block, s.nblocks, DiskTag::RebuildRead(gen, idx)),
-                            acts,
                         );
                     }
                 }
             }
-            None => self.finish_rebuild(now, acts),
+            None => self.finish_rebuild(fx.now),
         }
     }
 
-    fn finish_rebuild(&mut self, now: Instant, acts: &mut Vec<Action>) {
+    fn finish_rebuild(&mut self, now: Instant) {
         let Some(rb) = self.rebuild.take() else {
             return;
         };
         self.cras.set_volume_failed(VolumeId(rb.volume()), false);
         self.metrics.rebuild_finished_at = Some(now);
         self.metrics.rebuild_bytes = rb.copied_bytes();
-        self.trace_with("rebuild", acts, || {
+        self.trace.log_with(now, "rebuild", || {
             format!(
                 "volume {} rebuilt ({} bytes)",
                 rb.volume(),
@@ -1026,36 +1028,9 @@ impl SysState {
         });
     }
 
-    /// Emits a CPU wake: the executor hands the burst, tagged, to the
-    /// CPU.
-    fn wake_cpu(&self, tid: ThreadId, burst: Duration, tag: CpuTag, acts: &mut Vec<Action>) {
-        acts.push(Action::WakeCpu { tid, burst, tag });
-    }
-
-    /// Emits a disk submit.
-    fn submit_disk(&self, vol: u32, req: DiskRequest<DiskTag>, acts: &mut Vec<Action>) {
-        acts.push(Action::SubmitDisk { vol, req });
-    }
-
-    /// Emits a trace record, building the message only while tracing is
-    /// enabled (preserving the disabled-path cost of `Trace::log_with`).
-    fn trace_with<F: FnOnce() -> String>(
-        &self,
-        component: &'static str,
-        acts: &mut Vec<Action>,
-        f: F,
-    ) {
-        if self.trace.is_enabled() {
-            acts.push(Action::Trace {
-                component,
-                message: f(),
-            });
-        }
-    }
-
     /// [`IssueMode::SerialVolumes`] only: releases the next staged
     /// per-volume batch once the previous one has fully completed.
-    fn issue_next_serial_batch(&mut self, acts: &mut Vec<Action>) {
+    fn issue_next_serial_batch(&mut self, fx: &mut Fx) {
         debug_assert!(self.serial_outstanding.is_empty());
         let Some(batch) = self.serial_batches.pop_front() else {
             return;
@@ -1064,10 +1039,9 @@ impl SysState {
             self.serial_outstanding.insert(r.id.0);
         }
         for r in batch {
-            self.submit_disk(
+            fx.submit(
                 r.volume.0,
                 DiskRequest::rt_read(r.block, r.nblocks, DiskTag::Cras(r.id)),
-                acts,
             );
         }
     }
@@ -1075,7 +1049,7 @@ impl SysState {
     /// [`IssueMode::SerialVolumes`] only: retires `rid` from the
     /// in-flight batch (adding `retries` re-issued in its place) and
     /// releases the next batch when the current one drains.
-    fn on_serial_read_settled(&mut self, rid: ReadId, retries: &[ReadId], acts: &mut Vec<Action>) {
+    fn on_serial_read_settled(&mut self, rid: ReadId, retries: &[ReadId], fx: &mut Fx) {
         if self.issue != IssueMode::SerialVolumes {
             return;
         }
@@ -1084,39 +1058,36 @@ impl SysState {
             self.serial_outstanding.insert(r.0);
         }
         if self.serial_outstanding.is_empty() {
-            self.issue_next_serial_batch(acts);
+            self.issue_next_serial_batch(fx);
         }
     }
 
-    fn on_cras_tick(&mut self, now: Instant, acts: &mut Vec<Action>) {
+    fn on_cras_tick(&mut self, fx: &mut Fx) {
         // The request-scheduler thread must win the CPU before the
         // interval pass happens; under round robin this is where delay
         // creeps in (Figure 10).
         let streams = self.cras.stream_count() as u64;
         let burst = CRAS_TICK_BASE + CRAS_TICK_PER_STREAM * streams.max(1);
-        self.wake_cpu(self.cras_tid, burst, CpuTag::CrasSched, acts);
-        let next = now + self.cfg.server.interval;
-        acts.push(Action::Schedule {
-            at: next,
-            ev: Event::CrasTick,
-        });
+        fx.wake(self.cras_tid, burst, CpuTag::CrasSched);
+        fx.schedule(fx.now + self.cfg.server.interval, Event::CrasTick);
     }
 
-    /// The completion half of a CPU burst: the executor has already
-    /// ended the slice and re-armed the scheduler; this transition
-    /// routes the completion tag.
-    fn on_cpu_done(&mut self, tag: CpuTag, now: Instant, acts: &mut Vec<Action>) {
+    /// The completion half of a CPU burst: [`System`] has already ended
+    /// the slice and re-armed the scheduler; this handler routes the
+    /// completion tag.
+    fn on_cpu_done(&mut self, tag: CpuTag, fx: &mut Fx) {
+        let now = fx.now;
         match tag {
             CpuTag::CrasSched => {
                 let rep = self.cras.interval_tick(now);
                 if rep.overran {
                     // The paper's recovery action is a warning message;
                     // `Metrics::overruns` counts it below.
-                    self.trace_with("deadline", acts, || {
+                    self.trace.log_with(now, "deadline", || {
                         format!("interval {} overran", rep.index)
                     });
                 }
-                self.trace_with("cras", acts, || {
+                self.trace.log_with(now, "cras", || {
                     format!(
                         "tick {}: {} reads, {} chunks posted",
                         rep.index,
@@ -1125,7 +1096,7 @@ impl SysState {
                     )
                 });
                 if rep.steered_streams > 0 {
-                    self.trace_with("cras", acts, || {
+                    self.trace.log_with(now, "cras", || {
                         format!(
                             "tick {}: {} stream(s) steered to parity fan-out",
                             rep.index, rep.steered_streams
@@ -1133,7 +1104,7 @@ impl SysState {
                     });
                 }
                 if rep.lost_streams > 0 {
-                    self.trace_with("cras", acts, || {
+                    self.trace.log_with(now, "cras", || {
                         format!(
                             "tick {}: {} stream batch(es) dropped, no live replica",
                             rep.index, rep.lost_streams
@@ -1166,7 +1137,7 @@ impl SysState {
                                     DiskRequest::rt_read(r.block, r.nblocks, DiskTag::Cras(r.id))
                                 })
                                 .collect();
-                            acts.push(Action::SubmitBatch { vol, reqs });
+                            fx.submit_batch(vol, reqs);
                         }
                     }
                     IssueMode::SerialVolumes => {
@@ -1178,24 +1149,25 @@ impl SysState {
                             self.serial_batches.push_back(batch.to_vec());
                         }
                         if self.serial_outstanding.is_empty() {
-                            self.issue_next_serial_batch(acts);
+                            self.issue_next_serial_batch(fx);
                         }
                     }
                 }
             }
             CpuTag::PlayerDecode { client, frame } => {
-                self.on_frame_decoded(client, frame, now, acts);
+                self.on_frame_decoded(client, frame, fx);
             }
             CpuTag::Hog(i) => {
                 let tid = self.hog_tids[i as usize];
-                self.wake_cpu(tid, HOG_BURST, CpuTag::Hog(i), acts);
+                fx.wake(tid, HOG_BURST, CpuTag::Hog(i));
             }
         }
     }
 
-    /// The transition for a disk completion. The executor has already
-    /// popped `done` from the volume and chained the next `DiskDone`.
-    fn on_disk_done(&mut self, done: Completed<DiskTag>, now: Instant, acts: &mut Vec<Action>) {
+    /// The handler for a disk completion. [`System`] has already popped
+    /// `done` from the volume and chained the next `DiskDone`.
+    fn on_disk_done(&mut self, done: Completed<DiskTag>, fx: &mut Fx) {
+        let now = fx.now;
         match done.req.tag {
             DiskTag::Cras(rid) if done.failed => {
                 // A fast error from a failed volume: the read is re-issued
@@ -1205,19 +1177,18 @@ impl SysState {
                 let ids: Vec<ReadId> = retries.iter().map(|r| r.id).collect();
                 self.metrics.on_cras_read_failed(rid, &done, &ids);
                 for r in &retries {
-                    self.submit_disk(
+                    fx.submit(
                         r.volume.0,
                         DiskRequest::rt_read(r.block, r.nblocks, DiskTag::Cras(r.id)),
-                        acts,
                     );
                 }
-                self.on_serial_read_settled(rid, &ids, acts);
+                self.on_serial_read_settled(rid, &ids, fx);
             }
             DiskTag::Cras(rid) => {
                 self.metrics.on_cras_read_done(rid, &done);
                 // I/O-done manager thread: cheap, handled inline.
                 self.cras.io_done(rid);
-                self.on_serial_read_settled(rid, &[], acts);
+                self.on_serial_read_settled(rid, &[], fx);
             }
             DiskTag::RebuildRead(gen, idx) => {
                 // A completion whose generation does not match the live
@@ -1235,10 +1206,9 @@ impl SysState {
                     // them — the write starts when the last lands.
                     let c = rb.chunk(idx);
                     let (dv, db, nb) = (c.dst_vol, c.dst_block, c.nblocks);
-                    self.submit_disk(
+                    fx.submit(
                         dv,
                         DiskRequest::write(db, nb, DiskTag::RebuildWrite(gen, idx)),
-                        acts,
                     );
                 }
             }
@@ -1250,13 +1220,8 @@ impl SysState {
                     self.rebuild = None;
                 } else {
                     match rb.chunk_copied(idx, now) {
-                        Some(due) => {
-                            acts.push(Action::Schedule {
-                                at: due,
-                                ev: Event::RebuildStep(gen),
-                            });
-                        }
-                        None => self.finish_rebuild(now, acts),
+                        Some(due) => fx.schedule(due, Event::RebuildStep(gen)),
+                        None => self.finish_rebuild(now),
                     }
                 }
             }
@@ -1266,7 +1231,7 @@ impl SysState {
                     self.fs[v as usize].mark_cached(b);
                     self.inflight_blocks.remove(&(v, b));
                 }
-                self.check_server_wait(now, acts);
+                self.check_server_wait(fx);
             }
             DiskTag::Raw(_) => {}
         }
@@ -1274,17 +1239,7 @@ impl SysState {
 
     /// Issues a read through the Unix server on behalf of `owner`, against
     /// the file system on `vol`.
-    #[allow(clippy::too_many_arguments)]
-    fn ufs_read(
-        &mut self,
-        vol: u32,
-        owner: UOwner,
-        ino: Ino,
-        offset: u64,
-        len: u64,
-        now: Instant,
-        acts: &mut Vec<Action>,
-    ) {
+    fn ufs_read(&mut self, vol: u32, owner: UOwner, ino: Ino, offset: u64, len: u64, fx: &mut Fx) {
         let plan = self.fs[vol as usize].plan_read(ino, offset, len);
         let req = FsReq {
             tag: UReq { vol, owner },
@@ -1292,13 +1247,13 @@ impl SysState {
             read_ahead: plan.read_ahead,
         };
         if let Some(step) = self.userver.submit(req) {
-            self.drive_userver(step, now, acts);
+            self.drive_userver(step, fx);
         }
     }
 
     /// Advances the server when the blocks its fetch step waits on have
     /// all arrived.
-    fn check_server_wait(&mut self, now: Instant, acts: &mut Vec<Action>) {
+    fn check_server_wait(&mut self, fx: &mut Fx) {
         let done = match &mut self.server_wait {
             None => false,
             Some(wait) => {
@@ -1310,11 +1265,12 @@ impl SysState {
         if done {
             self.server_wait = None;
             let step = self.userver.fetch_done();
-            self.drive_userver(step, now, acts);
+            self.drive_userver(step, fx);
         }
     }
 
-    fn drive_userver(&mut self, first: Step<UReq>, now: Instant, acts: &mut Vec<Action>) {
+    fn drive_userver(&mut self, first: Step<UReq>, fx: &mut Fx) {
+        let now = fx.now;
         let mut step = Some(first);
         while let Some(s) = step.take() {
             match s {
@@ -1344,14 +1300,13 @@ impl SysState {
                         for b in sub.blocks() {
                             self.inflight_blocks.insert((vol, b));
                         }
-                        self.submit_disk(
+                        fx.submit(
                             vol,
                             DiskRequest::read(
                                 fsblock_to_disk(sub.start),
                                 SECT_PER_FSBLOCK * sub.len,
                                 DiskTag::UfsFetch(vol, sub),
                             ),
-                            acts,
                         );
                     }
                     self.server_wait = Some(missing.into_iter().map(|b| (vol, b)).collect());
@@ -1375,14 +1330,13 @@ impl SysState {
                             for b in sub.blocks() {
                                 self.inflight_blocks.insert((vol, b));
                             }
-                            self.submit_disk(
+                            fx.submit(
                                 vol,
                                 DiskRequest::read(
                                     fsblock_to_disk(sub.start),
                                     SECT_PER_FSBLOCK * sub.len,
                                     DiskTag::UfsReadAhead(vol, sub),
                                 ),
-                                acts,
                             );
                         }
                     }
@@ -1397,13 +1351,12 @@ impl SysState {
                             // the block was in flight): the completion is a
                             // logged drop, not a decode.
                             match self.players.get(&client.0).map(|p| p.tid) {
-                                Some(tid) => self.wake_cpu(
+                                Some(tid) => fx.wake(
                                     tid,
                                     self.cfg.costs.decode,
                                     CpuTag::PlayerDecode { client, frame },
-                                    acts,
                                 ),
-                                None => self.trace_with("userver", acts, || {
+                                None => self.trace.log_with(now, "userver", || {
                                     format!(
                                         "client {} gone; read for frame {frame} dropped",
                                         client.0
@@ -1415,12 +1368,9 @@ impl SysState {
                             if let Some(bg) = self.bgs.get_mut(&client.0) {
                                 bg.complete(bytes);
                                 let at = now + bg.pause.max(BG_MIN_CYCLE);
-                                acts.push(Action::Schedule {
-                                    at,
-                                    ev: Event::BgKick(client),
-                                });
+                                fx.schedule(at, Event::BgKick(client));
                             } else {
-                                self.trace_with("userver", acts, || {
+                                self.trace.log_with(now, "userver", || {
                                     format!("bg client {} gone; completion dropped", client.0)
                                 });
                             }
@@ -1432,7 +1382,8 @@ impl SysState {
         }
     }
 
-    fn on_player_tick(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) {
+    fn on_player_tick(&mut self, client: ClientId, fx: &mut Fx) {
+        let now = fx.now;
         let Some(player) = self.players.get(&client.0) else {
             return;
         };
@@ -1448,7 +1399,7 @@ impl SysState {
             // indexes (a shard-down race against re-admission): retire
             // the player as a traced drop instead of panicking
             // inside the event loop.
-            self.trace_with("player", acts, || {
+            self.trace.log_with(now, "player", || {
                 format!("client {} frame {k} out of range; player retired", client.0)
             });
             if let Some(p) = self.players.get_mut(&client.0) {
@@ -1462,11 +1413,10 @@ impl SysState {
                 match got {
                     Some(_buffered) => {
                         let tid = self.players.get(&client.0).expect("exists").tid;
-                        self.wake_cpu(
+                        fx.wake(
                             tid,
                             self.cfg.costs.decode,
                             CpuTag::PlayerDecode { client, frame: k },
-                            acts,
                         );
                     }
                     None => {
@@ -1478,19 +1428,13 @@ impl SysState {
                         if expired || p.polls_this_frame > 1000 {
                             if let Some(_due) = p.frame_dropped(now) {
                                 let due = p.due(p.next_frame).max(now);
-                                acts.push(Action::Schedule {
-                                    at: due,
-                                    ev: Event::PlayerFrame(client),
-                                });
+                                fx.schedule(due, Event::PlayerFrame(client));
                             }
-                            self.trace_with("player", acts, || {
+                            self.trace.log_with(now, "player", || {
                                 format!("client {} dropped frame {k}", client.0)
                             });
                         } else {
-                            acts.push(Action::Schedule {
-                                at: now + PLAYER_POLL,
-                                ev: Event::PlayerPoll(client),
-                            });
+                            fx.schedule(now + PLAYER_POLL, Event::PlayerPoll(client));
                         }
                     }
                 }
@@ -1506,36 +1450,27 @@ impl SysState {
                     ino,
                     chunk.file_offset,
                     chunk.size as u64,
-                    now,
-                    acts,
+                    fx,
                 );
             }
         }
     }
 
-    fn on_frame_decoded(
-        &mut self,
-        client: ClientId,
-        frame: u32,
-        now: Instant,
-        acts: &mut Vec<Action>,
-    ) {
+    fn on_frame_decoded(&mut self, client: ClientId, frame: u32, fx: &mut Fx) {
+        let now = fx.now;
         let Some(player) = self.players.get_mut(&client.0) else {
             return;
         };
         if let Some(due) = player.frame_shown(frame, now) {
             let at = due.max(now);
-            acts.push(Action::Schedule {
-                at,
-                ev: Event::PlayerFrame(client),
-            });
+            fx.schedule(at, Event::PlayerFrame(client));
         }
         if self.net.has_session(client.0) {
-            self.net_deliver_frame(client, frame, now, acts);
+            self.net_deliver_frame(client, frame, fx);
         }
     }
 
-    // ----- delivery subsystem transitions (DESIGN §18) ----------------
+    // ----- delivery subsystem handlers (DESIGN §18) -------------------
 
     /// Aligns `client`'s multicast membership with the cache manager's
     /// join state, resolving the leader stream to its client. Called at
@@ -1563,13 +1498,7 @@ impl SysState {
     /// membership with the cache manager's join state, then transmits
     /// (or, for a group member, registers the frame against the
     /// leader's shared packet).
-    fn net_deliver_frame(
-        &mut self,
-        client: ClientId,
-        frame: u32,
-        now: Instant,
-        acts: &mut Vec<Action>,
-    ) {
+    fn net_deliver_frame(&mut self, client: ClientId, frame: u32, fx: &mut Fx) {
         let Some(p) = self.players.get(&client.0) else {
             return;
         };
@@ -1577,63 +1506,64 @@ impl SysState {
             return;
         };
         self.net_sync_join(client);
-        self.net_step(now, acts, |net, fx| {
-            net.send_frame(client.0, frame, chunk.size as u64, chunk.timestamp, now, fx)
+        let now = fx.now;
+        self.net_step(fx, |net, out| {
+            net.send_frame(
+                client.0,
+                frame,
+                chunk.size as u64,
+                chunk.timestamp,
+                now,
+                out,
+            )
         });
     }
 
-    fn on_net_link_free(&mut self, link: u32, now: Instant, acts: &mut Vec<Action>) {
-        self.net_step(now, acts, |net, fx| net.on_link_free(link, now, fx));
+    fn on_net_link_free(&mut self, link: u32, fx: &mut Fx) {
+        let now = fx.now;
+        self.net_step(fx, |net, out| net.on_link_free(link, now, out));
     }
 
-    fn on_net_arrive(&mut self, link: u32, pkt: u64, now: Instant, acts: &mut Vec<Action>) {
-        self.net_step(now, acts, |net, fx| net.on_arrive(link, pkt, now, fx));
+    fn on_net_arrive(&mut self, link: u32, pkt: u64, fx: &mut Fx) {
+        let now = fx.now;
+        self.net_step(fx, |net, out| net.on_arrive(link, pkt, now, out));
     }
 
-    fn on_net_nak(&mut self, client: ClientId, ord: u32, now: Instant, acts: &mut Vec<Action>) {
-        self.net_step(now, acts, |net, fx| net.on_nak(client.0, ord, now, fx));
+    fn on_net_nak(&mut self, client: ClientId, ord: u32, fx: &mut Fx) {
+        let now = fx.now;
+        self.net_step(fx, |net, out| net.on_nak(client.0, ord, now, out));
     }
 
-    fn on_net_playout(&mut self, client: ClientId, ord: u32, now: Instant, acts: &mut Vec<Action>) {
-        self.net_step(now, acts, |net, fx| net.on_playout(client.0, ord, now, fx));
+    fn on_net_playout(&mut self, client: ClientId, ord: u32, fx: &mut Fx) {
+        let now = fx.now;
+        self.net_step(fx, |net, out| net.on_playout(client.0, ord, now, out));
     }
 
     /// Runs one delivery-machine step into the reused effect buffer,
-    /// then maps the requested effects onto the §14 action seam: timers
-    /// become scheduled events, park/resume requests run their
-    /// stream-layer transitions inline (they emit further actions but
-    /// never further net effects, so this does not recurse).
-    fn net_step(
-        &mut self,
-        now: Instant,
-        acts: &mut Vec<Action>,
-        step: impl FnOnce(&mut NetDelivery, &mut Vec<NetEffect>),
-    ) {
-        let mut fx = std::mem::take(&mut self.net_fx);
-        step(&mut self.net, &mut fx);
-        for e in fx.drain(..) {
+    /// then carries out the requested effects: timers become scheduled
+    /// events, park/resume requests run their stream-layer handlers
+    /// inline (they drive further substrate work but never produce
+    /// further net effects, so this does not recurse).
+    fn net_step(&mut self, fx: &mut Fx, step: impl FnOnce(&mut NetDelivery, &mut Vec<NetEffect>)) {
+        let mut out = std::mem::take(&mut self.net_fx);
+        step(&mut self.net, &mut out);
+        for e in out.drain(..) {
             match e {
-                NetEffect::LinkFree { at, link } => acts.push(Action::Schedule {
-                    at,
-                    ev: Event::NetLinkFree(link),
-                }),
-                NetEffect::Arrive { at, link, pkt } => acts.push(Action::Schedule {
-                    at,
-                    ev: Event::NetArrive { link, pkt },
-                }),
-                NetEffect::Nak { at, session, ord } => acts.push(Action::Schedule {
-                    at,
-                    ev: Event::NetNak(ClientId(session), ord),
-                }),
-                NetEffect::Playout { at, session, ord } => acts.push(Action::Schedule {
-                    at,
-                    ev: Event::NetPlayout(ClientId(session), ord),
-                }),
-                NetEffect::Park { session } => self.net_park(ClientId(session), now, acts),
-                NetEffect::Resume { session } => self.net_resume(ClientId(session), now, acts),
+                NetEffect::LinkFree { at, link } => fx.schedule(at, Event::NetLinkFree(link)),
+                NetEffect::Arrive { at, link, pkt } => {
+                    fx.schedule(at, Event::NetArrive { link, pkt })
+                }
+                NetEffect::Nak { at, session, ord } => {
+                    fx.schedule(at, Event::NetNak(ClientId(session), ord))
+                }
+                NetEffect::Playout { at, session, ord } => {
+                    fx.schedule(at, Event::NetPlayout(ClientId(session), ord))
+                }
+                NetEffect::Park { session } => self.net_park(ClientId(session), fx.now),
+                NetEffect::Resume { session } => self.net_resume(ClientId(session), fx),
             }
         }
-        self.net_fx = fx;
+        self.net_fx = out;
     }
 
     /// Credit exhausted: the client's playout buffer crossed its high
@@ -1641,7 +1571,7 @@ impl SysState {
     /// and disk share until the client drains. A stream some other
     /// machinery already parked simply rides along (the net-side resume
     /// will retry it like any rebuffer).
-    fn net_park(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) {
+    fn net_park(&mut self, client: ClientId, now: Instant) {
         let Some(p) = self.players.get(&client.0) else {
             self.net.mark_resumed(client.0);
             return;
@@ -1660,7 +1590,7 @@ impl SysState {
         if self.cras.park(stream, now) {
             self.players.get_mut(&client.0).expect("checked").paused = true;
             self.metrics.net_parks += 1;
-            self.trace_with("net", acts, || {
+            self.trace.log_with(now, "net", || {
                 format!("client {} parked by delivery backpressure", client.0)
             });
         } else {
@@ -1673,7 +1603,8 @@ impl SysState {
     /// the ladder has no capacity yet the attempt re-arms on a timer —
     /// a fully drained session generates no more playout events, so the
     /// chain cannot re-trigger the resume by itself.
-    fn net_resume(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) {
+    fn net_resume(&mut self, client: ClientId, fx: &mut Fx) {
+        let now = fx.now;
         // Nothing to resume when the viewer is gone or done, or when
         // something else (a gateway failover, the workload's retry
         // loop) already resumed the stream.
@@ -1682,13 +1613,10 @@ impl SysState {
                 .players
                 .get(&client.0)
                 .is_some_and(|p| !p.done && p.paused && matches!(p.mode, PlayerMode::Cras { .. }));
-        if !waiting || self.resume_player(client, now, acts) {
+        if !waiting || self.resume_player(client, fx) {
             self.net.mark_resumed(client.0);
         } else {
-            acts.push(Action::Schedule {
-                at: now + self.cfg.server.interval,
-                ev: Event::NetRetry(client),
-            });
+            fx.schedule(now + self.cfg.server.interval, Event::NetRetry(client));
         }
     }
 
@@ -1697,7 +1625,8 @@ impl SysState {
     /// done, stays as it is. On success the player unpauses, its
     /// next frame is scheduled at the restarted clock's begin, and the
     /// resume is counted. Returns whether the viewer resumed.
-    fn resume_player(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) -> bool {
+    fn resume_player(&mut self, client: ClientId, fx: &mut Fx) -> bool {
+        let now = fx.now;
         let Some(p) = self
             .players
             .get_mut(&client.0)
@@ -1713,15 +1642,13 @@ impl SysState {
         };
         p.paused = false;
         p.polls_this_frame = 0;
-        acts.push(Action::Schedule {
-            at: begin,
-            ev: Event::PlayerFrame(client),
-        });
+        fx.schedule(begin, Event::PlayerFrame(client));
         self.metrics.resumed_streams += 1;
         true
     }
 
-    fn on_bg_write(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) {
+    fn on_bg_write(&mut self, client: ClientId, fx: &mut Fx) {
+        let now = fx.now;
         let Some(w) = self.writers.get_mut(&client.0) else {
             return;
         };
@@ -1731,39 +1658,33 @@ impl SysState {
         self.fs[vol as usize]
             .append_dirty(ino, bytes)
             .expect("edit file grows within limits");
-        acts.push(Action::Schedule {
-            at: now + period,
-            ev: Event::BgWrite(client),
-        });
+        fx.schedule(now + period, Event::BgWrite(client));
     }
 
-    fn on_sync(&mut self, now: Instant, acts: &mut Vec<Action>) {
+    fn on_sync(&mut self, fx: &mut Fx) {
+        let now = fx.now;
         // Flush everything dirty each pass, like the classic update
         // daemon: write-back arrives in bursts, which is exactly the
         // disk contention the editing experiment studies.
         for v in 0..self.fs.len() {
             let runs = self.fs[v].take_dirty(usize::MAX);
             for run in runs {
-                self.submit_disk(
+                fx.submit(
                     v as u32,
                     DiskRequest::write(
                         fsblock_to_disk(run.start),
                         SECT_PER_FSBLOCK * run.len,
                         DiskTag::UfsWriteback(v as u32, run),
                     ),
-                    acts,
                 );
             }
         }
         if !self.writers.is_empty() {
-            acts.push(Action::Schedule {
-                at: now + Duration::from_secs(1),
-                ev: Event::Sync,
-            });
+            fx.schedule(now + Duration::from_secs(1), Event::Sync);
         }
     }
 
-    fn on_bg_kick(&mut self, client: ClientId, now: Instant, acts: &mut Vec<Action>) {
+    fn on_bg_kick(&mut self, client: ClientId, fx: &mut Fx) {
         let Some(bg) = self.bgs.get(&client.0) else {
             return;
         };
@@ -1773,15 +1694,7 @@ impl SysState {
         let (pos, len) = bg.next_range();
         let (ino, vol) = (bg.ino, bg.vol);
         self.bgs.get_mut(&client.0).expect("exists").in_flight = true;
-        self.ufs_read(
-            vol,
-            UOwner::Bg { client, bytes: len },
-            ino,
-            pos,
-            len,
-            now,
-            acts,
-        );
+        self.ufs_read(vol, UOwner::Bg { client, bytes: len }, ino, pos, len, fx);
     }
 }
 
@@ -1915,6 +1828,46 @@ mod tests {
         assert!(rendered.contains("reads"), "trace: {rendered}");
         // No drops in this scenario => no player drop records.
         assert!(!rendered.contains("dropped frame"));
+    }
+
+    #[test]
+    fn trace_records_volume_failure_and_rebuild() {
+        let mut s = sys(mirrored_cfg(2));
+        s.trace.set_enabled(true);
+        let movie = s.record_movie("m", StreamProfile::mpeg1(), 10.0);
+        let c = s.add_cras_player(&movie, 1).unwrap();
+        s.start_playback(c);
+        s.run_for(Duration::from_secs(2));
+        let (_, m) = mirrored_placement(&s, "m");
+        s.fail_volume(m);
+        s.run_for(Duration::from_secs(1));
+        s.try_attach_replacement(m).expect("attach replacement");
+        s.run_for(Duration::from_secs(15));
+        assert!(!s.rebuild_active(), "rebuild should have completed");
+        let logged = |message: String| {
+            let mut hits = s.trace.records().filter(|r| r.message == message);
+            let at = hits
+                .next()
+                .unwrap_or_else(|| panic!("no record {message:?}"))
+                .at;
+            assert!(hits.next().is_none(), "{message:?} logged twice");
+            at
+        };
+        let metrics = &s.metrics;
+        assert_eq!(
+            Some(logged(format!("volume {m} failed"))),
+            metrics.volume_failed_at
+        );
+        assert_eq!(
+            Some(logged(format!("rebuilding volume {m}"))),
+            metrics.rebuild_started_at
+        );
+        let bytes = metrics.rebuild_bytes;
+        assert!(bytes > 0);
+        assert_eq!(
+            Some(logged(format!("volume {m} rebuilt ({bytes} bytes)"))),
+            metrics.rebuild_finished_at
+        );
     }
 
     #[test]
@@ -2164,8 +2117,8 @@ mod tests {
         assert!(!s.rebuild_active(), "rebuild should have completed");
         let t = s.metrics.rebuild_time().expect("rebuild finished");
         assert!(s.metrics.rebuild_bytes > 0);
-        // Rate control: the copy may not beat the configured rate.
-        let floor = s.metrics.rebuild_bytes as f64 / s.cfg.rebuild_rate;
+        // Rate control: the copy may not beat `REBUILD_RATE`.
+        let floor = s.metrics.rebuild_bytes as f64 / REBUILD_RATE;
         assert!(
             t.as_secs_f64() >= floor * 0.99,
             "rebuild {}s beat the rate floor {floor}s",
@@ -2214,46 +2167,57 @@ mod tests {
     #[test]
     fn second_failure_mid_rebuild_restarts_cleanly() {
         // A rebuild is aborted mid-copy by a second failure of the same
-        // volume, and a new rebuild starts while the aborted one's
-        // pacing events (and possibly a copy-op completion) are still in
-        // the event queue. The generation tags must keep those stale
-        // events from driving the new rebuild's chunk cursor — the
-        // refailed run has to copy exactly what a clean run copies.
-        let run = |refail: bool| -> u64 {
-            let mut cfg = mirrored_cfg(4);
-            // Slow the copy so the second failure lands mid-rebuild.
-            cfg.rebuild_rate = 256.0 * 1024.0;
-            let mut s = sys(cfg);
+        // volume, and a new rebuild starts while one of the aborted
+        // rebuild's events is still queued: its next pacing event, or
+        // the completion of a source read in flight. The generation tags
+        // must keep that stale event from driving the new rebuild's
+        // chunk cursor — the refailed run has to copy exactly what a
+        // clean run copies.
+        fn step(s: &mut System) -> Event {
+            let (now, ev) = s.engine.pop().expect("the rebuild has events queued");
+            s.handle(ev, now);
+            ev
+        }
+        // `refail`: `None` for a clean run, else how many events to step
+        // past the copy write that lands first after 200 ms.
+        let run = |refail: Option<usize>| -> u64 {
+            let mut s = sys(mirrored_cfg(4));
             s.record_movie("m", StreamProfile::mpeg1(), 10.0);
             let (_, m) = mirrored_placement(&s, "m");
             s.fail_volume(m);
             s.run_for(Duration::from_secs(1));
             s.try_attach_replacement(m).expect("attach replacement");
-            if refail {
-                s.run_for(Duration::from_millis(1500));
+            if let Some(extra) = refail {
+                // The title's ~2 MB take about half a second at
+                // `REBUILD_RATE`. Right after a copy write lands, the
+                // next pacing event is queued; one event later, the
+                // next chunk's source read is in flight. Either way the
+                // replacement is idle, so the new rebuild starts at once.
+                s.run_for(Duration::from_millis(200));
+                while !matches!(step(&mut s), Event::DiskDone(v) if v == m) {}
+                for _ in 0..extra {
+                    step(&mut s);
+                }
                 assert!(s.rebuild_active(), "rebuild finished too early");
                 s.fail_volume(m);
                 assert!(!s.rebuild_active(), "second failure must abort");
-                let mut tries = 0;
-                while let Err(e) = s.try_attach_replacement(m) {
-                    assert_eq!(e, AttachError::DeviceBusy);
-                    tries += 1;
-                    assert!(tries < 1000, "attach never succeeded");
-                    s.run_for(Duration::from_millis(1));
-                }
+                s.try_attach_replacement(m)
+                    .expect("the replacement is idle");
             }
             s.run_for(Duration::from_secs(60));
             assert!(!s.rebuild_active(), "rebuild should have completed");
             assert!(!s.cras.volume_failed(VolumeId(m)));
             s.metrics.rebuild_bytes
         };
-        let clean = run(false);
+        let clean = run(None);
         assert!(clean > 0);
-        assert_eq!(
-            run(true),
-            clean,
-            "stale events from the aborted rebuild drove the new one"
-        );
+        for (extra, stale) in [(0, "pacing event"), (1, "source read")] {
+            assert_eq!(
+                run(Some(extra)),
+                clean,
+                "a stale {stale} from the aborted rebuild drove the new one"
+            );
+        }
     }
 
     #[test]
@@ -2390,7 +2354,7 @@ mod tests {
         let t = s.metrics.rebuild_time().expect("rebuild finished");
         // Load-aware pacing only ever scales the configured cap *down*,
         // so the cap's rate floor still binds.
-        let floor = s.metrics.rebuild_bytes as f64 / s.cfg.rebuild_rate;
+        let floor = s.metrics.rebuild_bytes as f64 / REBUILD_RATE;
         assert!(
             t.as_secs_f64() >= floor * 0.99,
             "rebuild {}s beat the rate cap floor {floor}s",

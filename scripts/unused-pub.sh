@@ -1,21 +1,23 @@
 #!/bin/sh
-# Lists every `pub fn` defined under crates/ that no non-test code calls
-# and that is not on the allow-list below; prints nothing and exits 0
-# when there is none.
+# Lists every `pub` item (fn, const fn, struct, enum, type, const,
+# static, trait) defined under crates/ that no non-test code names and
+# that is not on the allow-list below; prints nothing and exits 0 when
+# there is none. An item is a `const fn` only when its definition line
+# says `const fn`.
 #
-# The scan is by name. Callers are the .rs files under crates/, src/,
+# The scan is by name. Users are the .rs files under crates/, src/,
 # examples/ and perfbench/, minus test code: tests/ and benches/
 # directories, and everything from a file's first `#[cfg(test)] mod` on.
-# Comment lines (`//`, `///`, `//!`) and lines that define a fn of the
-# same name do not count as calls. A `pub fn` that a test module or
-# tests/ file calls, and nothing else, is reported; one gated by its own
+# Comment lines (`//`, `///`, `//!`) and lines that define an item of
+# the same name do not count as uses. A `pub` item that a test module or
+# tests/ file names, and nothing else, is reported; one gated by its own
 # `#[cfg(test)]` is test code and is not.
 #
 # Run from the repository root: `make unused-pub`.
 set -eu
 
-# Deliberate `pub fn`s without a non-test caller: name, then the reason.
-# An entry that gains a non-test caller is reported as stale.
+# Deliberate `pub` items without a non-test user: name, then the reason.
+# An entry that gains a non-test user is reported as stale.
 allow=$(cat <<'LIST'
 run_until_shuffled   System's shuffled same-instant event loop, the interleaving fuzzer's seam
 is_clean             CheckReport's verdict, read by the fsck unit and property tests
@@ -45,9 +47,10 @@ report=$(printf '%s\n' "$allow" | FILES="$files" awk '
         if (gated && line ~ /^mod /) break
         if (line ~ /^[ \t]*\/\//) continue
         def = ""
-        if (match(line, /fn [A-Za-z_][A-Za-z0-9_]*/)) {
-          def = substr(line, RSTART + 3, RLENGTH - 3)
-          if (lib && !gated && line ~ /^[ \t]*pub (const )?fn /) {
+        if (match(line, /(const fn|fn|struct|enum|type|const|static|trait) [A-Za-z_][A-Za-z0-9_]*/)) {
+          def = substr(line, RSTART, RLENGTH)
+          sub(/.* /, "", def)
+          if (lib && !gated && line ~ /^[ \t]*pub (const fn|fn|struct|enum|type|const|static|trait) /) {
             if (!(def in where)) where[def] = f ":" lineno
           }
         }
@@ -60,7 +63,7 @@ report=$(printf '%s\n' "$allow" | FILES="$files" awk '
     }
     for (name in where)
       if (!(name in used) && !(name in allowed))
-        print "unused pub fn: " name " (" where[name] ")"
+        print "unused pub item: " name " (" where[name] ")"
     for (name in allowed)
       if (!(name in where) || (name in used))
         print "stale allow-list entry: " name
