@@ -27,9 +27,7 @@
 pub mod gateway;
 pub mod ring;
 
-pub use cras_core::cachepolicy::{
-    head_share, zipf_cdf, zipf_rank, zipf_weight, PopularityEstimator,
-};
+pub use cras_core::cachepolicy::{zipf_cdf, zipf_rank, zipf_weight, PopularityEstimator};
 pub use gateway::{
     Cluster, ClusterConfig, FailoverReport, KillError, OpenError, RetryStats, Session, SessionId,
     Shard, Stepping, TitleInfo,

@@ -32,6 +32,7 @@ pub fn zipf_weight(rank: usize, theta: f64) -> f64 {
 
 /// Cumulative request share of the `head` hottest titles out of `n`
 /// under Zipf(`theta`) — how much traffic replication covers.
+#[cfg(test)]
 pub fn head_share(head: usize, n: usize, theta: f64) -> f64 {
     let total: f64 = (0..n).map(|r| zipf_weight(r, theta)).sum();
     let hot: f64 = (0..head.min(n)).map(|r| zipf_weight(r, theta)).sum();

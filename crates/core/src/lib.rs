@@ -53,9 +53,7 @@ pub use admission::{
     Admission, AdmissionError, AdmissionModel, Load, StreamParams, MAX_READ_BYTES,
 };
 pub use cache::{CacheStats, EvictPolicy, IntervalCache};
-pub use cachepolicy::{
-    head_share, zipf_cdf, zipf_rank, zipf_weight, CacheManager, PopularityEstimator,
-};
+pub use cachepolicy::{zipf_cdf, zipf_rank, zipf_weight, CacheManager, PopularityEstimator};
 pub use clock::LogicalClock;
 pub use deploy::DeployMode;
 pub use fifo::FifoBuffer;

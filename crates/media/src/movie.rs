@@ -90,20 +90,6 @@ pub fn record_movie(
     })
 }
 
-/// Records `n` movies named `{prefix}{i}` with the same profile/length.
-pub fn record_library(
-    fs: &mut Ufs,
-    prefix: &str,
-    n: usize,
-    profile: StreamProfile,
-    play_secs: f64,
-    rng: &mut Rng,
-) -> Result<Vec<Movie>, FsError> {
-    (0..n)
-        .map(|i| record_movie(fs, &format!("{prefix}{i}"), profile, play_secs, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,16 +128,6 @@ mod tests {
         assert_eq!(fs.lookup("m.mov").unwrap(), m.ino);
         // 20 s of MPEG-1 is about 3.75 MB.
         assert!((m.table.total_bytes() as f64 - 3.75e6).abs() < 1e5);
-    }
-
-    #[test]
-    fn library_is_distinct_files() {
-        let mut fs = fs();
-        let mut rng = Rng::new(4);
-        let lib = record_library(&mut fs, "mov", 5, StreamProfile::mpeg1(), 5.0, &mut rng).unwrap();
-        assert_eq!(lib.len(), 5);
-        let inos: std::collections::BTreeSet<_> = lib.iter().map(|m| m.ino).collect();
-        assert_eq!(inos.len(), 5);
     }
 
     #[test]

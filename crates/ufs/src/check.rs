@@ -82,7 +82,7 @@ pub fn check(fs: &Ufs, check_leaks: bool) -> CheckReport {
                 mapped_blocks: mapped.len() as u64,
             });
         }
-        for b in mapped.into_iter().chain(inode.meta_blocks()) {
+        for &b in mapped.iter().chain(inode.meta_blocks()) {
             report.referenced_blocks += 1;
             if fs.is_block_free(b) {
                 report

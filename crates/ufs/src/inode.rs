@@ -5,20 +5,29 @@
 //! the first access to an indirect region fetches the indirect block
 //! through the buffer cache. CRAS avoids that steady-state cost by
 //! resolving a file's full extent map once at `crs_open` time.
+//!
+//! Files only grow at their end, so the map is dense: one vector of data
+//! blocks in file order and one of table blocks in the order they were
+//! mapped. Which tables a lookup passes through follows from the block
+//! index alone.
 
-use std::cell::RefCell;
-
-use crate::fs::Extent;
 use crate::layout::{FsBlock, Ino, BSIZE, NDIRECT, NINDIR};
 
 /// Which physical blocks must be read to reach a file block: zero, one or
 /// two metadata blocks, then the data block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BmapPath {
-    /// Metadata (indirect) blocks on the path, outermost first.
-    pub meta: Vec<FsBlock>,
+    meta: [FsBlock; 2],
+    nmeta: usize,
     /// The data block.
     pub data: FsBlock,
+}
+
+impl BmapPath {
+    /// Metadata (indirect) blocks on the path, outermost first.
+    pub fn meta(&self) -> &[FsBlock] {
+        &self.meta[..self.nmeta]
+    }
 }
 
 /// An in-memory inode.
@@ -28,23 +37,15 @@ pub struct Inode {
     pub ino: Ino,
     /// File length in bytes.
     pub size: u64,
-    direct: [Option<FsBlock>; NDIRECT],
-    /// Address of the single-indirect table block.
-    indirect: Option<FsBlock>,
-    ind_entries: Vec<Option<FsBlock>>,
-    /// Address of the double-indirect table block.
-    dindirect: Option<FsBlock>,
-    /// First-level entries of the double-indirect tree:
-    /// `(table_block, entries)`.
-    dind_tables: Vec<Option<(FsBlock, Vec<Option<FsBlock>>)>>,
+    /// `data[fb]` is file block `fb`.
+    data: Vec<FsBlock>,
+    /// Table blocks: the single-indirect table, then the double-indirect
+    /// root, then each second-level table in file order.
+    tables: Vec<FsBlock>,
     /// Allocator state: cylinder group the file is currently filling and
     /// how many blocks it has placed there (for `maxbpg`).
     pub(crate) alloc_group: Option<u32>,
     pub(crate) blocks_in_group: u32,
-    /// The extent map [`Ufs::extent_map`](crate::Ufs::extent_map) last
-    /// built from this block map, keyed by the `size` it was built at.
-    /// Mapping a block clears it; a size change misses the key.
-    pub(crate) extents: RefCell<Option<(u64, Vec<Extent>)>>,
 }
 
 impl Inode {
@@ -53,14 +54,10 @@ impl Inode {
         Inode {
             ino,
             size: 0,
-            direct: [None; NDIRECT],
-            indirect: None,
-            ind_entries: Vec::new(),
-            dindirect: None,
-            dind_tables: Vec::new(),
+            data: Vec::new(),
+            tables: Vec::new(),
             alloc_group: None,
             blocks_in_group: 0,
-            extents: RefCell::new(None),
         }
     }
 
@@ -70,134 +67,65 @@ impl Inode {
     }
 
     /// Looks up file block `fb`, returning the metadata path and the data
-    /// block, or `None` for a hole / out-of-range block.
+    /// block, or `None` for an unmapped block.
     pub fn bmap(&self, fb: u64) -> Option<BmapPath> {
-        if fb < NDIRECT as u64 {
-            return self.direct[fb as usize].map(|data| BmapPath {
-                meta: Vec::new(),
-                data,
-            });
-        }
-        let fb = fb - NDIRECT as u64;
-        if fb < NINDIR as u64 {
-            let table = self.indirect?;
-            let data = (*self.ind_entries.get(fb as usize)?)?;
-            return Some(BmapPath {
-                meta: vec![table],
-                data,
-            });
-        }
-        let fb = fb - NINDIR as u64;
-        if fb < (NINDIR * NINDIR) as u64 {
-            let root = self.dindirect?;
-            let (l1_idx, l2_idx) = ((fb / NINDIR as u64) as usize, (fb % NINDIR as u64) as usize);
-            let (table, entries) = self.dind_tables.get(l1_idx)?.as_ref()?;
-            let data = (*entries.get(l2_idx)?)?;
-            return Some(BmapPath {
-                meta: vec![root, *table],
-                data,
-            });
-        }
-        None
+        let data = *self.data.get(fb as usize)?;
+        let (meta, nmeta) = if fb < NDIRECT as u64 {
+            ([0; 2], 0)
+        } else if fb < (NDIRECT + NINDIR) as u64 {
+            ([self.tables[0], 0], 1)
+        } else {
+            let l1 = (fb - (NDIRECT + NINDIR) as u64) / NINDIR as u64;
+            ([self.tables[1], self.tables[2 + l1 as usize]], 2)
+        };
+        Some(BmapPath { meta, nmeta, data })
     }
 
     /// Metadata blocks the *next* append at file block `fb` would need to
-    /// allocate (0, 1 or 2 table blocks).
+    /// allocate (0, 1 or 2 table blocks): the single-indirect table at
+    /// its first block, the double-indirect root and a second-level table
+    /// at the double-indirect region's first block, and another
+    /// second-level table at each `NINDIR` boundary after it.
     pub fn meta_blocks_needed(&self, fb: u64) -> usize {
-        if fb < NDIRECT as u64 {
-            return 0;
-        }
-        let fb2 = fb - NDIRECT as u64;
-        if fb2 < NINDIR as u64 {
-            return usize::from(self.indirect.is_none());
-        }
-        let fb3 = fb2 - NINDIR as u64;
-        let mut needed = usize::from(self.dindirect.is_none());
-        let l1_idx = (fb3 / NINDIR as u64) as usize;
-        let have_l2 = self
-            .dind_tables
-            .get(l1_idx)
-            .map(Option::is_some)
-            .unwrap_or(false);
-        if !have_l2 {
-            needed += 1;
-        }
-        needed
+        let Some(dind) = fb.checked_sub((NDIRECT + NINDIR) as u64) else {
+            return usize::from(fb == NDIRECT as u64);
+        };
+        usize::from(dind == 0) + usize::from(dind % NINDIR as u64 == 0)
     }
 
-    /// Installs the mapping for file block `fb`, consuming metadata table
-    /// blocks from `meta` as needed (caller allocates them via
-    /// [`Inode::meta_blocks_needed`]).
+    /// Maps file block `fb`, the next unmapped one, consuming metadata
+    /// table blocks from `meta` as needed (caller allocates them via
+    /// [`Inode::meta_blocks_needed`]). Two tables at once (the
+    /// double-indirect edge) are popped root first.
     ///
     /// # Panics
     ///
-    /// Panics if `fb` is beyond the double-indirect range, if a required
-    /// metadata block was not supplied, or if `fb` is already mapped.
+    /// Panics if `fb` is already mapped or is not the next unmapped
+    /// block, if it is beyond the double-indirect range, or if a required
+    /// metadata block was not supplied.
     pub fn set_bmap(&mut self, fb: u64, data: FsBlock, meta: &mut Vec<FsBlock>) {
-        *self.extents.get_mut() = None;
-        if fb < NDIRECT as u64 {
-            assert!(self.direct[fb as usize].is_none(), "remapping block {fb}");
-            self.direct[fb as usize] = Some(data);
-            return;
-        }
-        let fb2 = fb - NDIRECT as u64;
-        if fb2 < NINDIR as u64 {
-            if self.indirect.is_none() {
-                self.indirect = Some(meta.pop().expect("missing indirect table block"));
-                self.ind_entries = vec![None; NINDIR];
-            }
-            let slot = &mut self.ind_entries[fb2 as usize];
-            assert!(slot.is_none(), "remapping block {fb}");
-            *slot = Some(data);
-            return;
-        }
-        let fb3 = fb2 - NINDIR as u64;
+        let next = self.data.len() as u64;
+        assert!(fb >= next, "remapping block {fb}");
+        assert!(fb == next, "mapping block {fb} skips block {next}");
         assert!(
-            fb3 < (NINDIR * NINDIR) as u64,
+            fb < (NDIRECT + NINDIR + NINDIR * NINDIR) as u64,
             "file block {fb} beyond double-indirect range"
         );
-        if self.dindirect.is_none() {
-            self.dindirect = Some(meta.pop().expect("missing double-indirect root block"));
-            self.dind_tables = Vec::new();
+        for _ in 0..self.meta_blocks_needed(fb) {
+            self.tables
+                .push(meta.pop().expect("missing indirect table block"));
         }
-        let l1_idx = (fb3 / NINDIR as u64) as usize;
-        let l2_idx = (fb3 % NINDIR as u64) as usize;
-        if self.dind_tables.len() <= l1_idx {
-            self.dind_tables.resize(l1_idx + 1, None);
-        }
-        if self.dind_tables[l1_idx].is_none() {
-            let table = meta.pop().expect("missing indirect table block");
-            self.dind_tables[l1_idx] = Some((table, vec![None; NINDIR]));
-        }
-        let (_, entries) = self.dind_tables[l1_idx].as_mut().expect("just created");
-        assert!(entries[l2_idx].is_none(), "remapping block {fb}");
-        entries[l2_idx] = Some(data);
+        self.data.push(data);
     }
 
-    /// All data blocks in file order (for extent-map construction).
-    pub fn data_blocks(&self) -> Vec<FsBlock> {
-        let mut out = Vec::with_capacity(self.nblocks() as usize);
-        for fb in 0..self.nblocks() {
-            if let Some(p) = self.bmap(fb) {
-                out.push(p.data);
-            }
-        }
-        out
+    /// Data blocks in file order, up to [`Inode::nblocks`].
+    pub fn data_blocks(&self) -> &[FsBlock] {
+        &self.data[..self.data.len().min(self.nblocks() as usize)]
     }
 
     /// All metadata (indirect-table) blocks owned by this inode.
-    pub fn meta_blocks(&self) -> Vec<FsBlock> {
-        let mut out = Vec::new();
-        if let Some(b) = self.indirect {
-            out.push(b);
-        }
-        if let Some(b) = self.dindirect {
-            out.push(b);
-        }
-        for t in self.dind_tables.iter().flatten() {
-            out.push(t.0);
-        }
-        out
+    pub fn meta_blocks(&self) -> &[FsBlock] {
+        &self.tables
     }
 }
 
@@ -229,7 +157,7 @@ mod tests {
         map_n(&mut i, 12);
         for fb in 0..12 {
             let p = i.bmap(fb).unwrap();
-            assert!(p.meta.is_empty());
+            assert!(p.meta().is_empty());
             assert_eq!(p.data, 1000 + fb);
         }
         assert!(i.meta_blocks().is_empty());
@@ -240,7 +168,7 @@ mod tests {
         let mut i = Inode::new(1);
         map_n(&mut i, NDIRECT as u64 + 5);
         let p = i.bmap(NDIRECT as u64 + 3).unwrap();
-        assert_eq!(p.meta.len(), 1);
+        assert_eq!(p.meta().len(), 1);
         assert_eq!(p.data, 1000 + NDIRECT as u64 + 3);
         assert_eq!(i.meta_blocks().len(), 1);
     }
@@ -251,7 +179,7 @@ mod tests {
         let fb = NDIRECT as u64 + NINDIR as u64 + 10;
         map_n(&mut i, fb + 1);
         let p = i.bmap(fb).unwrap();
-        assert_eq!(p.meta.len(), 2);
+        assert_eq!(p.meta().len(), 2);
         // Metadata: 1 single-indirect + dindirect root + 1 L2 table.
         assert_eq!(i.meta_blocks().len(), 3);
     }
@@ -292,6 +220,55 @@ mod tests {
         let mut none = Vec::new();
         i.set_bmap(0, 5, &mut none);
         i.set_bmap(0, 6, &mut none);
+    }
+
+    #[test]
+    #[should_panic(expected = "skips block 1")]
+    fn skipping_a_block_panics() {
+        let mut i = Inode::new(1);
+        let mut none = Vec::new();
+        i.set_bmap(0, 5, &mut none);
+        i.set_bmap(2, 6, &mut none);
+    }
+
+    #[test]
+    fn table_blocks_keep_their_roles() {
+        // Through the double-indirect edge and the next `NINDIR`
+        // boundary: the single-indirect table, the root, L2 tables 0 and 1.
+        let mut i = Inode::new(1);
+        let dind_start = (NDIRECT + NINDIR) as u64;
+        let end = dind_start + NINDIR as u64 + 1;
+        let mut next_meta = 900_000u64;
+        let mut supplied = Vec::new();
+        for fb in 0..end {
+            let mut meta: Vec<FsBlock> = (0..i.meta_blocks_needed(fb))
+                .map(|_| {
+                    next_meta += 1;
+                    next_meta
+                })
+                .collect();
+            supplied.push(meta.clone());
+            i.set_bmap(fb, 1000 + fb, &mut meta);
+            assert!(meta.is_empty(), "unused metadata block at {fb}");
+        }
+        i.size = end * BSIZE as u64;
+        let (ind, l2_0, root, l2_1) = (900_001, 900_002, 900_003, 900_004);
+        // The two blocks supplied at the edge: the root is the second.
+        assert_eq!(supplied[dind_start as usize], vec![l2_0, root]);
+        assert_eq!(i.meta_blocks(), [ind, root, l2_0, l2_1]);
+        for fb in 0..end {
+            let want: &[FsBlock] = if fb < NDIRECT as u64 {
+                &[]
+            } else if fb < dind_start {
+                &[ind]
+            } else if fb < dind_start + NINDIR as u64 {
+                &[root, l2_0]
+            } else {
+                &[root, l2_1]
+            };
+            let p = i.bmap(fb).unwrap();
+            assert_eq!((p.meta(), p.data), (want, 1000 + fb), "block {fb}");
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 # The scan is by name. Users are the .rs files under crates/, src/,
 # examples/ and perfbench/, minus test code: tests/ and benches/
 # directories, and everything from a file's first `#[cfg(test)] mod` on.
-# Comment lines (`//`, `///`, `//!`) and lines that define an item of
-# the same name do not count as uses. A `pub` item that a test module or
-# tests/ file names, and nothing else, is reported; one gated by its own
+# Comment lines (`//`, `///`, `//!`), `use` and `pub use` lines (with
+# the continuation lines of a braced list) and lines that define an
+# item of the same name do not count as uses, so a re-export alone
+# keeps nothing alive. A `pub` item that a test module or tests/ file
+# names, and nothing else, is reported; one gated by its own
 # `#[cfg(test)]` is test code and is not.
 #
 # Run from the repository root: `make unused-pub`.
@@ -27,6 +29,9 @@ pinned_frames        MovieCache's pin count, which the pin-leak property test mu
 free_bytes           Ufs free space, which the fragment-cycle and remove tests use to catch leaked blocks
 fast_lan             the uncontended link of the delivery equivalence tests (tests/net_delivery.rs)
 set_enabled          switches the post-mortem trace ring on; every run leaves it off unless a test asks
+modeled_travel       the seek-distance model cras-core's sweep-order tests compare request orders with
+parity_of            the XOR parity encoder, the byte-level reference cras-core's degraded-read tests check against
+reconstruct          the XOR decoder paired with parity_of, the reference the degraded-read docs cite
 LIST
 )
 
@@ -42,10 +47,16 @@ report=$(printf '%s\n' "$allow" | FILES="$files" awk '
       lib = (f ~ /^crates\//)
       lineno = 0
       gated = 0
+      inuse = 0
       while ((getline line < f) > 0) {
         lineno++
         if (gated && line ~ /^mod /) break
         if (line ~ /^[ \t]*\/\//) continue
+        if (inuse || line ~ /^[ \t]*(pub(\([a-z]+\))? )?use /) {
+          inuse = (line !~ /;/)
+          gated = 0
+          continue
+        }
         def = ""
         if (match(line, /(const fn|fn|struct|enum|type|const|static|trait) [A-Za-z_][A-Za-z0-9_]*/)) {
           def = substr(line, RSTART, RLENGTH)
