@@ -1,6 +1,6 @@
 # Convenience targets for the CRAS reproduction.
 
-.PHONY: all build test bench figures figures-quick fingerprints unused-pub examples clippy fmt clean
+.PHONY: all build test bench figures figures-quick fingerprints unused-pub loc examples clippy fmt clean
 
 all: build
 
@@ -40,6 +40,11 @@ fingerprints:
 # none.
 unused-pub:
 	@sh scripts/unused-pub.sh
+
+# Print each crate's non-test lines (every file above the `#[cfg(test)]`
+# that opens its `mod tests`, or the whole file) and their total.
+loc:
+	@sh scripts/loc.sh
 
 examples:
 	cargo run --release --example quickstart

@@ -125,68 +125,22 @@ impl IntervalWall {
     }
 }
 
-/// A record that counts its interval's reads as they settle:
-/// [`IntervalIo`] per volume, [`IntervalWall`] across volumes.
-trait Settling {
-    /// `(remaining, total_reqs, last_done, service_sum)`.
-    fn counts(&mut self) -> (&mut usize, &mut usize, &mut Instant, &mut f64);
-}
-
-impl Settling for IntervalIo {
-    fn counts(&mut self) -> (&mut usize, &mut usize, &mut Instant, &mut f64) {
-        (
-            &mut self.remaining,
-            &mut self.total_reqs,
-            &mut self.last_done,
-            &mut self.service_sum,
-        )
-    }
-}
-
-impl Settling for IntervalWall {
-    fn counts(&mut self) -> (&mut usize, &mut usize, &mut Instant, &mut f64) {
-        (
-            &mut self.remaining,
-            &mut self.total_reqs,
-            &mut self.last_done,
-            &mut self.service_sum,
-        )
-    }
-}
-
-/// Settles read `rid` on the record `index` maps it to, if any: charges
-/// its service time and completion, and hands its slot to `retries`
-/// (empty for a completion or a lost read). The read leaves `index`, so
-/// the index holds exactly the reads still outstanding.
-fn settle<R: Settling>(
-    records: &mut [R],
-    index: &mut HashMap<u64, usize>,
-    rid: ReadId,
-    done: &Completed<DiskTag>,
-    retries: &[ReadId],
-) {
-    let Some(idx) = index.remove(&rid.0) else {
-        return;
-    };
-    let (remaining, total_reqs, last_done, service_sum) = records[idx].counts();
-    *service_sum += done.breakdown.total().as_secs_f64();
-    if done.finished_at > *last_done {
-        *last_done = done.finished_at;
-    }
-    *remaining = *remaining - 1 + retries.len();
-    *total_reqs += retries.len();
-    for r in retries {
-        index.insert(r.0, idx);
-    }
+/// Where an outstanding read is counted: its volume's [`IntervalIo`]
+/// and its interval's [`IntervalWall`].
+#[derive(Clone, Copy, Debug)]
+struct ReadSlot {
+    interval: usize,
+    wall: usize,
 }
 
 /// System-wide measurement state.
 #[derive(Default, Debug)]
 pub struct Metrics {
     intervals: Vec<IntervalIo>,
-    read_interval: HashMap<u64, usize>,
     walls: Vec<IntervalWall>,
-    read_wall: HashMap<u64, usize>,
+    /// Outstanding reads by id; a read leaves when it settles, so the
+    /// map is empty at quiescence.
+    reads: HashMap<u64, ReadSlot>,
     /// Bytes completed for CRAS real-time reads.
     pub cras_read_bytes: u64,
     /// Total disk service time consumed by CRAS reads.
@@ -315,9 +269,6 @@ impl Metrics {
             calc_sum: rep.per_volume_calculated.iter().sum(),
             volumes: 0,
         });
-        for r in &rep.reqs {
-            self.read_wall.insert(r.id.0, wall_idx);
-        }
         for (vol, batch) in rep.volume_batches() {
             let calculated = rep
                 .per_volume_calculated
@@ -336,7 +287,11 @@ impl Metrics {
                 service_sum: 0.0,
             });
             for r in batch {
-                self.read_interval.insert(r.id.0, idx);
+                let slot = ReadSlot {
+                    interval: idx,
+                    wall: wall_idx,
+                };
+                self.reads.insert(r.id.0, slot);
             }
             self.walls[wall_idx].volumes += 1;
         }
@@ -346,8 +301,7 @@ impl Metrics {
     pub fn on_cras_read_done(&mut self, rid: ReadId, done: &Completed<DiskTag>) {
         self.cras_read_bytes += done.req.bytes();
         self.cras_read_busy += done.breakdown.total();
-        settle(&mut self.intervals, &mut self.read_interval, rid, done, &[]);
-        settle(&mut self.walls, &mut self.read_wall, rid, done, &[]);
+        self.settle(rid, done, &[]);
     }
 
     /// Records a CRAS read that came back failed and was replaced by
@@ -367,14 +321,30 @@ impl Metrics {
         } else {
             self.degraded_reads += 1;
         }
-        settle(
-            &mut self.intervals,
-            &mut self.read_interval,
-            rid,
-            done,
-            retries,
-        );
-        settle(&mut self.walls, &mut self.read_wall, rid, done, retries);
+        self.settle(rid, done, retries);
+    }
+
+    /// Settles read `rid` on its interval and wall records, if it is
+    /// outstanding: charges its service time and completion, and hands
+    /// its slot to `retries` (empty for a completion or a lost read).
+    fn settle(&mut self, rid: ReadId, done: &Completed<DiskTag>, retries: &[ReadId]) {
+        let Some(slot) = self.reads.remove(&rid.0) else {
+            return;
+        };
+        let service = done.breakdown.total().as_secs_f64();
+        let io = &mut self.intervals[slot.interval];
+        io.service_sum += service;
+        io.last_done = io.last_done.max(done.finished_at);
+        io.remaining = io.remaining - 1 + retries.len();
+        io.total_reqs += retries.len();
+        let wall = &mut self.walls[slot.wall];
+        wall.service_sum += service;
+        wall.last_done = wall.last_done.max(done.finished_at);
+        wall.remaining = wall.remaining - 1 + retries.len();
+        wall.total_reqs += retries.len();
+        for r in retries {
+            self.reads.insert(r.0, slot);
+        }
     }
 
     /// Average spare fraction of the interval over the last `window`
@@ -484,8 +454,8 @@ impl Metrics {
     /// floats via Rust's shortest round-trip formatting (`{:?}`). Two
     /// identically-behaving runs produce byte-identical output, so the
     /// replay-determinism and interleaving-fuzzer tests compare this
-    /// string directly. The internal read-id lookup maps (iteration-order
-    /// dependent and empty at quiescence anyway) are deliberately
+    /// string directly. The internal read-id lookup map (iteration-order
+    /// dependent and empty at quiescence anyway) is deliberately
     /// excluded.
     pub fn canonical_json(&self) -> String {
         fn f(x: f64) -> String {
@@ -813,7 +783,7 @@ mod tests {
     }
 
     #[test]
-    fn settled_reads_leave_both_read_indexes() {
+    fn settled_reads_leave_the_read_index() {
         let mut m = Metrics::new();
         // Read 2 fails and hands its slot to retry 9, which fails again
         // and hands it to 10; reads 1 and 3 complete plainly.
@@ -824,11 +794,8 @@ mod tests {
         m.on_cras_read_failed(ReadId(2), &err, &[ReadId(9)]);
         m.on_cras_read_failed(ReadId(9), &err, &[ReadId(10)]);
         let outstanding = |m: &Metrics| {
-            let mut ids: Vec<u64> = m.read_interval.keys().copied().collect();
+            let mut ids: Vec<u64> = m.reads.keys().copied().collect();
             ids.sort_unstable();
-            let mut wall: Vec<u64> = m.read_wall.keys().copied().collect();
-            wall.sort_unstable();
-            assert_eq!(ids, wall, "both indexes hold the same reads");
             ids
         };
         assert_eq!(outstanding(&m), vec![3, 10]);

@@ -19,7 +19,7 @@
 //! disk devices" variation. With one volume the system is byte-identical
 //! to the single-disk original.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use cras_core::{
     AdmissionError, Admit, CacheState, CrasServer, OpenReq, ReadId, ReadReq, StreamId, VolumeLoad,
@@ -31,6 +31,7 @@ use cras_net::{LinkParams, NetDelivery, NetEffect, NetFaults, SessionCfg};
 use cras_rtmach::{Cpu, SchedPolicy, ThreadId};
 use cras_sim::trace::Trace;
 use cras_sim::{Duration, Engine, IdTable, Instant, Rng};
+use cras_ufs::fs::FetchRun;
 use cras_ufs::layout::fsblock_to_disk;
 use cras_ufs::{FsReq, Ino, MkfsParams, Step, Ufs, UnixServer, SECT_PER_FSBLOCK};
 
@@ -198,11 +199,10 @@ pub struct SysState {
     fs: Vec<Ufs>,
     /// Movie placements by name.
     placements: BTreeMap<String, MoviePlacement>,
-    /// `(volume, block)` pairs with disk I/O in flight (sync or
-    /// read-ahead).
-    inflight_blocks: HashSet<(u32, cras_ufs::FsBlock)>,
-    /// Blocks the Unix server's current fetch step is waiting on.
-    server_wait: Option<HashSet<(u32, cras_ufs::FsBlock)>>,
+    /// Blocks the Unix server's current fetch step is waiting on, on the
+    /// volume of the request in service; each volume's [`Ufs`] knows
+    /// which of them are still in flight.
+    server_wait: Option<Vec<cras_ufs::FsBlock>>,
     cras_tid: ThreadId,
     hog_tids: Vec<ThreadId>,
     next_client: u32,
@@ -223,9 +223,10 @@ pub struct SysState {
     /// [`IssueMode::SerialVolumes`] only: per-volume batches waiting for
     /// the previous batch's spindle to drain (front = next to issue).
     serial_batches: VecDeque<Vec<ReadReq>>,
-    /// [`IssueMode::SerialVolumes`] only: read ids of the one batch
-    /// currently in flight.
-    serial_outstanding: HashSet<u64>,
+    /// [`IssueMode::SerialVolumes`] only: unsettled reads of the one
+    /// batch currently in flight (a failed read's retries count in its
+    /// place).
+    serial_outstanding: usize,
 }
 
 /// The assembled system: the [`SysState`] component state plus the
@@ -319,7 +320,6 @@ impl System {
                 net_fx: Vec::new(),
                 fs,
                 placements: BTreeMap::new(),
-                inflight_blocks: HashSet::new(),
                 server_wait: None,
                 cras_tid,
                 hog_tids,
@@ -330,7 +330,7 @@ impl System {
                 rebuild: None,
                 rebuild_gen: 0,
                 serial_batches: VecDeque::new(),
-                serial_outstanding: HashSet::new(),
+                serial_outstanding: 0,
             },
             loads: Vec::new(),
         }
@@ -362,7 +362,9 @@ impl SysState {
     /// (experiment hook). [`IssueMode::SerialVolumes`] is a measured
     /// *baseline*, not a supported operating mode — only the
     /// cross-volume overlap experiment should ever select it, so it is
-    /// deliberately not part of [`SysConfig`].
+    /// deliberately not part of [`SysConfig`]. Select it before any
+    /// interval issues reads: the serial baseline counts only the reads
+    /// it released itself.
     pub fn set_issue_mode(&mut self, mode: IssueMode) {
         self.issue = mode;
     }
@@ -1031,13 +1033,11 @@ impl SysState {
     /// [`IssueMode::SerialVolumes`] only: releases the next staged
     /// per-volume batch once the previous one has fully completed.
     fn issue_next_serial_batch(&mut self, fx: &mut Fx) {
-        debug_assert!(self.serial_outstanding.is_empty());
+        debug_assert_eq!(self.serial_outstanding, 0);
         let Some(batch) = self.serial_batches.pop_front() else {
             return;
         };
-        for r in &batch {
-            self.serial_outstanding.insert(r.id.0);
-        }
+        self.serial_outstanding = batch.len();
         for r in batch {
             fx.submit(
                 r.volume.0,
@@ -1046,18 +1046,19 @@ impl SysState {
         }
     }
 
-    /// [`IssueMode::SerialVolumes`] only: retires `rid` from the
-    /// in-flight batch (adding `retries` re-issued in its place) and
+    /// [`IssueMode::SerialVolumes`] only: settles one read of the
+    /// in-flight batch (`retries` reads re-issued in its place) and
     /// releases the next batch when the current one drains.
-    fn on_serial_read_settled(&mut self, rid: ReadId, retries: &[ReadId], fx: &mut Fx) {
+    fn on_serial_read_settled(&mut self, retries: usize, fx: &mut Fx) {
         if self.issue != IssueMode::SerialVolumes {
             return;
         }
-        self.serial_outstanding.remove(&rid.0);
-        for r in retries {
-            self.serial_outstanding.insert(r.0);
-        }
-        if self.serial_outstanding.is_empty() {
+        debug_assert!(
+            self.serial_outstanding > 0,
+            "more reads settled than issued"
+        );
+        self.serial_outstanding = self.serial_outstanding - 1 + retries;
+        if self.serial_outstanding == 0 {
             self.issue_next_serial_batch(fx);
         }
     }
@@ -1148,7 +1149,7 @@ impl SysState {
                         for (_, batch) in rep.volume_batches() {
                             self.serial_batches.push_back(batch.to_vec());
                         }
-                        if self.serial_outstanding.is_empty() {
+                        if self.serial_outstanding == 0 {
                             self.issue_next_serial_batch(fx);
                         }
                     }
@@ -1182,13 +1183,13 @@ impl SysState {
                         DiskRequest::rt_read(r.block, r.nblocks, DiskTag::Cras(r.id)),
                     );
                 }
-                self.on_serial_read_settled(rid, &ids, fx);
+                self.on_serial_read_settled(ids.len(), fx);
             }
             DiskTag::Cras(rid) => {
                 self.metrics.on_cras_read_done(rid, &done);
                 // I/O-done manager thread: cheap, handled inline.
                 self.cras.io_done(rid);
-                self.on_serial_read_settled(rid, &[], fx);
+                self.on_serial_read_settled(0, fx);
             }
             DiskTag::RebuildRead(gen, idx) => {
                 // A completion whose generation does not match the live
@@ -1229,7 +1230,6 @@ impl SysState {
             DiskTag::UfsFetch(v, run) | DiskTag::UfsReadAhead(v, run) => {
                 for b in run.blocks() {
                     self.fs[v as usize].mark_cached(b);
-                    self.inflight_blocks.remove(&(v, b));
                 }
                 self.check_server_wait(fx);
             }
@@ -1251,6 +1251,27 @@ impl SysState {
         }
     }
 
+    /// Claims what `run` still needs from `vol`'s file system and submits
+    /// one normal-class read per claimed run, tagged by `tag`.
+    fn ufs_fetch(
+        &mut self,
+        vol: u32,
+        run: FetchRun,
+        tag: fn(u32, FetchRun) -> DiskTag,
+        fx: &mut Fx,
+    ) {
+        for sub in self.fs[vol as usize].claim(run) {
+            fx.submit(
+                vol,
+                DiskRequest::read(
+                    fsblock_to_disk(sub.start),
+                    SECT_PER_FSBLOCK * sub.len,
+                    tag(vol, sub),
+                ),
+            );
+        }
+    }
+
     /// Advances the server when the blocks its fetch step waits on have
     /// all arrived.
     fn check_server_wait(&mut self, fx: &mut Fx) {
@@ -1258,7 +1279,13 @@ impl SysState {
             None => false,
             Some(wait) => {
                 // Keep only blocks whose I/O is still in flight.
-                wait.retain(|k| self.inflight_blocks.contains(k));
+                let vol = self
+                    .userver
+                    .current_tag()
+                    .expect("a wait implies a request in service")
+                    .vol;
+                let fs = &self.fs[vol as usize];
+                wait.retain(|&b| fs.is_in_flight(b));
                 wait.is_empty()
             }
         };
@@ -1283,62 +1310,24 @@ impl SysState {
                     // Blocks may have arrived (or be in flight) since the
                     // plan was made: fetch only what is truly absent, and
                     // sleep on in-flight buffers instead of re-issuing.
-                    let missing: Vec<cras_ufs::FsBlock> = run
-                        .blocks()
-                        .filter(|b| !self.fs[vol as usize].cache().peek(*b))
-                        .collect();
-                    if missing.is_empty() {
+                    let fs = &self.fs[vol as usize];
+                    let wait: Vec<cras_ufs::FsBlock> =
+                        run.blocks().filter(|&b| !fs.cache().peek(b)).collect();
+                    if wait.is_empty() {
                         step = Some(self.userver.fetch_done());
                         continue;
                     }
-                    let to_submit: Vec<cras_ufs::FsBlock> = missing
-                        .iter()
-                        .copied()
-                        .filter(|b| !self.inflight_blocks.contains(&(vol, *b)))
-                        .collect();
-                    for sub in cras_ufs::fs::merge_runs(&to_submit, u32::MAX) {
-                        for b in sub.blocks() {
-                            self.inflight_blocks.insert((vol, b));
-                        }
-                        fx.submit(
-                            vol,
-                            DiskRequest::read(
-                                fsblock_to_disk(sub.start),
-                                SECT_PER_FSBLOCK * sub.len,
-                                DiskTag::UfsFetch(vol, sub),
-                            ),
-                        );
-                    }
-                    self.server_wait = Some(missing.into_iter().map(|b| (vol, b)).collect());
+                    self.ufs_fetch(vol, run, DiskTag::UfsFetch, fx);
+                    self.server_wait = Some(wait);
                     // The server blocks until the blocks arrive.
                     return;
                 }
                 Step::Done(req) => {
-                    let vol = req.tag.vol;
                     // Driver-level asynchronous read-ahead fills the cache
                     // without occupying the server; blocks already cached
                     // or in flight are skipped.
-                    for run in &req.read_ahead {
-                        let fresh: Vec<cras_ufs::FsBlock> = run
-                            .blocks()
-                            .filter(|b| {
-                                !self.fs[vol as usize].cache().peek(*b)
-                                    && !self.inflight_blocks.contains(&(vol, *b))
-                            })
-                            .collect();
-                        for sub in cras_ufs::fs::merge_runs(&fresh, u32::MAX) {
-                            for b in sub.blocks() {
-                                self.inflight_blocks.insert((vol, b));
-                            }
-                            fx.submit(
-                                vol,
-                                DiskRequest::read(
-                                    fsblock_to_disk(sub.start),
-                                    SECT_PER_FSBLOCK * sub.len,
-                                    DiskTag::UfsReadAhead(vol, sub),
-                                ),
-                            );
-                        }
+                    for &run in &req.read_ahead {
+                        self.ufs_fetch(req.tag.vol, run, DiskTag::UfsReadAhead, fx);
                     }
                     match req.tag.owner {
                         UOwner::Player {
@@ -2237,7 +2226,7 @@ mod tests {
         assert!(p.done, "light serial load should still finish");
         assert_eq!(p.stats.frames_dropped, 0);
         assert!(
-            s.serial_batches.is_empty() && s.serial_outstanding.is_empty(),
+            s.serial_batches.is_empty() && s.serial_outstanding == 0,
             "staged batches drained"
         );
         assert!(!s.metrics.interval_walls().is_empty());

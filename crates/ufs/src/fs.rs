@@ -7,7 +7,7 @@
 //! fetched (metadata first), the cached remainder, and a read-ahead
 //! suggestion.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use cras_disk::geometry::BlockNo;
 use cras_sim::Rng;
@@ -88,7 +88,7 @@ impl FetchRun {
 
 /// Merges an ordered block list into contiguous runs of at most
 /// `maxcontig` blocks.
-pub fn merge_runs(blocks: &[FsBlock], maxcontig: u32) -> Vec<FetchRun> {
+fn merge_runs(blocks: &[FsBlock], maxcontig: u32) -> Vec<FetchRun> {
     let maxcontig = maxcontig.max(1);
     let mut out: Vec<FetchRun> = Vec::new();
     for &b in blocks {
@@ -142,6 +142,9 @@ pub struct Ufs {
     /// Blocks written in memory but not yet flushed to disk (the classic
     /// delayed-write path; a syncer drains them).
     dirty: BTreeSet<FsBlock>,
+    /// Blocks with a disk read in flight (a synchronous fetch or a
+    /// read-ahead), claimed by [`Ufs::claim`] and cleared on arrival.
+    in_flight: HashSet<FsBlock>,
     rng: Rng,
     /// The volume this file system is formatted on (0 for a single-disk
     /// deployment; block numbers address that volume only).
@@ -174,6 +177,7 @@ impl Ufs {
             names: BTreeMap::new(),
             cache: BufferCache::new(params.cache_blocks),
             dirty: BTreeSet::new(),
+            in_flight: HashSet::new(),
             rng: Rng::new(seed),
             volume,
         }
@@ -258,14 +262,26 @@ impl Ufs {
     }
 
     /// Appends `bytes` to a file, allocating blocks per the FFS policy.
+    /// An append that does not fit fails with [`FsError::NoSpace`] before
+    /// it maps anything.
     pub fn append(&mut self, ino: Ino, bytes: u64) -> Result<(), FsError> {
-        let new_size = self.inodes[ino as usize].size + bytes;
+        let inode = &self.inodes[ino as usize];
+        let new_size = inode.size + bytes;
         if new_size > max_file_size() {
             return Err(FsError::TooLarge);
         }
-        let first_new = self.inodes[ino as usize].nblocks();
-        let last_new = new_size.div_ceil(BSIZE as u64);
-        for fb in first_new..last_new {
+        let new_blocks = inode.nblocks()..new_size.div_ceil(BSIZE as u64);
+        // Data plus table blocks. The allocator takes a free block from
+        // any group while one is left, so an append that fits cannot run
+        // out midway.
+        let needed: u64 = new_blocks
+            .clone()
+            .map(|fb| 1 + inode.meta_blocks_needed(fb) as u64)
+            .sum();
+        if needed > self.alloc.free() {
+            return Err(FsError::NoSpace);
+        }
+        for fb in new_blocks {
             self.alloc_file_block(ino, fb)?;
         }
         self.inodes[ino as usize].size = new_size;
@@ -485,9 +501,29 @@ impl Ufs {
         self.alloc.free_block(b);
     }
 
-    /// Records that a block arrived from disk and now sits in the cache.
+    /// Claims the blocks of `run` that are neither cached nor already
+    /// being read: marks them in flight and returns them as contiguous
+    /// runs, one disk command each. A block claimed once is not returned
+    /// again until it arrives ([`Ufs::mark_cached`]), so concurrent
+    /// readers sleep on one read instead of re-issuing it.
+    pub fn claim(&mut self, run: FetchRun) -> Vec<FetchRun> {
+        let fresh: Vec<FsBlock> = run
+            .blocks()
+            .filter(|&b| !self.cache.peek(b) && self.in_flight.insert(b))
+            .collect();
+        merge_runs(&fresh, self.params.maxcontig)
+    }
+
+    /// Whether a block has a disk read in flight.
+    pub fn is_in_flight(&self, block: FsBlock) -> bool {
+        self.in_flight.contains(&block)
+    }
+
+    /// Records that a block arrived from disk: it sits in the cache and
+    /// is no longer in flight.
     pub fn mark_cached(&mut self, block: FsBlock) {
         self.cache.insert(block);
+        self.in_flight.remove(&block);
     }
 
     /// Fragmentation report for a file.
@@ -825,6 +861,93 @@ mod tests {
         }
         let plan2 = fs.plan_read(ino, 0, BSIZE as u64);
         assert!(plan2.read_ahead.is_empty(), "window still cached");
+    }
+
+    #[test]
+    fn claimed_blocks_are_returned_once_until_they_arrive() {
+        let mut fs = tuned_fs();
+        let ino = fs.create("f").unwrap();
+        fs.append(ino, MB).unwrap();
+        let run = fs.plan_read(ino, 0, 4 * BSIZE as u64).fetch[0];
+        assert_eq!(fs.claim(run), vec![run], "an uncached run is claimed whole");
+        assert!(run.blocks().all(|b| fs.is_in_flight(b)));
+        assert!(fs.claim(run).is_empty(), "a second claim re-issues nothing");
+        // The middle block arrives: it is cached and no longer in flight,
+        // and a new claim still skips it.
+        let mid = run.start + 1;
+        fs.mark_cached(mid);
+        assert!(!fs.is_in_flight(mid));
+        assert!(fs.claim(run).is_empty());
+        // The rest arrive: nothing is in flight, and cached blocks are
+        // not read again.
+        for b in run.blocks() {
+            fs.mark_cached(b);
+        }
+        assert!(run.blocks().all(|b| !fs.is_in_flight(b)));
+        assert!(fs.claim(run).is_empty());
+    }
+
+    #[test]
+    fn claim_splits_around_cached_blocks() {
+        let mut fs = tuned_fs();
+        let ino = fs.create("f").unwrap();
+        fs.append(ino, MB).unwrap();
+        let run = fs.plan_read(ino, 0, 4 * BSIZE as u64).fetch[0];
+        assert_eq!(run.len, 4);
+        fs.mark_cached(run.start + 1);
+        assert_eq!(
+            fs.claim(run),
+            vec![
+                FetchRun {
+                    start: run.start,
+                    len: 1
+                },
+                FetchRun {
+                    start: run.start + 2,
+                    len: 2
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn append_past_free_space_changes_nothing() {
+        let mut fs = tuned_fs();
+        let ino = fs.create("f").unwrap();
+        let free = fs.free_bytes();
+        assert_eq!(fs.append(ino, free + MB), Err(FsError::NoSpace));
+        assert_eq!(fs.file_size(ino), 0);
+        let inode = fs.inode(ino);
+        assert_eq!((inode.alloc_group, inode.blocks_in_group), (None, 0));
+        let report = crate::check::check(&fs, true);
+        assert!(report.is_clean(), "{} errors", report.errors.len());
+        assert_eq!(fs.free_bytes(), free, "the failed append leaked blocks");
+        fs.append(ino, MB).unwrap();
+        assert_eq!(fs.file_size(ino), MB);
+        assert!(crate::check::check(&fs, true).is_clean());
+    }
+
+    #[test]
+    fn append_counts_table_blocks_against_free_space() {
+        use crate::layout::NDIRECT;
+        const B: u64 = BSIZE as u64;
+        // Leave exactly NDIRECT + 1 blocks free: that many data blocks
+        // for a new file need one table block too, so the append misses
+        // by one block, at the step whose table block would take the
+        // last free one.
+        let mut fs = tuned_fs();
+        let filler = fs.create("filler").unwrap();
+        let left = (NDIRECT as u64 + 1) * B;
+        fs.append(filler, fs.free_bytes() - left - 512 * B).unwrap();
+        while fs.free_bytes() > left {
+            fs.append(filler, B).unwrap();
+        }
+        assert_eq!(fs.free_bytes(), left);
+        let ino = fs.create("f").unwrap();
+        assert_eq!(fs.append(ino, left), Err(FsError::NoSpace));
+        assert_eq!(fs.free_bytes(), left, "the failed append leaked blocks");
+        assert!(crate::check::check(&fs, true).is_clean());
+        fs.append(ino, NDIRECT as u64 * B).unwrap();
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! strictly more streams at the same disk configuration with zero
 //! drops.
 
+use cras_cluster::{zipf_cdf, zipf_rank};
 use cras_media::StreamProfile;
 use cras_sim::{Duration, Rng};
 use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
+use crate::runner::{arrive, frames_dropped};
 
 /// Outcome of one cache-budget run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,12 +46,6 @@ pub struct CacheOutcome {
     pub overruns: u64,
 }
 
-/// Draws a title index from a Zipf(0.9) distribution by CDF inversion.
-fn zipf_pick(rng: &mut Rng, cdf: &[f64]) -> usize {
-    let u = rng.f64_range(0.0, 1.0);
-    cdf.iter().position(|&c| u <= c).unwrap_or(cdf.len() - 1)
-}
-
 /// Runs the identical Zipf arrival sequence at each cache budget:
 /// `requested` viewers arrive `stagger` apart over a `titles`-title
 /// catalog on one spindle, then play on for `measure`.
@@ -62,17 +58,8 @@ pub fn sweep(
     seed: u64,
 ) -> (KvTable, Figure, Vec<CacheOutcome>) {
     assert!(titles >= 1 && requested >= 1);
-    // Zipf(0.9) CDF over the catalog, hot titles first.
-    let weights: Vec<f64> = (1..=titles).map(|k| 1.0 / (k as f64).powf(0.9)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut acc = 0.0;
-    let cdf: Vec<f64> = weights
-        .iter()
-        .map(|w| {
-            acc += w / total;
-            acc
-        })
-        .collect();
+    // Zipf(0.9) over the catalog, hot titles first.
+    let cdf = zipf_cdf(titles, 0.9);
     let movie_secs = stagger.as_secs_f64() * requested as f64 + measure.as_secs_f64() + 8.0;
 
     let mut out = Vec::new();
@@ -91,20 +78,14 @@ pub fn sweep(
         let mut arrivals = Rng::new(seed ^ 0x21FF);
         let mut players = Vec::new();
         for _ in 0..requested {
-            let title = zipf_pick(&mut arrivals, &cdf);
+            let title = zipf_rank(&cdf, arrivals.f64_range(0.0, 1.0));
             // A rejected viewer walks away; later viewers of a popular
             // title can still trail a running stream into the cache.
-            if let Ok(c) = sys.add_cras_player(&movies[title], 1) {
-                sys.start_playback(c);
-                players.push(c);
-            }
+            players.extend(arrive(&mut sys, &movies[title]));
             sys.run_for(stagger);
         }
         sys.run_for(measure);
-        let dropped = players
-            .iter()
-            .map(|c| sys.players[&c.0].stats.frames_dropped)
-            .sum();
+        let dropped = frames_dropped(&sys);
         let stats = *sys.cras.cache().stats();
         out.push(CacheOutcome {
             budget,

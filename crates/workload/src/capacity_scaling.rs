@@ -23,10 +23,11 @@
 
 use cras_core::PlacementPolicy;
 use cras_media::StreamProfile;
-use cras_sim::{Duration, Instant};
+use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::Figure;
+use crate::runner::{count_admitted, frames_dropped, start_all};
 
 /// Stripe unit used by the striped series (32 fs blocks).
 pub const STRIPE_BYTES: u64 = 256 * 1024;
@@ -57,20 +58,10 @@ fn scaling_cfg(volumes: usize, placement: PlacementPolicy, seed: u64) -> SysConf
     cfg
 }
 
-/// Counts the streams admitted on `volumes` disks under `placement` by
-/// opening MPEG1 streams until the admission test rejects one.
-pub fn count_admitted(volumes: usize, placement: PlacementPolicy, seed: u64) -> usize {
+/// The MPEG1 streams `volumes` disks admit under `placement`.
+fn admitted(volumes: usize, placement: PlacementPolicy, seed: u64) -> usize {
     let mut sys = System::new(scaling_cfg(volumes, placement, seed));
-    let cap = 16 * volumes + 8;
-    let mut admitted = 0;
-    for i in 0..cap {
-        let m = sys.record_movie(&format!("s{i}.mov"), StreamProfile::mpeg1(), 4.0);
-        if sys.add_cras_player(&m, 1).is_err() {
-            break;
-        }
-        admitted += 1;
-    }
-    admitted
+    count_admitted(&mut sys, 16 * volumes + 8, 4.0, |i| format!("s{i}.mov"))
 }
 
 /// Runs `streams` round-robin-placed streams for `measure` and returns
@@ -85,12 +76,9 @@ fn run_admitted(volumes: usize, streams: usize, measure: Duration, seed: u64) ->
                 .expect("previously admitted load")
         })
         .collect();
-    let mut start = Instant::ZERO;
-    for &p in &players {
-        start = sys.start_playback(p).max(start);
-    }
+    let start = start_all(&mut sys, &players, Duration::ZERO);
     sys.run_until(start + measure);
-    let dropped = sys.players.values().map(|p| p.stats.frames_dropped).sum();
+    let dropped = frames_dropped(&sys);
     (dropped, sys.metrics.overruns)
 }
 
@@ -105,8 +93,8 @@ pub fn run(volume_counts: &[usize], measure: Duration, seed: u64) -> (Figure, Ve
     );
     let mut points = Vec::new();
     for &n in volume_counts {
-        let rr = count_admitted(n, PlacementPolicy::RoundRobin, seed);
-        let st = count_admitted(
+        let rr = admitted(n, PlacementPolicy::RoundRobin, seed);
+        let st = admitted(
             n,
             PlacementPolicy::Striped {
                 stripe_bytes: STRIPE_BYTES,
@@ -180,8 +168,8 @@ mod tests {
     fn one_volume_matches_either_placement() {
         // With one volume, striping degenerates to whole-movie placement:
         // the admission arithmetic must agree exactly.
-        let rr = count_admitted(1, PlacementPolicy::RoundRobin, 0x11);
-        let st = count_admitted(
+        let rr = admitted(1, PlacementPolicy::RoundRobin, 0x11);
+        let st = admitted(
             1,
             PlacementPolicy::Striped {
                 stripe_bytes: STRIPE_BYTES,

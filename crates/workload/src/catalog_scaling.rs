@@ -36,7 +36,7 @@ use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
-use crate::runner::{title_name, zipf_arrivals, ZIPF_THETA};
+use crate::runner::{count_admitted, title_name, zipf_arrivals, ZIPF_THETA};
 
 /// How long a rejected open waits in the gateway retry queue.
 const RETRY_WINDOW: Duration = Duration::from_secs(2);
@@ -153,16 +153,8 @@ fn system_config(p: &CatalogParams) -> SysConfig {
 /// is the pure per-spindle capacity of the sweep's hardware.
 pub fn spindle_bound(p: &CatalogParams) -> usize {
     let mut sys = System::new(system_config(p));
-    let profile = StreamProfile::mpeg1();
-    let mut n = 0;
-    loop {
-        let m = sys.record_movie(&format!("cal{n:04}.mov"), profile, p.title_secs);
-        if sys.add_cras_player(&m, 1).is_err() {
-            break;
-        }
-        n += 1;
-        assert!(n < 10_000, "calibration never hit the admission bound");
-    }
+    let n = count_admitted(&mut sys, 10_000, p.title_secs, |i| format!("cal{i:04}.mov"));
+    assert!(n < 10_000, "calibration never hit the admission bound");
     n * p.shards
 }
 

@@ -35,7 +35,7 @@ use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
-use crate::runner::{title_name, zipf_arrivals, ZIPF_THETA};
+use crate::runner::{arrive, title_name, zipf_arrivals, ZIPF_THETA};
 
 /// Catalog ranks that count as hot and get replicated to two shards.
 const HOT_TITLES: usize = 32;
@@ -239,10 +239,7 @@ pub fn run_one(p: &ClusterParams, requested: usize) -> (ClusterOutcome, Vec<Stri
     let mut baseline_admitted = 0usize;
     for &rank in &ranks {
         if let Some(m) = movies.get(&rank) {
-            if let Ok(c) = sys.add_cras_player(m, 1) {
-                sys.start_playback(c);
-                baseline_admitted += 1;
-            }
+            baseline_admitted += usize::from(arrive(&mut sys, m).is_some());
         }
         sys.run_for(p.stagger);
     }

@@ -15,10 +15,11 @@
 
 use cras_core::PlacementPolicy;
 use cras_media::{Movie, StreamProfile};
-use cras_sim::{Duration, Instant};
+use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
+use crate::runner::{admit_until_refused, frames_dropped, start_all};
 
 /// Outcome of one failover run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -81,17 +82,8 @@ pub(crate) fn run(
         .iter()
         .map(|n| sys.record_movie(n, StreamProfile::mpeg1(), secs))
         .collect();
-    let mut players = Vec::new();
-    for m in &movies {
-        match sys.add_cras_player(m, 1) {
-            Ok(c) => players.push(c),
-            Err(_) => break,
-        }
-    }
-    let mut start = Instant::ZERO;
-    for &p in &players {
-        start = sys.start_playback(p).max(start);
-    }
+    let players = admit_until_refused(&mut sys, &movies);
+    let start = start_all(&mut sys, &players, Duration::ZERO);
     let victim = victim(&sys);
     sys.run_until(start + Duration::from_secs_f64(measure.as_secs_f64() / 3.0));
     sys.fail_volume(victim);
@@ -111,10 +103,7 @@ pub(crate) fn run(
         sys.run_for(Duration::from_secs(1));
         guard += 1;
     }
-    let dropped = players
-        .iter()
-        .map(|c| sys.players[&c.0].stats.frames_dropped)
-        .sum();
+    let dropped = frames_dropped(&sys);
     Run {
         sys,
         movies,

@@ -10,10 +10,11 @@
 //! dropped frames.
 
 use cras_media::StreamProfile;
-use cras_sim::{Duration, Instant};
+use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::KvTable;
+use crate::runner::{frames_dropped, start_all};
 
 /// Outcome at one fault rate.
 #[derive(Clone, Copy, Debug)]
@@ -57,17 +58,14 @@ pub fn sweep(
             .iter()
             .map(|m| sys.add_cras_player(m, 1).expect("within admission"))
             .collect();
-        let mut start = Instant::ZERO;
-        for &p in &players {
-            start = sys.start_playback(p).max(start);
-        }
+        let start = start_all(&mut sys, &players, Duration::ZERO);
         sys.run_until(start + measure);
         let injected = sys
             .disk()
             .fault_injector()
             .map(|f| f.injected())
             .unwrap_or(0);
-        let dropped = sys.players.values().map(|p| p.stats.frames_dropped).sum();
+        let dropped = frames_dropped(&sys);
         let max_delay = sys
             .players
             .values()

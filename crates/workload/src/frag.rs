@@ -8,10 +8,11 @@
 //! and fragmented-then-rearranged files.
 
 use cras_media::{fragment_movie, rearrange_movie, Movie, StreamProfile};
-use cras_sim::{Duration, Instant, Rng};
+use cras_sim::{Duration, Rng};
 use cras_sys::{SysConfig, System};
 
 use crate::result::KvTable;
+use crate::runner::{frames_dropped, start_all};
 
 /// One condition's measurements.
 #[derive(Clone, Copy, Debug)]
@@ -87,14 +88,11 @@ pub fn run_condition(cond: Condition, streams: usize, measure: Duration, seed: u
         .iter()
         .map(|m| sys.add_cras_player(m, 1).expect("admission off"))
         .collect();
-    let mut start = Instant::ZERO;
-    for &p in &players {
-        start = sys.start_playback(p).max(start);
-    }
+    let start = start_all(&mut sys, &players, Duration::ZERO);
     sys.run_until(start + measure);
 
     let stats = sys.cras.stats();
-    let dropped = sys.players.values().map(|p| p.stats.frames_dropped).sum();
+    let dropped = frames_dropped(&sys);
     FragOutcome {
         throughput: sys.metrics.cras_read_bytes as f64 / measure.as_secs_f64(),
         contiguity,

@@ -21,6 +21,7 @@ use cras_sim::{Duration, Instant};
 use cras_sys::{IssueMode, SysConfig, System};
 
 use crate::result::{Figure, KvTable};
+use crate::runner::{admit_until_refused, frames_dropped, start_all};
 
 /// First interval index included in the measurements: the initial
 /// prefetch intervals issue double batches and would skew the means.
@@ -94,27 +95,14 @@ pub fn run_one(
             )
         })
         .collect();
-    let mut players = Vec::new();
-    for m in &movies {
-        match sys.add_cras_player(m, 1) {
-            Ok(c) => players.push(c),
-            Err(_) => break,
-        }
-    }
+    let players = admit_until_refused(&mut sys, &movies);
     let admitted = players.len();
-    let mut start = Instant::ZERO;
-    for &p in &players {
-        start = sys.start_playback(p).max(start);
-        // De-lockstep the identical movies: staggered starts spread
-        // each interval's reads over the whole array instead of
-        // marching every stream along the same stripe front.
-        sys.run_for(Duration::from_millis(700));
-    }
+    // De-lockstep the identical movies: staggered starts spread each
+    // interval's reads over the whole array instead of marching every
+    // stream along the same stripe front.
+    let start = start_all(&mut sys, &players, Duration::from_millis(700));
     sys.run_until(start + measure);
-    let dropped = players
-        .iter()
-        .map(|c| sys.players[&c.0].stats.frames_dropped)
-        .sum();
+    let dropped = frames_dropped(&sys);
     // Measure from the first interval where every stream is in steady
     // state: past the last start and the prefetch ramp behind it.
     let started_intervals =
@@ -239,6 +227,8 @@ mod tests {
     use cras_sim::Rng;
     use cras_sys::MoviePlacement;
 
+    use crate::runner::arrive;
+
     #[test]
     fn pipelined_tracks_the_slowest_spindle_serial_tracks_the_sum() {
         let (_t, _f, outs) = sweep(&[8], 4, Duration::from_secs(12), 0x0E);
@@ -325,17 +315,8 @@ mod tests {
             let movies: Vec<_> = (0..streams)
                 .map(|i| sys.record_movie(&format!("p{i}"), StreamProfile::mpeg1(), 14.0))
                 .collect();
-            let mut players = Vec::new();
-            for m in &movies {
-                match sys.add_cras_player(m, 1) {
-                    Ok(c) => players.push(c),
-                    Err(_) => break,
-                }
-            }
-            let mut start = Instant::ZERO;
-            for &p in &players {
-                start = sys.start_playback(p).max(start);
-            }
+            let players = admit_until_refused(&mut sys, &movies);
+            let start = start_all(&mut sys, &players, Duration::ZERO);
             sys.run_until(start + Duration::from_secs(10));
             bound_ok(
                 &sys,
@@ -359,10 +340,7 @@ mod tests {
             .iter()
             .map(|m| sys.add_cras_player(m, 1).unwrap())
             .collect();
-        let mut start = Instant::ZERO;
-        for &p in &players {
-            start = sys.start_playback(p).max(start);
-        }
+        let start = start_all(&mut sys, &players, Duration::ZERO);
         sys.run_until(start + Duration::from_secs(4));
         let victim = match sys.placement("f0") {
             Some(MoviePlacement::Mirrored { primary, .. }) => *primary,
@@ -387,11 +365,9 @@ mod tests {
         cfg.server.max_cache_gap = Duration::from_secs(10);
         let mut sys = System::new(cfg);
         let movie = sys.record_movie("shared", StreamProfile::mpeg1(), 16.0);
-        let lead = sys.add_cras_player(&movie, 1).unwrap();
-        sys.start_playback(lead);
+        arrive(&mut sys, &movie).expect("leader admitted");
         sys.run_for(Duration::from_secs(3));
-        let follow = sys.add_cras_player(&movie, 1).unwrap();
-        sys.start_playback(follow);
+        arrive(&mut sys, &movie).expect("follower admitted");
         sys.run_for(Duration::from_secs(10));
         assert!(
             sys.metrics.cache_served_stream_intervals > 0,

@@ -31,7 +31,12 @@
 //! | [`buffer_ablation`] | §2.4 FIFO vs time-driven buffer staleness |
 //!
 //! [`runner`] holds the shared scenario plumbing and [`result`] the
-//! serializable output containers.
+//! serializable output containers. The modules share their playback
+//! steps through [`runner`] instead of repeating them by hand:
+//! [`runner::admit_until_refused`], [`runner::start_all`] (optionally a
+//! gap apart; returns the latest start), [`runner::count_admitted`] and
+//! [`runner::arrive`] (one viewer arrival), each a fixed sequence of
+//! `System` calls, and [`runner::frames_dropped`] reads a run's drops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

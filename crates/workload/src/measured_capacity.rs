@@ -8,10 +8,11 @@
 
 use cras_core::{Admission, AdmissionModel, StreamParams};
 use cras_media::StreamProfile;
-use cras_sim::{Duration, Instant};
+use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::KvTable;
+use crate::runner::{frames_dropped, start_all};
 
 /// Outcome of one validated interval point.
 #[derive(Clone, Copy, Debug)]
@@ -49,12 +50,9 @@ fn run_load(interval: f64, streams: usize, measure: Duration, seed: u64) -> (u64
         .iter()
         .map(|m| sys.add_cras_player(m, 1).expect("admission off"))
         .collect();
-    let mut start = Instant::ZERO;
-    for &p in &players {
-        start = sys.start_playback(p).max(start);
-    }
+    let start = start_all(&mut sys, &players, Duration::ZERO);
     sys.run_until(start + measure);
-    let dropped = sys.players.values().map(|p| p.stats.frames_dropped).sum();
+    let dropped = frames_dropped(&sys);
     (dropped, sys.metrics.overruns)
 }
 

@@ -27,10 +27,11 @@
 
 use cras_media::StreamProfile;
 use cras_net::{LinkParams, NetFaults, SessionCfg};
-use cras_sim::{Duration, Instant};
+use cras_sim::Duration;
 use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
+use crate::runner::start_all;
 
 /// One delivery scenario variant.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -195,10 +196,8 @@ pub fn run_one(p: &NetParams, mode: NetMode) -> NetOutcome {
 
     // Start everyone at the same instant so the hot title's followers
     // land inside the leader's join window.
-    let mut start = Instant::ZERO;
-    for &c in clients.iter().chain(slow.iter()) {
-        start = sys.start_playback(c).max(start);
-    }
+    clients.extend(slow);
+    let start = start_all(&mut sys, &clients, Duration::ZERO);
     sys.run_until(start + p.measure);
 
     let ls = &sys.net.link(link).stats;

@@ -1,6 +1,7 @@
 //! Shared experiment plumbing: building a populated system and running
-//! one playback scenario to completion, and the Zipf viewer arrivals
-//! the cluster experiments share.
+//! one playback scenario to completion, the playback steps the
+//! experiments share (each a fixed sequence of [`System`] calls), and
+//! the Zipf viewer arrivals of the catalog experiments.
 
 use cras_cluster::{zipf_cdf, zipf_rank};
 use cras_media::{Movie, StreamProfile};
@@ -20,6 +21,60 @@ pub fn zipf_arrivals(titles: usize, seed: u64, requested: usize) -> Vec<usize> {
     (0..requested)
         .map(|_| zipf_rank(&cdf, rng.f64_range(0.0, 1.0)))
         .collect()
+}
+
+/// Opens a CRAS player on each movie in order until the admission test
+/// refuses one; returns the admitted players.
+pub fn admit_until_refused(sys: &mut System, movies: &[Movie]) -> Vec<ClientId> {
+    movies
+        .iter()
+        .map_while(|m| sys.add_cras_player(m, 1).ok())
+        .collect()
+}
+
+/// Starts each player's playback in order and returns the latest start
+/// instant. A non-zero `gap` runs the system for that long after each
+/// start (staggered starts); a zero gap runs nothing, so no event is
+/// dispatched before the caller's own run.
+pub fn start_all(sys: &mut System, players: &[ClientId], gap: Duration) -> Instant {
+    let mut latest = Instant::ZERO;
+    for &p in players {
+        latest = sys.start_playback(p).max(latest);
+        if !gap.is_zero() {
+            sys.run_for(gap);
+        }
+    }
+    latest
+}
+
+/// Counts the streams one system admits: records the `secs`-second
+/// MPEG-1 title `name(i)` for i = 0, 1, … and opens a CRAS player on
+/// each, until the admission test refuses one or `cap` are admitted.
+pub fn count_admitted(
+    sys: &mut System,
+    cap: usize,
+    secs: f64,
+    name: impl Fn(usize) -> String,
+) -> usize {
+    (0..cap)
+        .take_while(|&i| {
+            let m = sys.record_movie(&name(i), StreamProfile::mpeg1(), secs);
+            sys.add_cras_player(&m, 1).is_ok()
+        })
+        .count()
+}
+
+/// One viewer arrival: opens a CRAS player on `movie` and starts it.
+/// A refused viewer walks away (`None`).
+pub fn arrive(sys: &mut System, movie: &Movie) -> Option<ClientId> {
+    let client = sys.add_cras_player(movie, 1).ok()?;
+    sys.start_playback(client);
+    Some(client)
+}
+
+/// Frames dropped by every player of the run.
+pub fn frames_dropped(sys: &System) -> u64 {
+    sys.players.values().map(|p| p.stats.frames_dropped).sum()
 }
 
 /// The file name of the catalog title at `rank`.
@@ -152,10 +207,7 @@ pub fn run_scenario(sc: Scenario) -> RunOutcome {
         sys.start_hogs();
     }
     sys.start_bg();
-    let mut playback_start = Instant::ZERO;
-    for &p in &players {
-        playback_start = sys.start_playback(p).max(playback_start);
-    }
+    let playback_start = start_all(&mut sys, &players, Duration::ZERO);
     let end = playback_start + sc.measure;
     sys.run_until(end);
 
@@ -244,6 +296,58 @@ mod tests {
             (150e3..230e3).contains(&out.throughput),
             "throughput {}",
             out.throughput
+        );
+    }
+
+    /// A system with `n` admitted one-stream CRAS players.
+    fn players(n: usize) -> (System, Vec<ClientId>) {
+        let mut sys = System::new(SysConfig::default());
+        let movies: Vec<Movie> = (0..n)
+            .map(|i| sys.record_movie(&format!("p{i}.mov"), StreamProfile::mpeg1(), 6.0))
+            .collect();
+        let players = admit_until_refused(&mut sys, &movies);
+        assert_eq!(players.len(), n);
+        (sys, players)
+    }
+
+    #[test]
+    fn starting_without_a_gap_dispatches_nothing() {
+        let (mut sys, players) = players(3);
+        let before = sys.engine.dispatched();
+        let latest = start_all(&mut sys, &players, Duration::ZERO);
+        assert_eq!(sys.engine.dispatched(), before, "an event ran early");
+        assert_eq!(sys.now(), Instant::ZERO);
+        assert!(latest > Instant::ZERO);
+    }
+
+    #[test]
+    fn starting_with_a_gap_returns_the_hand_loops_latest_start() {
+        let gap = Duration::from_millis(300);
+        let (mut sys, players) = players(3);
+        let latest = start_all(&mut sys, &players, gap);
+        let (mut by_hand, players) = self::players(3);
+        let mut want = Instant::ZERO;
+        for &p in &players {
+            want = by_hand.start_playback(p).max(want);
+            by_hand.run_for(gap);
+        }
+        assert_eq!(latest, want);
+        assert_eq!(sys.engine.dispatched(), by_hand.engine.dispatched());
+        assert!(sys.engine.dispatched() > 0, "the gap ran the system");
+    }
+
+    #[test]
+    fn admission_stops_at_the_first_refusal() {
+        let mut cfg = SysConfig::default();
+        cfg.server.buffer_budget = 1 << 40;
+        let mut sys = System::new(cfg);
+        let n = count_admitted(&mut sys, 100, 4.0, |i| format!("c{i}.mov"));
+        assert!((1..100).contains(&n), "admitted {n}");
+        assert_eq!(sys.cras.stream_count(), n);
+        let late = sys.record_movie("late.mov", StreamProfile::mpeg1(), 4.0);
+        assert!(
+            arrive(&mut sys, &late).is_none(),
+            "a full system admitted a late viewer"
         );
     }
 

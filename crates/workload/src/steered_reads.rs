@@ -22,6 +22,7 @@ use cras_sim::{Duration, Instant};
 use cras_sys::{SysConfig, System};
 
 use crate::result::{Figure, KvTable};
+use crate::runner::{admit_until_refused, frames_dropped, start_all};
 
 /// Retry-stall profile of the hot spindle: about half its operations
 /// pay a recalibration-style penalty. Together with the pinned `cat`
@@ -109,28 +110,15 @@ pub fn run_one(
             STALL_PENALTY,
             seed ^ 0x57A11,
         )));
-    let mut players = Vec::new();
-    for m in &movies {
-        match sys.add_cras_player(m, 1) {
-            Ok(c) => players.push(c),
-            Err(_) => break,
-        }
-    }
+    let players = admit_until_refused(&mut sys, &movies);
     let admitted = players.len();
-    let mut start = Instant::ZERO;
-    for &p in &players {
-        start = sys.start_playback(p).max(start);
-        // De-lockstep the identical movies so each interval's reads
-        // spread over the band instead of marching on one stripe front.
-        sys.run_for(Duration::from_millis(300));
-    }
+    // De-lockstep the identical movies so each interval's reads spread
+    // over the band instead of marching on one stripe front.
+    let start = start_all(&mut sys, &players, Duration::from_millis(300));
     sys.start_bg();
     sys.run_until(start + measure);
 
-    let dropped = players
-        .iter()
-        .map(|c| sys.players[&c.0].stats.frames_dropped)
-        .sum();
+    let dropped = frames_dropped(&sys);
     let delivered = players
         .iter()
         .map(|c| {

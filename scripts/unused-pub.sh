@@ -29,6 +29,7 @@ pinned_frames        MovieCache's pin count, which the pin-leak property test mu
 free_bytes           Ufs free space, which the fragment-cycle and remove tests use to catch leaked blocks
 fast_lan             the uncontended link of the delivery equivalence tests (tests/net_delivery.rs)
 set_enabled          switches the post-mortem trace ring on; every run leaves it off unless a test asks
+records              reads the post-mortem trace ring back, which only a test that enabled it does
 modeled_travel       the seek-distance model cras-core's sweep-order tests compare request orders with
 parity_of            the XOR parity encoder, the byte-level reference cras-core's degraded-read tests check against
 reconstruct          the XOR decoder paired with parity_of, the reference the degraded-read docs cite
