@@ -124,7 +124,7 @@ fn bench_interval_plan() {
             let now = Instant::ZERO + Duration::from_millis(500) * k;
             let rep = srv.interval_tick(now);
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
             black_box(rep.reqs.len());
         }

@@ -877,7 +877,7 @@ mod tests {
 
     #[test]
     fn opens_avoid_the_replica_with_recent_volume_lag() {
-        use cras_core::{IntervalReport, ReadId, ReadReq, StreamId};
+        use cras_core::{IntervalReport, ReadReq, StreamId};
         use cras_disk::{Completed, DiskRequest, ServiceBreakdown, VolumeId};
         use cras_sys::DiskTag;
 
@@ -893,16 +893,17 @@ mod tests {
         // behind its calculated I/O time: its volume-lag signal rises
         // while its stream count stays zero — the signal open counts
         // cannot see.
-        let rid = ReadId(900_000);
+        let read = ReadReq {
+            stream: StreamId(0),
+            batch: 0,
+            logical: Some(0),
+            volume: VolumeId(0),
+            block: 0,
+            nblocks: 8,
+        };
         let rep = IntervalReport {
             index: 0,
-            reqs: vec![ReadReq {
-                id: rid,
-                stream: StreamId(0),
-                volume: VolumeId(0),
-                block: 0,
-                nblocks: 8,
-            }],
+            reqs: vec![read],
             posted_chunks: 0,
             overran: false,
             calculated_io_time: 0.001,
@@ -911,16 +912,16 @@ mod tests {
             steered_streams: 0,
             lost_streams: 0,
             cache_served_streams: 0,
-            deferred_reserved: Vec::new(),
+            deferred_reserved_streams: 0,
             cache_rejected_titles: Vec::new(),
             parked_streams: Vec::new(),
         };
         let m = &mut cl.shards[before[0] as usize].sys.metrics;
-        m.on_interval(&rep, Instant::ZERO);
+        let slot = m.on_interval(&rep, Instant::ZERO)[0];
         m.on_cras_read_done(
-            rid,
+            slot,
             &Completed {
-                req: DiskRequest::rt_read(0, 8, DiskTag::Cras(rid)),
+                req: DiskRequest::rt_read(0, 8, DiskTag::Cras(read, slot)),
                 submitted_at: Instant::ZERO,
                 started_at: Instant::ZERO,
                 finished_at: Instant::ZERO + Duration::from_millis(200),

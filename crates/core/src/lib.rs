@@ -62,9 +62,9 @@ pub use placement::{
     PARITY_STRIPE_BYTES,
 };
 pub use server::{
-    Admit, CrasServer, IntervalReport, OpenReq, ReadId, ReadReq, ServerConfig, ServerStats,
-    VolumeLoad, JITTER,
+    Admit, CrasServer, IntervalReport, OpenReq, ReadReq, ServerConfig, ServerStats, VolumeLoad,
+    JITTER,
 };
-pub use stream::{CacheState, DiskRun, ParityState, Stream, StreamId, VolumeRun};
+pub use stream::{CacheState, ParityState, Stream, StreamId, VolumeRun};
 pub use tdbuffer::{BufferStats, BufferedChunk, TimeDrivenBuffer};
 pub use writer::{Recorder, WriteId, WriteReq};

@@ -10,9 +10,13 @@
 //!   previous interval's data from the I/O-done queue into the
 //!   time-driven buffers, then issues the next interval's reads in
 //!   cylinder order;
-//! * **I/O done manager** — [`CrasServer::io_done`]: accepts completion
-//!   notifications into the I/O-done queue;
-//! * **deadline manager** — overrun detection in `interval_tick` (a
+//! * **I/O done manager** — [`CrasServer::io_done`] and
+//!   [`CrasServer::io_failed`]: accept completion notifications into
+//!   the I/O-done queue. A [`ReadReq`] carries its stream and batch,
+//!   and each stream holds its own batches in flight, so a completion
+//!   needs no server-wide table;
+//! * **deadline manager** — overrun detection in `interval_tick`: a
+//!   stream still holding a batch in flight missed its deadline (a
 //!   warning counter, like the paper's);
 //! * **signal handler** — administrative stop/seek paths
 //!   ([`CrasServer::stop`], [`CrasServer::seek`]).
@@ -34,7 +38,7 @@
 //! disk-time bound is exhausted — such a trailing stream can be
 //! *admitted* against the cache memory budget instead.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use cras_disk::calibrate::DiskParams;
 use cras_disk::geometry::BlockNo;
@@ -50,7 +54,7 @@ use crate::cache::{EvictPolicy, IntervalCache};
 use crate::cachepolicy::CacheManager;
 use crate::clock::LogicalClock;
 use crate::placement::{assert_tiles, on_volume, PlacementPolicy, VolumeExtent};
-use crate::stream::{CacheState, ParityState, Stream, StreamId, VolumeRun};
+use crate::stream::{CacheState, ParityState, PendingBatch, Stream, StreamId, VolumeRun};
 use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer};
 
 /// Fixed (non-buffer) server footprint: "CRAS consumes about (250KB +
@@ -236,17 +240,22 @@ pub struct VolumeLoad {
     pub lag: f64,
 }
 
-/// Identifies one disk read issued by the server.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ReadId(pub u64);
-
-/// One disk read request for the orchestrator to submit (real-time class).
+/// One disk read request for the orchestrator to submit (real-time
+/// class). It is its own completion record: the orchestrator hands it
+/// back to [`CrasServer::io_done`] or [`CrasServer::io_failed`], which
+/// find its batch on its stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadReq {
-    /// Read id (returned in [`CrasServer::io_done`]).
-    pub id: ReadId,
     /// Owning stream.
     pub stream: StreamId,
+    /// The stream's batch this read belongs to.
+    pub batch: u64,
+    /// The first logical file byte of a direct read, which a failure
+    /// can re-map through another replica. `None` marks a
+    /// parity-reconstruction read: its blocks address a *survivor's*
+    /// stripe unit, not the lost logical bytes, so a failure here is a
+    /// second failure in the band and the range is lost.
+    pub logical: Option<u64>,
     /// The volume to submit this read to.
     pub volume: VolumeId,
     /// First 512-byte disk block on that volume.
@@ -293,9 +302,8 @@ pub struct IntervalReport {
     /// cache (they issued zero disk commands this tick).
     pub cache_served_streams: usize,
     /// Deferred-admission streams whose prefix drained this tick and
-    /// whose disk share was reserved now (reserve-at-drain); counted
-    /// by the orchestrator's metrics.
-    pub deferred_reserved: Vec<u32>,
+    /// whose disk share was reserved now (reserve-at-drain).
+    pub deferred_reserved_streams: usize,
     /// Titles whose streams were parked (clock stopped) by a failed
     /// cache/deferred re-admission since the previous tick — the
     /// per-title cost of the eviction policy, for metrics.
@@ -459,14 +467,6 @@ pub struct ServerStats {
     pub steered_reads: u64,
 }
 
-struct PendingBatch {
-    stream: StreamId,
-    chunk_lo: u32,
-    chunk_hi: u32,
-    remaining: usize,
-    issued_at: Instant,
-}
-
 struct FetchedBatch {
     stream: StreamId,
     chunk_lo: u32,
@@ -474,20 +474,6 @@ struct FetchedBatch {
     /// Whether this batch was served from the interval cache rather
     /// than a disk read (cache batches are not re-inserted).
     from_cache: bool,
-}
-
-/// Per-read bookkeeping: the owning batch, plus the logical byte range
-/// and volume so a failed read can be re-mapped through another replica.
-struct ReadInfo {
-    batch: u64,
-    byte_lo: u64,
-    byte_hi: u64,
-    volume: VolumeId,
-    /// A parity-reconstruction read of surviving data/parity units. Its
-    /// byte range addresses a *survivor's* stripe unit, not the lost
-    /// logical bytes, so it cannot be re-mapped again: a failure here is
-    /// a second failure in the band and the range is lost.
-    recon: bool,
 }
 
 /// What moves one stream's feed ([`CacheState`]) through
@@ -616,19 +602,11 @@ pub struct CrasServer {
     by_title: BTreeMap<String, BTreeSet<u32>>,
     next_stream: u32,
     next_place: u32,
-    pending: HashMap<u64, PendingBatch>,
-    /// Per-stream count of batches in `pending` (stream id → batches in
-    /// flight), maintained on submit/complete/discard so the per-stream
-    /// backlog cap is O(1) per stream instead of a rescan of every
-    /// pending batch per stream per interval. Entries vanish at zero.
-    outstanding: HashMap<u32, usize>,
     /// External per-volume load (device queue depth, completion lag)
     /// fed by the orchestrator before each tick; all-idle when nothing
     /// feeds it, which reduces steering to the planned-bytes signal.
     ext_load: Vec<VolumeLoad>,
-    read_info: HashMap<u64, ReadInfo>,
     done: Vec<FetchedBatch>,
-    next_read: u64,
     next_batch: u64,
     stats: ServerStats,
     /// Per-volume failed flags (index = volume id). A failed volume is
@@ -671,12 +649,8 @@ impl CrasServer {
             by_title: BTreeMap::new(),
             next_stream: 0,
             next_place: 0,
-            pending: HashMap::new(),
-            outstanding: HashMap::new(),
             ext_load: vec![VolumeLoad::default(); cfg.volumes],
-            read_info: HashMap::new(),
             done: Vec::new(),
-            next_read: 0,
             next_batch: 0,
             stats: ServerStats::default(),
             failed: vec![false; cfg.volumes],
@@ -750,18 +724,6 @@ impl CrasServer {
     /// Write access to an open stream.
     fn stream_mut(&mut self, id: StreamId) -> &mut Stream {
         self.streams.get_mut(&id.0).expect("no such stream")
-    }
-
-    /// Drops one outstanding-batch count for a stream (its batch
-    /// completed or was discarded). The entry vanishes at zero so the
-    /// map stays bounded by the number of backlogged streams.
-    fn dec_outstanding(&mut self, sid: u32) {
-        if let Some(n) = self.outstanding.get_mut(&sid) {
-            *n -= 1;
-            if *n == 0 {
-                self.outstanding.remove(&sid);
-            }
-        }
     }
 
     /// Number of open streams.
@@ -990,6 +952,7 @@ impl CrasServer {
                 buffer: TimeDrivenBuffer::new(buffer_bytes, JITTER),
                 prefetch_cursor: Duration::ZERO,
                 cache_state: feed,
+                batches: Vec::new(),
             },
         );
         let stats = self.cache.stats_mut();
@@ -1371,6 +1334,7 @@ impl CrasServer {
     pub fn close(&mut self, id: StreamId) {
         // Closing never parks, so the feed transition needs no time.
         self.feed(id, FeedEvent::Close, Instant::ZERO);
+        self.drop_batches(id);
         let s = self.streams.remove(&id.0).expect("no such stream");
         let ids = self.by_title.get_mut(&s.name).expect("indexed at install");
         ids.remove(&id.0);
@@ -1381,7 +1345,6 @@ impl CrasServer {
                 self.cache.drop_movie(&s.name);
             }
         }
-        self.drop_batches(id);
     }
 
     /// `crs_start`: starts pre-fetching; the logical clock begins after
@@ -1454,9 +1417,11 @@ impl CrasServer {
         // (they multicast at their own post time). The boundary is the
         // lowest chunk index among its outstanding batches.
         let unposted_lo = self
-            .pending
-            .values()
-            .filter(|b| b.stream.0 == leader)
+            .streams
+            .get(&leader)
+            .expect("candidate exists")
+            .batches
+            .iter()
             .map(|b| b.chunk_lo)
             .chain(
                 self.done
@@ -1485,8 +1450,7 @@ impl CrasServer {
     /// Orphans a stream's in-flight and fetched-but-unposted batches:
     /// their completions become no-ops.
     fn drop_batches(&mut self, id: StreamId) {
-        self.pending.retain(|_, b| b.stream != id);
-        self.outstanding.remove(&id.0);
+        self.stream_mut(id).batches.clear();
         self.done.retain(|b| b.stream != id);
     }
 
@@ -1618,9 +1582,9 @@ impl CrasServer {
     pub fn interval_tick(&mut self, now: Instant) -> IntervalReport {
         let mut rep = IntervalReport {
             index: self.stats.intervals,
-            // Deadline manager: anything still pending from the last
+            // Deadline manager: anything still in flight from the last
             // interval missed its deadline.
-            overran: !self.pending.is_empty(),
+            overran: self.streams.values().any(|s| !s.batches.is_empty()),
             ..IntervalReport::default()
         };
         self.stats.intervals += 1;
@@ -1636,7 +1600,7 @@ impl CrasServer {
         self.refeed(&mut misses, now, horizon, &mut rep);
         misses.clear();
         self.misses = misses;
-        let active = self.plan_reads(now, horizon, &mut rep);
+        let active = self.plan_reads(horizon, &mut rep);
         self.sweep_sort(&mut rep.reqs);
         let t = self.cfg.interval.as_secs_f64();
         rep.per_volume_calculated = active
@@ -1779,7 +1743,7 @@ impl CrasServer {
         // it off the spindles; only real disk reservations are reported.
         for &sid in drained.iter() {
             if self.feed(StreamId(sid), FeedEvent::Miss, now) == Some(Rung::Disk) {
-                rep.deferred_reserved.push(sid);
+                rep.deferred_reserved_streams += 1;
             }
         }
         // A leader that parked above (broken window, failed drain)
@@ -1831,12 +1795,7 @@ impl CrasServer {
     /// for every running disk-fed stream whose backlog allows it.
     /// Returns each volume's active stream load, for the calculated
     /// I/O time.
-    fn plan_reads(
-        &mut self,
-        now: Instant,
-        horizon: Instant,
-        rep: &mut IntervalReport,
-    ) -> Vec<Load> {
+    fn plan_reads(&mut self, horizon: Instant, rep: &mut IntervalReport) -> Vec<Load> {
         let t = self.cfg.interval.as_secs_f64();
         let mut active = vec![Load::default(); self.cfg.volumes];
         // Bytes planned per volume so far this interval — the planner's
@@ -1857,7 +1816,7 @@ impl CrasServer {
         let mut next = self.streams.first_key();
         while let Some(sid) = next {
             next = self.streams.next_key(sid);
-            if self.outstanding.get(&sid).copied().unwrap_or(0) >= MAX_OUTSTANDING_BATCHES {
+            if self.stream(StreamId(sid)).batches.len() >= MAX_OUTSTANDING_BATCHES {
                 // The disk is behind for this stream; do not pile on.
                 continue;
             }
@@ -1880,7 +1839,7 @@ impl CrasServer {
                 // wait on (the frames are simply never posted).
                 continue;
             }
-            self.issue_batch(sid, plan, now, &mut rep.reqs);
+            self.issue_batch(sid, plan, &mut rep.reqs);
         }
         active
     }
@@ -1992,7 +1951,10 @@ impl CrasServer {
                 for (logical, r) in runs {
                     let bytes = r.nblocks as u64 * 512;
                     let direct_peak = load(r.volume.index()) + bytes as f64;
-                    let fanout = Stream::steer_recon_runs(
+                    // The degraded path's fan-out, here a scheduling
+                    // choice rather than a failure response: `r.volume`
+                    // is live but loaded.
+                    let fanout = Stream::parity_recon_runs(
                         &s.extents,
                         ps,
                         logical,
@@ -2048,22 +2010,17 @@ impl CrasServer {
         })
     }
 
-    /// Registers one planned batch and issues its reads: the direct
-    /// runs first, then the reconstruction reads.
-    fn issue_batch(&mut self, sid: u32, plan: StreamPlan, now: Instant, reqs: &mut Vec<ReadReq>) {
+    /// Registers one planned batch on its stream and issues its reads:
+    /// the direct runs first, then the reconstruction reads.
+    fn issue_batch(&mut self, sid: u32, plan: StreamPlan, reqs: &mut Vec<ReadReq>) {
         let batch = self.next_batch;
         self.next_batch += 1;
-        *self.outstanding.entry(sid).or_insert(0) += 1;
-        self.pending.insert(
-            batch,
-            PendingBatch {
-                stream: StreamId(sid),
-                chunk_lo: plan.lo,
-                chunk_hi: plan.hi,
-                remaining: plan.runs.len() + plan.recon.len(),
-                issued_at: now,
-            },
-        );
+        self.stream_mut(StreamId(sid)).batches.push(PendingBatch {
+            id: batch,
+            chunk_lo: plan.lo,
+            chunk_hi: plan.hi,
+            remaining: plan.runs.len() + plan.recon.len(),
+        });
         let direct = plan.runs.into_iter().map(|(logical, r)| (Some(logical), r));
         let recon = plan.recon.into_iter().map(|r| (None, r));
         for (logical, r) in direct.chain(recon) {
@@ -2071,9 +2028,8 @@ impl CrasServer {
         }
     }
 
-    /// Issues one read of `batch`. `logical` is the first logical byte
-    /// of a direct read, which a failure can re-map through another
-    /// replica; `None` marks a parity-reconstruction read.
+    /// Issues one read of `batch` ([`ReadReq::logical`] says what
+    /// `logical` means).
     fn issue_read(
         &mut self,
         batch: u64,
@@ -2081,24 +2037,12 @@ impl CrasServer {
         r: VolumeRun,
         logical: Option<u64>,
     ) -> ReadReq {
-        let id = ReadId(self.next_read);
-        self.next_read += 1;
-        let bytes = r.nblocks as u64 * 512;
-        self.read_info.insert(
-            id.0,
-            ReadInfo {
-                batch,
-                byte_lo: logical.unwrap_or(0),
-                byte_hi: logical.map_or(0, |l| l + bytes),
-                volume: r.volume,
-                recon: logical.is_none(),
-            },
-        );
         self.stats.reads_issued += 1;
-        self.stats.bytes_requested += bytes;
+        self.stats.bytes_requested += r.nblocks as u64 * 512;
         ReadReq {
-            id,
             stream,
+            batch,
+            logical,
             volume: r.volume,
             block: r.block,
             nblocks: r.nblocks,
@@ -2122,28 +2066,34 @@ impl CrasServer {
         }
     }
 
-    /// I/O-done manager: records a completed read. When a stream's whole
-    /// batch is in, it is queued for posting at the next tick; returns
-    /// `Some((stream, issued_at))` at that moment.
-    pub fn io_done(&mut self, read: ReadId) -> Option<(StreamId, Instant)> {
-        let Some(info) = self.read_info.remove(&read.0) else {
-            return None; // Stream closed while in flight.
+    /// Where a read's batch sits in its stream's list of batches in
+    /// flight. `None` when the stream has closed or dropped the batch
+    /// (a seek, a refused post): the read is orphaned.
+    fn batch_index(&self, read: &ReadReq) -> Option<usize> {
+        let s = self.streams.get(&read.stream.0)?;
+        s.batches.iter().position(|b| b.id == read.batch)
+    }
+
+    /// I/O-done manager: records a completed read. When its stream's
+    /// whole batch is in, the batch is queued for posting at the next
+    /// tick and this returns true.
+    pub fn io_done(&mut self, read: &ReadReq) -> bool {
+        let Some(i) = self.batch_index(read) else {
+            return false;
         };
-        let batch = self.pending.get_mut(&info.batch)?;
-        batch.remaining -= 1;
-        if batch.remaining > 0 {
-            return None;
+        let batches = &mut self.stream_mut(read.stream).batches;
+        batches[i].remaining -= 1;
+        if batches[i].remaining > 0 {
+            return false;
         }
-        let batch = self.pending.remove(&info.batch).expect("present above");
-        self.dec_outstanding(batch.stream.0);
-        let result = (batch.stream, batch.issued_at);
+        let b = batches.remove(i);
         self.done.push(FetchedBatch {
-            stream: batch.stream,
-            chunk_lo: batch.chunk_lo,
-            chunk_hi: batch.chunk_hi,
+            stream: read.stream,
+            chunk_lo: b.chunk_lo,
+            chunk_hi: b.chunk_hi,
             from_cache: false,
         });
-        Some(result)
+        true
     }
 
     /// Degraded-read fallback: a read came back failed (its volume is
@@ -2157,72 +2107,55 @@ impl CrasServer {
     /// itself a reconstruction read, a second failure in the band — the
     /// read is dropped and, once its batch drains, the batch is
     /// discarded unposted: the frames are lost but the stream does not
-    /// overrun forever.
-    pub fn io_failed(&mut self, read: ReadId) -> Vec<ReadReq> {
-        let Some(info) = self.read_info.remove(&read.0) else {
-            return Vec::new(); // Stream closed while in flight.
-        };
-        let Some(sid) = self.pending.get(&info.batch).map(|b| b.stream) else {
+    /// overrun forever. An orphaned read changes nothing.
+    pub fn io_failed(&mut self, read: &ReadReq) -> Vec<ReadReq> {
+        let Some(i) = self.batch_index(read) else {
             return Vec::new();
         };
+        let (s, failed) = (self.stream(read.stream), &self.failed);
         // Each replacement is tagged like a planned read: mirror remaps
         // stay re-mappable (accurate logical tags), parity
         // reconstructions do not (their bytes address survivors' units).
-        let runs: Option<Vec<(Option<u64>, VolumeRun)>> = self.streams.get(&sid.0).and_then(|s| {
-            if info.recon {
-                // A reconstruction read has no further fallback.
-                return None;
-            }
+        // A reconstruction read has no further fallback.
+        let runs: Option<Vec<(Option<u64>, VolumeRun)>> = read.logical.and_then(|lo| {
+            let hi = lo + read.nblocks as u64 * 512;
             if let Some(ps) = &s.parity {
-                return Stream::parity_recon_runs(
-                    &s.extents,
-                    ps,
-                    info.byte_lo,
-                    info.byte_hi,
-                    info.volume,
-                    &self.failed,
-                )
-                .map(|rs| {
-                    Stream::split_runs(rs, MAX_READ_BYTES)
-                        .into_iter()
-                        .map(|r| (None, r))
-                        .collect()
-                });
+                return Stream::parity_recon_runs(&s.extents, ps, lo, hi, read.volume, failed).map(
+                    |rs| {
+                        Stream::split_runs(rs, MAX_READ_BYTES)
+                            .into_iter()
+                            .map(|r| (None, r))
+                            .collect()
+                    },
+                );
             }
             s.replica_maps()
                 .find(|m| {
                     let home = Stream::home_volume(m);
-                    home != info.volume && !self.failed[home.index()]
+                    home != read.volume && !failed[home.index()]
                 })
                 .map(|m| {
-                    Stream::split_runs_tagged(
-                        Stream::runs_in(m, info.byte_lo, info.byte_hi),
-                        MAX_READ_BYTES,
-                    )
-                    .into_iter()
-                    .map(|(logical, r)| (Some(logical), r))
-                    .collect()
+                    Stream::split_runs_tagged(Stream::runs_in(m, lo, hi), MAX_READ_BYTES)
+                        .into_iter()
+                        .map(|(logical, r)| (Some(logical), r))
+                        .collect()
                 })
         });
+        let batches = &mut self.stream_mut(read.stream).batches;
         match runs {
             Some(runs) if !runs.is_empty() => {
-                self.pending
-                    .get_mut(&info.batch)
-                    .expect("checked above")
-                    .remaining += runs.len() - 1;
+                batches[i].remaining += runs.len() - 1;
                 self.stats.degraded_reads += runs.len() as u64;
                 runs.into_iter()
-                    .map(|(logical, r)| self.issue_read(info.batch, sid, r, logical))
+                    .map(|(logical, r)| self.issue_read(read.batch, read.stream, r, logical))
                     .collect()
             }
             _ => {
-                self.stats.lost_reads += 1;
-                let batch = self.pending.get_mut(&info.batch).expect("checked above");
-                batch.remaining -= 1;
-                if batch.remaining == 0 {
-                    self.pending.remove(&info.batch);
-                    self.dec_outstanding(sid.0);
+                batches[i].remaining -= 1;
+                if batches[i].remaining == 0 {
+                    batches.remove(i);
                 }
+                self.stats.lost_reads += 1;
                 Vec::new()
             }
         }
@@ -2399,7 +2332,7 @@ mod tests {
         // Complete them; chunks post at tick 2 and frame 0 is gettable at
         // media time 0 (real time 1.0 s).
         for r in &rep1.reqs {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
         let rep2 = srv.interval_tick(at(1000));
         assert!(rep2.posted_chunks > 0);
@@ -2432,7 +2365,7 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
         srv.stop(id, at(700));
         // Further ticks do not fetch beyond the frozen clock.
@@ -2451,12 +2384,12 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
         srv.interval_tick(at(1000));
         let r2 = srv.interval_tick(at(1000));
         for r in &r2.reqs {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
         let cursor_before = srv.stream(id).prefetch_cursor;
         srv.stop(id, at(1100));
@@ -2487,7 +2420,7 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
         srv.interval_tick(at(1000)); // Posts media [0, 0.5).
         assert!(srv.get(id, Duration::ZERO).is_some());
@@ -2514,7 +2447,7 @@ mod tests {
         // Seek while the interval's reads are still in flight.
         srv.seek(id, at(600), Duration::from_secs(5));
         for r in &r1.reqs {
-            assert!(srv.io_done(r.id).is_none(), "stale read must be orphaned");
+            assert!(!srv.io_done(r), "stale read must be orphaned");
         }
         // The next tick posts nothing stale and refetches from 5 s.
         let r2 = srv.interval_tick(at(1000));
@@ -2534,7 +2467,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
                 total_bytes += r.nblocks as u64 * 512;
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         // Only ~1 s of data (187.5 KB) ever fetched, rounded to blocks.
@@ -2555,7 +2488,7 @@ mod tests {
         srv.close(id);
         // Completions for the closed stream are ignored.
         for r in &r1.reqs {
-            assert!(srv.io_done(r.id).is_none());
+            assert!(!srv.io_done(r));
         }
         assert_eq!(srv.stream_count(), 0);
         let rep = srv.interval_tick(at(1000));
@@ -2590,7 +2523,7 @@ mod tests {
     fn tick_and_complete(srv: &mut CrasServer, now: Instant) {
         let rep = srv.interval_tick(now);
         for r in &rep.reqs {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
     }
 
@@ -2722,17 +2655,17 @@ mod tests {
             let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
             // Open streams and whether each was started.
             let mut open: Vec<(StreamId, bool)> = Vec::new();
-            let mut reads: Vec<ReadId> = Vec::new();
+            let mut reads: Vec<ReadReq> = Vec::new();
             let mut ops = 0;
             for k in 0u64.. {
                 if ops >= 300 {
                     break;
                 }
                 for r in reads.drain(..) {
-                    srv.io_done(r);
+                    srv.io_done(&r);
                 }
                 let tick = at(k * 500);
-                reads = srv.interval_tick(tick).reqs.iter().map(|r| r.id).collect();
+                reads = srv.interval_tick(tick).reqs;
                 assert_feed_invariants(&srv, &format!("seed {seed} tick {k}"));
                 for now in [tick, tick + ms(250)] {
                     for _ in 0..rng.below(3) {
@@ -2789,7 +2722,7 @@ mod tests {
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
         for r in &rep.reqs {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
         srv.interval_tick(at(1000));
         let r1 = srv.stream_report(id);
@@ -3066,7 +2999,7 @@ mod tests {
         srv.set_volume_failed(VolumeId(0), true);
         let mut remapped = Vec::new();
         for r in &rep.reqs {
-            remapped.extend(srv.io_failed(r.id));
+            remapped.extend(srv.io_failed(r));
         }
         assert!(!remapped.is_empty());
         assert!(remapped.iter().all(|r| r.volume == VolumeId(1)));
@@ -3077,7 +3010,7 @@ mod tests {
         assert_eq!(srv.stats().degraded_reads, remapped.len() as u64);
         // Completing the remapped reads posts the batch: no overrun.
         for r in &remapped {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
         let rep2 = srv.interval_tick(at(1000));
         assert!(!rep2.overran, "remapped batch met its deadline");
@@ -3140,9 +3073,9 @@ mod tests {
 
     #[test]
     fn outstanding_batch_cap_pauses_and_resumes_planning() {
-        // The per-stream counter must mirror `pending` exactly: two
-        // unfinished batches stall the stream, one completion revives
-        // it, and close clears the count.
+        // The cap reads the stream's own list of batches in flight: two
+        // unfinished batches stall the stream, and one completion
+        // revives it.
         let mut srv = server();
         let (t, e) = movie_table(10.0);
         let id = srv.open(OpenReq::single("m", t, e)).unwrap();
@@ -3157,12 +3090,44 @@ mod tests {
         assert!(rep3.reqs.is_empty(), "stream at cap must not plan");
         // Completing the first batch frees a slot.
         for r in &rep1.reqs {
-            srv.io_done(r.id);
+            srv.io_done(r);
         }
         let rep4 = srv.interval_tick(at(2000));
         assert!(!rep4.reqs.is_empty(), "completion must resume planning");
         srv.close(id);
         assert!(srv.interval_tick(at(2500)).reqs.is_empty());
+    }
+
+    #[test]
+    fn a_failed_read_of_an_abandoned_batch_changes_nothing() {
+        // A mirrored stream seeks away from a batch in flight, then
+        // plans a new one. One of the abandoned batch's reads fails: it
+        // must not be re-mapped or counted against the new batch.
+        let mut srv = multi_server(2, 8 << 20);
+        let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
+        let id = srv
+            .open(OpenReq::new("m", t, pri).with_mirror(mir))
+            .unwrap();
+        srv.start(id, at(0));
+        srv.interval_tick(at(0));
+        let stale = srv.interval_tick(at(500)).reqs;
+        assert!(!stale.is_empty());
+        srv.seek(id, at(600), Duration::from_secs(5));
+        let fresh = srv.interval_tick(at(1000)).reqs;
+        assert!(!fresh.is_empty());
+        assert_ne!(stale[0].batch, fresh[0].batch);
+        let stats = srv.stats();
+        assert!(srv.io_failed(&stale[0]).is_empty(), "stale read re-mapped");
+        assert_eq!(srv.stats().degraded_reads, stats.degraded_reads);
+        assert_eq!(srv.stats().lost_reads, stats.lost_reads);
+        // The new batch is still in flight: it completes with exactly
+        // its own reads, on the last of them.
+        let done: Vec<bool> = fresh.iter().map(|r| srv.io_done(r)).collect();
+        let last = done.len() - 1;
+        assert!(done[last] && !done[..last].contains(&true), "{done:?}");
+        let rep = srv.interval_tick(at(1500));
+        assert!(!rep.overran, "the new batch met its deadline");
+        assert!(rep.posted_chunks > 0);
     }
 
     #[test]
@@ -3176,7 +3141,7 @@ mod tests {
         assert!(!rep.reqs.is_empty());
         srv.set_volume_failed(VolumeId(0), true);
         for r in &rep.reqs {
-            assert!(srv.io_failed(r.id).is_empty(), "no replica to remap to");
+            assert!(srv.io_failed(r).is_empty(), "no replica to remap to");
         }
         assert_eq!(srv.stats().lost_reads, rep.reqs.len() as u64);
         // The batch is dropped, not stuck: no overrun, nothing posted.
@@ -3308,7 +3273,7 @@ mod tests {
         for k in 1..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
             if rep.reqs.is_empty() {
                 continue;
@@ -3347,7 +3312,7 @@ mod tests {
         for k in 0..ticks {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         id
@@ -3370,7 +3335,7 @@ mod tests {
             follower_reqs += rep.reqs.iter().filter(|r| r.stream == follower).count();
             cache_served += rep.cache_served_streams;
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
             assert!(!rep.overran);
         }
@@ -3426,7 +3391,7 @@ mod tests {
         for k in 6..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         // The leader stops: the frontier freezes, the follower drains
@@ -3437,7 +3402,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             follower_reqs += rep.reqs.iter().filter(|r| r.stream == follower).count();
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
             assert!(!rep.overran, "fallback to disk must not miss deadlines");
         }
@@ -3470,14 +3435,14 @@ mod tests {
         for k in 6..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         srv.stop(leader, at(4000));
         for k in 8..24u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         // The interval broke with no spindle time left: the follower is
@@ -3528,7 +3493,7 @@ mod tests {
                 let rep = srv.interval_tick(at(k * 500));
                 for r in &rep.reqs {
                     log.push((r.stream, r.volume, r.block, r.nblocks));
-                    srv.io_done(r.id);
+                    srv.io_done(r);
                 }
                 log.push((a, VolumeId(u32::MAX), rep.posted_chunks as u64, 0));
             }
@@ -3602,16 +3567,19 @@ mod tests {
         let mut reserved_tick = None;
         for k in 6..20u64 {
             let rep = srv.interval_tick(at(k * 500));
-            if rep.deferred_reserved.contains(&viewer.0) {
+            if rep.deferred_reserved_streams > 0 {
+                // The viewer is the only deferred stream.
+                assert_eq!(rep.deferred_reserved_streams, 1);
+                assert!(matches!(srv.cache_state_of(viewer), CacheState::Disk));
                 reserved_tick = Some(k);
             }
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
             assert!(!rep.overran);
         }
-        // The prefix drained into a real disk reservation, named in the
-        // report, and the viewer kept playing from disk.
+        // The prefix drained into a real disk reservation, counted in
+        // the report, and the viewer kept playing from disk.
         assert!(reserved_tick.is_some());
         assert!(matches!(srv.cache_state_of(viewer), CacheState::Disk));
         assert_eq!(srv.cache().stats().deferred_drained_streams, 1);
@@ -3643,7 +3611,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         // Both viewers hold frame 0, fed by one read stream.
@@ -3653,7 +3621,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
             assert!(!rep.overran);
         }
@@ -3675,7 +3643,7 @@ mod tests {
         for k in 0..4u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         srv.close(a);
@@ -3684,7 +3652,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
             assert!(!rep.overran);
         }
@@ -3860,7 +3828,7 @@ mod tests {
         // reconstructed, not lost).
         let mut posted = false;
         for r in &rep.reqs {
-            posted |= srv.io_done(r.id).is_some();
+            posted |= srv.io_done(r);
         }
         assert!(posted, "batch must complete from surviving reads");
     }
@@ -3879,7 +3847,7 @@ mod tests {
             let rep = srv.interval_tick(at(500 * i));
             assert_eq!(rep.steered_streams, 0, "tick {i} steered");
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         assert_eq!(srv.stats().steered_reads, 0);
@@ -3916,7 +3884,7 @@ mod tests {
         // completes: steering never changes what gets delivered.
         let mut posted = false;
         for r in &rep.reqs {
-            posted |= srv.io_done(r.id).is_some();
+            posted |= srv.io_done(r);
         }
         assert!(posted, "steered batch must complete");
         // Clearing the load stops further steering.
@@ -3980,7 +3948,7 @@ mod tests {
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
         let victim = rep.reqs[0];
-        let replacements = srv.io_failed(victim.id);
+        let replacements = srv.io_failed(&victim);
         assert!(
             !replacements.is_empty(),
             "pre-detection failure must fan out"
@@ -3991,7 +3959,7 @@ mod tests {
         assert_eq!(survivors.len(), 3, "reads on all three survivors");
         // A failed *reconstruction* read is a second failure: lost.
         let lost_before = srv.stats().lost_reads;
-        assert!(srv.io_failed(replacements[0].id).is_empty());
+        assert!(srv.io_failed(&replacements[0]).is_empty());
         assert_eq!(srv.stats().lost_reads, lost_before + 1);
     }
 

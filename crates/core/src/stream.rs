@@ -83,18 +83,6 @@ impl CacheState {
     }
 }
 
-/// A physically contiguous disk run on an unspecified volume.
-///
-/// Retained for the single-volume recording path ([`crate::Recorder`]),
-/// which always writes to one disk; retrieval uses [`VolumeRun`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DiskRun {
-    /// First 512-byte disk block.
-    pub block: BlockNo,
-    /// Length in 512-byte blocks.
-    pub nblocks: u32,
-}
-
 /// A physically contiguous disk run on a specific volume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VolumeRun {
@@ -120,6 +108,18 @@ pub struct ParityState {
     /// the *parity file*: row `r`'s unit starts at
     /// `geom.parity_file_index(r) * geom.stripe_bytes`.
     pub parity_maps: Vec<Vec<VolumeExtent>>,
+}
+
+/// One of a stream's pre-fetch batches in flight: the chunks its reads
+/// fetch, and how many of those reads are still out.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PendingBatch {
+    /// Batch id, carried by each of its reads
+    /// ([`ReadReq::batch`](crate::ReadReq::batch)).
+    pub(crate) id: u64,
+    pub(crate) chunk_lo: u32,
+    pub(crate) chunk_hi: u32,
+    pub(crate) remaining: usize,
 }
 
 /// Server-side state of one open stream.
@@ -156,6 +156,9 @@ pub struct Stream {
     pub prefetch_cursor: Duration,
     /// Relationship to the interval cache.
     pub cache_state: CacheState,
+    /// Pre-fetch batches in flight, oldest first. A seek, a refused
+    /// post or the close clears them, which orphans their reads.
+    pub(crate) batches: Vec<PendingBatch>,
 }
 
 impl Stream {
@@ -282,21 +285,6 @@ impl Stream {
         runs
     }
 
-    /// Maps the file byte range `[lo, hi)` onto disk-block runs through
-    /// the primary extent map, merging physically adjacent pieces on the
-    /// same volume. Ranges are rounded outward to 512-byte block
-    /// boundaries (the device transfers whole blocks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or extends past the mapped file.
-    pub fn byte_range_to_runs(&self, lo: u64, hi: u64) -> Vec<VolumeRun> {
-        Stream::runs_in(&self.extents, lo, hi)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
-    }
-
     /// Splits tagged runs so that no single disk command exceeds
     /// `max_bytes`, keeping each piece's logical offset tag accurate.
     pub fn split_runs_tagged(runs: Vec<(u64, VolumeRun)>, max_bytes: u64) -> Vec<(u64, VolumeRun)> {
@@ -337,7 +325,8 @@ impl Stream {
 
     /// Plans the surviving reads that reconstruct the logical byte range
     /// `[lo, hi)` of a parity-placed movie when the volume holding it
-    /// (`exclude`) cannot serve: for every data unit the range touches,
+    /// (`exclude`) cannot serve — it failed, or read steering bypasses
+    /// it because it is loaded: for every data unit the range touches,
     /// the *same stripe-relative range* of each of the row's `g-2` other
     /// data units plus its parity unit. XORing those buffers yields the
     /// lost bytes ([`cras_disk::xor::reconstruct`]); the simulation
@@ -412,27 +401,6 @@ impl Stream {
         }
         Some(out)
     }
-
-    /// Coded-read steering variant of [`Stream::parity_recon_runs`]:
-    /// plans the `g-1` fan-out that serves `[lo, hi)` *without
-    /// touching* `avoid`, a volume that is live but loaded (DESIGN
-    /// §17). The maths are identical to the degraded path — any `g-1`
-    /// members of a parity band reconstruct the remaining one — only
-    /// the reason for the exclusion differs, so this delegates; it
-    /// exists to keep call sites honest about whether a bypass is a
-    /// failure response or a scheduling choice. Returns `None` when
-    /// the fan-out would itself need `avoid` or a failed volume, in
-    /// which case the caller must keep the direct read.
-    pub fn steer_recon_runs(
-        extents: &[VolumeExtent],
-        parity: &ParityState,
-        lo: u64,
-        hi: u64,
-        avoid: VolumeId,
-        failed: &[bool],
-    ) -> Option<Vec<VolumeRun>> {
-        Stream::parity_recon_runs(extents, parity, lo, hi, avoid, failed)
-    }
 }
 
 #[cfg(test)]
@@ -464,7 +432,16 @@ mod tests {
             buffer: TimeDrivenBuffer::new(200_000, Duration::from_millis(100)),
             prefetch_cursor: Duration::ZERO,
             cache_state: CacheState::Disk,
+            batches: Vec::new(),
         }
+    }
+
+    /// The runs of the stream's primary map over `[lo, hi)`, untagged.
+    fn direct(s: &Stream, lo: u64, hi: u64) -> Vec<VolumeRun> {
+        Stream::runs_in(&s.extents, lo, hi)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect()
     }
 
     fn ext(file_offset: u64, disk_block: u64, nblocks: u32) -> Extent {
@@ -486,14 +463,14 @@ mod tests {
     #[test]
     fn single_extent_subrange() {
         let s = stream_with_extents(on_volume(VolumeId(0), vec![ext(0, 1000, 100)])); // 51 200 B.
-        let runs = s.byte_range_to_runs(1024, 2048);
+        let runs = direct(&s, 1024, 2048);
         assert_eq!(runs, vec![vrun(0, 1002, 2)]);
     }
 
     #[test]
     fn unaligned_range_rounds_outward() {
         let s = stream_with_extents(on_volume(VolumeId(0), vec![ext(0, 1000, 100)]));
-        let runs = s.byte_range_to_runs(100, 700);
+        let runs = direct(&s, 100, 700);
         // Bytes 100..700 live in blocks 0 and 1.
         assert_eq!(runs, vec![vrun(0, 1000, 2)]);
     }
@@ -504,7 +481,7 @@ mod tests {
             VolumeId(0),
             vec![ext(0, 1000, 16), ext(8192, 5000, 16)],
         ));
-        let runs = s.byte_range_to_runs(4096, 12288);
+        let runs = direct(&s, 4096, 12288);
         assert_eq!(runs, vec![vrun(0, 1008, 8), vrun(0, 5000, 8)]);
     }
 
@@ -515,7 +492,7 @@ mod tests {
             VolumeId(0),
             vec![ext(0, 1000, 16), ext(8192, 1016, 16)],
         ));
-        let runs = s.byte_range_to_runs(0, 16384);
+        let runs = direct(&s, 0, 16384);
         assert_eq!(runs, vec![vrun(0, 1000, 32)]);
     }
 
@@ -528,7 +505,7 @@ mod tests {
             extent: ext(8192, 1016, 16),
         });
         let s = stream_with_extents(extents);
-        let runs = s.byte_range_to_runs(0, 16384);
+        let runs = direct(&s, 0, 16384);
         assert_eq!(runs, vec![vrun(0, 1000, 16), vrun(1, 1016, 16)]);
     }
 
@@ -758,7 +735,7 @@ mod tests {
             let rel_hi = len.min(rel_lo + 512 + (rng.below(len) / 512) * 512);
             let (lo, hi) = (k * sb + rel_lo, k * sb + rel_hi);
             let healthy = vec![false; group as usize];
-            let runs = Stream::steer_recon_runs(&extents, &ps, lo, hi, home, &healthy)
+            let runs = Stream::parity_recon_runs(&extents, &ps, lo, hi, home, &healthy)
                 .expect("healthy band must always offer a fan-out");
             assert!(runs.iter().all(|r| r.volume != home), "trial {trial}");
             let span = (rel_hi - rel_lo) as usize;
@@ -786,7 +763,7 @@ mod tests {
         let mut failed = vec![false; 4];
         let other = (0..4).find(|&v| VolumeId(v) != home).unwrap();
         failed[other as usize] = true;
-        assert!(Stream::steer_recon_runs(&extents, &ps, 0, 4096, home, &failed).is_none());
+        assert!(Stream::parity_recon_runs(&extents, &ps, 0, 4096, home, &failed).is_none());
     }
 
     #[test]
@@ -933,13 +910,13 @@ mod tests {
     #[should_panic(expected = "beyond extent map")]
     fn out_of_range_panics() {
         let s = stream_with_extents(on_volume(VolumeId(0), vec![ext(0, 1000, 16)]));
-        s.byte_range_to_runs(0, 9000);
+        direct(&s, 0, 9000);
     }
 
     #[test]
     #[should_panic(expected = "empty byte range")]
     fn empty_range_panics() {
         let s = stream_with_extents(on_volume(VolumeId(0), vec![ext(0, 1000, 16)]));
-        s.byte_range_to_runs(5, 5);
+        direct(&s, 5, 5);
     }
 }

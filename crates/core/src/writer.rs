@@ -15,13 +15,15 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use cras_disk::calibrate::DiskParams;
 use cras_disk::geometry::BlockNo;
+use cras_disk::VolumeId;
 use cras_media::ChunkTable;
 use cras_sim::{Duration, Instant};
 use cras_ufs::Extent;
 
 use crate::admission::{Admission, AdmissionError, AdmissionModel, StreamParams, MAX_READ_BYTES};
+use crate::placement::{assert_tiles, on_volume, VolumeExtent};
 use crate::server::ServerConfig;
-use crate::stream::{DiskRun, StreamId};
+use crate::stream::{Stream, StreamId};
 
 /// Identifies one disk write issued by the recorder.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -43,7 +45,8 @@ pub struct WriteReq {
 struct WriteSession {
     id: StreamId,
     params: StreamParams,
-    extents: Vec<Extent>,
+    /// The pre-allocated extents, on the recorder's one disk.
+    extents: Vec<VolumeExtent>,
     /// Bytes written (or staged for writing) so far.
     write_cursor: u64,
     /// Chunks staged by the client, not yet drained to disk.
@@ -94,12 +97,19 @@ impl Recorder {
     /// Opens a write session: the caller has pre-allocated `extents`
     /// (via [`cras_ufs::Ufs::preallocate`]) and declares the recording
     /// rate and chunk size; the same admission test applies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `extents` does not tile the file's bytes in order from
+    /// offset 0 ([`assert_tiles`]); the write path's lookups rely on it.
     pub fn open_write(
         &mut self,
         rate: f64,
         chunk: f64,
         extents: Vec<Extent>,
     ) -> Result<StreamId, AdmissionError> {
+        let extents = on_volume(VolumeId(0), extents);
+        let capacity = assert_tiles(&extents, "write session");
         let params = StreamParams::new(rate, chunk);
         let mut all: Vec<StreamParams> = self.sessions.values().map(|s| s.params).collect();
         all.push(params);
@@ -107,7 +117,6 @@ impl Recorder {
         self.admission.admit(t, &all, self.cfg.buffer_budget)?;
         let id = StreamId(self.next_session);
         self.next_session += 1;
-        let capacity = extents.iter().map(|e| e.bytes()).sum();
         self.sessions.insert(
             id.0,
             WriteSession {
@@ -159,10 +168,10 @@ impl Recorder {
                     s.recorded.push((dur, size));
                 }
                 s.write_cursor = hi;
-                let runs = byte_range_to_runs(&s.extents, lo, hi);
-                (split_runs(runs, MAX_READ_BYTES), s.id)
+                let runs = Stream::runs_in(&s.extents, lo, hi);
+                (Stream::split_runs_tagged(runs, MAX_READ_BYTES), s.id)
             };
-            for r in runs {
+            for (_, r) in runs {
                 let id = WriteId(self.next_write);
                 self.next_write += 1;
                 self.inflight.insert(id.0, session_id);
@@ -204,54 +213,6 @@ impl Recorder {
         let s = self.sessions.remove(&id.0).expect("no such session");
         ChunkTable::from_durations_sizes(&s.recorded)
     }
-}
-
-/// Maps `[lo, hi)` file bytes onto disk runs through an extent list
-/// (free-standing twin of [`crate::stream::Stream::byte_range_to_runs`]).
-fn byte_range_to_runs(extents: &[Extent], lo: u64, hi: u64) -> Vec<DiskRun> {
-    assert!(lo < hi, "empty byte range");
-    let mut runs: Vec<DiskRun> = Vec::new();
-    for e in extents {
-        let e_lo = e.file_offset;
-        let e_hi = e.file_offset + e.bytes();
-        let a = lo.max(e_lo);
-        let b = hi.min(e_hi);
-        if a >= b {
-            continue;
-        }
-        let rel_lo = (a - e_lo) / 512;
-        let rel_hi = (b - e_lo).div_ceil(512);
-        let block = e.disk_block + rel_lo;
-        let nblocks = (rel_hi - rel_lo) as u32;
-        match runs.last_mut() {
-            Some(last) if last.block + last.nblocks as u64 == block => {
-                last.nblocks += nblocks;
-            }
-            _ => runs.push(DiskRun { block, nblocks }),
-        }
-    }
-    runs
-}
-
-/// Splits single-volume runs at the per-command byte cap (the write
-/// path's analogue of [`crate::stream::Stream::split_runs`]).
-fn split_runs(runs: Vec<DiskRun>, max_bytes: u64) -> Vec<DiskRun> {
-    let max_blocks = (max_bytes / 512).max(1) as u32;
-    let mut out = Vec::with_capacity(runs.len());
-    for r in runs {
-        let mut block = r.block;
-        let mut left = r.nblocks;
-        while left > 0 {
-            let take = left.min(max_blocks);
-            out.push(DiskRun {
-                block,
-                nblocks: take,
-            });
-            block += take as u64;
-            left -= take;
-        }
-    }
-    out
 }
 
 #[cfg(test)]

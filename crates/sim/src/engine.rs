@@ -204,24 +204,6 @@ impl<E> Engine<E> {
     pub fn peek_time(&self) -> Option<Instant> {
         self.head.as_ref().or(self.queue.peek()).map(|s| s.at)
     }
-
-    /// Runs events through a dispatcher closure until the queue drains or
-    /// the clock passes `until`.
-    ///
-    /// The dispatcher receives the engine itself so it can schedule
-    /// follow-up events. Events strictly after `until` remain queued.
-    pub fn run_until<F>(&mut self, until: Instant, mut dispatch: F)
-    where
-        F: FnMut(&mut Engine<E>, Instant, E),
-    {
-        while self.peek_time().is_some_and(|at| at <= until) {
-            let (t, payload) = self.pop().expect("peeked above");
-            dispatch(self, t, payload);
-        }
-        if self.now < until && self.peek_time().is_none() {
-            self.now = until;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -272,26 +254,6 @@ mod tests {
         e.schedule_after(ms(10), 1);
         e.pop();
         e.schedule(Instant::ZERO + ms(5), 2);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut e: Engine<u32> = Engine::new();
-        e.schedule_after(ms(1), 1);
-        e.schedule_after(ms(5), 5);
-        e.schedule_after(ms(9), 9);
-        let mut seen = Vec::new();
-        e.run_until(Instant::ZERO + ms(6), |_, _, p| seen.push(p));
-        assert_eq!(seen, vec![1, 5]);
-        assert_eq!(e.pending(), 1);
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_drained() {
-        let mut e: Engine<u32> = Engine::new();
-        e.schedule_after(ms(1), 1);
-        e.run_until(Instant::ZERO + ms(100), |_, _, _| {});
-        assert_eq!(e.now(), Instant::ZERO + ms(100));
     }
 
     mod properties {
@@ -401,20 +363,6 @@ mod tests {
             }
             Some(at)
         }
-
-        fn run_until<F: FnMut(&mut HeapEngine<E>, Instant, E)>(
-            &mut self,
-            until: Instant,
-            mut f: F,
-        ) {
-            while self.peek_time().is_some_and(|at| at <= until) {
-                let (t, payload) = self.pop().expect("peeked above");
-                f(self, t, payload);
-            }
-            if self.now < until && self.peek_time().is_none() {
-                self.now = until;
-            }
-        }
     }
 
     #[test]
@@ -469,21 +417,25 @@ mod tests {
                         r.now = t;
                     }
                     _ => {
+                        // Dispatch up to `until` the way a system's run
+                        // loop does, each event scheduling its follow-up.
                         let until = e.now() + us(rng.below(5));
                         let (mut a, mut b) = (Vec::new(), Vec::new());
-                        e.run_until(until, |e, t, p| {
+                        while e.peek_time().is_some_and(|at| at <= until) {
+                            let (t, p) = e.pop().expect("peeked above");
                             a.push((t, p));
                             if let Some((after, q)) = follow_up(p) {
                                 e.schedule_after(after, q);
                             }
-                        });
-                        r.run_until(until, |r, t, p| {
+                        }
+                        while r.peek_time().is_some_and(|at| at <= until) {
+                            let (t, p) = r.pop().expect("peeked above");
                             b.push((t, p));
                             if let Some((after, q)) = follow_up(p) {
                                 r.schedule(t + after, q);
                             }
-                        });
-                        assert_eq!(a, b, "{ctx}: run_until");
+                        }
+                        assert_eq!(a, b, "{ctx}: run loop");
                     }
                 }
                 assert_eq!(e.peek_time(), r.peek_time(), "{ctx}: peek_time");
@@ -503,12 +455,13 @@ mod tests {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_after(ms(1), 0);
         let mut count = 0;
-        e.run_until(Instant::ZERO + ms(10), |e, _, p| {
+        while let Some((_, p)) = e.pop() {
             count += 1;
             if p < 3 {
                 e.schedule_after(ms(1), p + 1);
             }
-        });
+        }
         assert_eq!(count, 4);
+        assert_eq!(e.now(), Instant::ZERO + ms(4));
     }
 }

@@ -33,7 +33,7 @@ pub mod tags;
 
 pub use bgload::BgReader;
 pub use config::{prio, CpuCosts, IssueMode, SchedMode, SysConfig};
-pub use metrics::{IntervalIo, IntervalWall, Metrics, ShardLoad};
+pub use metrics::{IntervalIo, IntervalWall, Metrics, ReadSlot, ShardLoad};
 pub use placement::MoviePlacement;
 pub use player::{Player, PlayerMode, PlayerStats};
 pub use rebuild::{plan_chunks, plan_parity_recon, RebuildChunk, RebuildManager, SrcRead};

@@ -5,10 +5,17 @@
 //! including blocking by an in-progress non-real-time operation — exactly
 //! what a timestamping benchmark would see) against the admission test's
 //! *calculated* time.
+//!
+//! Each CRAS read is counted on its volume's [`IntervalIo`] record and
+//! its interval's [`IntervalWall`] record. [`Metrics::on_interval`]
+//! hands back those records' positions as one [`ReadSlot`] per volume
+//! batch; the slot rides in the read's disk tag
+//! ([`DiskTag::Cras`]), and a failed read's retries inherit it, so a
+//! completion settles on its records without a lookup.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use cras_core::{IntervalReport, ReadId};
+use cras_core::IntervalReport;
 use cras_disk::Completed;
 use cras_sim::{Duration, Instant};
 
@@ -125,10 +132,11 @@ impl IntervalWall {
     }
 }
 
-/// Where an outstanding read is counted: its volume's [`IntervalIo`]
-/// and its interval's [`IntervalWall`].
-#[derive(Clone, Copy, Debug)]
-struct ReadSlot {
+/// Where a CRAS read is counted: the positions of its volume's
+/// [`IntervalIo`] and its interval's [`IntervalWall`] in [`Metrics`].
+/// Both lists only ever grow, so a slot stays valid for the whole run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReadSlot {
     interval: usize,
     wall: usize,
 }
@@ -138,9 +146,6 @@ struct ReadSlot {
 pub struct Metrics {
     intervals: Vec<IntervalIo>,
     walls: Vec<IntervalWall>,
-    /// Outstanding reads by id; a read leaves when it settles, so the
-    /// map is empty at quiescence.
-    reads: HashMap<u64, ReadSlot>,
     /// Bytes completed for CRAS real-time reads.
     pub cras_read_bytes: u64,
     /// Total disk service time consumed by CRAS reads.
@@ -224,10 +229,12 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Records an interval tick and indexes its reads: one record per
-    /// volume that received requests (the report's requests are sorted by
-    /// volume, so volumes form consecutive runs).
-    pub fn on_interval(&mut self, rep: &IntervalReport, now: Instant) {
+    /// Records an interval tick: one record per volume that received
+    /// requests (the report's requests are sorted by volume, so volumes
+    /// form consecutive runs). Returns the slot of each of
+    /// [`IntervalReport::volume_batches`], in order, for the batch's
+    /// reads to carry.
+    pub fn on_interval(&mut self, rep: &IntervalReport, now: Instant) -> Vec<ReadSlot> {
         if rep.overran {
             self.overruns += 1;
         }
@@ -243,7 +250,7 @@ impl Metrics {
         // Consumed before the empty-interval early return below: a tick
         // can reserve drained shares or park streams without issuing
         // any reads of its own.
-        self.deferred_reserved_streams += rep.deferred_reserved.len() as u64;
+        self.deferred_reserved_streams += rep.deferred_reserved_streams as u64;
         for title in &rep.cache_rejected_titles {
             *self
                 .cache_rejects_by_title
@@ -252,9 +259,9 @@ impl Metrics {
         }
         self.parked_streams += rep.parked_streams.len() as u64;
         if rep.reqs.is_empty() {
-            return;
+            return Vec::new();
         }
-        let wall_idx = self.walls.len();
+        let wall = self.walls.len();
         self.walls.push(IntervalWall {
             index: rep.index,
             issued_at: now,
@@ -269,13 +276,17 @@ impl Metrics {
             calc_sum: rep.per_volume_calculated.iter().sum(),
             volumes: 0,
         });
+        let mut slots = Vec::new();
         for (vol, batch) in rep.volume_batches() {
             let calculated = rep
                 .per_volume_calculated
                 .get(vol.index())
                 .copied()
                 .unwrap_or(rep.calculated_io_time);
-            let idx = self.intervals.len();
+            slots.push(ReadSlot {
+                interval: self.intervals.len(),
+                wall,
+            });
             self.intervals.push(IntervalIo {
                 index: rep.index,
                 volume: vol.0,
@@ -286,65 +297,53 @@ impl Metrics {
                 last_done: now,
                 service_sum: 0.0,
             });
-            for r in batch {
-                let slot = ReadSlot {
-                    interval: idx,
-                    wall: wall_idx,
-                };
-                self.reads.insert(r.id.0, slot);
-            }
-            self.walls[wall_idx].volumes += 1;
+            self.walls[wall].volumes += 1;
         }
+        slots
     }
 
-    /// Records the completion of a CRAS read.
-    pub fn on_cras_read_done(&mut self, rid: ReadId, done: &Completed<DiskTag>) {
+    /// Records the completion of a CRAS read counted at `slot`.
+    pub fn on_cras_read_done(&mut self, slot: ReadSlot, done: &Completed<DiskTag>) {
         self.cras_read_bytes += done.req.bytes();
         self.cras_read_busy += done.breakdown.total();
-        self.settle(rid, done, &[]);
+        self.settle(slot, done, 0);
     }
 
-    /// Records a CRAS read that came back failed and was replaced by
-    /// `retries` reads against a surviving replica (empty if the data is
-    /// lost). The interval record inherits the retries so its actual I/O
-    /// time still converges; the error's service time (the fast-error
-    /// command overhead) is charged to the interval like any other
-    /// service time.
+    /// Records a CRAS read counted at `slot` that came back failed and
+    /// was replaced by `retries` reads against a surviving replica (0 if
+    /// the data is lost). The retries inherit the slot, so the interval
+    /// record's actual I/O time still converges; the error's service
+    /// time (the fast-error command overhead) is charged to the interval
+    /// like any other service time.
     pub fn on_cras_read_failed(
         &mut self,
-        rid: ReadId,
+        slot: ReadSlot,
         done: &Completed<DiskTag>,
-        retries: &[ReadId],
+        retries: usize,
     ) {
-        if retries.is_empty() {
+        if retries == 0 {
             self.lost_reads += 1;
         } else {
             self.degraded_reads += 1;
         }
-        self.settle(rid, done, retries);
+        self.settle(slot, done, retries);
     }
 
-    /// Settles read `rid` on its interval and wall records, if it is
-    /// outstanding: charges its service time and completion, and hands
-    /// its slot to `retries` (empty for a completion or a lost read).
-    fn settle(&mut self, rid: ReadId, done: &Completed<DiskTag>, retries: &[ReadId]) {
-        let Some(slot) = self.reads.remove(&rid.0) else {
-            return;
-        };
+    /// Settles one read on its interval and wall records: charges its
+    /// service time and completion, and counts the `retries` reads that
+    /// take its place (0 for a completion or a lost read).
+    fn settle(&mut self, slot: ReadSlot, done: &Completed<DiskTag>, retries: usize) {
         let service = done.breakdown.total().as_secs_f64();
         let io = &mut self.intervals[slot.interval];
         io.service_sum += service;
         io.last_done = io.last_done.max(done.finished_at);
-        io.remaining = io.remaining - 1 + retries.len();
-        io.total_reqs += retries.len();
+        io.remaining = io.remaining - 1 + retries;
+        io.total_reqs += retries;
         let wall = &mut self.walls[slot.wall];
         wall.service_sum += service;
         wall.last_done = wall.last_done.max(done.finished_at);
-        wall.remaining = wall.remaining - 1 + retries.len();
-        wall.total_reqs += retries.len();
-        for r in retries {
-            self.reads.insert(r.0, slot);
-        }
+        wall.remaining = wall.remaining - 1 + retries;
+        wall.total_reqs += retries;
     }
 
     /// Average spare fraction of the interval over the last `window`
@@ -454,9 +453,7 @@ impl Metrics {
     /// floats via Rust's shortest round-trip formatting (`{:?}`). Two
     /// identically-behaving runs produce byte-identical output, so the
     /// replay-determinism and interleaving-fuzzer tests compare this
-    /// string directly. The internal read-id lookup map (iteration-order
-    /// dependent and empty at quiescence anyway) is deliberately
-    /// excluded.
+    /// string directly.
     pub fn canonical_json(&self) -> String {
         fn f(x: f64) -> String {
             format!("{x:?}")
@@ -554,30 +551,40 @@ mod tests {
     use cras_core::{ReadReq, StreamId};
     use cras_disk::{DiskRequest, ServiceBreakdown, VolumeId};
 
-    fn report(reads: &[u64], calc: f64) -> IntervalReport {
+    fn read(volume: u32, block: u64) -> ReadReq {
+        ReadReq {
+            stream: StreamId(0),
+            batch: 0,
+            logical: Some(0),
+            volume: VolumeId(volume),
+            block,
+            nblocks: 8,
+        }
+    }
+
+    /// A one-volume interval of `reads` reads.
+    fn report(reads: u64, calc: f64) -> IntervalReport {
         IntervalReport {
-            index: 0,
-            reqs: reads
-                .iter()
-                .map(|&i| ReadReq {
-                    id: ReadId(i),
-                    stream: StreamId(0),
-                    volume: VolumeId(0),
-                    block: i * 100,
-                    nblocks: 8,
-                })
-                .collect(),
-            posted_chunks: 0,
-            overran: false,
+            reqs: (0..reads).map(|i| read(0, i * 100)).collect(),
             calculated_io_time: calc,
             per_volume_calculated: vec![calc],
-            degraded_streams: 0,
-            steered_streams: 0,
-            lost_streams: 0,
-            cache_served_streams: 0,
-            deferred_reserved: Vec::new(),
-            cache_rejected_titles: Vec::new(),
-            parked_streams: Vec::new(),
+            ..IntervalReport::default()
+        }
+    }
+
+    /// An interval with reads on volume 0 and on volume 1, calculated
+    /// at 0.1 s and 0.2 s.
+    fn two_volume_report(on_0: u64, on_1: u64) -> IntervalReport {
+        let reqs = (0..on_0)
+            .map(|i| read(0, 100 + i))
+            .chain((0..on_1).map(|i| read(1, 50 + i * 40)))
+            .collect();
+        IntervalReport {
+            index: 3,
+            reqs,
+            calculated_io_time: 0.2,
+            per_volume_calculated: vec![0.1, 0.2],
+            ..IntervalReport::default()
         }
     }
 
@@ -595,13 +602,27 @@ mod tests {
         }
     }
 
+    fn failed(at_ms: u64, service_ms: u64) -> Completed<DiskTag> {
+        Completed {
+            failed: true,
+            ..completed(at_ms, service_ms)
+        }
+    }
+
+    /// Records a one-volume interval and returns its one slot.
+    fn interval(m: &mut Metrics, reads: u64) -> ReadSlot {
+        let slots = m.on_interval(&report(reads, 0.1), Instant::ZERO);
+        assert_eq!(slots.len(), 1, "one volume, one slot");
+        slots[0]
+    }
+
     #[test]
     fn ratio_computed_when_all_done() {
         let mut m = Metrics::new();
-        m.on_interval(&report(&[1, 2], 0.1), Instant::ZERO);
-        m.on_cras_read_done(ReadId(1), &completed(20, 10));
+        let slot = interval(&mut m, 2);
+        m.on_cras_read_done(slot, &completed(20, 10));
         assert!(m.admission_ratios(0).is_empty(), "still outstanding");
-        m.on_cras_read_done(ReadId(2), &completed(50, 10));
+        m.on_cras_read_done(slot, &completed(50, 10));
         let rs = m.admission_ratios(0);
         assert_eq!(rs.len(), 1);
         // Actual = 10 + 10 ms of service, calculated = 100 ms => 0.2.
@@ -613,17 +634,18 @@ mod tests {
     #[test]
     fn empty_interval_not_recorded() {
         let mut m = Metrics::new();
-        m.on_interval(&report(&[], 0.1), Instant::ZERO);
+        assert!(m.on_interval(&report(0, 0.1), Instant::ZERO).is_empty());
         assert!(m.intervals().is_empty());
+        assert!(m.interval_walls().is_empty());
     }
 
     #[test]
     fn summary_avg_and_max() {
         let mut m = Metrics::new();
-        m.on_interval(&report(&[1], 0.1), Instant::ZERO);
-        m.on_cras_read_done(ReadId(1), &completed(20, 5));
-        m.on_interval(&report(&[2], 0.1), Instant::ZERO);
-        m.on_cras_read_done(ReadId(2), &completed(60, 8));
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_done(slot, &completed(20, 5));
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_done(slot, &completed(60, 8));
         let (avg, max) = m.ratio_summary(0);
         assert!((avg - 0.065).abs() < 1e-9, "avg {avg}");
         assert!((max - 0.08).abs() < 1e-9, "max {max}");
@@ -635,44 +657,8 @@ mod tests {
     #[test]
     fn multi_volume_interval_splits_records() {
         let mut m = Metrics::new();
-        let rep = IntervalReport {
-            index: 3,
-            reqs: vec![
-                ReadReq {
-                    id: ReadId(1),
-                    stream: StreamId(0),
-                    volume: VolumeId(0),
-                    block: 100,
-                    nblocks: 8,
-                },
-                ReadReq {
-                    id: ReadId(2),
-                    stream: StreamId(1),
-                    volume: VolumeId(1),
-                    block: 50,
-                    nblocks: 8,
-                },
-                ReadReq {
-                    id: ReadId(3),
-                    stream: StreamId(2),
-                    volume: VolumeId(1),
-                    block: 90,
-                    nblocks: 8,
-                },
-            ],
-            posted_chunks: 0,
-            overran: false,
-            calculated_io_time: 0.2,
-            per_volume_calculated: vec![0.1, 0.2],
-            degraded_streams: 0,
-            steered_streams: 0,
-            lost_streams: 0,
-            cache_served_streams: 0,
-            deferred_reserved: Vec::new(),
-            cache_rejected_titles: Vec::new(),
-            parked_streams: Vec::new(),
-        };
-        m.on_interval(&rep, Instant::ZERO);
+        let slots = m.on_interval(&two_volume_report(1, 2), Instant::ZERO);
+        assert_eq!(slots.len(), 2, "one slot per volume batch");
         assert_eq!(m.intervals().len(), 2, "one record per volume");
         assert_eq!(m.intervals()[0].volume, 0);
         assert_eq!(m.intervals()[0].total_reqs, 1);
@@ -681,8 +667,8 @@ mod tests {
         assert_eq!(m.intervals()[1].total_reqs, 2);
         assert!((m.intervals()[1].calculated - 0.2).abs() < 1e-12);
         // Completions land on their own volume's record.
-        m.on_cras_read_done(ReadId(2), &completed(10, 4));
-        m.on_cras_read_done(ReadId(3), &completed(30, 4));
+        m.on_cras_read_done(slots[1], &completed(10, 4));
+        m.on_cras_read_done(slots[1], &completed(30, 4));
         assert_eq!(m.intervals()[1].remaining, 0);
         assert_eq!(m.intervals()[0].remaining, 1);
         let rs = m.admission_ratios(0);
@@ -693,46 +679,16 @@ mod tests {
     #[test]
     fn wall_tracks_the_last_completion_across_volumes() {
         let mut m = Metrics::new();
-        let rep = IntervalReport {
-            index: 3,
-            reqs: vec![
-                ReadReq {
-                    id: ReadId(1),
-                    stream: StreamId(0),
-                    volume: VolumeId(0),
-                    block: 100,
-                    nblocks: 8,
-                },
-                ReadReq {
-                    id: ReadId(2),
-                    stream: StreamId(1),
-                    volume: VolumeId(1),
-                    block: 50,
-                    nblocks: 8,
-                },
-            ],
-            posted_chunks: 0,
-            overran: false,
-            calculated_io_time: 0.2,
-            per_volume_calculated: vec![0.1, 0.2],
-            degraded_streams: 0,
-            steered_streams: 0,
-            lost_streams: 0,
-            cache_served_streams: 0,
-            deferred_reserved: Vec::new(),
-            cache_rejected_titles: Vec::new(),
-            parked_streams: Vec::new(),
-        };
-        m.on_interval(&rep, Instant::ZERO);
+        let slots = m.on_interval(&two_volume_report(1, 1), Instant::ZERO);
         assert_eq!(m.interval_walls().len(), 1, "one wall per interval");
         let w = &m.interval_walls()[0];
         assert_eq!(w.volumes, 2);
         assert!((w.calc_max - 0.2).abs() < 1e-12);
         assert!((w.calc_sum - 0.3).abs() < 1e-12);
         assert!(w.span().is_none(), "reads outstanding");
-        m.on_cras_read_done(ReadId(2), &completed(10, 4));
+        m.on_cras_read_done(slots[1], &completed(10, 4));
         assert!(m.interval_walls()[0].span().is_none());
-        m.on_cras_read_done(ReadId(1), &completed(40, 4));
+        m.on_cras_read_done(slots[0], &completed(40, 4));
         let w = &m.interval_walls()[0];
         // Span runs to the last completion on any volume: 40 ms.
         assert!((w.span().unwrap() - 0.04).abs() < 1e-9);
@@ -743,12 +699,10 @@ mod tests {
     #[test]
     fn wall_inherits_retry_slots_from_failed_reads() {
         let mut m = Metrics::new();
-        m.on_interval(&report(&[1], 0.1), Instant::ZERO);
-        let mut err = completed(5, 1);
-        err.failed = true;
-        m.on_cras_read_failed(ReadId(1), &err, &[ReadId(9)]);
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_failed(slot, &failed(5, 1), 1);
         assert!(m.interval_walls()[0].span().is_none(), "retry outstanding");
-        m.on_cras_read_done(ReadId(9), &completed(20, 10));
+        m.on_cras_read_done(slot, &completed(20, 10));
         let w = &m.interval_walls()[0];
         assert_eq!(w.total_reqs, 2);
         assert!((w.span().unwrap() - 0.02).abs() < 1e-9);
@@ -757,13 +711,11 @@ mod tests {
     #[test]
     fn failed_read_hands_its_interval_slot_to_the_retries() {
         let mut m = Metrics::new();
-        m.on_interval(&report(&[1], 0.1), Instant::ZERO);
-        let mut err = completed(5, 1);
-        err.failed = true;
-        m.on_cras_read_failed(ReadId(1), &err, &[ReadId(9)]);
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_failed(slot, &failed(5, 1), 1);
         assert_eq!(m.degraded_reads, 1);
         assert!(m.admission_ratios(0).is_empty(), "retry still outstanding");
-        m.on_cras_read_done(ReadId(9), &completed(20, 10));
+        m.on_cras_read_done(slot, &completed(20, 10));
         let rs = m.admission_ratios(0);
         assert_eq!(rs.len(), 1);
         // 1 ms fast error + 10 ms retry service over 100 ms calculated.
@@ -773,44 +725,40 @@ mod tests {
     #[test]
     fn lost_read_completes_the_interval_record() {
         let mut m = Metrics::new();
-        m.on_interval(&report(&[1], 0.1), Instant::ZERO);
-        let mut err = completed(5, 1);
-        err.failed = true;
-        m.on_cras_read_failed(ReadId(1), &err, &[]);
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_failed(slot, &failed(5, 1), 0);
         assert_eq!(m.lost_reads, 1);
         assert_eq!(m.intervals()[0].remaining, 0);
         assert_eq!(m.admission_ratios(0).len(), 1);
     }
 
     #[test]
-    fn settled_reads_leave_the_read_index() {
+    fn a_retry_chain_settles_on_the_first_reads_slot() {
         let mut m = Metrics::new();
-        // Read 2 fails and hands its slot to retry 9, which fails again
-        // and hands it to 10; reads 1 and 3 complete plainly.
-        m.on_interval(&report(&[1, 2, 3], 0.1), Instant::ZERO);
-        let mut err = completed(5, 1);
-        err.failed = true;
-        m.on_cras_read_done(ReadId(1), &completed(10, 4));
-        m.on_cras_read_failed(ReadId(2), &err, &[ReadId(9)]);
-        m.on_cras_read_failed(ReadId(9), &err, &[ReadId(10)]);
-        let outstanding = |m: &Metrics| {
-            let mut ids: Vec<u64> = m.reads.keys().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
-        assert_eq!(outstanding(&m), vec![3, 10]);
-        m.on_cras_read_done(ReadId(3), &completed(20, 4));
-        m.on_cras_read_done(ReadId(10), &completed(30, 4));
-        assert!(outstanding(&m).is_empty());
+        // Of three reads, one completes, one fails and hands its slot to
+        // a retry, and that retry fails and hands it to another.
+        let slot = interval(&mut m, 3);
+        m.on_cras_read_done(slot, &completed(10, 4));
+        m.on_cras_read_failed(slot, &failed(5, 1), 1);
+        m.on_cras_read_failed(slot, &failed(5, 1), 1);
+        assert_eq!(m.degraded_reads, 2);
+        // The third read and the last retry are out.
+        assert_eq!(m.intervals()[0].remaining, 2);
+        assert_eq!(m.interval_walls()[0].remaining, 2);
+        // A later interval takes new records; the chain still settles on
+        // the first one.
+        let later = interval(&mut m, 1);
+        assert_ne!(later, slot);
+        m.on_cras_read_done(slot, &completed(20, 4));
+        m.on_cras_read_done(slot, &completed(30, 4));
+        for (i, total) in [(0, 5), (1, 1)] {
+            assert_eq!(m.intervals()[i].total_reqs, total, "record {i}");
+            assert_eq!(m.interval_walls()[i].total_reqs, total, "wall {i}");
+        }
         assert_eq!(m.intervals()[0].remaining, 0);
-        assert_eq!(m.intervals()[0].total_reqs, 5);
-        assert_eq!(m.interval_walls()[0].total_reqs, 5);
+        assert_eq!(m.intervals()[1].remaining, 1);
         // 4 + 1 + 1 + 4 + 4 ms of service over 100 ms calculated.
         assert!((m.admission_ratios(0)[0] - 0.14).abs() < 1e-9);
-        // A read the index does not know (a second report of a settled
-        // one) changes nothing.
-        m.on_cras_read_done(ReadId(1), &completed(40, 4));
-        assert_eq!(m.intervals()[0].remaining, 0);
         assert!((m.interval_walls()[0].span().unwrap() - 0.03).abs() < 1e-9);
     }
 
@@ -820,14 +768,14 @@ mod tests {
         let t = Duration::from_millis(100);
         assert_eq!(m.recent_slack(t, 8), 1.0, "idle system has all its slack");
         // One completed wall spanning 40 ms of a 100 ms interval.
-        m.on_interval(&report(&[1], 0.1), Instant::ZERO);
-        m.on_cras_read_done(ReadId(1), &completed(40, 10));
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_done(slot, &completed(40, 10));
         assert!((m.recent_slack(t, 8) - 0.6).abs() < 1e-9);
         // A second wall using the whole interval drags the average down;
         // an over-long span clamps at zero slack rather than going
         // negative.
-        m.on_interval(&report(&[2], 0.1), Instant::ZERO);
-        m.on_cras_read_done(ReadId(2), &completed(150, 10));
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_done(slot, &completed(150, 10));
         assert!((m.recent_slack(t, 8) - 0.3).abs() < 1e-9);
         // Window 1 sees only the latest wall.
         assert!(m.recent_slack(t, 1).abs() < 1e-9);
@@ -836,8 +784,8 @@ mod tests {
     #[test]
     fn canonical_json_is_stable_and_reflects_state() {
         let mut m = Metrics::new();
-        m.on_interval(&report(&[1], 0.1), Instant::ZERO);
-        m.on_cras_read_done(ReadId(1), &completed(20, 10));
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_done(slot, &completed(20, 10));
         m.volume_failed_at = Some(Instant::from_secs_f64(2.5));
         let a = m.canonical_json();
         let b = m.canonical_json();
@@ -854,8 +802,8 @@ mod tests {
     #[test]
     fn bytes_and_busy_accumulate() {
         let mut m = Metrics::new();
-        m.on_interval(&report(&[7], 0.1), Instant::ZERO);
-        m.on_cras_read_done(ReadId(7), &completed(10, 3));
+        let slot = interval(&mut m, 1);
+        m.on_cras_read_done(slot, &completed(10, 3));
         assert_eq!(m.cras_read_bytes, 8 * 512);
         assert_eq!(m.cras_read_busy, Duration::from_millis(3));
     }

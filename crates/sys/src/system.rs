@@ -22,8 +22,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use cras_core::{
-    AdmissionError, Admit, CacheState, CrasServer, OpenReq, ReadId, ReadReq, StreamId, VolumeLoad,
-    JITTER,
+    AdmissionError, Admit, CacheState, CrasServer, OpenReq, ReadReq, StreamId, VolumeLoad, JITTER,
 };
 use cras_disk::{Completed, DiskDevice, DiskRequest, VolumeId, VolumeSet};
 use cras_media::{Movie, StreamProfile};
@@ -37,7 +36,7 @@ use cras_ufs::{FsReq, Ino, MkfsParams, Step, Ufs, UnixServer, SECT_PER_FSBLOCK};
 
 use crate::bgload::{BgReader, BgWriter};
 use crate::config::{prio, IssueMode, SchedMode, SysConfig};
-use crate::metrics::{Metrics, ShardLoad};
+use crate::metrics::{Metrics, ReadSlot, ShardLoad};
 use crate::placement::{self, file_extents, MoviePlacement};
 use crate::player::{Player, PlayerMode};
 use crate::rebuild::RebuildManager;
@@ -89,17 +88,20 @@ const DISK_FAULT_PENALTY: Duration = Duration::from_millis(25);
 /// Size of one rebuild copy chunk in bytes.
 const REBUILD_CHUNK_BYTES: u64 = 256 * 1024;
 
+/// The real-time disk read for a CRAS read counted at `slot`.
+fn cras_read(r: &ReadReq, slot: ReadSlot) -> DiskRequest<DiskTag> {
+    DiskRequest::rt_read(r.block, r.nblocks, DiskTag::Cras(*r, slot))
+}
+
 /// Owner of a Unix-server request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UOwner {
-    /// A player reading frame `frame` (`bytes` media bytes).
+    /// A player reading frame `frame`.
     Player {
         /// The player.
         client: ClientId,
         /// Frame index.
         frame: u32,
-        /// Frame size in bytes.
-        bytes: u32,
     },
     /// A background reader finishing a `bytes`-byte read call.
     Bg {
@@ -222,7 +224,7 @@ pub struct SysState {
     rebuild_gen: u64,
     /// [`IssueMode::SerialVolumes`] only: per-volume batches waiting for
     /// the previous batch's spindle to drain (front = next to issue).
-    serial_batches: VecDeque<Vec<ReadReq>>,
+    serial_batches: VecDeque<(ReadSlot, Vec<ReadReq>)>,
     /// [`IssueMode::SerialVolumes`] only: unsettled reads of the one
     /// batch currently in flight (a failed read's retries count in its
     /// place).
@@ -1034,15 +1036,12 @@ impl SysState {
     /// per-volume batch once the previous one has fully completed.
     fn issue_next_serial_batch(&mut self, fx: &mut Fx) {
         debug_assert_eq!(self.serial_outstanding, 0);
-        let Some(batch) = self.serial_batches.pop_front() else {
+        let Some((slot, batch)) = self.serial_batches.pop_front() else {
             return;
         };
         self.serial_outstanding = batch.len();
-        for r in batch {
-            fx.submit(
-                r.volume.0,
-                DiskRequest::rt_read(r.block, r.nblocks, DiskTag::Cras(r.id)),
-            );
+        for r in &batch {
+            fx.submit(r.volume.0, cras_read(r, slot));
         }
     }
 
@@ -1112,7 +1111,7 @@ impl SysState {
                         )
                     });
                 }
-                self.metrics.on_interval(&rep, now);
+                let slots = self.metrics.on_interval(&rep, now);
                 // A parked stream's viewer pauses (rebuffers) instead
                 // of burning its poll budget against a frozen clock;
                 // the gateway may retry admission for it later via
@@ -1131,13 +1130,8 @@ impl SysState {
                         // spindle, and the interval's I/O ends with the
                         // slowest volume — max(per-volume), the same
                         // quantity the admission test bounds.
-                        for (vol, batch) in rep.volume_batches() {
-                            let reqs: Vec<DiskRequest<DiskTag>> = batch
-                                .iter()
-                                .map(|r| {
-                                    DiskRequest::rt_read(r.block, r.nblocks, DiskTag::Cras(r.id))
-                                })
-                                .collect();
+                        for ((vol, batch), slot) in rep.volume_batches().zip(slots) {
+                            let reqs = batch.iter().map(|r| cras_read(r, slot)).collect();
                             fx.submit_batch(vol, reqs);
                         }
                     }
@@ -1146,8 +1140,8 @@ impl SysState {
                         // one volume at a time, the next only when the
                         // previous fully completes — interval time
                         // degrades toward sum(per-volume).
-                        for (_, batch) in rep.volume_batches() {
-                            self.serial_batches.push_back(batch.to_vec());
+                        for ((_, batch), slot) in rep.volume_batches().zip(slots) {
+                            self.serial_batches.push_back((slot, batch.to_vec()));
                         }
                         if self.serial_outstanding == 0 {
                             self.issue_next_serial_batch(fx);
@@ -1170,25 +1164,22 @@ impl SysState {
     fn on_disk_done(&mut self, done: Completed<DiskTag>, fx: &mut Fx) {
         let now = fx.now;
         match done.req.tag {
-            DiskTag::Cras(rid) if done.failed => {
+            DiskTag::Cras(read, slot) if done.failed => {
                 // A fast error from a failed volume: the read is re-issued
                 // against the surviving replica (degraded read) or, with
-                // no replica, its batch is dropped.
-                let retries = self.cras.io_failed(rid);
-                let ids: Vec<ReadId> = retries.iter().map(|r| r.id).collect();
-                self.metrics.on_cras_read_failed(rid, &done, &ids);
+                // no replica, its batch is dropped. The retries are
+                // counted where the failed read was.
+                let retries = self.cras.io_failed(&read);
+                self.metrics.on_cras_read_failed(slot, &done, retries.len());
                 for r in &retries {
-                    fx.submit(
-                        r.volume.0,
-                        DiskRequest::rt_read(r.block, r.nblocks, DiskTag::Cras(r.id)),
-                    );
+                    fx.submit(r.volume.0, cras_read(r, slot));
                 }
-                self.on_serial_read_settled(ids.len(), fx);
+                self.on_serial_read_settled(retries.len(), fx);
             }
-            DiskTag::Cras(rid) => {
-                self.metrics.on_cras_read_done(rid, &done);
+            DiskTag::Cras(read, slot) => {
+                self.metrics.on_cras_read_done(slot, &done);
                 // I/O-done manager thread: cheap, handled inline.
-                self.cras.io_done(rid);
+                self.cras.io_done(&read);
                 self.on_serial_read_settled(0, fx);
             }
             DiskTag::RebuildRead(gen, idx) => {
@@ -1330,11 +1321,7 @@ impl SysState {
                         self.ufs_fetch(req.tag.vol, run, DiskTag::UfsReadAhead, fx);
                     }
                     match req.tag.owner {
-                        UOwner::Player {
-                            client,
-                            frame,
-                            bytes: _,
-                        } => {
+                        UOwner::Player { client, frame } => {
                             // The player may be gone by the time its read
                             // completes (stopped, or its shard killed while
                             // the block was in flight): the completion is a
@@ -1415,9 +1402,8 @@ impl SysState {
                         p.polls_this_frame += 1;
                         let expired = media_now > chunk.timestamp + JITTER;
                         if expired || p.polls_this_frame > 1000 {
-                            if let Some(_due) = p.frame_dropped(now) {
-                                let due = p.due(p.next_frame).max(now);
-                                fx.schedule(due, Event::PlayerFrame(client));
+                            if let Some(due) = p.frame_dropped(now) {
+                                fx.schedule(due.max(now), Event::PlayerFrame(client));
                             }
                             self.trace.log_with(now, "player", || {
                                 format!("client {} dropped frame {k}", client.0)
@@ -1431,11 +1417,7 @@ impl SysState {
             PlayerMode::Ufs { ino, vol } => {
                 self.ufs_read(
                     vol,
-                    UOwner::Player {
-                        client,
-                        frame: k,
-                        bytes: chunk.size,
-                    },
+                    UOwner::Player { client, frame: k },
                     ino,
                     chunk.file_offset,
                     chunk.size as u64,
@@ -2087,6 +2069,44 @@ mod tests {
             s.metrics.degraded_intervals > 0,
             "the mirror should have served intervals"
         );
+    }
+
+    #[test]
+    fn retries_settle_on_the_failed_reads_records() {
+        // A volume fails with an interval's reads queued on it: each
+        // read fails fast and is retried on the mirror, and the retries
+        // must settle on the records the failed reads were counted on.
+        let mut s = sys(mirrored_cfg(2));
+        let mut clients = Vec::new();
+        for name in ["a", "b"] {
+            let movie = s.record_movie(name, StreamProfile::mpeg1(), 6.0);
+            clients.push(s.add_cras_player(&movie, 1).unwrap());
+        }
+        for &c in &clients {
+            s.start_playback(c);
+        }
+        s.run_for(Duration::from_secs(2));
+        let busy = loop {
+            if let Some(v) = s.disks.outstanding_depths().position(|n| n > 0) {
+                break v as u32;
+            }
+            let (now, ev) = s.engine.pop().expect("playback has events queued");
+            s.handle(ev, now);
+        };
+        s.fail_volume(busy);
+        s.run_for(Duration::from_secs(10));
+        assert!(clients.iter().all(|c| s.players[&c.0].done));
+        assert!(s.metrics.degraded_reads > 0, "no read was retried");
+        // The server counts each retry as an issued read.
+        let stats = s.cras.stats();
+        assert!(stats.degraded_reads > 0 && stats.lost_reads == 0);
+        let issued = stats.reads_issued as usize;
+        let records = s.metrics.intervals();
+        let walls = s.metrics.interval_walls();
+        assert!(records.iter().all(|r| r.remaining == 0), "{records:?}");
+        assert!(walls.iter().all(|w| w.remaining == 0), "{walls:?}");
+        assert_eq!(records.iter().map(|r| r.total_reqs).sum::<usize>(), issued);
+        assert_eq!(walls.iter().map(|w| w.total_reqs).sum::<usize>(), issued);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Global event and routing-tag types of the orchestrated system.
 
-use cras_core::ReadId;
+use cras_core::ReadReq;
 use cras_rtmach::SliceToken;
 use cras_ufs::fs::FetchRun;
+
+use crate::metrics::ReadSlot;
 
 /// Identifies one client application (player or background reader).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -86,8 +88,9 @@ impl Event {
 /// Routing tag carried by disk requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskTag {
-    /// A CRAS real-time stream read.
-    Cras(ReadId),
+    /// A CRAS real-time stream read, handed back to the server on
+    /// completion, and where [`Metrics`](crate::Metrics) counts it.
+    Cras(ReadReq, ReadSlot),
     /// A synchronous clustered UFS fetch on behalf of the Unix server
     /// (volume, run).
     UfsFetch(u32, FetchRun),

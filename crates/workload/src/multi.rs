@@ -14,7 +14,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use cras_core::{Admit, CrasServer, OpenReq, ReadId, ServerConfig, StreamId};
+use cras_core::{Admit, CrasServer, OpenReq, ReadReq, ServerConfig, StreamId};
 use cras_disk::calibrate::calibrate;
 use cras_disk::{DiskDevice, DiskRequest};
 use cras_media::StreamProfile;
@@ -86,7 +86,7 @@ pub fn run_config(
         ..ServerConfig::default()
     };
     let mut rng = Rng::new(seed);
-    let mut disk: DiskDevice<(usize, ReadId)> = DiskDevice::st32550n();
+    let mut disk: DiskDevice<(usize, ReadReq)> = DiskDevice::st32550n();
     let mut srvs: Vec<CrasServer> = (0..servers)
         .map(|_| CrasServer::new(cal.params, cfg))
         .collect();
@@ -133,7 +133,7 @@ pub fn run_config(
                 let rep = srvs[si].interval_tick(at);
                 for r in &rep.reqs {
                     if let Some(t) =
-                        disk.submit(at, DiskRequest::rt_read(r.block, r.nblocks, (si, r.id)))
+                        disk.submit(at, DiskRequest::rt_read(r.block, r.nblocks, (si, *r)))
                     {
                         heap.push(Reverse((t, seq, Ev::DiskDone)));
                         seq += 1;
@@ -145,8 +145,8 @@ pub fn run_config(
             Ev::DiskDone => {
                 let (done, next) = disk.complete(at);
                 bytes += done.req.bytes();
-                let (si, rid) = done.req.tag;
-                srvs[si].io_done(rid);
+                let (si, read) = done.req.tag;
+                srvs[si].io_done(&read);
                 if let Some(t) = next {
                     heap.push(Reverse((t, seq, Ev::DiskDone)));
                     seq += 1;

@@ -683,7 +683,7 @@ fn cache_served_follower_gets_byte_identical_data() {
                 let rep = srv.interval_tick(now);
                 assert!(!rep.overran, "case {case} tick {k}");
                 for r in &rep.reqs {
-                    srv.io_done(r.id);
+                    srv.io_done(r);
                 }
                 // What the follower's client would consume right now.
                 if let Some(f) = follower {
@@ -787,7 +787,7 @@ fn leader_stop_degrades_follower_to_disk_without_drops() {
                 if Some(r.stream) == follower {
                     follower_reqs += 1;
                 }
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         let f = follower.unwrap();
@@ -845,7 +845,7 @@ fn follower_departure_never_leaks_pins() {
             }
             let rep = srv.interval_tick(now);
             for r in &rep.reqs {
-                srv.io_done(r.id);
+                srv.io_done(r);
             }
         }
         assert!(
