@@ -5,7 +5,7 @@
 use cras_sim::json::Json as Value;
 
 /// Summarizes one figure JSON: first/last point of every series.
-pub fn summarize_figure(json: &Value) -> Option<String> {
+pub(crate) fn summarize_figure(json: &Value) -> Option<String> {
     let id = json.get("id")?.as_str()?;
     let title = json.get("title")?.as_str()?;
     let series = json.get("series")?.as_array()?;
@@ -30,7 +30,7 @@ pub fn summarize_figure(json: &Value) -> Option<String> {
 }
 
 /// Summarizes one key/value table JSON.
-pub fn summarize_table(json: &Value) -> Option<String> {
+pub(crate) fn summarize_table(json: &Value) -> Option<String> {
     let id = json.get("id")?.as_str()?;
     let title = json.get("title")?.as_str()?;
     let rows = json.get("rows")?.as_array()?;

@@ -27,9 +27,7 @@
 pub mod gateway;
 pub mod ring;
 
-pub use cras_core::cachepolicy::{zipf_cdf, zipf_rank, zipf_weight, PopularityEstimator};
+pub use cras_core::cachepolicy::{zipf_cdf, zipf_rank};
 pub use gateway::{
-    Cluster, ClusterConfig, FailoverReport, KillError, OpenError, RetryStats, Session, SessionId,
-    Shard, Stepping, TitleInfo,
+    Cluster, ClusterConfig, FailoverReport, RetryStats, Session, SessionId, Stepping,
 };
-pub use ring::{title_point, Ring};

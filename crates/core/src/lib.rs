@@ -49,22 +49,16 @@ pub mod stream;
 pub mod tdbuffer;
 pub mod writer;
 
-pub use admission::{
-    Admission, AdmissionError, AdmissionModel, Load, StreamParams, MAX_READ_BYTES,
-};
-pub use cache::{CacheStats, EvictPolicy, IntervalCache};
-pub use cachepolicy::{zipf_cdf, zipf_rank, zipf_weight, CacheManager, PopularityEstimator};
-pub use clock::LogicalClock;
+pub use admission::{Admission, AdmissionError, AdmissionModel, StreamParams};
+pub use cache::EvictPolicy;
 pub use deploy::DeployMode;
 pub use fifo::FifoBuffer;
 pub use placement::{
-    assert_tiles, on_volume, volume_shares, ParityGeometry, PlacementPolicy, VolumeExtent,
-    PARITY_STRIPE_BYTES,
+    assert_tiles, on_volume, ParityGeometry, PlacementPolicy, VolumeExtent, PARITY_STRIPE_BYTES,
 };
 pub use server::{
-    Admit, CrasServer, IntervalReport, OpenReq, ReadReq, ServerConfig, ServerStats, VolumeLoad,
-    JITTER,
+    Admit, CrasServer, IntervalReport, OpenReq, ReadReq, ServerConfig, VolumeLoad, JITTER,
 };
 pub use stream::{CacheState, ParityState, Stream, StreamId, VolumeRun};
-pub use tdbuffer::{BufferStats, BufferedChunk, TimeDrivenBuffer};
-pub use writer::{Recorder, WriteId, WriteReq};
+pub use tdbuffer::{BufferedChunk, TimeDrivenBuffer};
+pub use writer::Recorder;

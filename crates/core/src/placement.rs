@@ -125,7 +125,7 @@ impl ParityGeometry {
     }
 
     /// Stripe row containing data unit `k`.
-    pub fn row_of_unit(&self, k: u64) -> u64 {
+    pub(crate) fn row_of_unit(&self, k: u64) -> u64 {
         k / (self.group as u64 - 1)
     }
 
@@ -189,7 +189,7 @@ impl ParityGeometry {
     /// degraded. At `g = 2` this is 1.0 per volume — exactly the
     /// Mirrored worst case, as it must be (2-volume parity *is*
     /// mirroring).
-    pub fn admission_shares(&self, volumes: usize) -> Vec<f64> {
+    pub(crate) fn admission_shares(&self, volumes: usize) -> Vec<f64> {
         let mut shares = vec![0.0; volumes];
         let worst = 2.0 / self.group as f64;
         for v in self.base..self.base + self.group {
@@ -236,7 +236,7 @@ pub fn on_volume(volume: VolumeId, extents: Vec<Extent>) -> Vec<VolumeExtent> {
 /// undercount each replica's load by the replication factor. For
 /// non-replicated maps (disjoint logical ranges) the union equals the
 /// sum, so round-robin and striped shares are bitwise unchanged.
-pub fn volume_shares(extents: &[VolumeExtent], volumes: usize) -> Vec<f64> {
+pub(crate) fn volume_shares(extents: &[VolumeExtent], volumes: usize) -> Vec<f64> {
     let mut bytes = vec![0u64; volumes];
     let mut ranges: Vec<(u64, u64)> = Vec::with_capacity(extents.len());
     for ve in extents {

@@ -89,7 +89,7 @@ fn run_one<T>(dev: &mut DiskDevice<T>, now: Instant, req: DiskRequest<T>) -> Ins
 
 /// Measures the seek curve: for each probe distance, previews the service
 /// breakdown of a seek-dominated access and isolates the seek phase.
-pub fn measure_seek_curve<T>(dev: &DiskDevice<T>, points: usize) -> Vec<(u32, f64)> {
+pub(crate) fn measure_seek_curve<T>(dev: &DiskDevice<T>, points: usize) -> Vec<(u32, f64)> {
     let n_cyl = dev.geometry().cylinders();
     let step = (n_cyl as usize / points.max(1)).max(1);
     let mut samples = Vec::new();
@@ -109,7 +109,7 @@ pub fn measure_seek_curve<T>(dev: &DiskDevice<T>, points: usize) -> Vec<(u32, f6
 /// Measures the sustained sequential transfer rate by timing a long
 /// sequence of 128 KB reads (command overhead is subtracted, as a raw-rate
 /// benchmark that issues one large command per track would see).
-pub fn measure_transfer_rate<T: Default>(dev: &mut DiskDevice<T>) -> f64 {
+pub(crate) fn measure_transfer_rate<T: Default>(dev: &mut DiskDevice<T>) -> f64 {
     let chunk_blocks = 256u32; // 128 KB per command.
     let span = dev.geometry().total_blocks();
     // Sample the start, middle and end zones for a capacity-weighted rate.
@@ -140,7 +140,7 @@ pub fn measure_transfer_rate<T: Default>(dev: &mut DiskDevice<T>) -> f64 {
 /// Measures the command overhead by re-reading the sector currently under
 /// the head: with zero seek, the best-case service time over many aligned
 /// attempts converges to `T_cmd` + one sector of transfer.
-pub fn measure_command_overhead<T: Default>(dev: &mut DiskDevice<T>) -> Duration {
+pub(crate) fn measure_command_overhead<T: Default>(dev: &mut DiskDevice<T>) -> Duration {
     let mut best = Duration::MAX;
     let mut now = Instant::ZERO;
     for i in 0..64 {

@@ -41,7 +41,7 @@ impl FaultInjector {
     }
 
     /// Decides the extra delay (possibly zero) for the next operation.
-    pub fn next_op(&mut self) -> Duration {
+    pub(crate) fn next_op(&mut self) -> Duration {
         if self.prob > 0.0 && self.rng.chance(self.prob) {
             self.injected += 1;
             return self.penalty;

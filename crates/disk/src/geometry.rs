@@ -11,14 +11,14 @@
 pub type BlockNo = u64;
 
 /// Size of one disk block in bytes.
-pub const BLOCK_SIZE: u32 = 512;
+pub(crate) const BLOCK_SIZE: u32 = 512;
 
 /// A zone of consecutive cylinders sharing a sectors-per-track count.
 ///
 /// Modern (for 1996) disks are zoned: outer cylinders hold more sectors
 /// per track. A single-zone table degenerates to classic uniform geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Zone {
+pub(crate) struct Zone {
     /// First cylinder of the zone (inclusive).
     pub first_cyl: u32,
     /// Number of cylinders in the zone.
@@ -35,7 +35,7 @@ pub struct DiskGeometry {
     /// Spindle speed in revolutions per minute.
     pub rpm: u32,
     /// Zone table, ordered by `first_cyl`, covering all cylinders.
-    pub zones: Vec<Zone>,
+    pub(crate) zones: Vec<Zone>,
 }
 
 impl DiskGeometry {
@@ -100,7 +100,7 @@ impl DiskGeometry {
     /// # Panics
     ///
     /// Panics if `cyl` is out of range.
-    pub fn sectors_per_track(&self, cyl: u32) -> u32 {
+    pub(crate) fn sectors_per_track(&self, cyl: u32) -> u32 {
         for z in &self.zones {
             if cyl >= z.first_cyl && cyl < z.first_cyl + z.cyls {
                 return z.sectors_per_track;
@@ -129,13 +129,13 @@ impl DiskGeometry {
     }
 
     /// One full revolution of the spindle, in seconds.
-    pub fn rotation_secs(&self) -> f64 {
+    pub(crate) fn rotation_secs(&self) -> f64 {
         60.0 / self.rpm as f64
     }
 
     /// Media transfer rate at a cylinder, in bytes per second: one track
     /// per revolution.
-    pub fn transfer_rate_at(&self, cyl: u32) -> f64 {
+    pub(crate) fn transfer_rate_at(&self, cyl: u32) -> f64 {
         let track_bytes = self.sectors_per_track(cyl) as f64 * BLOCK_SIZE as f64;
         track_bytes / self.rotation_secs()
     }
@@ -145,7 +145,7 @@ impl DiskGeometry {
     /// # Panics
     ///
     /// Panics if `block` is beyond the disk capacity.
-    pub fn cylinder_of(&self, block: BlockNo) -> u32 {
+    pub(crate) fn cylinder_of(&self, block: BlockNo) -> u32 {
         let mut remaining = block;
         for z in &self.zones {
             let per_cyl = z.sectors_per_track as u64 * self.heads as u64;
@@ -159,7 +159,7 @@ impl DiskGeometry {
     }
 
     /// First block of the given cylinder.
-    pub fn first_block_of(&self, cyl: u32) -> BlockNo {
+    pub(crate) fn first_block_of(&self, cyl: u32) -> BlockNo {
         let mut acc: u64 = 0;
         for z in &self.zones {
             if cyl < z.first_cyl + z.cyls {
@@ -173,7 +173,7 @@ impl DiskGeometry {
 
     /// Angular position (fraction of a revolution, in `[0, 1)`) of a block
     /// within its track.
-    pub fn angle_of(&self, block: BlockNo) -> f64 {
+    pub(crate) fn angle_of(&self, block: BlockNo) -> f64 {
         let cyl = self.cylinder_of(block);
         let spt = self.sectors_per_track(cyl) as u64;
         let within_cyl = block - self.first_block_of(cyl);

@@ -34,11 +34,11 @@ pub mod volume;
 pub mod xor;
 
 pub use calibrate::{Calibration, DiskParams};
-pub use device::{DiskDevice, DiskStats, DiskTimings, ERROR_LATENCY};
+pub use device::DiskDevice;
 pub use faults::FaultInjector;
-pub use geometry::{BlockNo, DiskGeometry, Zone, BLOCK_SIZE};
-pub use policy::{modeled_travel, DiskQueue, QueuePolicy, SweepCursor};
-pub use request::{Completed, DiskRequest, IoClass, IoKind, ServiceBreakdown};
+pub use geometry::{BlockNo, DiskGeometry};
+pub use policy::{modeled_travel, QueuePolicy, SweepCursor};
+pub use request::{Completed, DiskRequest, ServiceBreakdown};
 pub use seek::SeekModel;
-pub use volume::{ReplaceError, VolumeId, VolumeSet};
-pub use xor::{parity_of, reconstruct, xor_into};
+pub use volume::{VolumeId, VolumeSet};
+pub use xor::{parity_of, xor_into};

@@ -15,20 +15,11 @@ use crate::geometry::BlockNo;
 /// If there are any requests in the real-time queue, the requests are
 /// processed before the request in the non real-time queue."
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum IoClass {
+pub(crate) enum IoClass {
     /// CRAS interval pre-fetches: strict priority.
     RealTime,
     /// Unix file system and all other traffic.
     Normal,
-}
-
-/// Direction of the transfer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum IoKind {
-    /// Read from media.
-    Read,
-    /// Write to media.
-    Write,
 }
 
 /// A request submitted to the disk.
@@ -38,57 +29,43 @@ pub struct DiskRequest<T> {
     pub block: BlockNo,
     /// Number of 512-byte blocks to transfer.
     pub nblocks: u32,
-    /// Read or write.
-    pub kind: IoKind,
     /// Scheduling class (queue selection).
-    pub class: IoClass,
+    pub(crate) class: IoClass,
     /// Caller routing tag.
     pub tag: T,
 }
 
+/// The request constructors name the transfer's direction for the
+/// reader; the disk model times reads and writes alike, so a request
+/// keeps only its class.
 impl<T> DiskRequest<T> {
-    /// Convenience constructor for a real-time read.
-    pub fn rt_read(block: BlockNo, nblocks: u32, tag: T) -> DiskRequest<T> {
+    fn new(block: BlockNo, nblocks: u32, class: IoClass, tag: T) -> DiskRequest<T> {
         DiskRequest {
             block,
             nblocks,
-            kind: IoKind::Read,
-            class: IoClass::RealTime,
+            class,
             tag,
         }
+    }
+
+    /// Convenience constructor for a real-time read.
+    pub fn rt_read(block: BlockNo, nblocks: u32, tag: T) -> DiskRequest<T> {
+        DiskRequest::new(block, nblocks, IoClass::RealTime, tag)
     }
 
     /// Convenience constructor for a normal-class read.
     pub fn read(block: BlockNo, nblocks: u32, tag: T) -> DiskRequest<T> {
-        DiskRequest {
-            block,
-            nblocks,
-            kind: IoKind::Read,
-            class: IoClass::Normal,
-            tag,
-        }
+        DiskRequest::new(block, nblocks, IoClass::Normal, tag)
     }
 
     /// Convenience constructor for a real-time write.
     pub fn rt_write(block: BlockNo, nblocks: u32, tag: T) -> DiskRequest<T> {
-        DiskRequest {
-            block,
-            nblocks,
-            kind: IoKind::Write,
-            class: IoClass::RealTime,
-            tag,
-        }
+        DiskRequest::new(block, nblocks, IoClass::RealTime, tag)
     }
 
     /// Convenience constructor for a normal-class write.
     pub fn write(block: BlockNo, nblocks: u32, tag: T) -> DiskRequest<T> {
-        DiskRequest {
-            block,
-            nblocks,
-            kind: IoKind::Write,
-            class: IoClass::Normal,
-            tag,
-        }
+        DiskRequest::new(block, nblocks, IoClass::Normal, tag)
     }
 
     /// Bytes transferred by this request.
@@ -147,13 +124,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_set_class_and_kind() {
+    fn constructors_set_class() {
         let r = DiskRequest::rt_read(10, 4, ());
         assert_eq!(r.class, IoClass::RealTime);
-        assert_eq!(r.kind, IoKind::Read);
         let w = DiskRequest::write(10, 4, ());
         assert_eq!(w.class, IoClass::Normal);
-        assert_eq!(w.kind, IoKind::Write);
     }
 
     #[test]

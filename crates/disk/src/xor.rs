@@ -9,8 +9,9 @@
 //!
 //! The simulation core is data-free (it moves byte *counts*, not bytes),
 //! so this codec is the byte-level ground truth: the degraded-read and
-//! rebuild paths are exercised against it ([`parity_of`] and
-//! [`reconstruct`]) in tests to show reconstruction is byte-identical.
+//! rebuild paths are exercised against it ([`parity_of`] and the
+//! test-only `reconstruct`) in tests to show reconstruction is
+//! byte-identical.
 
 /// XOR `unit` into `acc`. `unit` may be shorter than `acc` (implicit
 /// zero padding); it must not be longer.
@@ -39,7 +40,8 @@ pub fn parity_of(units: &[&[u8]], len: usize) -> Vec<u8> {
 /// Reconstruct a lost unit of length `len` from the surviving data units
 /// and the row's parity unit. XOR is its own inverse, so this is the same
 /// fold as [`parity_of`] with the parity unit included.
-pub fn reconstruct(survivors: &[&[u8]], parity: &[u8], len: usize) -> Vec<u8> {
+#[cfg(test)]
+fn reconstruct(survivors: &[&[u8]], parity: &[u8], len: usize) -> Vec<u8> {
     let mut acc = vec![0u8; len];
     xor_into(&mut acc, &parity[..len.min(parity.len())]);
     for u in survivors {

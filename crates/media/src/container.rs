@@ -84,7 +84,7 @@ mod tests {
 
     /// Container parse errors.
     #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum ContainerError {
+    pub(crate) enum ContainerError {
         /// Input ended inside an atom.
         Truncated,
         /// An atom's size field is impossible.

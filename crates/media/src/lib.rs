@@ -29,4 +29,4 @@ pub use chunk::{Chunk, ChunkTable};
 pub use container::encode;
 pub use fragment::{fragment_movie, rearrange_movie};
 pub use movie::{generate_chunks, record_movie, Movie};
-pub use rates::{mbps, StreamProfile, FPS_30, MPEG1_RATE, MPEG2_RATE};
+pub use rates::{mbps, StreamProfile};

@@ -7,13 +7,13 @@
 use cras_sim::Duration;
 
 /// Bytes per second of an MPEG-1 stream (1.5 Mbps).
-pub const MPEG1_RATE: f64 = 1_500_000.0 / 8.0;
+pub(crate) const MPEG1_RATE: f64 = 1_500_000.0 / 8.0;
 
 /// Bytes per second of an MPEG-2 stream (6 Mbps).
-pub const MPEG2_RATE: f64 = 6_000_000.0 / 8.0;
+pub(crate) const MPEG2_RATE: f64 = 6_000_000.0 / 8.0;
 
 /// The paper's standard video frame rate.
-pub const FPS_30: f64 = 30.0;
+pub(crate) const FPS_30: f64 = 30.0;
 
 /// Converts megabits/second to bytes/second.
 pub fn mbps(m: f64) -> f64 {
@@ -61,12 +61,12 @@ impl StreamProfile {
     }
 
     /// Mean bytes per frame.
-    pub fn bytes_per_frame(&self) -> f64 {
+    pub(crate) fn bytes_per_frame(&self) -> f64 {
         self.rate / self.fps
     }
 
     /// Frame period.
-    pub fn frame_period(&self) -> Duration {
+    pub(crate) fn frame_period(&self) -> Duration {
         Duration::from_secs_f64(1.0 / self.fps)
     }
 }

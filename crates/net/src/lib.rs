@@ -37,6 +37,6 @@ pub mod link;
 pub mod session;
 
 pub use delivery::{NetDelivery, NetEffect};
-pub use faults::{NetFaultInjector, NetFaults};
+pub use faults::NetFaults;
 pub use link::{LinkParams, LinkStats, PacedLink};
 pub use session::{Session, SessionCfg, SessionStats};

@@ -25,5 +25,5 @@
 pub mod sched;
 pub mod thread;
 
-pub use sched::{BurstDone, Cpu, CpuStats, Resched, SliceOutcome, SliceToken};
-pub use thread::{SchedPolicy, ThreadId, ThreadState};
+pub use sched::{Cpu, SliceToken};
+pub use thread::{SchedPolicy, ThreadId};

@@ -38,4 +38,4 @@ pub use engine::Engine;
 pub use idtable::IdTable;
 pub use rng::Rng;
 pub use time::{Duration, Instant};
-pub use trace::{Trace, TraceRecord};
+pub use trace::Trace;

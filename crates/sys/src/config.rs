@@ -108,9 +108,9 @@ pub mod prio {
     pub const CRAS: u8 = 30;
     /// Player (benchmark) threads — "the priority of the benchmark
     /// program is higher than the priorities of `cat` programs".
-    pub const PLAYER: u8 = 20;
+    pub(crate) const PLAYER: u8 = 20;
     /// CPU hogs.
-    pub const HOG: u8 = 5;
+    pub(crate) const HOG: u8 = 5;
     /// The single round-robin level.
     pub const RR: u8 = 10;
 }

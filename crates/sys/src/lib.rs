@@ -31,11 +31,9 @@ pub mod rebuild;
 pub mod system;
 pub mod tags;
 
-pub use bgload::BgReader;
-pub use config::{prio, CpuCosts, IssueMode, SchedMode, SysConfig};
-pub use metrics::{IntervalIo, IntervalWall, Metrics, ReadSlot, ShardLoad};
+pub use config::{prio, IssueMode, SchedMode, SysConfig};
+pub use metrics::ShardLoad;
 pub use placement::MoviePlacement;
-pub use player::{Player, PlayerMode, PlayerStats};
-pub use rebuild::{plan_chunks, plan_parity_recon, RebuildChunk, RebuildManager, SrcRead};
-pub use system::{AttachError, SysState, System, UOwner, UReq};
-pub use tags::{ClientId, CpuTag, DiskTag, Event};
+pub use player::{PlayerMode, PlayerStats};
+pub use system::System;
+pub use tags::{ClientId, DiskTag};

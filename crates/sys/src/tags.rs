@@ -62,7 +62,7 @@ impl Event {
     /// two distinct live events compare equal (disk completions are
     /// per-volume one-at-a-time, slice tokens are unique, client timers
     /// are per-client exclusive, and rebuild generations are unique).
-    pub fn dispatch_key(&self) -> (u8, u64) {
+    pub(crate) fn dispatch_key(&self) -> (u8, u64) {
         match *self {
             Event::DiskDone(vol) => (0, vol as u64),
             Event::CpuSlice(tok) => (1, tok.raw()),
@@ -89,7 +89,7 @@ impl Event {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskTag {
     /// A CRAS real-time stream read, handed back to the server on
-    /// completion, and where [`Metrics`](crate::Metrics) counts it.
+    /// completion, and where [`Metrics`](crate::metrics::Metrics) counts it.
     Cras(ReadReq, ReadSlot),
     /// A synchronous clustered UFS fetch on behalf of the Unix server
     /// (volume, run).
@@ -113,7 +113,7 @@ pub enum DiskTag {
 
 /// Routing tag carried by CPU bursts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CpuTag {
+pub(crate) enum CpuTag {
     /// The CRAS request-scheduler thread finished its interval pass.
     CrasSched,
     /// A player finished decoding/displaying frame `frame` of its stream.

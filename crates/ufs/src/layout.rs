@@ -25,10 +25,10 @@ pub const BSIZE: u32 = 8192;
 pub const SECT_PER_FSBLOCK: u32 = BSIZE / 512;
 
 /// Direct block pointers per inode (classic FFS).
-pub const NDIRECT: usize = 12;
+pub(crate) const NDIRECT: usize = 12;
 
 /// Block pointers per indirect block (`BSIZE / 4`).
-pub const NINDIR: usize = (BSIZE / 4) as usize;
+pub(crate) const NINDIR: usize = (BSIZE / 4) as usize;
 
 /// Parameters chosen at `newfs`/`tunefs` time.
 #[derive(Clone, Copy, Debug)]
@@ -75,15 +75,13 @@ impl MkfsParams {
 
 /// Derived geometry of the file system over a given disk.
 #[derive(Clone, Copy, Debug)]
-pub struct FsLayout {
+pub(crate) struct FsLayout {
     /// Total file-system blocks on the disk.
     pub total_blocks: u64,
     /// Cylinder groups.
     pub ngroups: u32,
     /// File-system blocks per group (last group may be short).
     pub blocks_per_group: u32,
-    /// Cylinders per group.
-    pub cyl_per_group: u32,
 }
 
 impl FsLayout {
@@ -94,7 +92,7 @@ impl FsLayout {
     /// capacity, which keeps block→group mapping O(1); the zoned disk
     /// means group boundaries only approximate cylinder boundaries, which
     /// is irrelevant to the scheduling behaviour being studied.
-    pub fn compute(geom: &DiskGeometry, cyl_per_group: u32) -> FsLayout {
+    pub(crate) fn compute(geom: &DiskGeometry, cyl_per_group: u32) -> FsLayout {
         assert!(cyl_per_group > 0, "zero cylinders per group");
         let total_blocks = geom.total_blocks() / SECT_PER_FSBLOCK as u64;
         let avg_blocks_per_cyl = total_blocks / geom.cylinders() as u64;
@@ -104,22 +102,21 @@ impl FsLayout {
             total_blocks,
             ngroups,
             blocks_per_group,
-            cyl_per_group,
         }
     }
 
     /// Group containing a file-system block.
-    pub fn group_of(&self, b: FsBlock) -> u32 {
+    pub(crate) fn group_of(&self, b: FsBlock) -> u32 {
         (b / self.blocks_per_group as u64) as u32
     }
 
     /// First block of a group.
-    pub fn group_start(&self, g: u32) -> FsBlock {
+    pub(crate) fn group_start(&self, g: u32) -> FsBlock {
         g as u64 * self.blocks_per_group as u64
     }
 
     /// Number of blocks in group `g` (the last group may be short).
-    pub fn group_len(&self, g: u32) -> u32 {
+    pub(crate) fn group_len(&self, g: u32) -> u32 {
         let start = self.group_start(g);
         let end = (start + self.blocks_per_group as u64).min(self.total_blocks);
         (end - start) as u32
@@ -132,7 +129,7 @@ pub fn fsblock_to_disk(b: FsBlock) -> BlockNo {
 }
 
 /// Maximum file size addressable by the inode structure, in bytes.
-pub fn max_file_size() -> u64 {
+pub(crate) fn max_file_size() -> u64 {
     let blocks = NDIRECT as u64 + NINDIR as u64 + (NINDIR as u64 * NINDIR as u64);
     blocks * BSIZE as u64
 }

@@ -30,10 +30,7 @@ pub mod inode;
 pub mod layout;
 pub mod server;
 
-pub use alloc::{Allocator, CylGroup, Placed};
-pub use cache::BufferCache;
-pub use check::{check, CheckError, CheckReport};
-pub use fs::{Extent, FragReport, FsError, ReadPlan, Ufs};
-pub use inode::{BmapPath, Inode};
-pub use layout::{FsBlock, FsLayout, Ino, MkfsParams, BSIZE, NDIRECT, NINDIR, SECT_PER_FSBLOCK};
+pub use check::check;
+pub use fs::{Extent, FsError, Ufs};
+pub use layout::{FsBlock, Ino, MkfsParams, BSIZE, SECT_PER_FSBLOCK};
 pub use server::{FsReq, Step, UnixServer};

@@ -17,9 +17,7 @@ use crate::result::{Figure, KvTable};
 
 /// One capacity sweep point.
 #[derive(Clone, Copy, Debug)]
-pub struct CapacityPoint {
-    /// Interval time, seconds.
-    pub interval: f64,
+pub(crate) struct CapacityPoint {
     /// Initial delay (2 × interval), seconds.
     pub initial_delay: f64,
     /// Admitted MPEG-1 streams.
@@ -33,7 +31,7 @@ pub struct CapacityPoint {
 }
 
 /// Sweeps interval times, reporting admitted capacity.
-pub fn sweep(params: DiskParams, intervals: &[f64]) -> Vec<CapacityPoint> {
+pub(crate) fn sweep(params: DiskParams, intervals: &[f64]) -> Vec<CapacityPoint> {
     let adm = Admission::new(params, AdmissionModel::Paper);
     let budget = u64::MAX / 4;
     let mpeg1 = StreamParams::new(187_500.0, 6_250.0);
@@ -44,7 +42,6 @@ pub fn sweep(params: DiskParams, intervals: &[f64]) -> Vec<CapacityPoint> {
             let n1 = adm.capacity(t, mpeg1, budget, 200);
             let n2 = adm.capacity(t, mpeg2, budget, 200);
             CapacityPoint {
-                interval: t,
                 initial_delay: 2.0 * t,
                 mpeg1_streams: n1,
                 mpeg1_fraction: n1 as f64 * mpeg1.rate / params.transfer_rate,

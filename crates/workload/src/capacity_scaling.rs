@@ -30,7 +30,7 @@ use crate::result::Figure;
 use crate::runner::{count_admitted, frames_dropped, start_all};
 
 /// Stripe unit used by the striped series (32 fs blocks).
-pub const STRIPE_BYTES: u64 = 256 * 1024;
+pub(crate) const STRIPE_BYTES: u64 = 256 * 1024;
 
 /// Outcome at one volume count.
 #[derive(Clone, Copy, Debug)]

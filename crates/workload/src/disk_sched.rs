@@ -27,7 +27,12 @@ pub struct PolicyOutcome {
 }
 
 /// Replays `ops` random 64 KB reads, keeping `queue_depth` outstanding.
-pub fn run_policy(policy: QueuePolicy, ops: usize, queue_depth: usize, seed: u64) -> PolicyOutcome {
+pub(crate) fn run_policy(
+    policy: QueuePolicy,
+    ops: usize,
+    queue_depth: usize,
+    seed: u64,
+) -> PolicyOutcome {
     let mut dev: DiskDevice<usize> = DiskDevice::st32550n();
     dev.set_queue_policy(policy);
     let mut rng = Rng::new(seed);

@@ -33,8 +33,8 @@
 //! [`runner`] holds the shared scenario plumbing and [`result`] the
 //! serializable output containers. The modules share their playback
 //! steps through [`runner`] instead of repeating them by hand:
-//! [`runner::admit_until_refused`], [`runner::start_all`] (optionally a
-//! gap apart; returns the latest start), [`runner::count_admitted`] and
+//! `runner::admit_until_refused`, `runner::start_all` (optionally a
+//! gap apart; returns the latest start), `runner::count_admitted` and
 //! [`runner::arrive`] (one viewer arrival), each a fixed sequence of
 //! `System` calls, and [`runner::frames_dropped`] reads a run's drops.
 
@@ -73,5 +73,4 @@ pub mod runner;
 pub mod steered_reads;
 pub mod vbr;
 
-pub use result::{Figure, KvTable, Series};
-pub use runner::{run_scenario, RunOutcome, Scenario, Storage};
+pub use runner::{run_scenario, Scenario, Storage};

@@ -73,7 +73,7 @@ fn synth_streams(
 
 /// Runs `servers` CRAS instances with `streams_per_server` streams each
 /// for `measure`.
-pub fn run_config(
+pub(crate) fn run_config(
     servers: usize,
     streams_per_server: usize,
     measure: Duration,

@@ -9,13 +9,13 @@ use cras_sim::{Duration, Instant, Rng};
 use cras_sys::{ClientId, SchedMode, SysConfig, System};
 
 /// Zipf exponent of the cluster experiments' request distribution.
-pub const ZIPF_THETA: f64 = 1.0;
+pub(crate) const ZIPF_THETA: f64 = 1.0;
 
 /// `requested` viewer arrivals over a `titles`-rank catalog, each the
 /// rank of the title that viewer opens (0 = hottest), drawn from
 /// Zipf([`ZIPF_THETA`]). A pure function of `seed`, so a cluster run,
 /// its baseline and every replay see identical viewers.
-pub fn zipf_arrivals(titles: usize, seed: u64, requested: usize) -> Vec<usize> {
+pub(crate) fn zipf_arrivals(titles: usize, seed: u64, requested: usize) -> Vec<usize> {
     let cdf = zipf_cdf(titles, ZIPF_THETA);
     let mut rng = Rng::new(seed ^ 0x7A1F);
     (0..requested)
@@ -25,7 +25,7 @@ pub fn zipf_arrivals(titles: usize, seed: u64, requested: usize) -> Vec<usize> {
 
 /// Opens a CRAS player on each movie in order until the admission test
 /// refuses one; returns the admitted players.
-pub fn admit_until_refused(sys: &mut System, movies: &[Movie]) -> Vec<ClientId> {
+pub(crate) fn admit_until_refused(sys: &mut System, movies: &[Movie]) -> Vec<ClientId> {
     movies
         .iter()
         .map_while(|m| sys.add_cras_player(m, 1).ok())
@@ -36,7 +36,7 @@ pub fn admit_until_refused(sys: &mut System, movies: &[Movie]) -> Vec<ClientId> 
 /// instant. A non-zero `gap` runs the system for that long after each
 /// start (staggered starts); a zero gap runs nothing, so no event is
 /// dispatched before the caller's own run.
-pub fn start_all(sys: &mut System, players: &[ClientId], gap: Duration) -> Instant {
+pub(crate) fn start_all(sys: &mut System, players: &[ClientId], gap: Duration) -> Instant {
     let mut latest = Instant::ZERO;
     for &p in players {
         latest = sys.start_playback(p).max(latest);
@@ -50,7 +50,7 @@ pub fn start_all(sys: &mut System, players: &[ClientId], gap: Duration) -> Insta
 /// Counts the streams one system admits: records the `secs`-second
 /// MPEG-1 title `name(i)` for i = 0, 1, … and opens a CRAS player on
 /// each, until the admission test refuses one or `cap` are admitted.
-pub fn count_admitted(
+pub(crate) fn count_admitted(
     sys: &mut System,
     cap: usize,
     secs: f64,

@@ -31,7 +31,7 @@ pub struct BufferUsage {
 
 impl BufferUsage {
     /// Fraction of the allocation never used.
-    pub fn waste(&self) -> f64 {
+    pub(crate) fn waste(&self) -> f64 {
         if self.allocated == 0 {
             0.0
         } else {
