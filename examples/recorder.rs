@@ -55,7 +55,7 @@ fn main() {
                 .submit(now, DiskRequest::rt_write(w.block, w.nblocks, w.id.0))
                 .expect("sequential: disk idle between intervals");
             disk.complete(fin);
-            rec.io_done(w.id);
+            rec.io_done(w);
             writes += 1;
         }
     }

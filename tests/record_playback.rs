@@ -44,7 +44,7 @@ fn record_then_play_roundtrip() {
                 .submit(now, DiskRequest::rt_write(w.block, w.nblocks, w.id.0))
                 .expect("sequential writes drain between intervals");
             rec_disk.complete(fin);
-            rec.io_done(w.id);
+            rec.io_done(w);
         }
     }
     let table = rec.finalize(session);
