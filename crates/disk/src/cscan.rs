@@ -49,12 +49,12 @@ impl<T> CScanQueue<T> {
     }
 
     /// Number of pending requests.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -98,12 +98,12 @@ impl<T> CScanQueue<T> {
     }
 
     /// Drains every entry in current sorted order (for shutdown/inspection).
-    pub fn drain(&mut self) -> Vec<Pending<T>> {
+    pub(crate) fn drain(&mut self) -> Vec<Pending<T>> {
         std::mem::take(&mut self.entries)
     }
 
     /// Iterates over pending entries in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = &Pending<T>> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Pending<T>> {
         self.entries.iter()
     }
 }

@@ -33,11 +33,6 @@ impl Movie {
     pub fn worst_rate(&self) -> f64 {
         self.table.worst_rate()
     }
-
-    /// Play length.
-    pub fn duration(&self) -> Duration {
-        self.table.total_duration()
-    }
 }
 
 /// Generates a chunk table for `play_secs` seconds of `profile`.

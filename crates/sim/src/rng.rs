@@ -92,7 +92,7 @@ impl Rng {
     }
 
     /// Uniform f64 in `[0, 1)` with 53-bit resolution.
-    pub fn f64(&mut self) -> f64 {
+    pub(crate) fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -44,16 +44,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns and a separator rule.
     pub fn render(&self) -> String {
         let ncols = self
@@ -137,7 +127,7 @@ mod tests {
         t.row(&[]);
         let s = t.render();
         assert!(s.contains("extra"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

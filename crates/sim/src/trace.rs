@@ -64,7 +64,7 @@ impl Trace {
     }
 
     /// Records a message (no-op while disabled).
-    pub fn log(&mut self, at: Instant, component: &'static str, message: impl Into<String>) {
+    pub(crate) fn log(&mut self, at: Instant, component: &'static str, message: impl Into<String>) {
         if !self.enabled {
             return;
         }
@@ -87,21 +87,6 @@ impl Trace {
         }
     }
 
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Records evicted due to capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// The records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.ring.iter()
@@ -114,11 +99,6 @@ impl Trace {
             out.push_str(&format!("{r}\n"));
         }
         out
-    }
-
-    /// Empties the ring.
-    pub fn clear(&mut self) {
-        self.ring.clear();
     }
 }
 
@@ -135,7 +115,7 @@ mod tests {
     fn disabled_trace_records_nothing() {
         let mut t = Trace::new(8);
         t.log(at(1), "disk", "op started");
-        assert!(t.is_empty());
+        assert_eq!(t.records().count(), 0);
     }
 
     #[test]
@@ -155,8 +135,8 @@ mod tests {
         for i in 0..5 {
             t.log(at(i), "x", format!("m{i}"));
         }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
+        assert_eq!(t.records().count(), 3);
+        assert_eq!(t.dropped, 2);
         assert_eq!(t.records().next().unwrap().message, "m2");
     }
 
@@ -171,7 +151,7 @@ mod tests {
         assert!(!called);
         t.set_enabled(true);
         t.log_with(at(1), "x", || "now".into());
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.records().count(), 1);
     }
 
     #[test]
@@ -182,14 +162,5 @@ mod tests {
         let s = t.render();
         assert!(s.contains("cras"));
         assert!(s.contains("tick 3"));
-    }
-
-    #[test]
-    fn clear_resets_ring() {
-        let mut t = Trace::new(4);
-        t.set_enabled(true);
-        t.log(at(1), "x", "a");
-        t.clear();
-        assert!(t.is_empty());
     }
 }
