@@ -13,8 +13,8 @@
 //! * [`gateway`] — [`Cluster`]: placement, least-loaded replica
 //!   routing, whole-shard kill + failover, and barrier-synchronous
 //!   stepping, by default on every core (the calling thread steps one
-//!   shard group, scoped workers the rest) with serial lockstep as the
-//!   reference.
+//!   shard group, the cluster's persistent workers the rest) with
+//!   serial lockstep as the reference.
 //!
 //! The Zipf popularity model and the online open-count estimator behind
 //! popularity-weighted replication are re-exported from
