@@ -13,9 +13,10 @@
 //! only under `results/`. With `--check`, the suite re-runs and each
 //! artifact is compared byte for byte against its baseline instead of
 //! being rewritten; the wall-clock timings of steps that take at least
-//! 0.1 s, and the total, get a ±20% band (shorter steps are listed as
-//! info) and never fail the run. Adding `--strict` turns any mismatch, missing baseline
-//! or sweep-mode mismatch into a nonzero exit.
+//! 0.1 s, and the total, get a ±20% band and never fail the run; every
+//! step's baseline and current seconds are listed on `INFO:` lines.
+//! Adding `--strict` turns any mismatch, missing baseline or sweep-mode
+//! mismatch into a nonzero exit.
 
 use cras_bench::{
     check_bench, check_mode, quick_mode, strict_mode, write_bench, write_result, Gate, ARTIFACTS,
@@ -75,8 +76,8 @@ impl Emitter {
 
     /// Emits the per-step timing artifact. Timings are the noisiest
     /// numbers in the suite, so under `--check` the total and the steps
-    /// of at least 0.1 s are compared within ±20%, shorter steps are
-    /// only listed, and none feed the `--strict` exit code. With
+    /// of at least 0.1 s are compared within ±20%, every step's seconds
+    /// are listed, and none feed the `--strict` exit code. With
     /// `--check --strict`, any data artifact that is not byte-identical
     /// to its baseline exits nonzero.
     fn finish(self) {

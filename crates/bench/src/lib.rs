@@ -168,36 +168,39 @@ fn compare(baseline: Option<&str>, now: &str, quick: bool, gate: Gate) -> Result
 }
 
 /// The [`Gate::Timing`] verdict on a step-timing artifact's payloads.
-/// The first line holds the verdict; a second `INFO:` line lists the
-/// steps too short to band, baseline -> now.
+/// The first line holds the verdict; an `INFO:` line lists every banded
+/// field, and another the steps too short to band, baseline -> now.
 fn compare_timing(base: &str, now: &str) -> Result<String, String> {
     const TOLERANCE: f64 = 0.20;
     let (b, n) = (timing_fields(base)?, timing_fields(now)?);
     if !b.iter().map(|f| &f.0).eq(n.iter().map(|f| &f.0)) {
         return Err("artifact shape changed (step list differs from the baseline)".into());
     }
-    let (mut worst, mut worst_at, mut banded, mut info) = (0.0f64, "", 0, Vec::new());
+    let (mut worst, mut worst_at, mut banded, mut info) = (0.0f64, "", Vec::new(), Vec::new());
     for (i, ((name, was), (_, is))) in b.iter().zip(&n).enumerate() {
+        let line = format!("{name} {was:.3}->{is:.3}");
         // The last field is the total, which is always banded.
         if *was >= BANDED_SECS || i == b.len() - 1 {
             let drift = (is - was) / was.max(1e-9);
             if drift.abs() >= worst.abs() {
                 (worst, worst_at) = (drift, name);
             }
-            banded += 1;
+            banded.push(line);
         } else {
-            info.push(format!("{name} {was:.3}->{is:.3}"));
+            info.push(line);
         }
     }
     let pace = if worst < 0.0 { "faster" } else { "slower" };
     let mut msg = format!(
-        "worst drift {:+.1}% ({worst_at}, {pace}) over {banded} fields (steps of at least {BANDED_SECS} s, and the total)",
-        worst * 100.0
+        "worst drift {:+.1}% ({worst_at}, {pace}) over {} fields (steps of at least {BANDED_SECS} s, and the total)",
+        worst * 100.0,
+        banded.len()
     );
     let outside = worst.abs() > TOLERANCE;
     if outside {
         msg += &format!(" — outside +/-{:.0}%", TOLERANCE * 100.0);
     }
+    msg += &format!("\nINFO: banded (s): {}", banded.join(", "));
     if !info.is_empty() {
         msg += &format!(
             "\nINFO: {} steps under {BANDED_SECS} s, not banded (s): {}",
@@ -339,6 +342,17 @@ mod tests {
             faster.starts_with("worst drift -30.0% (a, faster)"),
             "{faster}"
         );
+        // Every banded field shows its seconds, inside the band or not.
+        let inside = timing(timings(1.1, 0.45, 1.5)).unwrap();
+        assert!(
+            inside
+                .contains("\nINFO: banded (s): a 1.000->1.100, b 0.500->0.450, total 1.500->1.500"),
+            "{inside}"
+        );
+        assert!(
+            slower.contains("\nINFO: banded (s): a 1.000->1.300,"),
+            "{slower}"
+        );
     }
 
     #[test]
@@ -349,6 +363,7 @@ mod tests {
         let msg = timing(timings(1.1, 0.006, 0.05)).unwrap();
         assert!(msg.contains("over 2 fields"), "{msg}");
         assert!(msg.contains("\nINFO: 1 steps under 0.1 s") && msg.contains("b 0.002->0.006"));
+        assert!(msg.contains("\nINFO: banded (s): a 1.000->1.100, total 0.050->0.050\n"));
         // The total is banded even when it is short.
         assert!(timing(timings(1.0, 0.002, 0.07)).is_err());
         // A renamed or added step is a shape change.

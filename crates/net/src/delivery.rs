@@ -129,12 +129,19 @@ pub struct NetDelivery {
     /// Queued and in-flight packets.
     packets: BTreeMap<u64, Packet>,
     next_pkt: u64,
+    /// Whether sessions log every playout, not only those up to the
+    /// first on-time one.
+    frame_trace: bool,
 }
 
 impl NetDelivery {
-    /// Creates an empty delivery subsystem (no links, unicast mode).
-    pub fn new() -> NetDelivery {
-        NetDelivery::default()
+    /// Creates an empty delivery subsystem (no links, unicast mode)
+    /// whose sessions log every playout if `frame_trace` is on.
+    pub fn new(frame_trace: bool) -> NetDelivery {
+        NetDelivery {
+            frame_trace,
+            ..NetDelivery::default()
+        }
     }
 
     /// Adds a link and returns its index.
@@ -351,7 +358,7 @@ impl NetDelivery {
             return; // stale event from a superseded chain
         }
         s.chain_armed = false;
-        s.play(now);
+        s.play(now, self.frame_trace);
         if s.paused && s.buffered <= s.cfg.low_watermark && !s.retry_armed {
             s.retry_armed = true;
             out.push(NetEffect::Resume { session: client });
@@ -528,6 +535,7 @@ fn arm(s: &mut Session, now: Instant, out: &mut Vec<NetEffect>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionStats;
 
     /// A test event: either a delivery effect or a scheduled
     /// `send_frame` call, so sends interleave with in-flight traffic at
@@ -637,7 +645,7 @@ mod tests {
 
     #[test]
     fn clean_unicast_plays_every_frame_on_time() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         nd.attach(1, link, SessionCfg::default());
         run(&mut nd, frame_sends(1, 10, 6_250, 33));
@@ -655,7 +663,7 @@ mod tests {
 
     #[test]
     fn multicast_group_sends_once_and_delivers_to_all() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         nd.set_multicast(true);
         for c in 1..=3 {
@@ -696,7 +704,7 @@ mod tests {
 
     #[test]
     fn lost_packet_is_nakked_and_retransmitted_in_time() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         // Drop everything until the injector is cleared at 10 ms, so
         // exactly frame 0's transmission is lost.
@@ -718,7 +726,7 @@ mod tests {
 
     #[test]
     fn unrepaired_loss_counts_late_frames_not_stalls() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         nd.set_link_faults(link, Some(NetFaults::loss(1.0, 3)));
         nd.attach(1, link, SessionCfg::default());
@@ -734,8 +742,38 @@ mod tests {
     }
 
     #[test]
+    fn untraced_playout_log_is_the_traced_prefix_to_the_first_on_time_frame() {
+        // Everything drops until 600 ms: the first frames miss their
+        // playout (from 500 ms on) before repairs and fresh sends play
+        // on time.
+        let run_traced = |trace: bool| {
+            let mut nd = NetDelivery::new(trace);
+            let link = nd.add_link(LinkParams::fast_lan());
+            nd.set_link_faults(link, Some(NetFaults::loss(1.0, 3)));
+            nd.attach(1, link, SessionCfg::default());
+            let mut sends = frame_sends(1, 40, 6_250, 33);
+            sends.push((at_ms(600), Ev::ClearFaults(link)));
+            run(&mut nd, sends);
+            (nd.session(1).unwrap().stats.clone(), nd.canonical_json())
+        };
+        let (full, full_json) = run_traced(true);
+        let (short, short_json) = run_traced(false);
+        let first_on_time = full.playout_log.iter().position(|e| !e.2).unwrap();
+        assert!(first_on_time > 0, "a late frame plays first");
+        assert!(full.playout_log.len() > first_on_time + 1);
+        assert_eq!(short.playout_log, full.playout_log[..=first_on_time]);
+        let counters = |st: &SessionStats| SessionStats {
+            playout_log: Vec::new(),
+            ..st.clone()
+        };
+        assert_eq!(counters(&short), counters(&full));
+        assert!(full.late_frames > 0 && full.frames_played > 0);
+        assert_eq!(short_json, full_json);
+    }
+
+    #[test]
     fn high_watermark_parks_and_drain_resumes() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         let cfg = SessionCfg {
             playout_delay: Duration::from_millis(500),
@@ -759,7 +797,7 @@ mod tests {
 
     #[test]
     fn duplicate_arrivals_are_counted_once() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         nd.set_link_faults(
             link,
@@ -781,7 +819,7 @@ mod tests {
 
     #[test]
     fn arrivals_after_playout_are_discarded_late() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         // Every copy lands 600 ms after transmission, past the 500 ms
         // playout delay: each frame is declared late at its deadline,
@@ -807,7 +845,7 @@ mod tests {
 
     #[test]
     fn group_packet_for_a_frame_the_member_skips_moves_no_counter() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         nd.set_multicast(true);
         nd.attach(1, link, SessionCfg::default());
@@ -844,7 +882,7 @@ mod tests {
 
     #[test]
     fn contended_link_serves_earliest_playout_deadline_first() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         // Slow link: 6 250 B takes 5 ms to serialize.
         let link = nd.add_link(LinkParams {
             bandwidth: 1_250_000.0,
@@ -904,7 +942,7 @@ mod tests {
 
     #[test]
     fn canonical_json_is_stable_and_complete() {
-        let mut nd = NetDelivery::new();
+        let mut nd = NetDelivery::new(true);
         let link = nd.add_link(LinkParams::fast_lan());
         nd.attach(1, link, SessionCfg::default());
         run(&mut nd, frame_sends(1, 3, 1_000, 33));

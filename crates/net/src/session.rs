@@ -103,6 +103,8 @@ pub struct SessionStats {
     pub max_buffered: u64,
     /// `(frame, playout instant ns, late)` per playout event, in order —
     /// the delivery fingerprint the equivalence property tests compare.
+    /// Every playout with `SysConfig::frame_trace` on; otherwise the
+    /// playouts up to and including the first on-time one.
     pub playout_log: Vec<(u32, u64, bool)>,
 }
 
@@ -311,13 +313,16 @@ impl Session {
     }
 
     /// Plays the cursor frame at `now` — or counts it late if no copy
-    /// arrived — and advances the cursor.
+    /// arrived — and advances the cursor. The playout enters
+    /// `playout_log` if `trace` is on or no frame has played on time
+    /// before it.
     ///
     /// # Panics
     ///
     /// Panics if no frame is waiting.
-    pub(crate) fn play(&mut self, now: Instant) {
+    pub(crate) fn play(&mut self, now: Instant, trace: bool) {
         let f = self.ring.pop_front().expect("armed playout lost frame");
+        let log = trace || self.stats.frames_played == 0;
         let late = !f.arrived;
         if late {
             self.stats.late_frames += 1;
@@ -326,7 +331,9 @@ impl Session {
             self.stats.frames_played += 1;
             self.stats.bytes_played += f.bytes;
         }
-        self.stats.playout_log.push((f.frame, now.as_nanos(), late));
+        if log {
+            self.stats.playout_log.push((f.frame, now.as_nanos(), late));
+        }
         self.cursor += 1;
     }
 }
@@ -419,11 +426,11 @@ mod tests {
                 s.credit(ord, now, |_| naks += 1);
             }
             if frame >= 16 {
-                s.play(now);
+                s.play(now, true);
             }
         }
         while s.head().is_some() {
-            s.play(now);
+            s.play(now, true);
         }
         assert_eq!(s.cursor, 3_200);
         assert_eq!(s.stats.late_frames, 458);
@@ -650,7 +657,7 @@ mod tests {
                     _ if !m.sent.is_empty() => {
                         let late = !m.sent[&m.cursor].arrived;
                         hits[14 + late as usize] += 1;
-                        s.play(now);
+                        s.play(now, true);
                         m.play(now);
                     }
                     _ => {}

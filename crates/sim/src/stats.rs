@@ -8,7 +8,7 @@
 use crate::time::Instant;
 
 /// Online mean/max accumulator.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -17,7 +17,7 @@ pub struct OnlineStats {
 
 impl OnlineStats {
     /// Creates an empty accumulator.
-    pub(crate) fn new() -> OnlineStats {
+    pub fn new() -> OnlineStats {
         OnlineStats {
             n: 0,
             mean: 0.0,
@@ -26,7 +26,7 @@ impl OnlineStats {
     }
 
     /// Adds one observation.
-    pub(crate) fn add(&mut self, x: f64) {
+    pub fn add(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
@@ -51,6 +51,12 @@ impl OnlineStats {
         } else {
             self.max
         }
+    }
+}
+
+impl Default for OnlineStats {
+    fn default() -> OnlineStats {
+        OnlineStats::new()
     }
 }
 
@@ -113,15 +119,6 @@ impl TimeSeries {
     pub fn points(&self) -> &[(Instant, f64)] {
         &self.points
     }
-
-    /// Summary statistics over the values.
-    pub fn summary(&self) -> OnlineStats {
-        let mut s = OnlineStats::new();
-        for &(_, v) in &self.points {
-            s.add(v);
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -163,14 +160,20 @@ mod tests {
     }
 
     #[test]
-    fn time_series_summary() {
+    fn time_series_keeps_points_in_order() {
         let mut ts = TimeSeries::default();
         for i in 0..100u64 {
             ts.push(Instant::from_nanos(i * 1000), i as f64);
         }
         assert_eq!(ts.points().len(), 100);
-        let s = ts.summary();
-        assert!((s.mean() - 49.5).abs() < 1e-9);
+        assert_eq!(ts.points()[99], (Instant::from_nanos(99_000), 99.0));
+    }
+
+    #[test]
+    fn online_stats_default_is_empty() {
+        let mut s = OnlineStats::default();
+        s.add(-1.0);
+        assert_eq!((s.mean(), s.max()), (-1.0, -1.0));
     }
 
     #[test]

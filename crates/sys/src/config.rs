@@ -86,6 +86,13 @@ pub struct SysConfig {
     /// Probability that a disk operation takes a transient retry stall
     /// (fault injection; 0 disables).
     pub disk_fault_prob: f64,
+    /// Whether every player keeps each displayed frame's delay in
+    /// `PlayerStats::delays` and every delivery session logs each
+    /// playout in `SessionStats::playout_log` (16 bytes per frame per
+    /// viewer). Off, a player keeps only its first displayed frame and
+    /// a session only its playouts up to and including the first on
+    /// time; the delay summary covers every frame either way.
+    pub frame_trace: bool,
 }
 
 impl Default for SysConfig {
@@ -98,6 +105,7 @@ impl Default for SysConfig {
             hogs: 0,
             enforce_admission: true,
             disk_fault_prob: 0.0,
+            frame_trace: false,
         }
     }
 }
@@ -124,6 +132,7 @@ mod tests {
         let c = SysConfig::default();
         assert_eq!(c.sched, SchedMode::FixedPriority);
         assert!(c.enforce_admission);
+        assert!(!c.frame_trace);
         assert!(c.costs.decode > Duration::ZERO);
         // Constant by design: the priority ladder is a compile-time
         // contract this test documents.

@@ -11,7 +11,7 @@
 use cras_core::StreamId;
 use cras_media::ChunkTable;
 use cras_rtmach::ThreadId;
-use cras_sim::stats::TimeSeries;
+use cras_sim::stats::{OnlineStats, TimeSeries};
 use cras_sim::Instant;
 use cras_ufs::Ino;
 
@@ -45,8 +45,12 @@ pub struct PlayerStats {
     pub bytes_consumed: u64,
     /// Buffer polls that found no data yet.
     pub polls: u64,
-    /// `(time, delay_seconds)` per displayed frame.
+    /// `(time, delay_seconds)` per displayed frame with
+    /// `SysConfig::frame_trace` on; otherwise the first displayed
+    /// frame's point only.
     pub delays: TimeSeries,
+    /// Running mean and max over every displayed frame's delay.
+    delay: OnlineStats,
 }
 
 /// One player application.
@@ -120,13 +124,18 @@ impl Player {
     }
 
     /// Records a displayed frame and advances; returns the next frame's
-    /// due time, or `None` at end of stream.
-    pub(crate) fn frame_shown(&mut self, k: u32, now: Instant) -> Option<Instant> {
+    /// due time, or `None` at end of stream. The frame's delay enters
+    /// the summary; it enters `delays` if `trace` is on or it is the
+    /// first frame shown.
+    pub(crate) fn frame_shown(&mut self, k: u32, now: Instant, trace: bool) -> Option<Instant> {
         let chunk = *self.table.get(k).expect("frame in range");
-        let delay = now.saturating_since(self.due(k));
+        let delay = now.saturating_since(self.due(k)).as_secs_f64();
         self.stats.frames_shown += 1;
         self.stats.bytes_consumed += chunk.size as u64;
-        self.stats.delays.push(now, delay.as_secs_f64());
+        self.stats.delay.add(delay);
+        if trace || self.stats.frames_shown == 1 {
+            self.stats.delays.push(now, delay);
+        }
         self.advance(now)
     }
 
@@ -151,8 +160,7 @@ impl Player {
 
     /// Mean and maximum displayed-frame delay (seconds).
     pub fn delay_summary(&self) -> (f64, f64) {
-        let s = self.stats.delays.summary();
-        (s.mean(), s.max())
+        (self.stats.delay.mean(), self.stats.delay.max())
     }
 }
 
@@ -191,22 +199,29 @@ mod tests {
     fn frame_shown_records_delay_and_advances() {
         let mut p = player(1);
         p.playback_start = Instant::ZERO;
-        let next = p.frame_shown(0, Instant::from_secs_f64(0.010));
+        let next = p.frame_shown(0, Instant::from_secs_f64(0.010), false);
         assert!(next.is_some());
         assert_eq!(p.next_frame, 1);
         assert_eq!(p.stats.frames_shown, 1);
         let (mean, max) = p.delay_summary();
         assert!((mean - 0.010).abs() < 1e-9);
         assert_eq!(mean, max);
+        p.frame_shown(1, Instant::from_secs_f64(0.060), false);
+        assert!(p.delay_summary().1 > max);
+        assert_eq!(
+            p.stats.delays.points().len(),
+            1,
+            "untraced: first frame only"
+        );
     }
 
     #[test]
     fn stride_skips_frames() {
         let mut p = player(3);
         p.playback_start = Instant::ZERO;
-        p.frame_shown(0, Instant::ZERO);
+        p.frame_shown(0, Instant::ZERO, false);
         assert_eq!(p.next_frame, 3);
-        p.frame_shown(3, Instant::from_secs_f64(0.2));
+        p.frame_shown(3, Instant::from_secs_f64(0.2), false);
         assert_eq!(p.next_frame, 6);
     }
 
@@ -216,7 +231,7 @@ mod tests {
         p.playback_start = Instant::ZERO;
         let last = (p.table.len() - 1) as u32;
         p.next_frame = last;
-        let next = p.frame_shown(last, Instant::from_secs_f64(2.0));
+        let next = p.frame_shown(last, Instant::from_secs_f64(2.0), false);
         assert!(next.is_none());
         assert!(p.done);
     }
@@ -225,7 +240,7 @@ mod tests {
     fn shown_and_dropped_frames_are_counted() {
         let mut p = player(1);
         p.playback_start = Instant::ZERO;
-        p.frame_shown(0, Instant::ZERO);
+        p.frame_shown(0, Instant::ZERO, false);
         p.frame_dropped(Instant::from_secs_f64(0.1));
         assert_eq!((p.stats.frames_shown, p.stats.frames_dropped), (1, 1));
     }

@@ -317,7 +317,7 @@ impl System {
                 bgs: BTreeMap::new(),
                 writers: BTreeMap::new(),
                 metrics: Metrics::new(),
-                net: NetDelivery::new(),
+                net: NetDelivery::new(cfg.frame_trace),
                 trace: Trace::new(4096),
                 net_fx: Vec::new(),
                 fs,
@@ -1437,7 +1437,7 @@ impl SysState {
         if player.done {
             return;
         }
-        if let Some(due) = player.frame_shown(frame, now) {
+        if let Some(due) = player.frame_shown(frame, now, self.cfg.frame_trace) {
             let at = due.max(now);
             fx.schedule(at, Event::PlayerFrame(client));
         }
@@ -1702,6 +1702,48 @@ mod tests {
         // Delay is decode cost plus scheduling noise: a few ms.
         assert!(mean < 0.010, "mean delay {mean}");
         assert!(max < 0.050, "max delay {max}");
+    }
+
+    #[test]
+    fn frame_trace_off_keeps_the_first_point_and_the_same_summary() {
+        let run = |frame_trace: bool| {
+            let mut s = sys(SysConfig {
+                frame_trace,
+                ..SysConfig::default()
+            });
+            let movie = s.record_movie("m", StreamProfile::mpeg1(), 6.0);
+            let noise = s.record_movie("noise", StreamProfile::mpeg2(), 10.0);
+            let c = s.add_cras_player(&movie, 1).unwrap();
+            s.add_bg_reader(&noise);
+            s.start_bg();
+            s.start_playback(c);
+            s.run_for(Duration::from_secs(9));
+            s.players.remove(&c.0).unwrap()
+        };
+        let (short, full) = (run(false), run(true));
+        assert_eq!(short.stats.frames_shown, full.stats.frames_shown);
+        assert_eq!(
+            full.stats.delays.points().len() as u64,
+            full.stats.frames_shown
+        );
+        let bits = |p: &Player| {
+            let (mean, max) = p.delay_summary();
+            (mean.to_bits(), max.to_bits())
+        };
+        assert_eq!(bits(&short), bits(&full));
+        // The summary folds the traced points, in order.
+        let mut folded = cras_sim::stats::OnlineStats::new();
+        for &(_, d) in full.stats.delays.points() {
+            folded.add(d);
+        }
+        assert_eq!(
+            bits(&full),
+            (folded.mean().to_bits(), folded.max().to_bits())
+        );
+        assert_eq!(
+            short.stats.delays.points(),
+            &full.stats.delays.points()[..1]
+        );
     }
 
     #[test]

@@ -178,6 +178,8 @@ pub fn run_scenario(sc: Scenario) -> RunOutcome {
     cfg.sched = sc.sched;
     cfg.hogs = sc.hogs;
     cfg.enforce_admission = sc.enforce_admission;
+    // `collect` reads every frame's delay: traces and the p99.
+    cfg.frame_trace = true;
     // Buffer budget ample for any sweep (admission is exercised through
     // the interval-time criterion, like the paper's evaluation).
     cfg.server.buffer_budget = 64 << 20;

@@ -13,7 +13,11 @@ use cras_repro::sim::{Duration, Instant};
 use cras_repro::sys::{PlayerMode, SysConfig, System};
 
 fn main() {
-    let mut sys = System::new(SysConfig::default());
+    // The link replays every displayed frame's display instant.
+    let mut sys = System::new(SysConfig {
+        frame_trace: true,
+        ..SysConfig::default()
+    });
     let movie = sys.record_movie("clip.mov", StreamProfile::mpeg1(), 20.0);
     let client = sys.add_cras_player(&movie, 1).expect("admission passes");
     let start = sys.start_playback(client);

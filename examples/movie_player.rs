@@ -12,7 +12,11 @@ use cras_repro::sim::Duration;
 use cras_repro::sys::{SysConfig, System};
 
 fn play(use_cras: bool) -> (f64, f64, String, u64) {
-    let mut sys = System::new(SysConfig::default());
+    // The sparkline plots every displayed frame's delay.
+    let mut sys = System::new(SysConfig {
+        frame_trace: true,
+        ..SysConfig::default()
+    });
     let movie = sys.record_movie("feature.mov", StreamProfile::mpeg1(), 30.0);
     let noise_a = sys.record_movie("big-file-a", StreamProfile::mpeg2(), 20.0);
     let noise_b = sys.record_movie("big-file-b", StreamProfile::mpeg2(), 20.0);

@@ -9,6 +9,7 @@ use cras_repro::sys::{MoviePlacement, SysConfig, System};
 fn run_once(seed: u64) -> (u64, u64, Vec<(u64, u64)>) {
     let mut cfg = SysConfig::default();
     cfg.seed = seed;
+    cfg.frame_trace = true;
     let mut sys = System::new(cfg);
     let movie = sys.record_movie("det.mov", StreamProfile::jpeg_vbr(187_500.0), 6.0);
     let noise = sys.record_movie("noise.mov", StreamProfile::mpeg1(), 10.0);

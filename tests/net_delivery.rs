@@ -22,6 +22,8 @@ fn scenario_cfg() -> SysConfig {
     cfg.seed = 0x4E7D;
     cfg.server.cache_budget = 64 << 20;
     cfg.server.join_window = Duration::from_secs(1);
+    // The properties compare every playout.
+    cfg.frame_trace = true;
     cfg
 }
 
