@@ -1082,6 +1082,7 @@ mod tests {
             volume: VolumeId(0),
             block: 0,
             nblocks: 8,
+            write: false,
         };
         let rep = IntervalReport {
             index: 0,

@@ -24,8 +24,8 @@
 //!   striped extents, and the per-volume rate shares admission uses.
 //! * [`server`] — the five-thread server state machine: interval
 //!   scheduling, ≤256 KB cylinder-ordered reads, the I/O-done queue,
-//!   deadline warnings.
-//! * [`writer`] — the §4 constant-rate *writing* extension.
+//!   deadline warnings, and the §4 constant-rate *writing* extension
+//!   as write streams on the same planner.
 //! * [`deploy`] — the Figure 5 deployment configurations.
 //! * [`fifo`] — the traditional FIFO buffer kept as the §2.4 ablation
 //!   baseline.
@@ -47,7 +47,6 @@ pub mod placement;
 pub mod server;
 pub mod stream;
 pub mod tdbuffer;
-pub mod writer;
 
 pub use admission::{Admission, AdmissionError, AdmissionModel, StreamParams};
 pub use cache::EvictPolicy;
@@ -61,4 +60,3 @@ pub use server::{
 };
 pub use stream::{CacheState, ParityState, Stream, StreamId, VolumeRun};
 pub use tdbuffer::{BufferedChunk, TimeDrivenBuffer};
-pub use writer::Recorder;

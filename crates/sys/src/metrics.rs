@@ -147,17 +147,15 @@ pub struct Metrics {
     pub cras_read_bytes: u64,
     /// Total disk service time consumed by CRAS reads.
     pub cras_read_busy: Duration,
-    /// Bytes completed for CRAS real-time writes. Always 0: no path
-    /// submits a CRAS write (the recorder runs standalone, outside the
-    /// system). Kept because the canonical JSON and the benchmark's
-    /// `disk.cras_write_mb` read it.
+    /// Bytes completed for CRAS real-time writes (recordings).
     pub cras_write_bytes: u64,
     /// Deadline overruns reported by the server.
     pub overruns: u64,
     /// CRAS reads that came back failed and were re-issued against a
     /// surviving replica.
     pub degraded_reads: u64,
-    /// CRAS reads that came back failed with no surviving replica.
+    /// CRAS reads that came back failed with no surviving replica, and
+    /// failed recording writes.
     pub lost_reads: u64,
     /// Intervals in which at least one stream read from its mirror
     /// because the primary volume was down.
@@ -299,10 +297,16 @@ impl Metrics {
         slots
     }
 
-    /// Records the completion of a CRAS read counted at `slot`.
+    /// Records the completion of a CRAS read counted at `slot`, or of a
+    /// recording's write (its tag says which).
     pub fn on_cras_read_done(&mut self, slot: ReadSlot, done: &Completed<DiskTag>) {
-        self.cras_read_bytes += done.req.bytes();
-        self.cras_read_busy += done.breakdown.total();
+        match done.req.tag {
+            DiskTag::Cras(io, _) if io.write => self.cras_write_bytes += done.req.bytes(),
+            _ => {
+                self.cras_read_bytes += done.req.bytes();
+                self.cras_read_busy += done.breakdown.total();
+            }
+        }
         self.settle(slot, done, 0);
     }
 
@@ -556,6 +560,7 @@ mod tests {
             volume: VolumeId(volume),
             block,
             nblocks: 8,
+            write: false,
         }
     }
 
@@ -799,9 +804,23 @@ mod tests {
     #[test]
     fn bytes_and_busy_accumulate() {
         let mut m = Metrics::new();
-        let slot = interval(&mut m, 1);
+        let slot = interval(&mut m, 2);
         m.on_cras_read_done(slot, &completed(10, 3));
         assert_eq!(m.cras_read_bytes, 8 * 512);
         assert_eq!(m.cras_read_busy, Duration::from_millis(3));
+        // A recording's write counts as written, and in the interval.
+        let write = ReadReq {
+            write: true,
+            ..read(0, 100)
+        };
+        let done = Completed {
+            req: DiskRequest::rt_write(100, 16, DiskTag::Cras(write, slot)),
+            ..completed(20, 4)
+        };
+        m.on_cras_read_done(slot, &done);
+        assert_eq!(m.cras_write_bytes, 16 * 512);
+        assert_eq!(m.cras_read_bytes, 8 * 512);
+        assert_eq!(m.cras_read_busy, Duration::from_millis(3));
+        assert!((m.intervals()[0].actual().unwrap() - 0.007).abs() < 1e-12);
     }
 }

@@ -88,8 +88,9 @@ impl Event {
 /// Routing tag carried by disk requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskTag {
-    /// A CRAS real-time stream read, handed back to the server on
-    /// completion, and where [`Metrics`](crate::metrics::Metrics) counts it.
+    /// A CRAS real-time stream read or recording write, handed back to
+    /// the server on completion, and where
+    /// [`Metrics`](crate::metrics::Metrics) counts it.
     Cras(ReadReq, ReadSlot),
     /// A synchronous clustered UFS fetch on behalf of the Unix server
     /// (volume, run).

@@ -1,67 +1,57 @@
 //! Constant-rate recording — the paper's §4 future-work extension, live:
 //! pre-allocate contiguous blocks through the file system, stage chunks
-//! from a capture source, and drain them to disk at a constant rate with
-//! the same interval scheduler CRAS uses for playback.
+//! from a capture source, and let CRAS write them to disk at a constant
+//! rate with the same admission test and interval planner it uses for
+//! playback.
 //!
 //! ```text
 //! cargo run --release --example recorder
 //! ```
 
-use cras_repro::core::{Recorder, ServerConfig};
-use cras_repro::disk::calibrate::{calibrate, DiskParams};
-use cras_repro::disk::{DiskDevice, DiskRequest};
-use cras_repro::sim::{Duration, Instant};
-use cras_repro::ufs::{MkfsParams, Ufs};
+use cras_repro::core::StreamParams;
+use cras_repro::sim::Duration;
+use cras_repro::sys::{SysConfig, System};
 
 fn main() {
-    // Calibrate and set up.
-    let mut scratch: DiskDevice<u8> = DiskDevice::st32550n();
-    let cal = calibrate(&mut scratch, 64 * 1024);
-    let params: DiskParams = cal.params;
-    let mut disk: DiskDevice<u64> = DiskDevice::st32550n();
-    let geom = disk.geometry().clone();
-    let mut fs = Ufs::format(&geom, MkfsParams::tuned(&geom), 1);
+    let mut sys = System::new(SysConfig::default());
 
     // Pre-allocate 4 MB of contiguous space (§4: "allocate data blocks in
     // advance when a file is created or expanded").
-    let ino = fs.create("capture.mov").expect("fresh fs");
-    fs.preallocate(ino, 4 << 20).expect("plenty of space");
-    let extents = fs.extent_map(ino);
+    let ino = sys.ufs_mut().create("capture.mov").expect("fresh fs");
+    sys.ufs_mut()
+        .preallocate(ino, 4 << 20)
+        .expect("plenty of space");
+    let extents = sys.ufs().extent_map(ino);
     println!(
         "pre-allocated {} extents ({:.2} MB contiguous)",
         extents.len(),
         extents.iter().map(|e| e.bytes()).sum::<u64>() as f64 / 1e6
     );
 
-    // Open a 1.5 Mbps write session.
-    let mut rec = Recorder::new(params, ServerConfig::default());
-    let session = rec
-        .open_write(187_500.0, 6_250.0, extents)
+    // Open a 1.5 Mbps recording: the server's one admission test
+    // charges it like any stream.
+    let rec = sys
+        .open_recording("capture.mov", ino, StreamParams::new(187_500.0, 6_250.0))
         .expect("write admission passes");
 
-    // Capture 10 seconds of 30 fps frames, draining every interval.
+    // Capture 10 seconds of 30 fps frames, each staged as it arrives;
+    // every interval tick writes what was staged since the last one.
     let frame = Duration::from_secs_f64(1.0 / 30.0);
-    let mut now = Instant::ZERO;
-    let mut writes = 0u32;
-    for tick in 0..20u64 {
-        // One 0.5 s interval of captured frames arrives...
-        for _ in 0..15 {
-            rec.stage_chunk(session, frame, 6_250);
-        }
-        // ...and the interval scheduler drains it as real-time writes.
-        now = Instant::ZERO + Duration::from_millis(500) * tick;
-        for w in rec.interval_tick(now) {
-            let fin = disk
-                .submit(now, DiskRequest::rt_write(w.block, w.nblocks, w.id.0))
-                .expect("sequential: disk idle between intervals");
-            disk.complete(fin);
-            rec.io_done(w);
-            writes += 1;
-        }
+    let start = sys.now();
+    for i in 0..300u32 {
+        sys.run_until(start + Duration::from_secs_f64(i as f64 / 30.0));
+        sys.stage_chunk(rec, frame, 6_250);
     }
+    // One more interval drains the last frames.
+    sys.run_for(Duration::from_secs(1));
 
-    let table = rec.finalize(session);
-    println!("recorded {} chunks in {} disk writes", table.len(), writes);
+    let table = sys.finish_recording(rec);
+    println!(
+        "recorded {} chunks in {} disk writes ({:.2} MB written)",
+        table.len(),
+        sys.disk().stats().ops.0,
+        sys.metrics.cras_write_bytes as f64 / 1e6
+    );
     println!(
         "control file: {:.1} s of media at {:.0} B/s",
         table.total_duration().as_secs_f64(),
@@ -69,7 +59,7 @@ fn main() {
     );
     println!(
         "disk busy {:.1}% of the recording time",
-        100.0 * disk.stats().busy.as_secs_f64() / now.as_secs_f64()
+        100.0 * sys.disk().stats().busy.as_secs_f64() / table.total_duration().as_secs_f64()
     );
     assert_eq!(table.len(), 300);
     println!("ok: constant-rate write path works (paper §4, implemented)");
