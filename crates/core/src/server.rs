@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use cras_disk::calibrate::DiskParams;
 use cras_disk::geometry::BlockNo;
 use cras_disk::{SweepCursor, VolumeId};
-use cras_media::{Chunk, ChunkTable};
+use cras_media::{ChunkSpan, ChunkTable};
 use cras_sim::{Duration, IdTable, Instant};
 use cras_ufs::Extent;
 
@@ -385,7 +385,7 @@ fn bottleneck_time(per_volume: &[f64]) -> f64 {
 fn post_chunks(s: &mut Stream, lo: u32, hi: u32, now: Instant) -> usize {
     let media_now = s.clock.media_time(now);
     for i in lo..=hi {
-        let c = *s.table.get(i).expect("batch chunk in table");
+        let c = s.table.get(i).expect("batch chunk in table");
         let chunk = BufferedChunk {
             index: c.index,
             timestamp: c.timestamp,
@@ -404,7 +404,7 @@ fn post_chunks(s: &mut Stream, lo: u32, hi: u32, now: Instant) -> usize {
 /// The media time a stream must be fetched to by `horizon`, and the
 /// chunks from its pre-fetch cursor up to there. `None` when nothing is
 /// due.
-fn due_chunks(s: &Stream, horizon: Instant) -> Option<(Duration, &[Chunk])> {
+fn due_chunks(s: &Stream, horizon: Instant) -> Option<(Duration, ChunkSpan<'_>)> {
     let target = s.clock.media_time(horizon).min(s.table.total_duration());
     (target > s.prefetch_cursor).then(|| (target, s.table.chunks_in(s.prefetch_cursor, target)))
 }
@@ -1700,7 +1700,7 @@ impl CrasServer {
             // interval cache (no-op when the cache is disabled), so a
             // trailing stream of the same movie finds it in memory.
             if self.cache.enabled() && !batch.from_cache {
-                let chunks = &s.table.chunks()[batch.chunk_lo as usize..=batch.chunk_hi as usize];
+                let chunks = s.table.span(batch.chunk_lo..batch.chunk_hi + 1);
                 self.cache.insert_posted(&s.name, chunks);
             }
             // Multicast: every follower joined to this stream receives
@@ -2749,7 +2749,7 @@ mod tests {
         let (Some(lo), Some(hi)) = (s.buffer.first_timestamp(), s.buffer.last_timestamp()) else {
             return;
         };
-        for c in s.table.chunks_in(lo, hi) {
+        for c in s.table.chunks_in(lo, hi).iter() {
             assert!(
                 s.buffer.peek(c.timestamp).is_some(),
                 "gap at {:?}",

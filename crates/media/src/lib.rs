@@ -7,8 +7,8 @@
 //!
 //! * [`rates`] — the paper's MPEG-1 (1.5 Mbps) / MPEG-2 (6 Mbps) profiles
 //!   plus a JPEG-like VBR profile for the §3.2 buffer-waste ablation.
-//! * [`chunk`] — per-chunk timestamp/duration/size tables, the
-//!   information `crs_open` consumes.
+//! * [`chunk`] — per-chunk timestamp/duration/size tables, kept as two
+//!   prefix-sum columns: the information `crs_open` consumes.
 //! * [`movie`] — recording movies into the UFS so they occupy real disk
 //!   blocks via the real allocator.
 //! * [`fragment`] — editing-induced fragmentation and the rearranger the
@@ -25,7 +25,7 @@ pub mod fragment;
 pub mod movie;
 pub mod rates;
 
-pub use chunk::{Chunk, ChunkTable};
+pub use chunk::{Chunk, ChunkSpan, ChunkTable};
 pub use container::encode;
 pub use fragment::{fragment_movie, rearrange_movie};
 pub use movie::{generate_chunks, record_movie, Movie};

@@ -551,6 +551,7 @@ mod tests {
     use super::*;
     use cras_core::{ReadReq, StreamId};
     use cras_disk::{DiskRequest, ServiceBreakdown, VolumeId};
+    use cras_ufs::fs::FetchRun;
 
     fn read(volume: u32, block: u64) -> ReadReq {
         ReadReq {
@@ -592,7 +593,11 @@ mod tests {
 
     fn completed(at_ms: u64, service_ms: u64) -> Completed<DiskTag> {
         Completed {
-            req: DiskRequest::rt_read(0, 8, DiskTag::Raw(0)),
+            req: DiskRequest::rt_read(
+                0,
+                8,
+                DiskTag::UfsWriteback(0, FetchRun { start: 0, len: 1 }),
+            ),
             submitted_at: Instant::ZERO,
             started_at: Instant::ZERO,
             finished_at: Instant::ZERO + Duration::from_millis(at_ms),

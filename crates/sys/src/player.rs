@@ -128,7 +128,7 @@ impl Player {
     /// the summary; it enters `delays` if `trace` is on or it is the
     /// first frame shown.
     pub(crate) fn frame_shown(&mut self, k: u32, now: Instant, trace: bool) -> Option<Instant> {
-        let chunk = *self.table.get(k).expect("frame in range");
+        let chunk = self.table.get(k).expect("frame in range");
         let delay = now.saturating_since(self.due(k)).as_secs_f64();
         self.stats.frames_shown += 1;
         self.stats.bytes_consumed += chunk.size as u64;

@@ -1265,7 +1265,6 @@ impl SysState {
                 }
                 self.check_server_wait(fx);
             }
-            DiskTag::Raw(_) => {}
         }
     }
 
@@ -1411,7 +1410,7 @@ impl SysState {
             return;
         }
         let k = player.next_frame;
-        let Some(chunk) = player.table.get(k).copied() else {
+        let Some(chunk) = player.table.get(k) else {
             // A queued PlayerFrame event can outlive the frame table it
             // indexes (a shard-down race against re-admission): retire
             // the player as a traced drop instead of panicking
@@ -1518,7 +1517,7 @@ impl SysState {
         let Some(p) = self.players.get(&client.0) else {
             return;
         };
-        let Some(chunk) = p.table.get(frame).copied() else {
+        let Some(chunk) = p.table.get(frame) else {
             return;
         };
         self.net_sync_join(client);
@@ -2249,7 +2248,17 @@ mod tests {
         if let Some(at) = s.disks.submit(
             VolumeId(p),
             now,
-            DiskRequest::read(1_000, 64, DiskTag::Raw(7)),
+            DiskRequest::read(
+                1_000,
+                64,
+                DiskTag::UfsWriteback(
+                    p,
+                    FetchRun {
+                        start: 1_000,
+                        len: 1,
+                    },
+                ),
+            ),
         ) {
             s.engine.schedule(at, Event::DiskDone(p));
         }

@@ -108,8 +108,6 @@ pub enum DiskTag {
     /// The write half of a rebuild copy chunk: `(generation, chunk)`,
     /// normal-priority, to the replacement volume.
     RebuildWrite(u64, u64),
-    /// Raw traffic from calibration or ad-hoc experiments.
-    Raw(u64),
 }
 
 /// Routing tag carried by CPU bursts.

@@ -245,6 +245,9 @@ impl Ufs {
         if needed > self.alloc.free() {
             return Err(FsError::NoSpace);
         }
+        // Size the block map once: a fresh file's map gets exactly its
+        // block count, and repeated small appends keep amortised growth.
+        self.inodes[ino as usize].reserve_blocks((new_blocks.end - new_blocks.start) as usize);
         for fb in new_blocks {
             self.alloc_file_block(ino, fb)?;
         }

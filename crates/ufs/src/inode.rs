@@ -118,6 +118,11 @@ impl Inode {
         self.data.push(data);
     }
 
+    /// Makes room in the block map for `n` more data blocks.
+    pub(crate) fn reserve_blocks(&mut self, n: usize) {
+        self.data.reserve(n);
+    }
+
     /// Data blocks in file order, up to [`Inode::nblocks`].
     pub(crate) fn data_blocks(&self) -> &[FsBlock] {
         &self.data[..self.data.len().min(self.nblocks() as usize)]
@@ -283,5 +288,26 @@ mod tests {
         assert_eq!(i.meta_blocks_needed(dind_start + 1), 0);
         // A new L2 table is needed at the next boundary.
         assert_eq!(i.meta_blocks_needed(dind_start + NINDIR as u64), 1);
+    }
+
+    #[test]
+    fn block_map_is_sized_once_per_append() {
+        let geom = cras_disk::geometry::DiskGeometry::st32550n();
+        let mut fs = crate::Ufs::format(&geom, crate::MkfsParams::tuned(&geom), 7);
+        // One append of n blocks to a fresh file: exactly n slots.
+        let n = 3_000;
+        let ino = fs.create("whole").unwrap();
+        fs.append(ino, n as u64 * BSIZE as u64).unwrap();
+        let data = &fs.inode(ino).data;
+        assert_eq!((data.len(), data.capacity()), (n, n));
+        // One block at a time: amortised doubling, never more than twice
+        // the blocks mapped.
+        let ino = fs.create("grown").unwrap();
+        for _ in 0..1_000 {
+            fs.append(ino, BSIZE as u64).unwrap();
+        }
+        let data = &fs.inode(ino).data;
+        assert_eq!(data.len(), 1_000);
+        assert!(data.capacity() <= 2 * data.len(), "{}", data.capacity());
     }
 }

@@ -54,7 +54,7 @@ pub fn run(secs: f64, client_fps: f64, seed: u64) -> (KvTable, BufferOutcome, Bu
     let client_period = Duration::from_secs_f64(1.0 / client_fps);
     let total = Duration::from_secs_f64(secs);
     let mut next_fill = Duration::ZERO;
-    let mut fill_idx = 0usize;
+    let mut fill_idx = 0u32;
     let mut next_client = Duration::ZERO;
     let mut t = Duration::ZERO;
     while t <= total {
@@ -66,11 +66,7 @@ pub fn run(secs: f64, client_fps: f64, seed: u64) -> (KvTable, BufferOutcome, Bu
         if t == next_fill {
             // Post one interval of chunks (media [t, t+interval)).
             let upto = t + interval;
-            while fill_idx < table.len() {
-                let c = table.chunks()[fill_idx];
-                if c.timestamp >= upto {
-                    break;
-                }
+            while let Some(c) = table.get(fill_idx).filter(|c| c.timestamp < upto) {
                 let bc = BufferedChunk {
                     index: c.index,
                     timestamp: c.timestamp,

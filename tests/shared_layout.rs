@@ -6,7 +6,7 @@
 
 use cras_repro::media::StreamProfile;
 use cras_repro::sim::Duration;
-use cras_repro::sys::{DiskTag, SysConfig, System};
+use cras_repro::sys::{SysConfig, System};
 use cras_repro::ufs::layout::fsblock_to_disk;
 
 #[test]
@@ -58,5 +58,4 @@ fn rt_and_normal_traffic_share_the_disk() {
     // No cross-contamination of tags is possible by construction; spot
     // check the stats split: RT bytes match CRAS's accounting.
     assert_eq!(sys.disk().stats().bytes.0, sys.metrics.cras_read_bytes);
-    let _ = DiskTag::Raw(0); // Type is exported and usable downstream.
 }
