@@ -175,7 +175,7 @@ impl Recording {
 
     /// The control-file chunk table of the chunks issued as writes.
     pub(crate) fn table(&self) -> ChunkTable {
-        ChunkTable::from_durations_sizes(&self.chunks[..self.issued])
+        ChunkTable::from_durations_sizes(self.chunks[..self.issued].iter().copied())
     }
 }
 
