@@ -6,12 +6,13 @@
 use std::hint::black_box;
 
 use cras_bench::timer::bench;
-use cras_core::{Admission, AdmissionModel, CrasServer, OpenReq, ServerConfig, StreamParams};
-use cras_core::{BufferedChunk, TimeDrivenBuffer};
+use cras_core::{
+    Admission, AdmissionModel, CrasServer, OpenReq, ServerConfig, StreamParams, TimeDrivenBuffer,
+};
 use cras_disk::calibrate::DiskParams;
 use cras_disk::cscan::CScanQueue;
 use cras_disk::SeekModel;
-use cras_media::StreamProfile;
+use cras_media::{ChunkTable, StreamProfile};
 use cras_sim::{Duration, Engine, Instant, Rng};
 use cras_ufs::Extent;
 
@@ -47,20 +48,19 @@ fn bench_cscan() {
 }
 
 fn bench_tdbuffer() {
-    bench("tdbuffer/put_get_discard_cycle", || {
-        let mut buf = TimeDrivenBuffer::new(1 << 20, Duration::from_millis(100));
-        for i in 0..60u32 {
-            buf.put(
-                BufferedChunk {
-                    index: i,
-                    timestamp: Duration::from_millis(i as u64 * 33),
-                    duration: Duration::from_millis(33),
-                    size: 6_250,
-                    posted_at: Instant::ZERO,
-                },
-                Duration::from_millis(i as u64 * 16),
-            );
-            black_box(buf.get(Duration::from_millis(i as u64 * 20)));
+    // Four 0.5 s intervals of a 30 fps stream: each posts its 15 frames
+    // as one span (discarding the last interval's), then a client gets
+    // each frame.
+    let table =
+        ChunkTable::from_durations_sizes((0..60).map(|_| (Duration::from_millis(33), 6_250)));
+    bench("tdbuffer/post_span_get_frames", || {
+        let mut buf = TimeDrivenBuffer::new(table.clone(), 1 << 20, Duration::from_millis(100));
+        for lo in (0..60u32).step_by(15) {
+            let media_now = table.timestamp(lo);
+            black_box(buf.post(lo..lo + 15, media_now));
+            for i in lo..lo + 15 {
+                black_box(buf.get(table.timestamp(i)));
+            }
         }
     });
 }

@@ -9,9 +9,10 @@
 //! zero and admission can accept it against a *memory* budget instead
 //! of the disk-time bound.
 //!
-//! The cache is index-addressed: per movie it keeps *runs* of
-//! consecutive chunk table rows, whose bytes come from the rows' file
-//! offsets (the table's prefix sums). A chunk is *pinned* while some
+//! The cache is index-addressed and copies no chunk: per movie it keeps
+//! the title's chunk table once and *runs*, index ranges of that table,
+//! whose bytes and timestamps are read from the table's prefix-sum
+//! columns. A chunk is *pinned* while some
 //! registered follower's cursor (the media time it has consumed up
 //! to) is at or below the chunk's timestamp, and becomes evictable
 //! once every follower has read past it. Unpinned chunks are retained
@@ -29,9 +30,10 @@
 //! and teardown (`crs_stop`/`crs_seek`/close release the departing
 //! stream's pins in the same call — no leaked pins).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
-use cras_media::{Chunk, ChunkSpan, ChunkTable};
+use cras_media::{ChunkSpan, ChunkTable};
 use cras_sim::Duration;
 
 /// How the cache picks victims under byte-budget pressure.
@@ -85,46 +87,45 @@ pub struct CacheStats {
     pub joined_streams: u64,
 }
 
-/// Resident chunks of consecutive indices that were inserted with
-/// consecutive sequence numbers, all prefix-pinned or none: a run's
-/// oldest chunk is its first, at its lowest index.
+/// Resident chunks `lo..hi` of the movie's table that were inserted
+/// with consecutive sequence numbers, all prefix-pinned or none: a
+/// run's oldest chunk is its first, at its lowest index.
 #[derive(Clone, Debug)]
 struct Run {
-    /// Insertion sequence number of the first chunk (chunk `k` of the
-    /// run has `seq + k`).
+    /// Insertion sequence number of the first chunk (chunk `lo + k` of
+    /// the run has `seq + k`).
     seq: u64,
     /// Prefix-resident chunks of a hot title: pinned across sessions by
     /// the cache manager, never evicted until the title is demoted.
     prefix: bool,
-    /// The run's rows of the movie's chunk table.
-    rows: VecDeque<Chunk>,
+    /// First chunk index.
+    lo: u32,
+    /// One past the last chunk index; a run is never empty.
+    hi: u32,
 }
 
 impl Run {
-    fn first(&self) -> &Chunk {
-        self.rows.front().expect("runs are never empty")
+    fn len(&self) -> u32 {
+        self.hi - self.lo
     }
 
-    fn last(&self) -> &Chunk {
-        self.rows.back().expect("runs are never empty")
+    /// The run's chunks.
+    fn span<'a>(&self, table: &'a ChunkTable) -> ChunkSpan<'a> {
+        self.head(table, self.len())
     }
 
-    /// Bytes of the run's first `n` chunks, from their file offsets
-    /// (the table's prefix sums of chunk sizes).
-    fn bytes(&self, n: usize) -> u64 {
-        let (lo, hi) = (self.first(), &self.rows[n - 1]);
-        hi.file_offset + hi.size as u64 - lo.file_offset
-    }
-
-    /// Number of leading chunks with timestamps below `t`.
-    fn below(&self, t: Duration) -> usize {
-        self.rows.partition_point(|c| c.timestamp < t)
+    /// The run's first `n` chunks.
+    fn head<'a>(&self, table: &'a ChunkTable, n: u32) -> ChunkSpan<'a> {
+        table.span(self.lo..self.lo + n)
     }
 }
 
 /// Per-movie cache state: resident runs plus follower bookkeeping.
 #[derive(Clone, Debug, Default)]
 struct MovieCache {
+    /// The title's chunk table, which the runs index; set by the first
+    /// insert, so present whenever a run is.
+    table: Option<ChunkTable>,
     /// Resident runs in index order.
     runs: Vec<Run>,
     /// Media time up to which disk reads have been inserted (end
@@ -144,6 +145,13 @@ impl MovieCache {
         self.runs.is_empty() && self.followers.is_empty() && self.prefix_limit == Duration::ZERO
     }
 
+    /// The table the runs index.
+    fn table(&self) -> &ChunkTable {
+        self.table
+            .as_ref()
+            .expect("a movie with runs has its table")
+    }
+
     /// The lowest follower cursor, below which no follower pins.
     fn cursor(&self) -> Option<Duration> {
         self.followers.values().copied().min()
@@ -151,48 +159,56 @@ impl MovieCache {
 
     /// The first run not wholly below chunk `index`.
     fn find(&self, index: u32) -> usize {
-        self.runs.partition_point(|run| run.last().index < index)
+        self.runs.partition_point(|run| run.hi <= index)
     }
 
-    /// Puts chunk `c`, inserted with `seq`, in a new run at `r` unless
-    /// it extends run `r - 1`.
-    fn place(&mut self, r: usize, c: Chunk, seq: u64, prefix: bool) {
+    /// Puts chunks `chunks`, inserted from `seq` on, in a new run at
+    /// `r` unless they extend run `r - 1`.
+    fn place(&mut self, r: usize, chunks: Range<u32>, seq: u64, prefix: bool) {
         if let Some(p) = r.checked_sub(1).map(|p| &mut self.runs[p]) {
-            let next = p.seq + p.rows.len() as u64 == seq && p.last().index + 1 == c.index;
+            let next = p.seq + p.len() as u64 == seq && p.hi == chunks.start;
             if next && p.prefix == prefix {
-                p.rows.push_back(c);
+                p.hi = chunks.end;
                 return;
             }
         }
-        let rows = VecDeque::from([c]);
-        self.runs.insert(r, Run { seq, prefix, rows });
+        let (lo, hi) = (chunks.start, chunks.end);
+        self.runs.insert(
+            r,
+            Run {
+                seq,
+                prefix,
+                lo,
+                hi,
+            },
+        );
     }
 
     /// Whether the chunks of `span` are all resident (and
     /// prefix-pinned, with `prefix`); an empty span is.
     fn covered(&self, span: ChunkSpan, prefix: bool) -> bool {
-        let (Some(lo), Some(hi)) = (span.first(), span.last()) else {
+        let (mut next, end) = (span.range().start, span.range().end);
+        if next == end {
             return true;
-        };
-        let mut next = lo.index;
-        for run in &self.runs[self.find(lo.index)..] {
-            if run.first().index > next || (prefix && !run.prefix) {
+        }
+        for run in &self.runs[self.find(next)..] {
+            if run.lo > next || (prefix && !run.prefix) {
                 return false;
-            } else if run.last().index >= hi.index {
+            } else if run.hi >= end {
                 return true;
             }
-            next = run.last().index + 1;
+            next = run.hi;
         }
         false
     }
 
     /// Removes the first `n` chunks of run `r`. Returns their bytes.
-    fn take(&mut self, r: usize, n: usize) -> u64 {
+    fn take(&mut self, r: usize, n: u32) -> u64 {
+        let bytes = self.runs[r].head(self.table(), n).bytes();
         let run = &mut self.runs[r];
-        let bytes = run.bytes(n);
-        run.rows.drain(..n);
+        run.lo += n;
         run.seq += n as u64;
-        if run.rows.is_empty() {
+        if run.lo == run.hi {
             self.runs.remove(r);
         }
         bytes
@@ -251,14 +267,15 @@ impl IntervalCache {
     #[cfg(test)]
     pub(crate) fn frame_count(&self) -> usize {
         let runs = self.movies.values().flat_map(|m| &m.runs);
-        runs.map(|run| run.rows.len()).sum()
+        runs.map(|run| run.len() as usize).sum()
     }
 
     /// Number of pinned chunks (some follower has yet to consume them).
     pub fn pinned_frames(&self) -> usize {
         let pinned = |m: &MovieCache| -> usize {
             let Some(t) = m.cursor() else { return 0 };
-            m.runs.iter().map(|run| run.rows.len() - run.below(t)).sum()
+            let pinned = |run: &Run| run.len() - run.span(m.table()).below(t);
+            m.runs.iter().map(|run| pinned(run) as usize).sum()
         };
         self.movies.values().map(pinned).sum()
     }
@@ -297,19 +314,25 @@ impl IntervalCache {
         if !self.enabled() || (demote && !self.movies.contains_key(movie)) {
             return;
         }
-        let m = self.movies.entry(movie.to_string()).or_default();
+        let m = entry(&mut self.movies, movie);
         m.prefix_limit = limit;
         for run in std::mem::take(&mut m.runs) {
-            for (k, c) in run.rows.into_iter().enumerate() {
-                let size = c.size as u64;
-                let guard = c.timestamp < limit && self.prefix_bytes + size <= self.budget;
-                let pin = !demote && (run.prefix || guard);
+            let mut lo = run.lo;
+            while lo < run.hi {
+                let rest = m.table().span(lo..run.hi);
+                let (n, pin) = match (demote, run.prefix) {
+                    (false, false) => pin_piece(rest, limit, self.budget - self.prefix_bytes),
+                    _ => (rest.len() as u32, !demote),
+                };
+                let bytes = m.table().span(lo..lo + n).bytes();
                 match (run.prefix, pin) {
-                    (false, true) => self.prefix_bytes += size,
-                    (true, false) => self.prefix_bytes -= size,
+                    (false, true) => self.prefix_bytes += bytes,
+                    (true, false) => self.prefix_bytes -= bytes,
                     _ => {}
                 }
-                m.place(m.runs.len(), c, run.seq + k as u64, pin);
+                let seq = run.seq + (lo - run.lo) as u64;
+                m.place(m.runs.len(), lo..lo + n, seq, pin);
+                lo += n;
             }
         }
         // Demotion: the cold prefix rejoins the window/budget rules.
@@ -373,23 +396,30 @@ impl IntervalCache {
         if !self.enabled() || chunks.is_empty() {
             return;
         }
-        let m = self.movies.entry(movie.to_string()).or_default();
-        for c in chunks.iter() {
-            let r = m.find(c.index);
-            if m.runs.get(r).is_none_or(|run| run.first().index > c.index) {
-                // Budget-guarded prefix pin: a hot title's prefix chunk
-                // stays resident across sessions while the pins fit.
-                let size = c.size as u64;
-                let prefix =
-                    c.timestamp < m.prefix_limit && self.prefix_bytes + size <= self.budget;
-                m.place(r, c, self.seq, prefix);
-                self.seq += 1;
-                self.bytes += size;
-                self.stats.inserted_bytes += size;
-                self.prefix_bytes += if prefix { size } else { 0 };
+        let table = chunks.table();
+        let m = entry(&mut self.movies, movie);
+        m.table.get_or_insert_with(|| table.clone());
+        let (mut lo, hi) = (chunks.range().start, chunks.range().end);
+        while lo < hi {
+            let r = m.find(lo);
+            let next = m.runs.get(r).map(|run| run.lo..run.hi);
+            if let Some(run) = next.clone().filter(|run| run.start <= lo) {
+                lo = run.end; // Resident chunks keep their age.
+                continue;
             }
-            m.frontier = m.frontier.max(c.end_timestamp());
+            let gap = table.span(lo..next.map_or(hi, |run| run.start.min(hi)));
+            // Budget-guarded prefix pins: a hot title's prefix chunks
+            // stay resident across sessions while the pins fit.
+            let (n, prefix) = pin_piece(gap, m.prefix_limit, self.budget - self.prefix_bytes);
+            let bytes = table.span(lo..lo + n).bytes();
+            m.place(r, lo..lo + n, self.seq, prefix);
+            self.seq += n as u64;
+            self.bytes += bytes;
+            self.stats.inserted_bytes += bytes;
+            self.prefix_bytes += if prefix { bytes } else { 0 };
+            lo += n;
         }
+        m.frontier = m.frontier.max(table.timestamp(hi));
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.bytes);
         self.evict(movie);
     }
@@ -412,8 +442,7 @@ impl IntervalCache {
     pub(crate) fn add_follower(&mut self, movie: &str, id: u32, from: Duration) {
         if self.enabled() {
             self.remove_follower(movie, id);
-            let m = self.movies.entry(movie.to_string()).or_default();
-            m.followers.insert(id, from);
+            entry(&mut self.movies, movie).followers.insert(id, from);
         }
     }
 
@@ -454,8 +483,11 @@ impl IntervalCache {
 
     /// Drops every chunk and follower of a movie (last stream closed).
     pub(crate) fn drop_movie(&mut self, movie: &str) {
-        for run in self.movies.remove(movie).into_iter().flat_map(|m| m.runs) {
-            let bytes = run.bytes(run.rows.len());
+        let Some(m) = self.movies.remove(movie) else {
+            return;
+        };
+        for run in &m.runs {
+            let bytes = run.span(m.table()).bytes();
             self.bytes -= bytes;
             self.stats.evicted_bytes += bytes;
             self.prefix_bytes -= if run.prefix { bytes } else { 0 };
@@ -477,10 +509,12 @@ impl IntervalCache {
             // only prefix pins (exempt until demoted) hold chunks.
             let tail = m.cursor().map_or(m.frontier, |t| t.min(m.frontier));
             let cutoff = tail.saturating_sub(self.max_gap);
-            let expired = m.runs.partition_point(|run| run.first().timestamp < cutoff);
+            let expired = m
+                .runs
+                .partition_point(|run| m.table().timestamp(run.lo) < cutoff);
             for r in (0..expired).rev() {
                 if !m.runs[r].prefix {
-                    let freed = m.take(r, m.runs[r].below(cutoff));
+                    let freed = m.take(r, m.runs[r].span(m.table()).below(cutoff));
                     self.bytes -= freed;
                     self.stats.evicted_bytes += freed;
                 }
@@ -517,9 +551,9 @@ impl IntervalCache {
             let cursor = m.cursor();
             let (mut evictable, mut oldest) = (0, None);
             for (r, run) in m.runs.iter().enumerate().filter(|(_, run)| !run.prefix) {
-                let n = cursor.map_or(run.rows.len(), |t| run.below(t));
+                let n = cursor.map_or(run.len(), |t| run.span(m.table()).below(t));
                 if n > 0 {
-                    evictable += run.bytes(n);
+                    evictable += run.head(m.table(), n).bytes();
                     oldest = oldest.into_iter().chain([(run.seq, r)]).min();
                 }
             }
@@ -542,6 +576,31 @@ impl IntervalCache {
     }
 }
 
+/// The cache entry of `movie`; its title is allocated only when the
+/// movie is first entered.
+fn entry<'a>(movies: &'a mut BTreeMap<String, MovieCache>, movie: &str) -> &'a mut MovieCache {
+    if !movies.contains_key(movie) {
+        movies.insert(movie.to_string(), MovieCache::default());
+    }
+    movies.get_mut(movie).expect("entered above")
+}
+
+/// The leading piece of `chunks` that shares one prefix-pin decision,
+/// and that decision. Chunks below `limit` are pinned while the pins
+/// fit in `room`, the budget left; the guard is per chunk, so when the
+/// whole piece below `limit` does not fit, the piece is one chunk.
+fn pin_piece(chunks: ChunkSpan, limit: Duration, room: u64) -> (u32, bool) {
+    let below = chunks.below(limit);
+    if below == 0 {
+        return (chunks.len() as u32, false);
+    }
+    let (table, lo) = (chunks.table(), chunks.range().start);
+    if table.span(lo..lo + below).bytes() <= room {
+        return (below, true);
+    }
+    (1, table.span(lo..lo + 1).bytes() <= room)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,39 +620,46 @@ mod tests {
 
     impl IntervalCache {
         /// Checks the cache's bookkeeping, panicking on a violation:
-        /// every movie's runs are sorted, disjoint and index-consecutive
-        /// (so their sequence numbers are consecutive), `bytes` and
-        /// `prefix_bytes` are the sums over the runs, and the prefix pins
-        /// fit the budget.
+        /// every movie's runs are non-empty, sorted and disjoint, with
+        /// sequence numbers already handed out; `bytes` and
+        /// `prefix_bytes` are the sums of the runs' span bytes, which
+        /// equal their chunks' sizes; `frame_count` and `pinned_frames`
+        /// equal a chunk-by-chunk recount; and the prefix pins fit the
+        /// budget.
         pub(crate) fn check_invariants(&self) {
             let (mut bytes, mut prefix_bytes) = (0, 0);
+            let (mut frames, mut pinned) = (0, 0);
             for (name, m) in &self.movies {
                 assert!(!m.is_empty(), "{name}: empty entry kept");
+                let cursor = m.cursor();
                 for (r, run) in m.runs.iter().enumerate() {
-                    let size: u64 = run.rows.iter().map(|c| c.size as u64).sum();
-                    let mut indices = run.rows.iter().zip(run.first().index..);
+                    assert!(run.lo < run.hi, "{name}: run {r} is empty");
                     assert!(
-                        indices.all(|(c, i)| c.index == i),
-                        "{name}: run {r} has a hole"
-                    );
-                    assert!(
-                        run.seq + run.rows.len() as u64 <= self.seq,
+                        run.seq + run.len() as u64 <= self.seq,
                         "{name}: run {r} seq"
                     );
-                    assert_eq!(run.bytes(run.rows.len()), size, "{name}: run {r} bytes");
-                    let next = m.runs.get(r + 1).map(|n| n.first().index);
-                    assert!(
-                        next.is_none_or(|n| run.last().index < n),
-                        "{name}: run {r} order"
-                    );
-                    bytes += size;
-                    prefix_bytes += if run.prefix { size } else { 0 };
+                    let next = m.runs.get(r + 1).map(|n| n.lo);
+                    assert!(next.is_none_or(|n| run.hi <= n), "{name}: run {r} order");
+                    let size: u64 = run.span(m.table()).iter().map(|c| c.size as u64).sum();
+                    let span_bytes = run.span(m.table()).bytes();
+                    assert_eq!(span_bytes, size, "{name}: run {r} bytes");
+                    bytes += span_bytes;
+                    prefix_bytes += if run.prefix { span_bytes } else { 0 };
+                    for c in run.span(m.table()).iter() {
+                        frames += 1;
+                        pinned += usize::from(cursor.is_some_and(|t| t <= c.timestamp));
+                    }
                 }
             }
             assert_eq!(
                 (self.bytes, self.prefix_bytes),
                 (bytes, prefix_bytes),
                 "byte totals"
+            );
+            assert_eq!(
+                (self.frame_count(), self.pinned_frames()),
+                (frames, pinned),
+                "chunk counts"
             );
             assert!(
                 self.prefix_bytes <= self.budget,
@@ -828,6 +894,97 @@ mod tests {
         assert_eq!((c.frame_count(), c.pinned_frames()), (4, 2));
     }
 
+    /// Random inserts, serves, follower moves, prefix changes and drops
+    /// on tables with zero-duration chunks, posted in whole batches:
+    /// after every operation the runs are sorted, disjoint and
+    /// non-empty, and every total matches a recount (see
+    /// [`IntervalCache::check_invariants`]).
+    #[test]
+    fn runs_stay_sorted_disjoint_and_counted() {
+        let names = ["a", "b"];
+        // Counts over every seed: each shape the test is meant to reach
+        // must have been reached.
+        let (mut max_runs, mut mixed, mut pinned, mut evicted) = (0, 0, 0, 0);
+        for seed in 0..40 {
+            let mut rng = cras_sim::Rng::new(seed);
+            let tables: Vec<ChunkTable> = (0..2)
+                .map(|_| {
+                    let rows: Vec<(Duration, u32)> = (0..400)
+                        .map(|_| {
+                            let d = if rng.chance(0.1) {
+                                Duration::ZERO
+                            } else {
+                                Duration::from_millis(rng.range_inclusive(20, 60))
+                            };
+                            (d, rng.range_inclusive(200, 4_000) as u32)
+                        })
+                        .collect();
+                    ChunkTable::from_durations_sizes(rows)
+                })
+                .collect();
+            let budget = rng.range_inclusive(20_000, 200_000);
+            let gap = Duration::from_millis(rng.range_inclusive(200, 3_000));
+            let mut c = IntervalCache::new(budget, gap);
+            if rng.chance(0.5) {
+                c.set_policy(EvictPolicy::FollowersPerByte);
+            }
+            let mut leaders = [0u32; 2];
+            for _ in 0..1_500 {
+                let m = rng.below(2) as usize;
+                let (name, t) = (names[m], &tables[m]);
+                let len = t.len() as u32;
+                let id = rng.below(4) as u32;
+                let any = |rng: &mut cras_sim::Rng| rng.below(len as u64) as u32;
+                match rng.below(13) {
+                    0..=4 => {
+                        // A leader's batch, in order or after a seek.
+                        let l = &mut leaders[m];
+                        if rng.chance(0.1) {
+                            *l = any(&mut rng);
+                        }
+                        let hi = (*l + rng.range_inclusive(1, 25) as u32).min(len);
+                        c.insert_posted(name, t.span(*l..hi));
+                        *l = hi % len;
+                    }
+                    5 | 6 => {
+                        let lo = any(&mut rng);
+                        let hi = (lo + rng.below(25) as u32).min(len);
+                        c.serve(name, id, t.span(lo..hi));
+                    }
+                    7 => {
+                        let lo = any(&mut rng);
+                        let hi = (lo + rng.below(25) as u32).min(len);
+                        c.serve_resident(name, t.span(lo..hi));
+                    }
+                    8 => c.add_follower(name, id, t.timestamp(any(&mut rng))),
+                    9 => c.remove_follower(name, id),
+                    10 | 11 => {
+                        let limit = if rng.chance(0.3) {
+                            Duration::ZERO
+                        } else {
+                            t.timestamp(rng.below(200) as u32)
+                        };
+                        c.set_prefix(name, limit);
+                    }
+                    _ if rng.chance(0.3) => c.drop_movie(name),
+                    _ => {}
+                }
+                c.check_invariants();
+                for mc in c.movies.values() {
+                    max_runs = max_runs.max(mc.runs.len());
+                    let prefixes = mc.runs.iter().filter(|run| run.prefix).count();
+                    mixed += u32::from(0 < prefixes && prefixes < mc.runs.len());
+                }
+                pinned += u32::from(c.pinned_frames() > 0);
+            }
+            evicted += c.stats().evicted_bytes;
+        }
+        assert!(
+            max_runs > 2 && mixed > 0 && pinned > 0 && evicted > 0,
+            "max runs {max_runs}, mixed {mixed}, pinned {pinned}, evicted {evicted}"
+        );
+    }
+
     /// The reference model: the cache as it was before runs, one
     /// `Frame` per resident chunk keyed by timestamp, each with a
     /// waiter list. [`IntervalCache`] must match it operation for
@@ -894,6 +1051,13 @@ mod tests {
 
             pub(crate) fn frame_count(&self) -> usize {
                 self.movies.values().map(|m| m.frames.len()).sum()
+            }
+
+            /// The insertion sequence number and prefix pin of the
+            /// resident chunk of `movie` at `timestamp`.
+            pub(crate) fn frame(&self, movie: &str, timestamp: Duration) -> Option<(u64, bool)> {
+                let f = self.movies.get(movie)?.frames.get(&timestamp)?;
+                Some((f.seq, f.prefix))
             }
 
             pub(crate) fn pinned_frames(&self) -> usize {
@@ -1193,6 +1357,22 @@ mod tests {
         assert_eq!(c.prefix_bytes, r.prefix_bytes, "{ctx}: prefix bytes");
         assert_eq!(c.frame_count(), r.frame_count(), "{ctx}: frames");
         assert_eq!(c.pinned_frames(), r.pinned_frames(), "{ctx}: pinned");
+        // Each run's first and last chunks carry their frames' ages and
+        // pins.
+        for (name, m) in &c.movies {
+            for run in &m.runs {
+                for k in [0, run.len() - 1] {
+                    let chunk = m.table().get(run.lo + k).expect("run inside its table");
+                    let age = Some((run.seq + k as u64, run.prefix));
+                    let at = chunk.index;
+                    assert_eq!(
+                        age,
+                        r.frame(name, chunk.timestamp),
+                        "{ctx}: {name} chunk {at}"
+                    );
+                }
+            }
+        }
         for name in ["a", "b", "c"] {
             let frontier = r.movies.get(name).map(|m| m.frontier);
             assert_eq!(c.frontier(name), frontier, "{ctx}: {name} frontier");

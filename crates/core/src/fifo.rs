@@ -14,12 +14,12 @@
 
 use std::collections::VecDeque;
 
-use crate::tdbuffer::BufferedChunk;
+use cras_media::Chunk;
 
 /// A bounded FIFO chunk buffer (the traditional design).
 #[derive(Clone, Debug)]
 pub struct FifoBuffer {
-    queue: VecDeque<BufferedChunk>,
+    queue: VecDeque<Chunk>,
     capacity_bytes: u64,
     bytes: u64,
     drops_new: u64,
@@ -49,7 +49,7 @@ impl FifoBuffer {
 
     /// Offers a chunk; a full buffer drops the *newcomer* (old data is
     /// never evicted — that is the point of the ablation).
-    pub fn put(&mut self, chunk: BufferedChunk) -> bool {
+    pub fn put(&mut self, chunk: Chunk) -> bool {
         if self.bytes + chunk.size as u64 > self.capacity_bytes {
             self.drops_new += 1;
             return false;
@@ -60,7 +60,7 @@ impl FifoBuffer {
     }
 
     /// Takes the oldest chunk (the only access order a FIFO offers).
-    pub fn pop(&mut self) -> Option<BufferedChunk> {
+    pub fn pop(&mut self) -> Option<Chunk> {
         let c = self.queue.pop_front()?;
         self.bytes -= c.size as u64;
         Some(c)
@@ -70,15 +70,15 @@ impl FifoBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cras_sim::{Duration, Instant};
+    use cras_sim::Duration;
 
-    fn chunk(i: u32, size: u32) -> BufferedChunk {
-        BufferedChunk {
+    fn chunk(i: u32, size: u32) -> Chunk {
+        Chunk {
             index: i,
             timestamp: Duration::from_millis(i as u64 * 33),
             duration: Duration::from_millis(33),
             size,
-            posted_at: Instant::ZERO,
+            file_offset: 0,
         }
     }
 

@@ -15,8 +15,9 @@
 //! * [`clock`] — per-stream logical clocks (`crs_start/stop/seek`, rate
 //!   changes).
 //! * [`tdbuffer`] — the time-driven shared memory buffer (§2.4,
-//!   Figure 4): timestamp-keyed, auto-discarding, the mechanism behind
-//!   dynamic QOS control.
+//!   Figure 4): index spans of the stream's chunk table, read by
+//!   timestamp, auto-discarding; the mechanism behind dynamic QOS
+//!   control.
 //! * [`stream`] — per-stream state and the byte-range → disk-extent
 //!   mapping resolved at `crs_open`.
 //! * [`placement`] — movie-to-volume placement over a multi-disk
@@ -59,4 +60,4 @@ pub use server::{
     Admit, CrasServer, IntervalReport, OpenReq, ReadReq, ServerConfig, VolumeLoad, JITTER,
 };
 pub use stream::{CacheState, ParityState, Stream, StreamId, VolumeRun};
-pub use tdbuffer::{BufferedChunk, TimeDrivenBuffer};
+pub use tdbuffer::TimeDrivenBuffer;

@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use cras_disk::calibrate::DiskParams;
 use cras_disk::geometry::BlockNo;
 use cras_disk::{SweepCursor, VolumeId};
-use cras_media::{ChunkSpan, ChunkTable};
+use cras_media::{Chunk, ChunkSpan, ChunkTable};
 use cras_sim::{Duration, IdTable, Instant};
 use cras_ufs::Extent;
 
@@ -61,7 +61,7 @@ use crate::placement::{assert_tiles, on_volume, PlacementPolicy, VolumeExtent};
 use crate::stream::{
     CacheState, ParityState, PendingBatch, Recording, Stream, StreamId, VolumeRun,
 };
-use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer};
+use crate::tdbuffer::TimeDrivenBuffer;
 
 /// Fixed (non-buffer) server footprint: "CRAS consumes about (250KB +
 /// total buffer space) of physical memory."
@@ -377,28 +377,17 @@ fn bottleneck_time(per_volume: &[f64]) -> f64 {
 }
 
 /// Posts chunks `lo..=hi` of a stream's table into its time-driven
-/// buffer at `now`, up to the first chunk the buffer cannot take: a
-/// stopped clock discards nothing, and a rate cut shrinks the buffer
-/// under a batch fetched at the old rate. The pre-fetch cursor is
+/// buffer at `now` as one span, up to the first chunk the buffer cannot
+/// take: a stopped clock discards nothing, and a rate cut shrinks the
+/// buffer under a batch fetched at the old rate. The pre-fetch cursor is
 /// rewound to that chunk, so the stream fetches it again. Returns the
 /// chunks posted.
 fn post_chunks(s: &mut Stream, lo: u32, hi: u32, now: Instant) -> usize {
-    let media_now = s.clock.media_time(now);
-    for i in lo..=hi {
-        let c = s.table.get(i).expect("batch chunk in table");
-        let chunk = BufferedChunk {
-            index: c.index,
-            timestamp: c.timestamp,
-            duration: c.duration,
-            size: c.size,
-            posted_at: now,
-        };
-        if !s.buffer.try_put(chunk, media_now) {
-            s.prefetch_cursor = c.timestamp;
-            return (i - lo) as usize;
-        }
+    let n = s.buffer.post(lo..hi + 1, s.clock.media_time(now));
+    if n <= hi - lo {
+        s.prefetch_cursor = s.table.timestamp(lo + n);
     }
-    (hi - lo) as usize + 1
+    n as usize
 }
 
 /// The media time a stream must be fetched to by `horizon`, and the
@@ -454,7 +443,7 @@ struct StreamReport {
     pub prefetch_cursor: Duration,
     /// Current buffer occupancy in bytes.
     pub buffer_bytes: u64,
-    /// Buffer counters (puts/hits/misses/discards/max occupancy).
+    /// Buffer counters (puts/discards/max occupancy).
     pub buffer: crate::tdbuffer::BufferStats,
 }
 
@@ -975,14 +964,14 @@ impl CrasServer {
             Stream {
                 id,
                 name: req.name,
-                table: req.table,
+                table: req.table.clone(),
                 extents: req.extents,
                 mirror: req.mirror,
                 parity: req.parity,
                 params,
                 shares,
                 clock: LogicalClock::new(),
-                buffer: TimeDrivenBuffer::new(buffer_bytes, JITTER),
+                buffer: TimeDrivenBuffer::new(req.table, buffer_bytes, JITTER),
                 prefetch_cursor: Duration::ZERO,
                 cache_state: feed,
                 batches: Vec::new(),
@@ -1567,7 +1556,7 @@ impl CrasServer {
         // higher rate, shrinking keeps the wired memory equal to what the
         // admission test accounted for.
         if need != s.buffer.capacity() {
-            s.buffer = TimeDrivenBuffer::new(need, JITTER);
+            s.buffer = TimeDrivenBuffer::new(s.table.clone(), need, JITTER);
         }
         self.feed(id, FeedEvent::Rerate, now);
         Ok(())
@@ -1576,7 +1565,7 @@ impl CrasServer {
     /// `crs_get` (client side): the chunk at `media_time` from the
     /// stream's time-driven buffer. No server communication happens in the
     /// real system; here it is a read-mostly buffer probe.
-    pub fn get(&mut self, id: StreamId, media_time: Duration) -> Option<BufferedChunk> {
+    pub fn get(&mut self, id: StreamId, media_time: Duration) -> Option<Chunk> {
         self.stream_mut(id).buffer.get(media_time)
     }
 

@@ -487,14 +487,14 @@ mod tests {
         Stream {
             id: StreamId(0),
             name: "t".into(),
-            table,
+            table: table.clone(),
             shares: Stream::rate_shares(&extents, None, None, volumes),
             extents,
             mirror: None,
             parity: None,
             params: StreamParams::new(187_500.0, 6_250.0),
             clock: LogicalClock::new(),
-            buffer: TimeDrivenBuffer::new(200_000, Duration::from_millis(100)),
+            buffer: TimeDrivenBuffer::new(table, 200_000, Duration::from_millis(100)),
             prefetch_cursor: Duration::ZERO,
             cache_state: CacheState::Disk,
             batches: Vec::new(),

@@ -153,6 +153,17 @@ impl ChunkTable {
         })
     }
 
+    /// Chunk `i`'s timestamp, read from the column; `i == len()` gives
+    /// the end of the last chunk (the total duration).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i > len()`.
+    #[inline]
+    pub fn timestamp(&self, i: u32) -> Duration {
+        Duration::from_nanos(self.ts[i as usize])
+    }
+
     /// Total media bytes.
     #[inline]
     pub fn total_bytes(&self) -> u64 {
@@ -187,10 +198,9 @@ impl ChunkTable {
     /// search of the timestamp column.
     #[inline]
     pub fn chunks_in(&self, from: Duration, to: Duration) -> ChunkSpan<'_> {
-        let starts = &self.ts[..self.len()];
-        let lo = starts.partition_point(|&t| t < from.as_nanos());
-        let hi = starts.partition_point(|&t| t < to.as_nanos());
-        self.span(lo as u32..hi.max(lo) as u32)
+        let all = self.span(0..self.len() as u32);
+        let (lo, hi) = (all.below(from), all.below(to));
+        self.span(lo..hi.max(lo))
     }
 
     /// Largest chunk size in bytes (the paper's `C_i` per-chunk term).
@@ -233,11 +243,57 @@ impl<'a> ChunkSpan<'a> {
         self.iter().next_back()
     }
 
+    /// The span's chunk indices.
+    #[inline]
+    pub fn range(&self) -> Range<u32> {
+        self.lo..self.hi
+    }
+
+    /// The table the span indexes.
+    #[inline]
+    pub fn table(&self) -> &'a ChunkTable {
+        self.table
+    }
+
     /// Bytes of the span's chunks, from the offset column.
     #[inline]
     pub fn bytes(&self) -> u64 {
         let off = &self.table.off;
         off[self.hi as usize] - off[self.lo as usize]
+    }
+
+    /// Number of leading chunks with timestamps below `t`: a binary
+    /// search of the timestamp column.
+    #[inline]
+    pub fn below(&self, t: Duration) -> u32 {
+        let starts = &self.table.ts[self.lo as usize..self.hi as usize];
+        starts.partition_point(|&s| s < t.as_nanos()) as u32
+    }
+
+    /// Number of leading chunks whose sizes sum to at most `bytes`: a
+    /// binary search of the offset column.
+    #[inline]
+    pub fn fitting(&self, bytes: u64) -> u32 {
+        let off = &self.table.off[self.lo as usize..=self.hi as usize];
+        off[1..].partition_point(|&o| o - off[0] <= bytes) as u32
+    }
+
+    /// The chunk whose `[timestamp, timestamp + duration)` holds `t`, if
+    /// it is in the span: a binary search of the timestamp column.
+    #[inline]
+    pub fn at(&self, t: Duration) -> Option<Chunk> {
+        let starts = &self.table.ts[self.lo as usize..self.hi as usize];
+        let k = starts.partition_point(|&s| s <= t.as_nanos());
+        let c = self.table.get(self.lo + k.checked_sub(1)? as u32)?;
+        (t < c.end_timestamp()).then_some(c)
+    }
+
+    /// Whether two of the span's chunks share a timestamp (some chunk
+    /// but the last has zero duration).
+    #[inline]
+    pub fn has_tied_timestamps(&self) -> bool {
+        let ts = &self.table.ts[self.lo as usize..self.hi as usize];
+        ts.windows(2).any(|w| w[0] == w[1])
     }
 
     /// The span's chunks, in index order.
@@ -327,6 +383,11 @@ mod tests {
         rows
     }
 
+    /// The end of the last row.
+    fn duration_of(rows: &[Chunk]) -> Duration {
+        rows.last().map_or(Duration::ZERO, Chunk::end_timestamp)
+    }
+
     /// Seeded inputs: VBR tables, tables with runs of zero-duration
     /// chunks, one-chunk tables and the empty table.
     fn differential_inputs() -> Vec<Vec<(Duration, u32)>> {
@@ -389,10 +450,50 @@ mod tests {
                 assert_eq!(span.last(), want.last().copied());
                 let bytes: u64 = want.iter().map(|c| c.size as u64).sum();
                 assert_eq!(span.bytes(), bytes);
+                assert_eq!(span.range().len(), want.len());
+                assert!(std::ptr::eq(span.table(), &t));
+
+                // Column searches of a random span against a row scan.
+                let lo = rng.below(n as u64 + 1) as u32;
+                let hi = lo + rng.below((n - lo) as u64 + 1) as u32;
+                let span = t.span(lo..hi);
+                let rows = &rows[lo as usize..hi as usize];
+                let below = rows.iter().filter(|c| c.timestamp < from).count();
+                assert_eq!(
+                    span.below(from) as usize,
+                    below,
+                    "{lo}..{hi} below {from:?}"
+                );
+                let budget = rng.below(span.bytes() + 2);
+                let fit = rows
+                    .iter()
+                    .scan(0u64, |sum, c| {
+                        *sum += c.size as u64;
+                        Some(*sum)
+                    })
+                    .take_while(|&sum| sum <= budget)
+                    .count();
+                assert_eq!(
+                    span.fitting(budget) as usize,
+                    fit,
+                    "{lo}..{hi} within {budget}"
+                );
+                let holds = rows
+                    .iter()
+                    .find(|c| c.timestamp <= from && from < c.end_timestamp());
+                assert_eq!(span.at(from), holds.copied(), "{lo}..{hi} at {from:?}");
+                let tied = rows.windows(2).any(|w| w[0].timestamp == w[1].timestamp);
+                assert_eq!(span.has_tied_timestamps(), tied, "{lo}..{hi}");
+            }
+            for i in 0..=n {
+                let ts = rows
+                    .get(i as usize)
+                    .map_or(duration_of(&rows), |c| c.timestamp);
+                assert_eq!(t.timestamp(i), ts, "timestamp {i}");
             }
 
             let total: u64 = rows.iter().map(|c| c.size as u64).sum();
-            let duration = rows.last().map_or(Duration::ZERO, Chunk::end_timestamp);
+            let duration = duration_of(&rows);
             let secs = duration.as_secs_f64();
             let worst = rows
                 .iter()

@@ -10,9 +10,9 @@
 //! Both buffers receive identical server-fill schedules; only the data
 //! structure differs.
 
-use cras_core::{BufferedChunk, FifoBuffer, TimeDrivenBuffer};
+use cras_core::{FifoBuffer, TimeDrivenBuffer};
 use cras_media::StreamProfile;
-use cras_sim::{Duration, Instant, Rng};
+use cras_sim::{Duration, Rng};
 
 use crate::result::KvTable;
 
@@ -46,7 +46,7 @@ pub fn run(secs: f64, client_fps: f64, seed: u64) -> (KvTable, BufferOutcome, Bu
     let interval = Duration::from_millis(500);
 
     // Time-driven run.
-    let mut tdb = TimeDrivenBuffer::new(capacity, jitter);
+    let mut tdb = TimeDrivenBuffer::new(table.clone(), capacity, jitter);
     let mut fifo = FifoBuffer::new(capacity);
     let mut td_out = (0u64, 0.0f64, 0.0f64);
     let mut ff_out = (0u64, 0.0f64, 0.0f64);
@@ -54,7 +54,6 @@ pub fn run(secs: f64, client_fps: f64, seed: u64) -> (KvTable, BufferOutcome, Bu
     let client_period = Duration::from_secs_f64(1.0 / client_fps);
     let total = Duration::from_secs_f64(secs);
     let mut next_fill = Duration::ZERO;
-    let mut fill_idx = 0u32;
     let mut next_client = Duration::ZERO;
     let mut t = Duration::ZERO;
     while t <= total {
@@ -64,19 +63,15 @@ pub fn run(secs: f64, client_fps: f64, seed: u64) -> (KvTable, BufferOutcome, Bu
             break;
         }
         if t == next_fill {
-            // Post one interval of chunks (media [t, t+interval)).
+            // Post one interval of chunks (media [t, t+interval)): one
+            // span into the time-driven buffer, chunk by chunk into the
+            // FIFO.
             let upto = t + interval;
-            while let Some(c) = table.get(fill_idx).filter(|c| c.timestamp < upto) {
-                let bc = BufferedChunk {
-                    index: c.index,
-                    timestamp: c.timestamp,
-                    duration: c.duration,
-                    size: c.size,
-                    posted_at: Instant::ZERO + t,
-                };
-                tdb.put(bc, t);
-                fifo.put(bc);
-                fill_idx += 1;
+            let batch = table.chunks_in(t, upto);
+            let posted = tdb.post(batch.range(), t);
+            assert_eq!(posted as usize, batch.len(), "time-driven buffer overflow");
+            for c in batch.iter() {
+                fifo.put(c);
             }
             next_fill = upto;
         }

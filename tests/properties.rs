@@ -10,7 +10,7 @@ use cras_repro::core::{
 use cras_repro::disk::calibrate::DiskParams;
 use cras_repro::disk::cscan::CScanQueue;
 use cras_repro::disk::{DiskDevice, DiskRequest, SeekModel, VolumeId};
-use cras_repro::media::{generate_chunks, StreamProfile};
+use cras_repro::media::{generate_chunks, ChunkTable, StreamProfile};
 use cras_repro::sim::{Duration, Instant, Rng};
 use cras_repro::sys::{MoviePlacement, SysConfig, System};
 use cras_repro::ufs::{Extent, MkfsParams, Ufs};
@@ -111,24 +111,13 @@ fn tdbuffer_get_matches_linear_scan() {
         let n = rng.range_inclusive(1, 39) as usize;
         let durs: Vec<u64> = (0..n).map(|_| rng.range_inclusive(1, 199)).collect();
         let query_ms = rng.below(8000);
-        let mut buf = TimeDrivenBuffer::new(1 << 20, Duration::ZERO);
-        let mut ts = Duration::ZERO;
-        let mut chunks = Vec::new();
-        for (i, &d) in durs.iter().enumerate() {
-            let c = cras_repro::core::BufferedChunk {
-                index: i as u32,
-                timestamp: ts,
-                duration: Duration::from_millis(d),
-                size: 100,
-                posted_at: Instant::ZERO,
-            };
-            buf.put(c, Duration::ZERO);
-            chunks.push(c);
-            ts += Duration::from_millis(d);
-        }
+        let table =
+            ChunkTable::from_durations_sizes(durs.iter().map(|&d| (Duration::from_millis(d), 100)));
+        let mut buf = TimeDrivenBuffer::new(table.clone(), 1 << 20, Duration::ZERO);
+        assert_eq!(buf.post(0..n as u32, Duration::ZERO), n as u32);
         let q = Duration::from_millis(query_ms);
-        let expected = chunks
-            .iter()
+        let expected = table
+            .chunks()
             .find(|c| c.timestamp <= q && q < c.timestamp + c.duration)
             .map(|c| c.index);
         assert_eq!(buf.get(q).map(|c| c.index), expected, "case {case}");
@@ -143,19 +132,10 @@ fn tdbuffer_occupancy_invariant() {
     for case in 0..200 {
         let n = rng.range_inclusive(1, 49) as u32;
         let discard_ms = rng.below(3000);
-        let mut buf = TimeDrivenBuffer::new(1 << 20, Duration::ZERO);
-        for i in 0..n {
-            buf.put(
-                cras_repro::core::BufferedChunk {
-                    index: i,
-                    timestamp: Duration::from_millis(i as u64 * 100),
-                    duration: Duration::from_millis(100),
-                    size: 500,
-                    posted_at: Instant::ZERO,
-                },
-                Duration::ZERO,
-            );
-        }
+        let table =
+            ChunkTable::from_durations_sizes((0..n).map(|_| (Duration::from_millis(100), 500)));
+        let mut buf = TimeDrivenBuffer::new(table, 1 << 20, Duration::ZERO);
+        assert_eq!(buf.post(0..n, Duration::ZERO), n);
         buf.discard_obsolete(Duration::from_millis(discard_ms));
         let surviving = (0..n).filter(|&i| i as u64 * 100 >= discard_ms).count() as u64;
         assert_eq!(buf.bytes(), surviving * 500, "case {case}");
